@@ -82,7 +82,7 @@ void BM_DeepGateInference(benchmark::State& state) {
   const gnn::CircuitGraph& g = shared_graph();
   nn::NoGradGuard no_grad;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model->predict(g));
+    benchmark::DoNotOptimize(model->forward_outputs(g).prediction);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * g.num_nodes);
 }
@@ -98,7 +98,7 @@ void BM_DeepGateTrainStep(benchmark::State& state) {
   const nn::Matrix target =
       nn::Matrix::from_vector(g.num_nodes, 1, std::vector<float>(g.labels));
   for (auto _ : state) {
-    const nn::Tensor loss = nn::l1_loss(model->predict(g), target);
+    const nn::Tensor loss = nn::l1_loss(model->forward_outputs(g).prediction, target);
     loss.backward();
     benchmark::DoNotOptimize(loss.item());
     for (auto& [name, t] : model->named_params()) t.zero_grad();

@@ -1,10 +1,11 @@
 // Serving-loop load generator: the async admission-queue server
-// (serve::Server) vs the PR 3 offline path (deepgate::BatchRunner) at EQUAL
+// (serve::Server) vs the offline batched executor (gnn::execute) at EQUAL
 // thread count, plus an open-loop arrival schedule for latency percentiles.
 //
 // Modes:
-//   offline      BatchRunner::predict over the whole request list, repeated —
-//                the caller-driven baseline the serving loop must match.
+//   offline      gnn::execute over the whole request list, repeated, merging
+//                through its own MergeCache — the caller-driven baseline the
+//                serving loop must match.
 //   serve_burst  every request submitted at once (closed bursts, one per
 //                rep); measures serving throughput including batcher/queue
 //                overhead and the merge-cache effect on repeated traffic.
@@ -15,7 +16,7 @@
 //                server-side accounting carried on each Response.
 //   serve_burst_embed
 //                the same closed bursts with want_embedding on every
-//                request — the traffic class the fused Model::forward_outputs
+//                request — the traffic class the single Model::forward_outputs
 //                path fixed: embedding-bearing requests now cost ONE
 //                level-loop forward (previously predict + embed ran two), so
 //                this mode should track serve_burst instead of halving it.
@@ -35,7 +36,6 @@
 // --json out.json / DEEPGATE_BENCH_JSON (BENCH_micro_serve_loop.json in CI).
 #include "harness.hpp"
 
-#include "core/batch_runner.hpp"
 #include "core/deepgate.hpp"
 #include "data/generators_large.hpp"
 #include "serve/server.hpp"
@@ -82,7 +82,7 @@ double percentile_ms(std::vector<double> seconds, double q) {
 int main(int argc, char** argv) {
   using namespace dg;
   bench::Context ctx = bench::make_context(argc, argv);
-  bench::print_banner("micro_serve_loop: async serving loop vs offline BatchRunner", ctx);
+  bench::print_banner("micro_serve_loop: async serving loop vs offline batched executor", ctx);
 
   // --trace out.json: force tracing on and export the serve_burst span ring
   // as Chrome trace-event JSON (CI validates it with `python3 -m json.tool`).
@@ -158,18 +158,23 @@ int main(int argc, char** argv) {
                           .num("speedup_vs_offline", gps / offline_gps));
   };
 
-  // -- offline: the PR 3 caller-driven path at the same thread count ----------
+  // -- offline: the caller-driven executor at the same thread count ----------
   {
-    deepgate::BatchOptions bopts = deepgate::BatchOptions::from_env();
-    bopts.threads = threads;
-    const deepgate::BatchRunner runner(engine, bopts);
-    std::vector<std::vector<float>> out;
+    gnn::ServeOptions opts = gnn::ServeOptions::from_env();
+    opts.threads = threads;
+    gnn::MergeCache cache(opts.merge_cache_capacity);
+    opts.merge_cache = &cache;
+    std::vector<std::vector<float>> out(ptrs.size());
+    std::uint64_t batches = 0;
     util::Timer t;
     for (int rep = 0; rep < wl.reps; ++rep) {
-      out = runner.predict(ptrs);
+      batches += gnn::execute(engine.model(), ptrs, opts, 0,
+                              [&](std::size_t i, const gnn::Batch& batch, std::size_t member) {
+                                out[i] = batch.prediction(member);
+                              });
       for (std::size_t i = 0; i < out.size(); ++i) check(i, out[i]);
     }
-    record("offline", t.seconds(), {}, 0, 0, runner.stats().batches);
+    record("offline", t.seconds(), {}, cache.stats().hits, cache.stats().misses, batches);
   }
 
   // Fulfillment resolves the future before the lane folds its batch into

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 namespace dg::aig {
@@ -64,8 +65,24 @@ std::optional<Aig> read_aiger(const std::string& text, std::string* error) {
     set_error(error, "latches not supported (combinational AIGs only)");
     return std::nullopt;
   }
-  if (m < i + a) {
-    set_error(error, "inconsistent header counts");
+  // Bound every count by the text that remains before allocating anything:
+  // each input/output literal is one token and each AND three, and every
+  // token takes at least two bytes (a digit plus its leading separator).
+  const std::size_t pos = static_cast<std::size_t>(in.tellg());
+  std::size_t tokens_left = (pos < text.size() ? text.size() - pos : 0) / 2;
+  const auto fits = [&](std::size_t count, std::size_t tokens_each, const char* field) {
+    if (count > tokens_left / tokens_each) {
+      set_error(error, std::string("header field ") + field + " = " + std::to_string(count) +
+                           " exceeds what the remaining text can hold");
+      return false;
+    }
+    tokens_left -= count * tokens_each;
+    return true;
+  };
+  if (!fits(i, 1, "I") || !fits(o, 1, "O") || !fits(a, 3, "A")) return std::nullopt;
+  if (m != i + a) {
+    set_error(error, "header field M = " + std::to_string(m) + " must equal I + A = " +
+                         std::to_string(i + a));
     return std::nullopt;
   }
 

@@ -18,7 +18,9 @@ bool write_aiger_file(const Aig& aig, const std::string& path);
 
 /// Parse ASCII AIGER; returns std::nullopt with a diagnostic in `error` on
 /// malformed input (bad header, latches present, undefined literals,
-/// non-topological definitions).
+/// non-topological definitions). Header counts are checked before anything
+/// is allocated: I, O and A must fit in the text that follows, and M must
+/// equal I + A; the diagnostic names the offending field.
 std::optional<Aig> read_aiger(const std::string& text, std::string* error = nullptr);
 std::optional<Aig> read_aiger_file(const std::string& path, std::string* error = nullptr);
 

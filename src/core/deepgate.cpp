@@ -3,14 +3,12 @@
 #include "aig/gate_graph.hpp"
 #include "util/log.hpp"
 #include "netlist/to_aig.hpp"
-#include "nn/arena.hpp"
 #include "nn/serialize.hpp"
 #include "sim/probability.hpp"
 #include "synth/optimize.hpp"
 #include "synth/sweep.hpp"
 
-#include <stdexcept>
-#include <utility>
+#include <limits>
 
 namespace deepgate {
 
@@ -73,85 +71,35 @@ double Engine::evaluate(const std::vector<CircuitGraph>& test_set,
   return dg::gnn::evaluate(*model_, test_set, opts);
 }
 
-std::vector<float> Engine::predict_probabilities(const CircuitGraph& g) const {
-  dg::nn::NoGradGuard no_grad;
-  std::vector<float> out(static_cast<std::size_t>(g.num_nodes));
-  dg::nn::ArenaScope arena;  // level states / scratch recycle across calls
-  const dg::nn::Tensor pred = model_->predict(g);
-  for (int v = 0; v < g.num_nodes; ++v) out[static_cast<std::size_t>(v)] = pred.value().at(v, 0);
-  return out;
-}
-
-dg::nn::Matrix Engine::embeddings(const CircuitGraph& g) const {
-  dg::nn::NoGradGuard no_grad;
-  dg::nn::Tensor emb;
-  {
-    dg::nn::ArenaScope arena;
-    emb = model_->embed(g);
-  }
-  // Copy outside the scope: the caller keeps the result indefinitely, so it
-  // must be plain heap, not a buffer drained from the lane's arena.
-  return emb.value();
-}
-
 namespace {
 
-/// Batch members with nodes to forward, and their request positions — an
-/// empty request vector or zero-node graphs must short-circuit (no merge)
-/// rather than rely on callers pre-filtering degenerate requests.
-std::pair<std::vector<const CircuitGraph*>, std::vector<std::size_t>> live_members(
-    const std::vector<const CircuitGraph*>& batch) {
-  std::pair<std::vector<const CircuitGraph*>, std::vector<std::size_t>> live;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i] == nullptr)
-      throw std::invalid_argument("Engine batch inference: null graph");
-    if (batch[i]->num_nodes == 0) continue;
-    live.first.push_back(batch[i]);
-    live.second.push_back(i);
-  }
-  return live;
+/// Direct Engine calls: the whole request in one merge (split only where
+/// graphs cannot share one), on the calling thread, no merge cache.
+dg::gnn::ServeOptions single_merge() {
+  dg::gnn::ServeOptions opts;
+  opts.node_budget = std::numeric_limits<std::size_t>::max();
+  opts.max_graphs = std::numeric_limits<std::size_t>::max();
+  opts.threads = 1;
+  return opts;
 }
 
 }  // namespace
 
-std::vector<std::vector<float>> Engine::predict_batch(
-    const std::vector<const CircuitGraph*>& batch) const {
-  std::vector<std::vector<float>> out(batch.size());
-  const auto [live, index] = live_members(batch);
-  if (live.empty()) return out;
-  dg::nn::NoGradGuard no_grad;
-  const CircuitGraph merged = CircuitGraph::merge(live);
-  dg::nn::Tensor pred_t;
-  {
-    dg::nn::ArenaScope arena;
-    pred_t = model_->predict(merged);
-  }
-  const dg::nn::Matrix& pred = pred_t.value();
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    const dg::gnn::GraphMember& m = merged.members[i];
-    auto& slot = out[index[i]];
-    slot.resize(static_cast<std::size_t>(m.num_nodes));
-    for (int v = 0; v < m.num_nodes; ++v)
-      slot[static_cast<std::size_t>(v)] = pred.at(m.node_offset + v, 0);
-  }
+std::vector<float> Engine::predict_probabilities(const CircuitGraph& g) const {
+  std::vector<float> out;
+  dg::gnn::execute(*model_, {&g}, single_merge(), 0,
+                   [&](std::size_t, const dg::gnn::Batch& batch, std::size_t member) {
+                     out = batch.prediction(member);
+                   });
   return out;
 }
 
-std::vector<dg::nn::Matrix> Engine::embeddings_batch(
-    const std::vector<const CircuitGraph*>& batch) const {
-  std::vector<dg::nn::Matrix> out(batch.size());
-  const auto [live, index] = live_members(batch);
-  if (live.empty()) return out;
-  dg::nn::NoGradGuard no_grad;
-  const CircuitGraph merged = CircuitGraph::merge(live);
-  dg::nn::Tensor emb_t;
-  {
-    dg::nn::ArenaScope arena;
-    emb_t = model_->embed(merged);
-  }
-  const dg::nn::Matrix& emb = emb_t.value();  // member copies below stay heap
-  for (std::size_t i = 0; i < live.size(); ++i)
-    out[index[i]] = dg::gnn::member_rows(emb, merged.members[i]);
+dg::nn::Matrix Engine::embeddings(const CircuitGraph& g) const {
+  dg::nn::Matrix out;
+  dg::gnn::execute(*model_, {&g}, single_merge(), 0,
+                   [&](std::size_t, const dg::gnn::Batch& batch, std::size_t member) {
+                     out = batch.embedding(member);
+                   });
   return out;
 }
 
@@ -159,25 +107,11 @@ BatchInference Engine::infer_batch(const std::vector<const CircuitGraph*>& batch
   BatchInference out;
   out.probabilities.resize(batch.size());
   out.embeddings.resize(batch.size());
-  const auto [live, index] = live_members(batch);
-  if (live.empty()) return out;
-  dg::nn::NoGradGuard no_grad;
-  const CircuitGraph merged = CircuitGraph::merge(live);
-  dg::gnn::ForwardOutputs fused;
-  {
-    dg::nn::ArenaScope arena;
-    fused = model_->forward_outputs(merged);
-  }
-  const dg::nn::Matrix& pred = fused.prediction.value();
-  const dg::nn::Matrix& emb = fused.embedding.value();
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    const dg::gnn::GraphMember& m = merged.members[i];
-    auto& slot = out.probabilities[index[i]];
-    slot.resize(static_cast<std::size_t>(m.num_nodes));
-    for (int v = 0; v < m.num_nodes; ++v)
-      slot[static_cast<std::size_t>(v)] = pred.at(m.node_offset + v, 0);
-    out.embeddings[index[i]] = dg::gnn::member_rows(emb, m);
-  }
+  dg::gnn::execute(*model_, batch, single_merge(), 0,
+                   [&](std::size_t i, const dg::gnn::Batch& b, std::size_t member) {
+                     out.probabilities[i] = b.prediction(member);
+                     out.embeddings[i] = b.embedding(member);
+                   });
   return out;
 }
 

@@ -4,15 +4,15 @@
 //   auto graph = deepgate::prepare(my_netlist, 100000, seed);  // AIG + labels
 //   engine.train(train_graphs, train_options);
 //   auto probs = engine.predict_probabilities(graph);
-//   auto emb   = engine.embeddings(graph);   // per-gate representation
-//   auto many  = engine.predict_batch(graph_ptrs);  // one merged forward
+//   auto emb   = engine.embeddings(graph);        // per-gate representation
+//   auto both  = engine.infer_batch(graph_ptrs);  // one merged forward, both outputs
 //   engine.save("model.dgtp");
 //
-// For serving many graphs, deepgate::BatchRunner (core/batch_runner.hpp)
-// packs them into node-budgeted merged batches and fans out across the
-// thread pool. For a true asynchronous serving loop — bounded admission
-// queue, deadline/budget batch formation, futures, backpressure — see
-// deepgate::serve() in serve/server.hpp.
+// One propagation always yields both outputs (the regressor reads the
+// embeddings, Sec. III-C), so every inference call above, evaluate(), and
+// the asynchronous serving loop (deepgate::serve, serve/server.hpp) run the
+// same batched executor (gnn/executor.hpp): a graph gets the same bits
+// whichever entry point served it and however it was batched.
 //
 // Everything here delegates to the dg::* subsystem libraries; nothing in the
 // facade is required to use them directly.
@@ -86,9 +86,8 @@ dg::data::Dataset prepare_dataset(const DatasetOptions& options = {});
 dg::data::Dataset prepare_dataset(const dg::data::DatasetConfig& config,
                                   const dg::data::BuildOptions& build);
 
-/// Both outputs of fused batched inference (Engine::infer_batch,
-/// BatchRunner::infer), request order: probabilities[i] / embeddings[i]
-/// belong to batch[i]. Zero-node graphs get empty entries.
+/// Both outputs of Engine::infer_batch, request order: probabilities[i] /
+/// embeddings[i] belong to batch[i]. Zero-node graphs get empty entries.
 struct BatchInference {
   std::vector<std::vector<float>> probabilities;
   std::vector<dg::nn::Matrix> embeddings;
@@ -108,9 +107,9 @@ class Engine {
   /// Dataset::shard_files) without materializing the whole set in memory.
   dg::gnn::TrainResult train(dg::gnn::GraphStream& stream, const TrainConfig& cfg);
 
-  /// Avg prediction error, Eq. (8), served batched: the set is packed into
-  /// node-budgeted merged super-graphs fanned across the thread pool
-  /// (gnn::EvalOptions::from_env — DEEPGATE_SERVE_BUDGET, 0 = per-graph
+  /// Avg prediction error, Eq. (8), on the batched executor: the set is
+  /// packed into node-budgeted merged super-graphs fanned across the thread
+  /// pool (gnn::EvalOptions::from_env — DEEPGATE_SERVE_BUDGET, 0 = per-graph
   /// fallback, which still parallelizes). Per-graph errors are reduced in
   /// test-set order, so the result is deterministic at any DEEPGATE_THREADS.
   /// `iterations_override` > 0 forces the inference T; if the model is
@@ -118,30 +117,19 @@ class Engine {
   double evaluate(const std::vector<CircuitGraph>& test_set,
                   int iterations_override = 0) const;
 
-  /// Per-node predicted probabilities.
+  /// Per-node predicted probabilities (empty for a zero-node graph).
   std::vector<float> predict_probabilities(const CircuitGraph& g) const;
 
-  /// Per-node embedding matrix (N x d).
+  /// Per-node embedding matrix (N x d; 0 x 0 for a zero-node graph).
   dg::nn::Matrix embeddings(const CircuitGraph& g) const;
 
   /// Batched inference: ONE model forward over the level-merged disjoint
-  /// union of `batch` (CircuitGraph::merge), outputs scattered back per
-  /// graph. Bit-exact with per-graph predict_probabilities/embeddings
-  /// (exactly equal for a batch of one). All graphs must share
-  /// num_types/pe_L; throws std::invalid_argument otherwise (and on null
-  /// entries). An empty request vector and zero-node graphs are served
-  /// gracefully: empty per-graph results, no merge, no forward. For
-  /// node-budgeted packing + pool fan-out over many graphs, use BatchRunner.
-  std::vector<std::vector<float>> predict_batch(
-      const std::vector<const CircuitGraph*>& batch) const;
-  std::vector<dg::nn::Matrix> embeddings_batch(
-      const std::vector<const CircuitGraph*>& batch) const;
-
-  /// Fused batched inference: ONE merge and ONE level-loop forward yield
-  /// both the per-graph probabilities AND the per-graph embeddings — the
-  /// path for callers that want both, replacing the predict_batch-then-
-  /// embeddings_batch pair (which pays the merge and the propagation twice).
-  /// Bit-exact with those separate calls; same degenerate-request contract.
+  /// union of `batch` (CircuitGraph::merge) yields every graph's
+  /// probabilities AND embeddings. Graphs that cannot share a merge
+  /// (different num_types/pe_L, or already-merged batches) split the request
+  /// into one forward per compatible run. Bit-exact with per-graph
+  /// predict_probabilities/embeddings. Throws std::invalid_argument on null
+  /// entries; an empty request and zero-node graphs yield empty results.
   BatchInference infer_batch(const std::vector<const CircuitGraph*>& batch) const;
 
   /// Incremental inference over a mutating circuit (core/incremental_session
@@ -184,9 +172,13 @@ class Engine {
   void clear_eval_cache() const { eval_cache_->clear(); }
 
  private:
+  /// The body shared by predict_incremental and embeddings_incremental.
+  dg::gnn::ForwardOutputs forward_incremental(IncrementalSession& session,
+                                              const char* caller) const;
+
   Options options_;
   std::unique_ptr<dg::gnn::Model> model_;
-  /// Shared with gnn::forward_batched by evaluate(): repeated offline eval
+  /// Attached to the executor by evaluate(): repeated offline eval
   /// of a fixed test set (epoch loops, Table II/III sweeps) re-forms the
   /// same merge groups every pass, so the signature cache skips the
   /// merge+finalize rework after the first. Thread-safe; capacity from

@@ -4,6 +4,7 @@
 
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace deepgate {
 
@@ -35,40 +36,30 @@ void IncrementalSession::rewire_node(int v, const std::vector<int>& fanins) {
   graph_.delta_rewire_node(v, fanins);  // ids are stable under rewire
 }
 
-std::vector<float> Engine::predict_incremental(IncrementalSession& session) const {
+dg::gnn::ForwardOutputs Engine::forward_incremental(IncrementalSession& session,
+                                                    const char* caller) const {
   if (session.engine_ != this)
-    throw std::invalid_argument("predict_incremental: session bound to a different engine");
+    throw std::invalid_argument(std::string(caller) + ": session bound to a different engine");
   dg::nn::NoGradGuard no_grad;
-  const CircuitGraph& g = session.graph_;
-  std::vector<float> out(static_cast<std::size_t>(g.num_nodes));
+  dg::gnn::ForwardOutputs out;
   {
     dg::nn::ArenaScope arena;
-    const dg::gnn::ForwardOutputs res = model_->forward_incremental(
-        g, session.state_.get(), session.old_of_new_, &session.stats_);
-    const dg::nn::Matrix& pred = res.prediction.value();
-    for (int v = 0; v < g.num_nodes; ++v)
-      out[static_cast<std::size_t>(v)] = pred.at(v, 0);
+    out = model_->forward_incremental(session.graph_, session.state_.get(),
+                                      session.old_of_new_, &session.stats_);
   }
   // The memo snapshot now IS the current generation: identity map.
   std::iota(session.old_of_new_.begin(), session.old_of_new_.end(), 0);
   return out;
 }
 
+// Both copy outside the arena scope: the caller keeps the result indefinitely.
+std::vector<float> Engine::predict_incremental(IncrementalSession& session) const {
+  const dg::gnn::ForwardOutputs out = forward_incremental(session, "predict_incremental");
+  return dg::gnn::member_column(out.prediction.value(), {0, out.prediction.value().rows(), 0});
+}
+
 dg::nn::Matrix Engine::embeddings_incremental(IncrementalSession& session) const {
-  if (session.engine_ != this)
-    throw std::invalid_argument("embeddings_incremental: session bound to a different engine");
-  dg::nn::NoGradGuard no_grad;
-  dg::nn::Tensor emb;
-  {
-    dg::nn::ArenaScope arena;
-    emb = model_
-              ->forward_incremental(session.graph_, session.state_.get(),
-                                    session.old_of_new_, &session.stats_)
-              .embedding;
-  }
-  std::iota(session.old_of_new_.begin(), session.old_of_new_.end(), 0);
-  // Copy outside the scope: the caller keeps the result indefinitely.
-  return emb.value();
+  return forward_incremental(session, "embeddings_incremental").embedding.value();
 }
 
 }  // namespace deepgate

@@ -555,6 +555,13 @@ nn::Matrix member_rows(const nn::Matrix& full, const GraphMember& m) {
   return out;
 }
 
+std::vector<float> member_column(const nn::Matrix& full, const GraphMember& m) {
+  std::vector<float> out(static_cast<std::size_t>(m.num_nodes));
+  for (int v = 0; v < m.num_nodes; ++v)
+    out[static_cast<std::size_t>(v)] = full.at(m.node_offset + v, 0);
+  return out;
+}
+
 std::vector<std::pair<std::size_t, std::size_t>> plan_node_batches(
     const std::vector<const CircuitGraph*>& graphs, std::size_t node_budget,
     std::size_t max_graphs) {

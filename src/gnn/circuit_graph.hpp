@@ -184,6 +184,9 @@ bool bit_equal(const CircuitGraph& a, const CircuitGraph& b);
 /// merged per-node output matrix — the scatter half of merge().
 nn::Matrix member_rows(const nn::Matrix& full, const GraphMember& m);
 
+/// Same for an N x 1 prediction, as the member's per-node probabilities.
+std::vector<float> member_column(const nn::Matrix& full, const GraphMember& m);
+
 /// Pack `graphs` (kept in order) into contiguous batches whose total node
 /// count stays within `node_budget` and whose member count stays within
 /// `max_graphs`. A single graph larger than the budget gets a batch of its

@@ -8,8 +8,6 @@
 namespace dg::gnn {
 namespace {
 
-using nn::Tensor;
-
 class DagConvModel final : public Model {
  public:
   explicit DagConvModel(const ModelConfig& cfg_in) : Model(cfg_in) {
@@ -22,25 +20,8 @@ class DagConvModel final : public Model {
     regressor_ = Regressor(cfg_.num_types, cfg_.dim, cfg_.mlp_hidden, rng);
   }
 
-  Tensor embed(const CircuitGraph& g) const override {
-    count_full_forward();
-    auto states = init_level_states(g, cfg_.dim, /*random_init=*/false, cfg_.seed);
-    const auto x_lvl = level_onehot(g);
-    for (const auto& layer : layers_) {
-      // Queries (h^{l-1}) are the states at layer entry.
-      const std::vector<Tensor> queries = states;
-      layer.run(g, states, queries, x_lvl);
-    }
-    return full_from_levels(states, g);
-  }
-
-  Tensor predict(const CircuitGraph& g) const override {
-    return forward_outputs(g).prediction;
-  }
-
-  ForwardOutputs forward_outputs(const CircuitGraph& g) const override {
-    const Tensor h = embed(g);
-    return {regressor_.forward(h, g), h};
+  ForwardOutputs forward_outputs(const CircuitGraph& g, int /*iterations*/) const override {
+    return run_layered_forward(g, sweeps(), regressor_, cfg_);
   }
 
   std::unique_ptr<Model> clone() const override {
@@ -56,10 +37,7 @@ class DagConvModel final : public Model {
   ForwardOutputs forward_incremental(const CircuitGraph& g, IncrementalState* state,
                                      const std::vector<int>& old_of_new,
                                      IncrementalRunStats* stats) const override {
-    std::vector<const DirectedLayer*> sweeps;
-    sweeps.reserve(layers_.size());
-    for (const auto& layer : layers_) sweeps.push_back(&layer);
-    return run_layered_incremental(g, sweeps, regressor_, cfg_, state, old_of_new, stats);
+    return run_layered_incremental(g, sweeps(), regressor_, cfg_, state, old_of_new, stats);
   }
 
   void collect(nn::NamedParams& out, const std::string& prefix) const override {
@@ -77,6 +55,15 @@ class DagConvModel final : public Model {
   const char* name() const override { return "DAG-ConvGNN"; }
 
  private:
+  /// The stacked layers in order; each layer's queries (h^{l-1}) are the
+  /// states at its entry.
+  std::vector<const DirectedLayer*> sweeps() const {
+    std::vector<const DirectedLayer*> out;
+    out.reserve(layers_.size());
+    for (const auto& layer : layers_) out.push_back(&layer);
+    return out;
+  }
+
   std::vector<DirectedLayer> layers_;
   Regressor regressor_;
 };

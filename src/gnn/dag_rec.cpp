@@ -2,14 +2,12 @@
 // DAG-RecGNN baseline and DeepGate itself. One forward layer followed by one
 // reversed layer (separate parameters, Sec. III-C), applied T times; queries
 // for the attention aggregator are the states at entry of each directional
-// sweep (h^{t-1} of Eq. 5).
+// sweep (h^{t-1} of Eq. 5). The level loop itself is run_layered_forward.
 #include "gnn/incremental.hpp"
 #include "gnn/models.hpp"
 
 namespace dg::gnn {
 namespace {
-
-using nn::Tensor;
 
 class RecurrentDagModel final : public Model {
  public:
@@ -21,20 +19,8 @@ class RecurrentDagModel final : public Model {
     regressor_ = Regressor(cfg_.num_types, cfg_.dim, cfg_.mlp_hidden, rng);
   }
 
-  Tensor predict(const CircuitGraph& g) const override {
-    return predict_iterations(g, cfg_.iterations);
-  }
-
-  Tensor predict_iterations(const CircuitGraph& g, int iterations) const override {
-    return outputs_iterations(g, iterations).prediction;
-  }
-
-  ForwardOutputs forward_outputs(const CircuitGraph& g) const override {
-    return outputs_iterations(g, cfg_.iterations);
-  }
-
-  Tensor embed(const CircuitGraph& g) const override {
-    return embed_iterations(g, cfg_.iterations);
+  ForwardOutputs forward_outputs(const CircuitGraph& g, int iterations) const override {
+    return run_layered_forward(g, sweeps(effective_iterations(iterations)), regressor_, cfg_);
   }
 
   int effective_iterations(int requested) const override {
@@ -54,39 +40,8 @@ class RecurrentDagModel final : public Model {
   ForwardOutputs forward_incremental(const CircuitGraph& g, IncrementalState* state,
                                      const std::vector<int>& old_of_new,
                                      IncrementalRunStats* stats) const override {
-    std::vector<const DirectedLayer*> sweeps;
-    sweeps.reserve(static_cast<std::size_t>(cfg_.iterations) * (rev_ ? 2 : 1));
-    for (int t = 0; t < cfg_.iterations; ++t) {
-      sweeps.push_back(fwd_.get());
-      if (rev_) sweeps.push_back(rev_.get());
-    }
-    return run_layered_incremental(g, sweeps, regressor_, cfg_, state, old_of_new, stats);
-  }
-
-  ForwardOutputs outputs_iterations(const CircuitGraph& g, int iterations) const {
-    const Tensor h = embed_iterations(g, iterations);
-    return {regressor_.forward(h, g), h};
-  }
-
-  Tensor embed_iterations(const CircuitGraph& g, int iterations) const {
-    count_full_forward();
-    auto states = init_level_states(g, cfg_.dim, cfg_.random_h0, cfg_.seed);
-    const auto x_lvl = level_onehot(g);
-    // Per-graph constants (pe projection, inv_deg) are identical across the T
-    // sweeps; the scratch lets each directional layer compute them once.
-    DirectedLayer::Scratch fwd_scratch;
-    DirectedLayer::Scratch rev_scratch;
-    for (int t = 0; t < iterations; ++t) {
-      {
-        const std::vector<Tensor> queries = states;
-        fwd_->run(g, states, queries, x_lvl, &fwd_scratch);
-      }
-      if (rev_) {
-        const std::vector<Tensor> queries = states;
-        rev_->run(g, states, queries, x_lvl, &rev_scratch);
-      }
-    }
-    return full_from_levels(states, g);
+    return run_layered_incremental(g, sweeps(cfg_.iterations), regressor_, cfg_, state,
+                                   old_of_new, stats);
   }
 
   void collect(nn::NamedParams& out, const std::string& prefix) const override {
@@ -105,6 +60,17 @@ class RecurrentDagModel final : public Model {
   const char* name() const override { return name_; }
 
  private:
+  /// One forward layer followed by one reversed layer, `iterations` times.
+  std::vector<const DirectedLayer*> sweeps(int iterations) const {
+    std::vector<const DirectedLayer*> out;
+    out.reserve(static_cast<std::size_t>(iterations) * (rev_ ? 2 : 1));
+    for (int t = 0; t < iterations; ++t) {
+      out.push_back(fwd_.get());
+      if (rev_) out.push_back(rev_.get());
+    }
+    return out;
+  }
+
   const char* name_;
   std::unique_ptr<DirectedLayer> fwd_;
   std::unique_ptr<DirectedLayer> rev_;

@@ -1,0 +1,105 @@
+// The batched inference executor: the one path every inference caller runs.
+//
+// A request of graphs goes through four steps, each written once here:
+//   1. zero-node graphs are skipped (nothing to forward or merge),
+//   2. plan_node_batches packs the rest into node-budgeted groups,
+//   3. Batch::merge turns each group into what one forward runs on — a solo
+//      graph as itself, a multi-member group as its level-merged super-graph
+//      (through an optional MergeCache),
+//   4. Batch::forward runs ONE Model::forward_outputs inside an
+//      nn::ArenaScope, and each member reads its prediction column and
+//      embedding rows back out of the batch.
+//
+// execute() drives all four, fanning groups across the thread pool;
+// Engine::predict_probabilities / embeddings / infer_batch / evaluate call
+// it. serve::Server forms its own groups and calls the Batch steps directly,
+// so it can wrap merge and forward in their own trace spans. Merged forwards
+// are bit-exact per member, so every caller returns the same bits for a
+// graph however it was batched.
+#pragma once
+
+#include "gnn/model_common.hpp"
+
+#include <cstddef>
+#include <functional>
+#include <memory>
+#include <vector>
+
+namespace dg::gnn {
+
+class MergeCache;
+
+/// Batched-serving knobs shared by every executor caller — the defaults live
+/// in exactly one place.
+struct ServeOptions {
+  std::size_t node_budget = 8192;///< nodes per merged super-graph; 0 = one
+                                 ///< graph per forward (pre-batching fallback)
+  std::size_t max_graphs = 64;   ///< member cap per merged super-graph
+  int threads = 0;               ///< max pool lanes claiming batches
+                                 ///< (dynamically, off a shared counter);
+                                 ///< 0 = DEEPGATE_THREADS, 1 = serial
+  std::size_t merge_cache_capacity = 32;  ///< merged super-graphs retained by
+                                 ///< consumers that own a MergeCache
+                                 ///< (Engine::evaluate, the serve::Server
+                                 ///< lanes); 0 = off
+  MergeCache* merge_cache = nullptr;  ///< non-owning, thread-safe: when set,
+                                 ///< multi-graph groups are merged through
+                                 ///< the cache, so repeated serving/eval of
+                                 ///< identical groups skips merge+finalize.
+                                 ///< Never set by from_env(); the caller
+                                 ///< manages the cache's lifetime.
+
+  /// node_budget from DEEPGATE_SERVE_BUDGET, max_graphs from
+  /// DEEPGATE_SERVE_MAX_GRAPHS, merge_cache_capacity from
+  /// DEEPGATE_SERVE_CACHE when set.
+  static ServeOptions from_env();
+};
+
+/// One merge group on its way through a forward.
+class Batch {
+ public:
+  Batch() = default;
+
+  /// The merge step. `parts` must be non-empty, non-null graphs with nodes.
+  /// A single graph runs as itself (no merge, no cache lookup); several are
+  /// level-merged, through `cache` when given. `cache_hit` (optional)
+  /// reports whether the merged graph came out of the cache.
+  static Batch merge(const std::vector<const CircuitGraph*>& parts,
+                     MergeCache* cache = nullptr, bool* cache_hit = nullptr);
+
+  /// The forward step: ONE model forward over the group, inside an
+  /// nn::ArenaScope so level states and scratch recycle call to call. The
+  /// caller holds the nn::NoGradGuard. `iterations` as in
+  /// Model::forward_outputs.
+  void forward(const Model& model, int iterations = 0);
+
+  /// Member i's N_i probabilities and N_i x d embedding rows, after
+  /// forward(). Plain heap copies that outlive the batch and its arena.
+  std::vector<float> prediction(std::size_t i) const;
+  nn::Matrix embedding(std::size_t i) const;
+
+ private:
+  /// Member i's row range in the forward's outputs.
+  GraphMember member(std::size_t i) const;
+
+  const CircuitGraph* graph_ = nullptr;         ///< what forward() runs on
+  std::shared_ptr<const CircuitGraph> merged_;  ///< owns *graph_ when merged
+  ForwardOutputs out_;
+};
+
+/// Receives member `member` of `batch` for request position `index`. Called
+/// exactly once per graph with nodes, possibly on a pool worker, so writes
+/// to per-index slots need no locking. Zero-node graphs never reach the
+/// sink: callers size their results up front and those slots stay empty.
+using BatchSink = std::function<void(std::size_t index, const Batch& batch, std::size_t member)>;
+
+/// Run `graphs` through the model: skip zero-node graphs, pack the rest with
+/// plan_node_batches(opts.node_budget, opts.max_graphs), merge each group
+/// (through opts.merge_cache when set), forward it under a NoGradGuard —
+/// groups claimed dynamically by up to opts.threads pool lanes — and hand
+/// every member to `sink`. Throws std::invalid_argument on a null graph
+/// before any forward runs. Returns the number of forwards run.
+std::size_t execute(const Model& model, const std::vector<const CircuitGraph*>& graphs,
+                    const ServeOptions& opts, int iterations, const BatchSink& sink);
+
+}  // namespace dg::gnn

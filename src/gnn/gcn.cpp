@@ -25,28 +25,8 @@ class GcnModel final : public Model {
     regressor_ = Regressor(cfg.num_types, cfg.dim, cfg.mlp_hidden, rng);
   }
 
-  Tensor embed(const CircuitGraph& g) const override {
-    count_full_forward();
-    Tensor h = init_full_state(g, cfg_.dim, /*random_init=*/false, cfg_.seed);
-    const Tensor inv_deg = nn::constant(
-        nn::Matrix::from_vector(g.num_nodes, 1, std::vector<float>(g.und_inv_deg)));
-    Tensor pe;  // undefined: GCN has no skip-edge attributes
-    for (std::size_t l = 0; l < aggs_.size(); ++l) {
-      const Tensor h_src = nn::gather_rows(h, g.und_src);
-      const Tensor m =
-          aggs_[l]->forward(h_src, h, g.und_dst, g.num_nodes, inv_deg, pe);
-      h = nn::relu(combines_[l].forward(nn::concat_cols(h, m)));
-    }
-    return h;
-  }
-
-  Tensor predict(const CircuitGraph& g) const override {
-    return forward_outputs(g).prediction;
-  }
-
-  ForwardOutputs forward_outputs(const CircuitGraph& g) const override {
-    const Tensor h = embed(g);
-    return {regressor_.forward(h, g), h};
+  ForwardOutputs forward_outputs(const CircuitGraph& g, int /*iterations*/) const override {
+    return full_capture(g, nullptr, nullptr);
   }
 
   std::unique_ptr<Model> clone() const override {
@@ -192,7 +172,7 @@ class GcnModel final : public Model {
 
   /// Recompute layer l's output for the given node rows only, reading the
   /// full layer-entry matrix `h`, and write them into `out` in place.
-  /// Per-row bitwise identical to embed()'s whole-graph layer: the und edge
+  /// Per-row bitwise identical to the whole-graph layer of full_capture(): the und edge
   /// selection preserves each destination's in-order message segment, and
   /// the aggregator / combine / relu kernels are row- or segment-local.
   void layer_rows(std::size_t l, const CircuitGraph& g, const nn::Matrix& h,
@@ -236,9 +216,8 @@ class GcnModel final : public Model {
     }
   }
 
-  /// Full forward that (optionally) captures per-layer checkpoints into the
-  /// memo. Replicates embed() exactly rather than calling it so the
-  /// intermediate matrices can be retained.
+  /// The GCN forward; with `memo` set it also captures per-layer
+  /// checkpoints for later cone-limited re-queries.
   ForwardOutputs full_capture(const CircuitGraph& g, LevelMemo* memo,
                               IncrementalRunStats* stats) const {
     count_full_forward();

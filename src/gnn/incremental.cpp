@@ -245,10 +245,12 @@ void refresh_memo_outputs(LevelMemo& memo, const CircuitGraph& g, const nn::Matr
   memo.valid = true;
 }
 
-ForwardOutputs run_full_capture(const CircuitGraph& g,
-                                const std::vector<const DirectedLayer*>& sweeps,
-                                const Regressor& regressor, const ModelConfig& cfg,
-                                LevelMemo* memo, IncrementalRunStats* stats) {
+}  // namespace
+
+ForwardOutputs run_layered_forward(const CircuitGraph& g,
+                                   const std::vector<const DirectedLayer*>& sweeps,
+                                   const Regressor& regressor, const ModelConfig& cfg,
+                                   LevelMemo* memo, IncrementalRunStats* stats) {
   count_full_forward();
   if (stats != nullptr) *stats = {};
 
@@ -288,8 +290,6 @@ ForwardOutputs run_full_capture(const CircuitGraph& g,
   return {pred, h};
 }
 
-}  // namespace
-
 ForwardOutputs run_layered_incremental(const CircuitGraph& g,
                                        const std::vector<const DirectedLayer*>& sweeps,
                                        const Regressor& regressor, const ModelConfig& cfg,
@@ -306,7 +306,7 @@ ForwardOutputs run_layered_incremental(const CircuitGraph& g,
     // The caller resets its identity map after every query, so a memo left
     // behind by an earlier enabled run must not survive a disabled one.
     if (layered != nullptr) layered->memo = {};
-    return run_full_capture(g, sweeps, regressor, cfg, nullptr, stats);
+    return run_layered_forward(g, sweeps, regressor, cfg, nullptr, stats);
   }
   LevelMemo& memo = layered->memo;
 
@@ -329,7 +329,7 @@ ForwardOutputs run_layered_incremental(const CircuitGraph& g,
                            memo.checkpoints.size() == sweeps.size() + 1 &&
                            old_of_new.size() == static_cast<std::size_t>(g.num_nodes) &&
                            g.num_nodes > 0;
-  if (!can_partial) return run_full_capture(g, sweeps, regressor, cfg, &memo, stats);
+  if (!can_partial) return run_layered_forward(g, sweeps, regressor, cfg, &memo, stats);
 
   const double est_mb = static_cast<double>(sweeps.size() + 1) *
                         static_cast<double>(g.num_nodes) * static_cast<double>(cfg.dim) *
@@ -337,7 +337,7 @@ ForwardOutputs run_layered_incremental(const CircuitGraph& g,
   if (est_mb > incremental_memo_cap_mb()) {
     memo.checkpoints.clear();
     memo.has_checkpoints = false;
-    return run_full_capture(g, sweeps, regressor, cfg, &memo, stats);
+    return run_layered_forward(g, sweeps, regressor, cfg, &memo, stats);
   }
 
   count_partial_forward();

@@ -96,6 +96,18 @@ class LayeredIncrementalState final : public IncrementalState {
   LevelMemo memo;
 };
 
+/// The one level-loop forward of every DirectedLayer family: h0, the
+/// `sweeps` in execution order (e.g. [fwd, rev] x T for the recurrent models,
+/// the stacked layers for DAG-ConvGNN), then the regressor. With `memo` set
+/// it also captures per-sweep checkpoints for later cone-limited re-queries
+/// (no-grad only); without one it is the plain forward behind
+/// Model::forward_outputs, training tape included.
+ForwardOutputs run_layered_forward(const CircuitGraph& g,
+                                   const std::vector<const DirectedLayer*>& sweeps,
+                                   const Regressor& regressor, const ModelConfig& cfg,
+                                   LevelMemo* memo = nullptr,
+                                   IncrementalRunStats* stats = nullptr);
+
 /// Shared forward_incremental implementation for models whose propagation is
 /// a sequence of DirectedLayer sweeps over per-level states. `sweeps` lists
 /// the layers in execution order (e.g. [fwd, rev] x T for the recurrent

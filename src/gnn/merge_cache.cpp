@@ -7,7 +7,7 @@ namespace dg::gnn {
 
 namespace {
 // Process-wide roll-up across every MergeCache instance (serve lanes,
-// BatchRunner, Engine::evaluate); per-instance stats() stays exact.
+// Engine::evaluate); per-instance stats() stays exact.
 void note_lookup(bool hit) {
   static obs::Counter& hits = obs::counter("gnn.merge_cache.hits");
   static obs::Counter& misses = obs::counter("gnn.merge_cache.misses");

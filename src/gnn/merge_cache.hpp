@@ -20,10 +20,9 @@
 // may race to build the same entry (both results are identical; last insert
 // wins, one is wasted work — acceptable and rare).
 //
-// Lives in the gnn layer (rather than serve/, where it originated) so every
-// repeated-merge consumer can share it: the async serving lanes, the
-// BatchRunner serving loop, and Engine::evaluate re-running a fixed test set
-// (gnn::forward_batched takes an optional cache).
+// Lives in the gnn layer next to the executor (gnn/executor.hpp), whose
+// Batch::merge step takes an optional cache: the serve::Server lanes and
+// Engine::evaluate re-running a fixed test set both merge through one.
 #pragma once
 
 #include "gnn/circuit_graph.hpp"

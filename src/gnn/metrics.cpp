@@ -1,27 +1,9 @@
 #include "gnn/metrics.hpp"
 
-#include "gnn/merge_cache.hpp"
-#include "nn/arena.hpp"
-#include "util/env.hpp"
-#include "util/thread_pool.hpp"
-
-#include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <memory>
+#include <utility>
 
 namespace dg::gnn {
-
-ServeOptions ServeOptions::from_env() {
-  ServeOptions opts;
-  const long long budget = util::env_int("DEEPGATE_SERVE_BUDGET", -1);
-  if (budget >= 0) opts.node_budget = static_cast<std::size_t>(budget);
-  const long long max_graphs = util::env_int("DEEPGATE_SERVE_MAX_GRAPHS", -1);
-  if (max_graphs > 0) opts.max_graphs = static_cast<std::size_t>(max_graphs);
-  const long long cache = util::env_int("DEEPGATE_SERVE_CACHE", -1);
-  if (cache >= 0) opts.merge_cache_capacity = static_cast<std::size_t>(cache);
-  return opts;
-}
 
 EvalOptions EvalOptions::from_env() {
   EvalOptions opts;
@@ -39,124 +21,6 @@ double avg_prediction_error(const std::vector<float>& labels, const nn::Matrix& 
 
 namespace {
 
-/// The shared batching driver behind forward_batched and
-/// forward_outputs_batched. `R` is the per-forward result (nn::Tensor or
-/// ForwardOutputs); `scatter(out_index, result, member)` hands each graph its
-/// rows (member == nullptr for a solo batch: the result IS the graph's
-/// output) and `empty_sink(out_index)` resolves zero-node graphs.
-template <class R>
-std::size_t run_forward_batched(const std::vector<const CircuitGraph*>& graphs,
-                                const ServeOptions& opts,
-                                const std::function<R(const CircuitGraph&)>& forward,
-                                const std::function<void(std::size_t, const R&,
-                                                         const GraphMember*)>& scatter,
-                                const std::function<void(std::size_t)>& empty_sink) {
-  if (graphs.empty()) return 0;
-  // Zero-node graphs have nothing to forward or merge: hand them an empty
-  // row block directly so callers need not pre-filter degenerate requests.
-  std::vector<const CircuitGraph*> live;
-  std::vector<std::size_t> live_index;
-  live.reserve(graphs.size());
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    if (graphs[i]->num_nodes == 0)
-      empty_sink(i);
-    else {
-      live.push_back(graphs[i]);
-      live_index.push_back(i);
-    }
-  }
-  if (live.empty()) return 0;
-  const auto plan = plan_node_batches(live, opts.node_budget, opts.max_graphs);
-
-  // Forwards run inside a lane-local ArenaScope so their level states and
-  // scratch recycle batch to batch; the scatter copies run OUTSIDE the scope
-  // so caller-facing rows are plain heap, not drained from the lane's arena.
-  const auto run_batch = [&](std::size_t b) {
-    const auto [begin, end] = plan[b];
-    if (end - begin == 1) {
-      R out;
-      {
-        nn::ArenaScope arena;
-        out = forward(*live[begin]);
-      }
-      scatter(live_index[begin], out, nullptr);
-      return;
-    }
-    const std::vector<const CircuitGraph*> parts(
-        live.begin() + static_cast<std::ptrdiff_t>(begin),
-        live.begin() + static_cast<std::ptrdiff_t>(end));
-    // Through the caller's cache when provided (repeated offline eval of a
-    // fixed test set, BatchRunner steady traffic), fresh merge otherwise.
-    const std::shared_ptr<const CircuitGraph> merged =
-        opts.merge_cache != nullptr
-            ? opts.merge_cache->merged(parts)
-            : std::make_shared<const CircuitGraph>(CircuitGraph::merge(parts));
-    R out;  // keeps the value matrices alive for the scatters below
-    {
-      nn::ArenaScope arena;
-      out = forward(*merged);
-    }
-    for (std::size_t i = begin; i < end; ++i)
-      scatter(live_index[i], out, &merged->members[i - begin]);
-  };
-
-  const int requested = opts.threads > 0 ? opts.threads : util::default_num_threads();
-  const int workers = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(1, requested)), plan.size()));
-  if (workers <= 1) {
-    nn::NoGradGuard no_grad;
-    for (std::size_t b = 0; b < plan.size(); ++b) run_batch(b);
-    return plan.size();
-  }
-  // `workers` lanes claim batches dynamically off a shared counter, so a
-  // straggler batch never leaves other lanes idle behind a static partition
-  // while opts.threads still bounds concurrency. Each sink writes its own
-  // indices and reductions downstream are index-ordered, so the result is
-  // scheduling-independent.
-  std::atomic<std::size_t> next{0};
-  util::global_pool().run_chunks(workers, [&](int /*lane*/) {
-    nn::NoGradGuard no_grad;  // the grad-enable flag is thread_local
-    for (;;) {
-      const std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
-      if (b >= plan.size()) break;
-      run_batch(b);
-    }
-  });
-  return plan.size();
-}
-
-}  // namespace
-
-std::size_t forward_batched(const std::vector<const CircuitGraph*>& graphs,
-                            const ServeOptions& opts,
-                            const std::function<nn::Tensor(const CircuitGraph&)>& forward,
-                            const std::function<void(std::size_t, nn::Matrix)>& sink) {
-  return run_forward_batched<nn::Tensor>(
-      graphs, opts, forward,
-      [&](std::size_t i, const nn::Tensor& out, const GraphMember* m) {
-        sink(i, m != nullptr ? member_rows(out.value(), *m) : out.value());
-      },
-      [&](std::size_t i) { sink(i, nn::Matrix()); });
-}
-
-std::size_t forward_outputs_batched(
-    const std::vector<const CircuitGraph*>& graphs, const ServeOptions& opts,
-    const std::function<ForwardOutputs(const CircuitGraph&)>& forward,
-    const std::function<void(std::size_t, nn::Matrix, nn::Matrix)>& sink) {
-  return run_forward_batched<ForwardOutputs>(
-      graphs, opts, forward,
-      [&](std::size_t i, const ForwardOutputs& out, const GraphMember* m) {
-        if (m != nullptr)
-          sink(i, member_rows(out.prediction.value(), *m),
-               member_rows(out.embedding.value(), *m));
-        else
-          sink(i, out.prediction.value(), out.embedding.value());
-      },
-      [&](std::size_t i) { sink(i, nn::Matrix(), nn::Matrix()); });
-}
-
-namespace {
-
 /// Per-circuit Eq. (8) errors, batched + pooled. One errors[i] per graph,
 /// filled by whichever worker runs graph i's batch; a later reduction in
 /// index order is therefore scheduling-independent.
@@ -167,16 +31,13 @@ std::vector<double> per_circuit_errors(const Model& model,
   std::vector<const CircuitGraph*> ptrs;
   ptrs.reserve(test_set.size());
   for (const auto& g : test_set) ptrs.push_back(&g);
-  forward_batched(
-      ptrs, opts,
-      [&](const CircuitGraph& g) {
-        return opts.iterations_override > 0
-                   ? model.predict_iterations(g, opts.iterations_override)
-                   : model.predict(g);
-      },
-      [&](std::size_t i, nn::Matrix rows) {
-        errors[i] = avg_prediction_error(test_set[i].labels, rows);
-      });
+  execute(model, ptrs, opts, opts.iterations_override,
+          [&](std::size_t i, const Batch& batch, std::size_t member) {
+            std::vector<float> pred = batch.prediction(member);
+            const int n = static_cast<int>(pred.size());
+            errors[i] = avg_prediction_error(test_set[i].labels,
+                                             nn::Matrix::from_vector(n, 1, std::move(pred)));
+          });
   return errors;
 }
 

@@ -2,51 +2,21 @@
 // difference between simulated and predicted probability over every node of
 // every evaluated circuit.
 //
-// Evaluation is served batched: the test set is packed into node-budgeted
-// level-merged super-graphs (CircuitGraph::merge) and the batch forwards fan
-// out across the thread pool. Merged forwards are bit-exact with per-graph
-// forwards and per-graph errors are reduced in test-set order, so the
-// reported Eq. (8) number is deterministic at any DEEPGATE_THREADS and
-// identical whether batching is on (node_budget > 0) or off (the per-graph
-// fallback, node_budget == 0, which still parallelizes over the pool).
+// Evaluation runs on the batched executor (gnn/executor.hpp): the test set
+// is packed into node-budgeted level-merged super-graphs and the batch
+// forwards fan out across the thread pool. Merged forwards are bit-exact
+// with per-graph forwards and per-graph errors are reduced in test-set
+// order, so the reported Eq. (8) number is deterministic at any
+// DEEPGATE_THREADS and identical whether batching is on (node_budget > 0) or
+// off (the per-graph fallback, node_budget == 0, which still parallelizes
+// over the pool).
 #pragma once
 
-#include "gnn/model_common.hpp"
+#include "gnn/executor.hpp"
 
-#include <cstddef>
-#include <functional>
 #include <vector>
 
 namespace dg::gnn {
-
-class MergeCache;
-
-/// Batched-serving knobs shared by evaluation here and the
-/// deepgate::BatchRunner serving loop (which aliases this struct) — the
-/// defaults live in exactly one place.
-struct ServeOptions {
-  std::size_t node_budget = 8192;///< nodes per merged super-graph; 0 = one
-                                 ///< graph per forward (pre-batching fallback)
-  std::size_t max_graphs = 64;   ///< member cap per merged super-graph
-  int threads = 0;               ///< max pool lanes claiming batches
-                                 ///< (dynamically, off a shared counter);
-                                 ///< 0 = DEEPGATE_THREADS, 1 = serial
-  std::size_t merge_cache_capacity = 32;  ///< merged super-graphs retained by
-                                 ///< consumers that own a MergeCache
-                                 ///< (BatchRunner, Engine::evaluate, the
-                                 ///< serve::Server lanes); 0 = off
-  MergeCache* merge_cache = nullptr;  ///< non-owning, thread-safe: when set,
-                                 ///< multi-graph groups are merged through
-                                 ///< the cache, so repeated serving/eval of
-                                 ///< identical groups skips merge+finalize.
-                                 ///< Never set by from_env(); the caller
-                                 ///< manages the cache's lifetime.
-
-  /// node_budget from DEEPGATE_SERVE_BUDGET, max_graphs from
-  /// DEEPGATE_SERVE_MAX_GRAPHS, merge_cache_capacity from
-  /// DEEPGATE_SERVE_CACHE when set.
-  static ServeOptions from_env();
-};
 
 struct EvalOptions : ServeOptions {
   int iterations_override = 0;   ///< > 0 forces the inference T (recurrent
@@ -55,33 +25,6 @@ struct EvalOptions : ServeOptions {
 
   static EvalOptions from_env();
 };
-
-/// The batched-serving primitive shared by evaluation (here) and the
-/// deepgate::BatchRunner serving loop: pack `graphs` into node-budgeted
-/// level-merged batches (plan_node_batches), run `forward` once per batch —
-/// fanned across the thread pool when `opts.threads` resolves > 1, batches
-/// claimed dynamically, each under its own NoGradGuard — and hand every
-/// graph its own output rows via `sink(graph_index, rows)`. sink may run on
-/// pool workers but is called exactly once per index, so writes to
-/// per-index slots need no locking. Zero-node graphs are never forwarded or
-/// merged — their sink receives an empty matrix (callers need not
-/// pre-filter degenerate requests). Returns the number of batches run.
-std::size_t forward_batched(const std::vector<const CircuitGraph*>& graphs,
-                            const ServeOptions& opts,
-                            const std::function<nn::Tensor(const CircuitGraph&)>& forward,
-                            const std::function<void(std::size_t, nn::Matrix)>& sink);
-
-/// The fused twin of forward_batched for callers that want prediction AND
-/// embedding: `forward` (typically Model::forward_outputs) runs ONE
-/// level-loop pass per batch and the sink receives both row blocks —
-/// sink(graph_index, prediction_rows, embedding_rows) — instead of paying a
-/// second identical propagation through a separate embed pass. Same batching
-/// plan, pool fan-out, zero-node handling (both matrices empty), merge-cache
-/// use, and exactly-once sink contract as forward_batched.
-std::size_t forward_outputs_batched(
-    const std::vector<const CircuitGraph*>& graphs, const ServeOptions& opts,
-    const std::function<ForwardOutputs(const CircuitGraph&)>& forward,
-    const std::function<void(std::size_t, nn::Matrix, nn::Matrix)>& sink);
 
 /// Eq. (8) over one circuit with an explicit prediction vector.
 double avg_prediction_error(const std::vector<float>& labels, const nn::Matrix& pred);

@@ -29,19 +29,17 @@ struct ModelConfig {
   std::uint64_t seed = 7;  ///< weight init + h0 stream
 };
 
-/// Both outputs of one model forward. Every family computes the final N x d
-/// node states as a byproduct of predicting (the regressor reads them), so a
-/// caller that wants prediction AND embedding must not pay two level-loop
-/// propagations — forward_outputs() yields both from a single pass,
-/// bit-exact with separate predict()/embed() calls.
+/// Both outputs of one model forward. The regressor reads the final N x d
+/// node states (Sec. III-C), so every propagation yields the embedding and
+/// the probabilities together.
 struct ForwardOutputs {
-  nn::Tensor prediction;  ///< N x 1 sigmoid-bounded probabilities (== predict)
-  nn::Tensor embedding;   ///< N x d final node states (== embed)
+  nn::Tensor prediction;  ///< N x 1 sigmoid-bounded probabilities
+  nn::Tensor embedding;   ///< N x d final node states
 };
 
 /// Process-wide structural counters over level-loop propagations — the
-/// assertion device for "exactly one forward" properties (the PR 5 fused
-/// forward, and the incremental session's memo-hit guarantee). Updated with
+/// assertion device for "exactly one forward" properties (one forward per
+/// executed batch, and the incremental session's memo-hit guarantee). Updated with
 /// relaxed atomics: these are counts, not synchronization.
 struct ForwardCounters {
   std::uint64_t full = 0;     ///< complete level-loop forwards
@@ -71,32 +69,22 @@ class Model {
   explicit Model(const ModelConfig& cfg) : cfg_(cfg) {}
   virtual ~Model() = default;
 
-  /// Per-node probability predictions (N x 1, sigmoid-bounded). Builds a
-  /// fresh tape; wrap in nn::NoGradGuard for inference.
-  virtual nn::Tensor predict(const CircuitGraph& g) const = 0;
+  /// The model forward: per-node probabilities AND final embeddings from
+  /// one level-loop propagation. Builds a fresh tape; wrap in
+  /// nn::NoGradGuard for inference. `iterations` > 0 overrides the
+  /// recurrence count T (Sec. IV-D.2: only T may change at inference);
+  /// 0 runs the configured T, and stacked families ignore the value (see
+  /// effective_iterations).
+  virtual ForwardOutputs forward_outputs(const CircuitGraph& g, int iterations) const = 0;
 
-  /// One level-loop forward yielding BOTH the prediction and the final
-  /// embedding — the fused path every want-both consumer (Engine::infer_batch,
-  /// the serve worker lanes, BatchRunner::infer) runs on. Bit-exact with
-  /// calling predict() and embed() separately, at half the propagation cost.
-  virtual ForwardOutputs forward_outputs(const CircuitGraph& g) const = 0;
+  /// The forward at the configured T.
+  ForwardOutputs forward_outputs(const CircuitGraph& g) const { return forward_outputs(g, 0); }
 
-  /// Inference with an overridden recurrence count (Sec. IV-D.2: "the number
-  /// of iterations T can be set as different values" at inference time).
-  /// Non-recurrent models ignore the override.
-  virtual nn::Tensor predict_iterations(const CircuitGraph& g, int /*iterations*/) const {
-    return predict(g);
-  }
-
-  /// The iteration count predict_iterations(g, requested) actually runs:
+  /// The iteration count forward_outputs(g, requested) actually runs:
   /// recurrent models honor requested > 0; stacked models are fixed at
   /// construction and silently ignore the override — callers that sweep T
   /// (Sec. IV-D.2) must consult this to avoid misreporting stacked results.
   virtual int effective_iterations(int /*requested*/) const { return cfg_.iterations; }
-
-  /// Final node embeddings (N x d) — the learned representation the paper
-  /// positions as the reusable artifact for downstream EDA tasks.
-  virtual nn::Tensor embed(const CircuitGraph& g) const = 0;
 
   /// Deep copy with identical architecture and current parameter values —
   /// the replica factory for the data-parallel trainer: each pool worker
@@ -125,7 +113,7 @@ class Model {
   /// states; `old_of_new[v]` maps current node ids to the memoized
   /// generation's ids (-1 = node did not exist then). Must run under
   /// nn::NoGradGuard. Outputs are bitwise identical to forward_outputs(g);
-  /// the base implementation simply runs the full fused forward.
+  /// the base implementation simply runs the full forward.
   virtual ForwardOutputs forward_incremental(const CircuitGraph& g, IncrementalState* state,
                                              const std::vector<int>& old_of_new,
                                              IncrementalRunStats* stats = nullptr) const {

@@ -16,10 +16,10 @@ namespace {
 /// One graph's contribution: forward, batch-scaled L1, backward. Gradients
 /// land on whichever model's parameters `model` owns. Returns the unscaled
 /// loss. Forward is seeded from the model config alone (h0 draws a fresh
-/// child stream per predict call), so the result does not depend on which
+/// child stream per forward), so the result does not depend on which
 /// worker processes the graph.
 double forward_backward(const Model& model, const CircuitGraph& g, int batch_circuits) {
-  const nn::Tensor pred = model.predict(g);
+  const nn::Tensor pred = model.forward_outputs(g).prediction;
   const nn::Matrix target =
       nn::Matrix::from_vector(g.num_nodes, 1, std::vector<float>(g.labels));
   // Scale so one optimizer step sees the mean loss over the batch.
@@ -87,7 +87,7 @@ double merged_batch_backward(const Model& model, const std::vector<const Circuit
     const std::vector<const CircuitGraph*> group(parts.begin() + static_cast<std::ptrdiff_t>(begin),
                                                  parts.begin() + static_cast<std::ptrdiff_t>(end));
     const CircuitGraph merged = CircuitGraph::merge(group);
-    const nn::Tensor pred = model.predict(merged);
+    const nn::Tensor pred = model.forward_outputs(merged).prediction;
     for (std::size_t m = 0; m < group.size(); ++m) {
       const GraphMember& mem = merged.members[m];
       std::vector<int> rows(static_cast<std::size_t>(mem.num_nodes));

@@ -44,8 +44,14 @@ bool save_params(const std::string& path, const NamedParams& params) {
 }
 
 bool load_params(const std::string& path, NamedParams& params) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return false;
+  const std::streamoff file_size = in.tellg();
+  in.seekg(0);
+  // Bytes left after the read position: no size field may claim more.
+  const auto remaining = [&] {
+    return static_cast<std::uint64_t>(file_size - static_cast<std::streamoff>(in.tellg()));
+  };
   char magic[4];
   in.read(magic, 4);
   if (!in || std::string(magic, 4) != std::string(kMagic, 4)) return false;
@@ -56,21 +62,29 @@ bool load_params(const std::string& path, NamedParams& params) {
   std::unordered_map<std::string, Matrix> loaded;
   for (std::uint32_t i = 0; i < count; ++i) {
     std::uint32_t name_len = 0;
-    if (!read_pod(in, name_len) || name_len > (1U << 20)) return false;
+    if (!read_pod(in, name_len) || name_len > remaining()) return false;
     std::string name(name_len, '\0');
     in.read(name.data(), name_len);
     std::int32_t rows = 0, cols = 0;
     if (!read_pod(in, rows) || !read_pod(in, cols)) return false;
     if (rows < 0 || cols < 0) return false;
+    const std::uint64_t bytes =
+        static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols) * sizeof(float);
+    if (bytes > remaining()) {
+      util::log_warn("checkpoint entry '", name, "' claims ", rows, "x", cols,
+                     " floats past the end of the file");
+      return false;
+    }
     Matrix m(rows, cols);
-    in.read(reinterpret_cast<char*>(m.data()),
-            static_cast<std::streamsize>(m.size() * sizeof(float)));
+    in.read(reinterpret_cast<char*>(m.data()), static_cast<std::streamsize>(bytes));
     if (!in) return false;
     loaded.emplace(std::move(name), std::move(m));
   }
 
-  for (auto& [name, t] : params) {
-    auto it = loaded.find(name);
+  // All-or-nothing: validate every name and shape before the first write,
+  // so a rejected checkpoint leaves the model exactly as it was.
+  for (const auto& [name, t] : params) {
+    const auto it = loaded.find(name);
     if (it == loaded.end()) {
       util::log_warn("checkpoint missing parameter '", name, "'");
       return false;
@@ -79,8 +93,8 @@ bool load_params(const std::string& path, NamedParams& params) {
       util::log_warn("checkpoint shape mismatch for '", name, "'");
       return false;
     }
-    t.mutable_value() = it->second;
   }
+  for (auto& [name, t] : params) t.mutable_value() = std::move(loaded.at(name));
   return true;
 }
 

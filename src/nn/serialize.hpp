@@ -15,8 +15,9 @@ namespace dg::nn {
 bool save_params(const std::string& path, const NamedParams& params);
 
 /// Read a checkpoint and copy matching entries into `params` (by exact name,
-/// shapes must agree). Returns false on I/O error, unknown format, a missing
-/// name, or a shape mismatch.
+/// shapes must agree). Returns false on I/O error, unknown format, a size
+/// field larger than the rest of the file, a missing name, or a shape
+/// mismatch — and then leaves every parameter untouched.
 bool load_params(const std::string& path, NamedParams& params);
 
 }  // namespace dg::nn

@@ -6,8 +6,10 @@
 #include "util/thread_annotations.hpp"
 
 #include <atomic>
+#include <cstdio>
 #include <fstream>
 #include <ostream>
+#include <string>
 
 namespace dg::obs {
 
@@ -170,6 +172,21 @@ std::vector<TraceEvent> trace_events() { return sink().snapshot(); }
 
 void trace_clear() { sink().clear(); }
 
+namespace {
+
+/// Nanoseconds as microseconds with exactly three decimals, formatted from
+/// the integer so the text is exact at any uptime (a double with default
+/// stream precision rounds to 100 us after ~100 s, un-nesting child spans).
+std::string micros(std::int64_t ns) {
+  const std::uint64_t mag =
+      ns < 0 ? 0 - static_cast<std::uint64_t>(ns) : static_cast<std::uint64_t>(ns);
+  char frac[4];
+  std::snprintf(frac, sizeof(frac), "%03u", static_cast<unsigned>(mag % 1000));
+  return (ns < 0 ? "-" : "") + std::to_string(mag / 1000) + "." + frac;
+}
+
+}  // namespace
+
 bool dump_trace(std::ostream& os) {
   const std::vector<TraceEvent> events = trace_events();
   os << "{\"traceEvents\": [";
@@ -181,12 +198,11 @@ bool dump_trace(std::ostream& os) {
     // characters (they are compile-time identifiers, not user data).
     os << "\n  {\"name\": \"" << (e.name != nullptr ? e.name : "?")
        << "\", \"cat\": \"" << (e.cat != nullptr ? e.cat : "deepgate") << "\"";
-    const double ts_us = static_cast<double>(e.start_ns) * 1e-3;
     if (e.dur_ns >= 0) {
-      os << ", \"ph\": \"X\", \"ts\": " << ts_us
-         << ", \"dur\": " << static_cast<double>(e.dur_ns) * 1e-3;
+      os << ", \"ph\": \"X\", \"ts\": " << micros(e.start_ns)
+         << ", \"dur\": " << micros(e.dur_ns);
     } else {
-      os << ", \"ph\": \"i\", \"ts\": " << ts_us << ", \"s\": \"t\"";
+      os << ", \"ph\": \"i\", \"ts\": " << micros(e.start_ns) << ", \"s\": \"t\"";
     }
     os << ", \"pid\": 1, \"tid\": " << e.tid << ", \"args\": {";
     bool first_arg = true;

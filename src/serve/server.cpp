@@ -1,9 +1,7 @@
 #include "serve/server.hpp"
 
 #include "core/deepgate.hpp"
-#include "gnn/model_common.hpp"
-#include "nn/arena.hpp"
-#include "nn/tensor.hpp"
+#include "gnn/executor.hpp"
 #include "obs/trace.hpp"
 #include "util/env.hpp"
 #include "util/thread_pool.hpp"
@@ -45,18 +43,6 @@ struct ServeMetrics {
 ServeMetrics& serve_metrics() {
   static ServeMetrics m;
   return m;
-}
-
-std::vector<float> column_of(const dg::nn::Matrix& rows) {
-  std::vector<float> out(static_cast<std::size_t>(rows.rows()));
-  for (int v = 0; v < rows.rows(); ++v) out[static_cast<std::size_t>(v)] = rows.at(v, 0);
-  return out;
-}
-
-std::vector<float> member_column(const dg::nn::Matrix& full, const dg::gnn::GraphMember& m) {
-  std::vector<float> out(static_cast<std::size_t>(m.num_nodes));
-  for (int v = 0; v < m.num_nodes; ++v) out[static_cast<std::size_t>(v)] = full.at(m.node_offset + v, 0);
-  return out;
 }
 
 }  // namespace
@@ -265,7 +251,7 @@ Stats Server::stats() const {
     dg::util::MutexLock lock(stats_mu_);
     snapshot = stats_;
   }
-  const MergeCacheStats cache = merge_cache_.stats();
+  const dg::gnn::MergeCacheStats cache = merge_cache_.stats();
   snapshot.merge_cache_hits = cache.hits;
   snapshot.merge_cache_misses = cache.misses;
   snapshot.queue_depth = admission_.size();
@@ -387,53 +373,27 @@ void Server::run_work(Work& work, const dg::gnn::Model& model) {
   std::vector<const CircuitGraph*> graphs;
   graphs.reserve(work.members.size());
   std::size_t batch_nodes = 0;
-  bool any_embedding = false;
   for (const Pending& pending : work.members) {
     graphs.push_back(pending.request.graph);
     batch_nodes += static_cast<std::size_t>(pending.request.graph->num_nodes);
-    any_embedding = any_embedding || pending.request.want_embedding;
   }
 
   std::size_t fulfilled = 0;  // promises already resolved; never re-touched on error
   try {
-    std::shared_ptr<const CircuitGraph> merged;  // multi-member groups only
-    dg::nn::Matrix pred;
-    dg::nn::Tensor emb;  // shared handle into the forward's tape node — the
-                         // super-graph embedding matrix is never copied,
-                         // only member rows are sliced out below
-    // ONE level-loop forward either way: forward_outputs yields the
-    // prediction and the embedding from the same propagation when any member
-    // asked for its vectors — embedding-bearing traffic no longer pays the
-    // second full forward the old predict-then-embed pair ran.
-    const auto forward = [&](const CircuitGraph& g) {
-      if (any_embedding) {
-        const dg::gnn::ForwardOutputs out = model.forward_outputs(g);
-        pred = out.prediction.value();
-        emb = out.embedding;
-      } else {
-        pred = model.predict(g).value();
-      }
-    };
-    // Merge outside the arena scope (the cache retains the super-graph across
-    // requests); run the forward inside it so the lane's level states and
-    // scratch recycle request to request. Response matrices are copied after
-    // the scope closes, so client-held buffers never drain the lane's arena.
+    // The executor's two steps, each in its own span. Solo groups run as
+    // themselves: no merge, no merge span.
+    dg::gnn::Batch batch;
     if (graphs.size() > 1) {
       obs::TraceSpan merge_span("serve.merge", "serve", bid);
       bool merge_hit = false;
-      merged = merge_cache_.merged(graphs, &merge_hit);
+      batch = dg::gnn::Batch::merge(graphs, &merge_cache_, &merge_hit);
       merge_span.set_detail(merge_hit ? "hit" : "miss");
+    } else {
+      batch = dg::gnn::Batch::merge(graphs);
     }
     {
       obs::TraceSpan forward_span("serve.forward", "serve", bid);
-      dg::nn::ArenaScope arena;
-      if (merged == nullptr) {
-        // Solo group: the literal single-graph code path — trivially
-        // bit-exact with Engine::predict_probabilities.
-        forward(*graphs[0]);
-      } else {
-        forward(*merged);
-      }
+      batch.forward(model);
     }
     const Clock::time_point done = Clock::now();
 
@@ -447,15 +407,8 @@ void Server::run_work(Work& work, const dg::gnn::Model& model) {
                         pending.trace_id, bid);
       obs::TraceSpan fulfill_span("serve.fulfill", "serve", pending.trace_id, bid);
       Response response;
-      if (merged == nullptr) {
-        response.probabilities = column_of(pred);
-        if (pending.request.want_embedding) response.embedding = emb.value();
-      } else {
-        const dg::gnn::GraphMember& m = merged->members[i];
-        response.probabilities = member_column(pred, m);
-        if (pending.request.want_embedding)
-          response.embedding = dg::gnn::member_rows(emb.value(), m);
-      }
+      response.probabilities = batch.prediction(i);
+      if (pending.request.want_embedding) response.embedding = batch.embedding(i);
       response.queue_seconds = seconds_between(pending.admitted, work.window_closed);
       response.service_seconds = seconds_between(work.window_closed, done);
       response.latency_seconds = seconds_between(pending.admitted, done);

@@ -24,15 +24,13 @@
 //   so light traffic pays at most max_batch_delay of batching latency and
 //   heavy traffic forms full batches without waiting. A pluggable PackPolicy
 //   (FIFO or depth-aware) then splits the window into merge groups.
-// - Worker lanes drain formed batches through level-merged forwards
-//   (CircuitGraph::merge via the signature-keyed MergeCache), scatter
-//   per-member rows back, and fulfill the promises. When any member wants
-//   its embedding the lane runs the fused Model::forward_outputs — ONE
-//   level-loop pass yields prediction AND embedding, and embedding rows are
-//   sliced out only for the members that asked (no whole-batch second
-//   forward, no whole-batch embedding copies). Merged forwards are
-//   bit-exact per member and each lane's clone carries identical parameters,
-//   so a served Response equals a direct Engine::predict_probabilities /
+// - Worker lanes run each formed group through the executor's two steps
+//   (gnn/executor.hpp): Batch::merge (through the signature-keyed
+//   MergeCache) and Batch::forward — ONE Model::forward_outputs pass yields
+//   every member's prediction AND embedding, and embedding rows are copied
+//   out only for the members that asked. Merged forwards are bit-exact per
+//   member and each lane's clone carries identical parameters, so a served
+//   Response equals a direct Engine::predict_probabilities /
 //   Engine::embeddings call REGARDLESS of how requests happened to be
 //   batched.
 // - shutdown(drain=true) serves everything already admitted, then joins;
@@ -43,9 +41,9 @@
 #pragma once
 
 #include "gnn/circuit_graph.hpp"
+#include "gnn/merge_cache.hpp"
 #include "nn/matrix.hpp"
 #include "obs/metrics.hpp"
-#include "serve/merge_cache.hpp"
 #include "serve/policy.hpp"
 #include "serve/queue.hpp"
 #include "util/mutex.hpp"
@@ -113,7 +111,7 @@ struct ServerOptions {
   std::size_t merge_cache_capacity = 32;  ///< merged super-graphs kept; 0 = off
 
   /// Env knobs: DEEPGATE_SERVE_BUDGET / DEEPGATE_SERVE_MAX_GRAPHS (shared
-  /// with BatchRunner), DEEPGATE_SERVE_LANES, DEEPGATE_SERVE_DELAY_MS,
+  /// with gnn::ServeOptions), DEEPGATE_SERVE_LANES, DEEPGATE_SERVE_DELAY_MS,
   /// DEEPGATE_SERVE_QUEUE_CAP, DEEPGATE_SERVE_CACHE,
   /// DEEPGATE_SERVE_DEPTH_AWARE.
   static ServerOptions from_env();
@@ -239,7 +237,7 @@ class Server {
   const Engine& engine_;
   const ServerOptions options_;
   std::unique_ptr<PackPolicy> policy_;
-  MergeCache merge_cache_;
+  dg::gnn::MergeCache merge_cache_;
 
   BoundedQueue<Pending> admission_;
   BoundedQueue<Work> work_queue_;

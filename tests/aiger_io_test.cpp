@@ -48,6 +48,26 @@ TEST(AigerIo, RejectsTruncated) {
   EXPECT_FALSE(read_aiger("aag 3 2 0 1 1\n2\n4\n7\n", &err).has_value());
 }
 
+// Hostile headers are rejected from the counts alone, before any
+// allocation: M + 1 must not wrap, and a 23-byte file must not be able to
+// request hundreds of megabytes.
+TEST(AigerIo, RejectsUnboundedHeaderCounts) {
+  std::string err;
+  EXPECT_FALSE(read_aiger("aag 18446744073709551615 0 0 0 0", &err).has_value());
+  EXPECT_NE(err.find("field M"), std::string::npos) << err;
+  EXPECT_FALSE(read_aiger("aag 200000000 0 0 0 0", &err).has_value());
+  EXPECT_NE(err.find("field M"), std::string::npos) << err;
+  EXPECT_FALSE(read_aiger("aag 200000000 200000000 0 0 0\n2\n", &err).has_value());
+  EXPECT_NE(err.find("field I"), std::string::npos) << err;
+  EXPECT_FALSE(read_aiger("aag 0 0 0 200000000 0\n2\n", &err).has_value());
+  EXPECT_NE(err.find("field O"), std::string::npos) << err;
+  EXPECT_FALSE(read_aiger("aag 99 0 0 0 99\n2 0 0\n", &err).has_value());
+  EXPECT_NE(err.find("field A"), std::string::npos) << err;
+  // The smallest well-formed files still parse.
+  EXPECT_TRUE(read_aiger("aag 0 0 0 0 0", &err).has_value()) << err;
+  EXPECT_TRUE(read_aiger("aag 1 1 0 1 0\n2\n2", &err).has_value()) << err;
+}
+
 TEST(AigerIo, RejectsUndefinedLiteral) {
   std::string err;
   // output literal 99 never defined

@@ -1,7 +1,6 @@
 // Batched multi-graph inference: level-merged super-graphs must reproduce
-// the single-graph path — to 1e-5 for heterogeneous batches across all four
-// Table II model families, and bit-exactly for a batch of one.
-#include "core/batch_runner.hpp"
+// the single-graph path bit-exactly, for heterogeneous batches across all
+// four Table II model families and for a batch of one.
 #include "core/deepgate.hpp"
 #include "data/generators_large.hpp"
 #include "data/generators_small.hpp"
@@ -174,9 +173,13 @@ TEST(PlanNodeBatches, RespectsBudgetAndCaps) {
   EXPECT_EQ(covered, ptrs.size());
 }
 
-// The acceptance bar: for every Table II family, predict/embed over the
-// merged batch equals the per-graph path to 1e-5 on a heterogeneous batch.
-// (The implementation is in fact bit-exact; the looser bound is the contract.)
+bool bit_equal_matrix(const nn::Matrix& a, const nn::Matrix& b) {
+  return a.same_shape(b) && std::equal(a.data(), a.data() + a.size(), b.data());
+}
+
+// merged == solo: for every Table II family, infer_batch over the merged
+// heterogeneous batch reproduces per-graph predict_probabilities/embeddings
+// bitwise.
 TEST(BatchedInference, AllFamiliesMatchSingleGraphPath) {
   const auto graphs = mixed_graphs();
   std::vector<const CircuitGraph*> ptrs;
@@ -188,22 +191,17 @@ TEST(BatchedInference, AllFamiliesMatchSingleGraphPath) {
     options.model = tiny_config();
     const deepgate::Engine engine(options);
 
-    const auto batched = engine.predict_batch(ptrs);
-    const auto batched_emb = engine.embeddings_batch(ptrs);
-    ASSERT_EQ(batched.size(), graphs.size());
+    const deepgate::BatchInference batched = engine.infer_batch(ptrs);
+    ASSERT_EQ(batched.probabilities.size(), graphs.size());
+    ASSERT_EQ(batched.embeddings.size(), graphs.size());
     for (std::size_t i = 0; i < graphs.size(); ++i) {
-      const auto single = engine.predict_probabilities(graphs[i]);
-      ASSERT_EQ(batched[i].size(), single.size()) << gnn::model_spec_label(spec);
-      for (std::size_t v = 0; v < single.size(); ++v)
-        EXPECT_NEAR(batched[i][v], single[v], 1e-5F)
-            << gnn::model_spec_label(spec) << " graph " << i << " node " << v;
-
+      EXPECT_EQ(batched.probabilities[i], engine.predict_probabilities(graphs[i]))
+          << gnn::model_spec_label(spec) << " graph " << i;
       const nn::Matrix emb = engine.embeddings(graphs[i]);
-      ASSERT_TRUE(batched_emb[i].same_shape(emb)) << gnn::model_spec_label(spec);
-      for (int r = 0; r < emb.rows(); ++r)
-        for (int c = 0; c < emb.cols(); ++c)
-          EXPECT_NEAR(batched_emb[i].at(r, c), emb.at(r, c), 1e-5F)
-              << gnn::model_spec_label(spec) << " graph " << i;
+      EXPECT_EQ(emb.rows(), graphs[i].num_nodes);
+      EXPECT_EQ(emb.cols(), tiny_config().dim);
+      EXPECT_TRUE(bit_equal_matrix(batched.embeddings[i], emb))
+          << gnn::model_spec_label(spec) << " graph " << i;
     }
   }
 }
@@ -216,31 +214,45 @@ TEST(BatchedInference, BatchOfOneIsBitExact) {
     options.model = tiny_config();
     const deepgate::Engine engine(options);
     for (const auto& g : graphs) {
-      const auto batched = engine.predict_batch({&g});
-      const auto single = engine.predict_probabilities(g);
-      ASSERT_EQ(batched.size(), 1u);
-      // Bitwise, not approximate.
-      EXPECT_EQ(batched[0], single) << gnn::model_spec_label(spec);
-
-      const auto emb_b = engine.embeddings_batch({&g});
-      const nn::Matrix emb = engine.embeddings(g);
-      ASSERT_TRUE(emb_b[0].same_shape(emb));
-      EXPECT_TRUE(std::equal(emb.data(), emb.data() + emb.size(), emb_b[0].data()))
+      const deepgate::BatchInference one = engine.infer_batch({&g});
+      ASSERT_EQ(one.probabilities.size(), 1u);
+      EXPECT_EQ(one.probabilities[0], engine.predict_probabilities(g))
+          << gnn::model_spec_label(spec);
+      EXPECT_TRUE(bit_equal_matrix(one.embeddings[0], engine.embeddings(g)))
           << gnn::model_spec_label(spec);
     }
   }
 }
 
-TEST(BatchedInference, EmptyBatch) {
+TEST(BatchedInference, DegenerateRequests) {
   const deepgate::Engine engine;
-  EXPECT_TRUE(engine.predict_batch({}).empty());
-  EXPECT_TRUE(engine.embeddings_batch({}).empty());
-  deepgate::BatchRunner runner(engine);
-  EXPECT_TRUE(runner.predict({}).empty());
-  EXPECT_TRUE(runner.embeddings({}).empty());
+  EXPECT_TRUE(engine.infer_batch({}).probabilities.empty());
+  EXPECT_TRUE(engine.infer_batch({}).embeddings.empty());
+
+  const auto graphs = mixed_graphs();
+  CircuitGraph empty;
+  empty.finalize();
+  const auto mixed = engine.infer_batch({&graphs[0], &empty});
+  ASSERT_EQ(mixed.probabilities.size(), 2u);
+  EXPECT_EQ(mixed.probabilities[0], engine.predict_probabilities(graphs[0]));
+  EXPECT_TRUE(mixed.probabilities[1].empty());
+  EXPECT_EQ(mixed.embeddings[1].rows(), 0);
+  EXPECT_THROW(engine.infer_batch({nullptr}), std::invalid_argument);
+
+  // Graphs that cannot share a merge (here an already-merged batch) split
+  // into separate forwards instead of failing the request.
+  const CircuitGraph pair = CircuitGraph::merge({&graphs[0], &graphs[2]});
+  const auto split = engine.infer_batch({&graphs[1], &pair});
+  EXPECT_EQ(split.probabilities[0], engine.predict_probabilities(graphs[1]));
+  std::vector<float> pair_probs = engine.predict_probabilities(graphs[0]);
+  const std::vector<float> second = engine.predict_probabilities(graphs[2]);
+  pair_probs.insert(pair_probs.end(), second.begin(), second.end());
+  EXPECT_EQ(split.probabilities[1], pair_probs);
 }
 
-TEST(BatchRunner, BudgetedFanOutMatchesSinglePath) {
+// The executor through budgeted packing + pool fan-out stays bit-exact, and
+// repeated identical requests hit the caller's merge cache.
+TEST(Executor, BudgetedFanOutMatchesSinglePathAndHitsMergeCache) {
   const auto graphs = mixed_graphs();
   std::vector<const CircuitGraph*> ptrs;
   for (const auto& g : graphs) ptrs.push_back(&g);
@@ -249,60 +261,46 @@ TEST(BatchRunner, BudgetedFanOutMatchesSinglePath) {
   options.model = tiny_config();
   const deepgate::Engine engine(options);
 
-  // Small budget forces several merged batches; threads > 1 fans them out.
-  deepgate::BatchOptions bopts;
-  bopts.node_budget = 48;
-  bopts.threads = 4;
-  const deepgate::BatchRunner runner(engine, bopts);
-
-  const auto batched = runner.predict(ptrs);
-  const auto embs = runner.embeddings(ptrs);
-  ASSERT_EQ(batched.size(), graphs.size());
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    // Bit-exact even through budgeted packing + pool fan-out.
-    EXPECT_EQ(batched[i], engine.predict_probabilities(graphs[i])) << "graph " << i;
-    const nn::Matrix emb = engine.embeddings(graphs[i]);
-    ASSERT_TRUE(embs[i].same_shape(emb));
-    EXPECT_TRUE(std::equal(emb.data(), emb.data() + emb.size(), embs[i].data()));
-  }
-  EXPECT_EQ(runner.stats().calls, 2u);
-  EXPECT_EQ(runner.stats().graphs, 2 * graphs.size());
-  EXPECT_GE(runner.stats().batches, 2u);
-}
-
-bool bit_equal_matrix(const nn::Matrix& a, const nn::Matrix& b) {
-  return a.same_shape(b) && std::equal(a.data(), a.data() + a.size(), b.data());
-}
-
-// -- Fused forward outputs -----------------------------------------------------
-
-// The tentpole contract: for every Table II family, ONE forward_outputs pass
-// is bitwise identical to separate predict() + embed() calls — on each solo
-// graph and on the level-merged batch of all of them.
-TEST(FusedForward, BitwiseEqualsSeparatePredictAndEmbed) {
-  const auto graphs = mixed_graphs();
-  std::vector<const CircuitGraph*> ptrs;
-  for (const auto& g : graphs) ptrs.push_back(&g);
-  const CircuitGraph merged = CircuitGraph::merge(ptrs);
-
-  for (const ModelSpec& spec : table2_specs()) {
-    const auto model = gnn::make_model(spec, tiny_config());
-    nn::NoGradGuard no_grad;
-    const auto check = [&](const CircuitGraph& g, const char* what) {
-      const gnn::ForwardOutputs fused = model->forward_outputs(g);
-      EXPECT_TRUE(bit_equal_matrix(fused.prediction.value(), model->predict(g).value()))
-          << gnn::model_spec_label(spec) << " prediction " << what;
-      EXPECT_TRUE(bit_equal_matrix(fused.embedding.value(), model->embed(g).value()))
-          << gnn::model_spec_label(spec) << " embedding " << what;
-    };
-    for (std::size_t i = 0; i < graphs.size(); ++i) check(graphs[i], "solo");
-    check(merged, "merged");
+  for (const std::size_t budget : {std::size_t{48}, std::size_t{2048}}) {
+    gnn::MergeCache cache(8);
+    gnn::ServeOptions opts;
+    opts.node_budget = budget;  // 48 forces several batches, 2048 merges most
+    opts.threads = 4;
+    opts.merge_cache = &cache;
+    for (int pass = 0; pass < 2; ++pass) {
+      deepgate::BatchInference out;
+      out.probabilities.resize(ptrs.size());
+      out.embeddings.resize(ptrs.size());
+      const std::size_t batches = gnn::execute(
+          engine.model(), ptrs, opts, 0,
+          [&](std::size_t i, const gnn::Batch& batch, std::size_t member) {
+            out.probabilities[i] = batch.prediction(member);
+            out.embeddings[i] = batch.embedding(member);
+          });
+      EXPECT_GE(batches, budget == 48 ? 2u : 1u);
+      for (std::size_t i = 0; i < graphs.size(); ++i) {
+        EXPECT_EQ(out.probabilities[i], engine.predict_probabilities(graphs[i]))
+            << "budget " << budget << " graph " << i;
+        EXPECT_TRUE(bit_equal_matrix(out.embeddings[i], engine.embeddings(graphs[i])))
+            << "budget " << budget << " graph " << i;
+      }
+    }
+    // The second pass re-formed the same groups: every merge came out of
+    // the cache (solo batches bypass it).
+    EXPECT_EQ(cache.stats().hits, cache.stats().misses) << "budget " << budget;
+    if (budget == 2048) {
+      EXPECT_GE(cache.stats().hits, 1u);
+    }
   }
 }
 
-// Engine::infer_batch must reproduce the predict_batch + embeddings_batch
-// pair bitwise while running one merge + one forward instead of two of each.
-TEST(FusedForward, InferBatchMatchesSeparateBatchCalls) {
+// -- One forward per batch -----------------------------------------------------
+
+// Both outputs come from ONE full level-loop forward per batch, for every
+// Table II family: a merged infer_batch, a direct embeddings() call, and a
+// bare Model::forward_outputs each move forward_counters().full by exactly
+// the number of batches they ran.
+TEST(FusedForward, OneFullForwardPerBatchForBothOutputs) {
   const auto graphs = mixed_graphs();
   std::vector<const CircuitGraph*> ptrs;
   for (const auto& g : graphs) ptrs.push_back(&g);
@@ -313,63 +311,26 @@ TEST(FusedForward, InferBatchMatchesSeparateBatchCalls) {
     options.model = tiny_config();
     const deepgate::Engine engine(options);
 
-    const deepgate::BatchInference fused = engine.infer_batch(ptrs);
-    const auto probs = engine.predict_batch(ptrs);
-    const auto embs = engine.embeddings_batch(ptrs);
-    ASSERT_EQ(fused.probabilities.size(), graphs.size());
-    ASSERT_EQ(fused.embeddings.size(), graphs.size());
+    const auto c0 = gnn::forward_counters();
+    const deepgate::BatchInference both = engine.infer_batch(ptrs);
+    const auto c1 = gnn::forward_counters();
+    EXPECT_EQ(c1.full - c0.full, 1u) << gnn::model_spec_label(spec);
     for (std::size_t i = 0; i < graphs.size(); ++i) {
-      EXPECT_EQ(fused.probabilities[i], probs[i]) << gnn::model_spec_label(spec) << " graph " << i;
-      EXPECT_TRUE(bit_equal_matrix(fused.embeddings[i], embs[i]))
-          << gnn::model_spec_label(spec) << " graph " << i;
+      EXPECT_EQ(both.probabilities[i].size(), static_cast<std::size_t>(graphs[i].num_nodes));
+      EXPECT_EQ(both.embeddings[i].rows(), graphs[i].num_nodes);
     }
+
+    const nn::Matrix emb = engine.embeddings(graphs[0]);
+    const auto c2 = gnn::forward_counters();
+    EXPECT_EQ(c2.full - c1.full, 1u) << gnn::model_spec_label(spec);
+
+    nn::NoGradGuard no_grad;
+    const gnn::ForwardOutputs direct = engine.model().forward_outputs(graphs[0]);
+    const auto c3 = gnn::forward_counters();
+    EXPECT_EQ(c3.full - c2.full, 1u) << gnn::model_spec_label(spec);
+    EXPECT_TRUE(bit_equal_matrix(direct.embedding.value(), emb)) << gnn::model_spec_label(spec);
+    EXPECT_EQ(c3.partial, c0.partial);
   }
-
-  // Degenerate requests follow the predict_batch contract.
-  const deepgate::Engine engine;
-  EXPECT_TRUE(engine.infer_batch({}).probabilities.empty());
-  CircuitGraph empty;
-  empty.finalize();
-  const auto mixed = engine.infer_batch({&graphs[0], &empty});
-  ASSERT_EQ(mixed.probabilities.size(), 2u);
-  EXPECT_EQ(mixed.probabilities[0], engine.predict_probabilities(graphs[0]));
-  EXPECT_TRUE(mixed.probabilities[1].empty());
-  EXPECT_EQ(mixed.embeddings[1].rows(), 0);
-  EXPECT_THROW(engine.infer_batch({nullptr}), std::invalid_argument);
-}
-
-// BatchRunner::infer: fused through budgeted packing + pool fan-out, and
-// repeated identical requests hit the runner-owned merge cache.
-TEST(BatchRunner, FusedInferMatchesSeparateAndHitsMergeCache) {
-  const auto graphs = mixed_graphs();
-  std::vector<const CircuitGraph*> ptrs;
-  for (const auto& g : graphs) ptrs.push_back(&g);
-
-  deepgate::Options options;
-  options.model = tiny_config();
-  const deepgate::Engine engine(options);
-
-  deepgate::BatchOptions bopts;
-  // Large enough to form multi-member merge groups (solo batches bypass the
-  // cache), small enough to keep several batches for the pool to claim.
-  bopts.node_budget = 2048;
-  bopts.threads = 4;
-  const deepgate::BatchRunner runner(engine, bopts);
-
-  const deepgate::BatchInference fused = runner.infer(ptrs);
-  const auto probs = runner.predict(ptrs);
-  const auto embs = runner.embeddings(ptrs);
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    EXPECT_EQ(fused.probabilities[i], probs[i]) << "graph " << i;
-    EXPECT_TRUE(bit_equal_matrix(fused.embeddings[i], embs[i])) << "graph " << i;
-    EXPECT_EQ(fused.probabilities[i], engine.predict_probabilities(graphs[i]));
-  }
-  // Three calls over the same request list: the first pays every merge, the
-  // later ones hit the signature cache (multi-member groups only).
-  EXPECT_GE(runner.merge_cache_stats().hits, 1u);
-  const auto again = runner.infer(ptrs);
-  for (std::size_t i = 0; i < graphs.size(); ++i)
-    EXPECT_EQ(again.probabilities[i], fused.probabilities[i]);
 }
 
 // -- Checkpoint round trip ------------------------------------------------------

@@ -452,7 +452,7 @@ TEST(KernelDispatch, EngineBf16AccuracyAndCloneParity) {
   // engine's own forward.
   const auto clone = bf16_engine.clone_model();
   dg::nn::NoGradGuard no_grad;
-  const Matrix clone_pred = clone->predict(g).value();
+  const Matrix clone_pred = clone->forward_outputs(g).prediction.value();
   for (std::size_t i = 0; i < p_bf16.size(); ++i)
     EXPECT_EQ(p_bf16[i], clone_pred.at(static_cast<int>(i), 0)) << i;
 }

@@ -48,7 +48,7 @@ TEST_P(ModelSweep, PredictionShapeAndRange) {
   const CircuitGraph g = small_graph();
   auto model = make_model(GetParam().spec, tiny_config());
   nn::NoGradGuard no_grad;
-  const nn::Tensor pred = model->predict(g);
+  const nn::Tensor pred = model->forward_outputs(g).prediction;
   ASSERT_EQ(pred.rows(), g.num_nodes);
   ASSERT_EQ(pred.cols(), 1);
   for (int v = 0; v < g.num_nodes; ++v) {
@@ -61,8 +61,8 @@ TEST_P(ModelSweep, DeterministicForward) {
   const CircuitGraph g = small_graph();
   auto model = make_model(GetParam().spec, tiny_config());
   nn::NoGradGuard no_grad;
-  const nn::Tensor p1 = model->predict(g);
-  const nn::Tensor p2 = model->predict(g);
+  const nn::Tensor p1 = model->forward_outputs(g).prediction;
+  const nn::Tensor p2 = model->forward_outputs(g).prediction;
   for (int v = 0; v < g.num_nodes; ++v)
     EXPECT_FLOAT_EQ(p1.value().at(v, 0), p2.value().at(v, 0));
 }
@@ -78,7 +78,7 @@ TEST_P(ModelSweep, ParametersAreNamedUniquely) {
 TEST_P(ModelSweep, LossGradientReachesMostParameters) {
   const CircuitGraph g = small_graph();
   auto model = make_model(GetParam().spec, tiny_config());
-  const nn::Tensor pred = model->predict(g);
+  const nn::Tensor pred = model->forward_outputs(g).prediction;
   const nn::Matrix target =
       nn::Matrix::from_vector(g.num_nodes, 1, std::vector<float>(g.labels));
   nn::l1_loss(pred, target).backward();
@@ -97,7 +97,7 @@ TEST_P(ModelSweep, EmbeddingsHaveConfiguredWidth) {
   const CircuitGraph g = small_graph();
   auto model = make_model(GetParam().spec, tiny_config());
   nn::NoGradGuard no_grad;
-  const nn::Tensor emb = model->embed(g);
+  const nn::Tensor emb = model->forward_outputs(g).embedding;
   EXPECT_EQ(emb.rows(), g.num_nodes);
   EXPECT_EQ(emb.cols(), tiny_config().dim);
 }
@@ -127,8 +127,8 @@ TEST(DeepGate, SkipConnectionChangesPrediction) {
   ModelSpec with{ModelFamily::kDeepGate, AggKind::kAttention, true};
   ModelSpec without{ModelFamily::kDeepGate, AggKind::kAttention, false};
   nn::NoGradGuard no_grad;
-  const auto p_with = make_model(with, cfg)->predict(g);
-  const auto p_without = make_model(without, cfg)->predict(g);
+  const auto p_with = make_model(with, cfg)->forward_outputs(g).prediction;
+  const auto p_without = make_model(without, cfg)->forward_outputs(g).prediction;
   float diff = 0.0F;
   for (int v = 0; v < g.num_nodes; ++v)
     diff += std::abs(p_with.value().at(v, 0) - p_without.value().at(v, 0));
@@ -139,8 +139,8 @@ TEST(DeepGate, IterationOverrideChangesResult) {
   const CircuitGraph g = small_graph();
   auto model = make_deepgate(tiny_config());
   nn::NoGradGuard no_grad;
-  const auto p1 = model->predict_iterations(g, 1);
-  const auto p8 = model->predict_iterations(g, 8);
+  const auto p1 = model->forward_outputs(g, 1).prediction;
+  const auto p8 = model->forward_outputs(g, 8).prediction;
   float diff = 0.0F;
   for (int v = 0; v < g.num_nodes; ++v)
     diff += std::abs(p1.value().at(v, 0) - p8.value().at(v, 0));
@@ -171,7 +171,8 @@ TEST(DeepGate, GradcheckThroughWholeModel) {
   }
   ASSERT_GE(sample.size(), 3U);
   const auto res = nn::gradcheck(
-      [&] { return nn::mse_loss(model->predict(g), target); }, sample, 1e-2F, 8e-2F);
+      [&] { return nn::mse_loss(model->forward_outputs(g).prediction, target); }, sample, 1e-2F,
+      8e-2F);
   EXPECT_TRUE(res.ok) << "rel=" << res.max_rel_err << " abs=" << res.max_abs_err;
 }
 
@@ -188,8 +189,8 @@ TEST(Models, SeedControlsInitialization) {
   ModelConfig b = tiny_config();
   b.seed = 99;
   nn::NoGradGuard no_grad;
-  const auto pa = make_deepgate(a)->predict(g);
-  const auto pb = make_deepgate(b)->predict(g);
+  const auto pa = make_deepgate(a)->forward_outputs(g).prediction;
+  const auto pb = make_deepgate(b)->forward_outputs(g).prediction;
   float diff = 0.0F;
   for (int v = 0; v < g.num_nodes; ++v)
     diff += std::abs(pa.value().at(v, 0) - pb.value().at(v, 0));
@@ -215,7 +216,7 @@ TEST(Models, RawNetlistGraphSupported) {
                       ModelFamily::kDeepGate}) {
     ModelSpec spec{family, AggKind::kConvSum, false};
     if (family == ModelFamily::kDeepGate) spec.agg = AggKind::kAttention;
-    const auto pred = make_model(spec, cfg)->predict(g);
+    const auto pred = make_model(spec, cfg)->forward_outputs(g).prediction;
     EXPECT_EQ(pred.rows(), g.num_nodes);
   }
 }

@@ -13,7 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <thread>
@@ -340,6 +343,27 @@ TEST_F(ObsTest, TraceSpanAndChromeJsonExport) {
             std::count(json.begin(), json.end(), '}'));
   EXPECT_EQ(std::count(json.begin(), json.end(), '['),
             std::count(json.begin(), json.end(), ']'));
+}
+
+// Timestamps print as integer microseconds plus exactly three decimals, so
+// they stay exact to the nanosecond long after startup: a span 1000 s out
+// lasting 1234 ns still renders its duration as 1.234 and its start to the ns.
+TEST_F(ObsTest, TraceTimestampsAreExactAtLongUptime) {
+  trace_set_enabled(true);
+  trace_clear();
+  const TraceClock::time_point start = TraceClock::now() + std::chrono::seconds(1000);
+  trace_record("obs_test.late", "test", start, start + std::chrono::nanoseconds(1234));
+  const std::vector<TraceEvent> events = trace_events();
+  ASSERT_EQ(events.size(), 1u);
+  ASSERT_EQ(events[0].dur_ns, 1234);
+  const std::int64_t ns = events[0].start_ns;
+  ASSERT_GT(ns, std::int64_t{999} * 1000 * 1000 * 1000);  // origin: process start or later
+  char expected[96];
+  std::snprintf(expected, sizeof(expected), "\"ts\": %lld.%03lld, \"dur\": 1.234",
+                static_cast<long long>(ns / 1000), static_cast<long long>(ns % 1000));
+  std::ostringstream os;
+  ASSERT_TRUE(dump_trace(os));
+  EXPECT_NE(os.str().find(expected), std::string::npos) << expected << "\n" << os.str();
 }
 
 // -- The bitwise-neutrality contract -------------------------------------------

@@ -1,14 +1,18 @@
 #include "nn/serialize.hpp"
 
+#include "core/deepgate.hpp"
 #include "nn/gru.hpp"
 #include "nn/init.hpp"
 #include "nn/linear.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 namespace dg::nn {
 namespace {
@@ -92,6 +96,66 @@ TEST(Serialize, RejectsGarbageFile) {
     out << "not a checkpoint";
   }
   util::Rng rng(5);
+  Linear lin(2, 2, rng);
+  NamedParams params;
+  lin.collect(params, "lin");
+  EXPECT_FALSE(load_params(path, params));
+  std::remove(path.c_str());
+}
+
+std::vector<Matrix> param_values(const NamedParams& params) {
+  std::vector<Matrix> values;
+  for (const auto& [name, t] : params) values.push_back(t.value());
+  return values;
+}
+
+bool bitwise_same(const std::vector<Matrix>& a, const std::vector<Matrix>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!a[i].same_shape(b[i]) ||
+        !std::equal(a[i].data(), a[i].data() + a[i].size(), b[i].data()))
+      return false;
+  return true;
+}
+
+// A checkpoint lacking only the model's LAST parameter must be rejected
+// before anything is written: every parameter stays bitwise as it was.
+TEST(Serialize, FailedLoadLeavesEveryParameterUnchanged) {
+  deepgate::Options source_options;
+  source_options.model.seed = 1;
+  const deepgate::Engine source(source_options);
+  NamedParams saved = source.model().named_params();
+  saved.pop_back();
+  const std::string path = temp_path("dg_missing_last.dgtp");
+  ASSERT_TRUE(save_params(path, saved));
+
+  deepgate::Options target_options;
+  target_options.model.seed = 2;
+  deepgate::Engine target(target_options);
+  const std::vector<Matrix> before = param_values(target.model().named_params());
+  ASSERT_FALSE(bitwise_same(before, param_values(source.model().named_params())));
+  EXPECT_FALSE(target.load(path));
+  EXPECT_TRUE(bitwise_same(before, param_values(target.model().named_params())));
+  std::remove(path.c_str());
+}
+
+// A short file whose entry header claims a 65536 x 65536 matrix (16 GiB) is
+// rejected from its length alone, before any allocation.
+TEST(Serialize, RejectsSizeFieldBeyondFileLength) {
+  const std::string path = temp_path("dg_huge_header.dgtp");
+  {
+    std::ofstream out(path, std::ios::binary);
+    const auto put = [&](auto v) { out.write(reinterpret_cast<const char*>(&v), sizeof(v)); };
+    out.write("DGTP", 4);
+    put(std::uint32_t{1});  // version
+    put(std::uint32_t{1});  // count
+    put(std::uint32_t{1});  // name_len
+    out.write("w", 1);
+    put(std::int32_t{65536});
+    put(std::int32_t{65536});
+    put(1.0F);
+  }
+  util::Rng rng(7);
   Linear lin(2, 2, rng);
   NamedParams params;
   lin.collect(params, "lin");

@@ -5,13 +5,12 @@
 // (not block) at capacity; shutdown must leave no unfulfilled futures.
 #include "serve/server.hpp"
 
-#include "core/batch_runner.hpp"
 #include "core/deepgate.hpp"
 #include "data/generators_large.hpp"
 #include "data/generators_small.hpp"
+#include "gnn/merge_cache.hpp"
 #include "nn/arena.hpp"
 #include "obs/metrics.hpp"
-#include "serve/merge_cache.hpp"
 #include "util/lru.hpp"
 
 #include <gtest/gtest.h>
@@ -570,7 +569,7 @@ TEST(MergeCache, HitsOnRepeatedCompositionAndEvictsLru) {
   std::vector<const CircuitGraph*> cd = {&graphs[2], &graphs[3]};
   std::vector<const CircuitGraph*> ba = {&graphs[1], &graphs[0]};  // order matters
 
-  deepgate::serve::MergeCache cache(2);
+  gnn::MergeCache cache(2);
   const auto first = cache.merged(ab);
   EXPECT_TRUE(gnn::bit_equal(*first, CircuitGraph::merge(ab)));
   EXPECT_EQ(cache.merged(ab).get(), first.get());  // same object back
@@ -595,7 +594,7 @@ TEST(MergeCache, HitsOnRepeatedCompositionAndEvictsLru) {
 TEST(MergeCache, CapacityZeroDisables) {
   const auto graphs = mixed_graphs();
   std::vector<const CircuitGraph*> ab = {&graphs[0], &graphs[1]};
-  deepgate::serve::MergeCache cache(0);
+  gnn::MergeCache cache(0);
   EXPECT_NE(cache.merged(ab).get(), cache.merged(ab).get());
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 0u);
@@ -707,45 +706,38 @@ TEST(LruCache, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(off.size(), 0u);
 }
 
-// -- Engine/BatchRunner degenerate-request handling ---------------------------
+// -- Engine degenerate-request handling ----------------------------------------
 
+// Every Engine entry point runs the executor, which skips zero-node graphs:
+// empty results, never a forward over an empty graph.
 TEST(EngineBatch, EmptyAndZeroNodeGraphs) {
   deepgate::Options options;
   options.model = tiny_config();
   const deepgate::Engine engine(options);
 
-  EXPECT_TRUE(engine.predict_batch({}).empty());
-  EXPECT_TRUE(engine.embeddings_batch({}).empty());
+  EXPECT_TRUE(engine.infer_batch({}).probabilities.empty());
+  EXPECT_TRUE(engine.infer_batch({}).embeddings.empty());
 
   CircuitGraph empty;
   empty.finalize();
-  const auto only_empty = engine.predict_batch({&empty});
-  ASSERT_EQ(only_empty.size(), 1u);
-  EXPECT_TRUE(only_empty[0].empty());
-  const auto only_empty_emb = engine.embeddings_batch({&empty});
-  ASSERT_EQ(only_empty_emb.size(), 1u);
-  EXPECT_EQ(only_empty_emb[0].rows(), 0);
+  EXPECT_TRUE(engine.predict_probabilities(empty).empty());
+  EXPECT_EQ(engine.embeddings(empty).rows(), 0);
+  const auto only_empty = engine.infer_batch({&empty});
+  ASSERT_EQ(only_empty.probabilities.size(), 1u);
+  EXPECT_TRUE(only_empty.probabilities[0].empty());
+  EXPECT_EQ(only_empty.embeddings[0].rows(), 0);
 
   // Zero-node members mixed into a live batch: empty slots, live results
   // unchanged and bit-exact.
   const auto graphs = mixed_graphs();
-  const auto mixed = engine.predict_batch({&graphs[0], &empty, &graphs[1]});
-  ASSERT_EQ(mixed.size(), 3u);
-  EXPECT_EQ(mixed[0], engine.predict_probabilities(graphs[0]));
-  EXPECT_TRUE(mixed[1].empty());
-  EXPECT_EQ(mixed[2], engine.predict_probabilities(graphs[1]));
+  const auto mixed = engine.infer_batch({&graphs[0], &empty, &graphs[1]});
+  ASSERT_EQ(mixed.probabilities.size(), 3u);
+  EXPECT_EQ(mixed.probabilities[0], engine.predict_probabilities(graphs[0]));
+  EXPECT_TRUE(mixed.probabilities[1].empty());
+  EXPECT_EQ(mixed.probabilities[2], engine.predict_probabilities(graphs[1]));
 
-  EXPECT_THROW(engine.predict_batch({&graphs[0], nullptr}), std::invalid_argument);
-
-  deepgate::BatchRunner runner(engine);
-  const auto served = runner.predict({&graphs[0], &empty, &graphs[1]});
-  ASSERT_EQ(served.size(), 3u);
-  EXPECT_EQ(served[0], engine.predict_probabilities(graphs[0]));
-  EXPECT_TRUE(served[1].empty());
-  EXPECT_EQ(served[2], engine.predict_probabilities(graphs[1]));
-  const auto embs = runner.embeddings({&empty});
-  ASSERT_EQ(embs.size(), 1u);
-  EXPECT_EQ(embs[0].rows(), 0);
+  EXPECT_THROW(engine.infer_batch({&graphs[0], nullptr}), std::invalid_argument);
+  EXPECT_EQ(engine.evaluate({empty}), 0.0);
 }
 
 // -- Arena steady state -------------------------------------------------------
