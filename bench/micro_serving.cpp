@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
   }
   std::printf("equivalence: batched == single on all %d graphs\n", wl.num_graphs);
 
-  // -- kernel dispatch sweep: single-core nodes/sec per backend + bf16 -------
+  // -- kernel dispatch sweep: single-core nodes/sec per backend --------------
   // The serving-relevant configuration (the issue's acceptance metric):
   // node-budgeted merged batches served serially at 1 pool thread, so the
   // per-path rows isolate raw kernel throughput from pool scaling, and the
@@ -227,56 +227,13 @@ int main(int argc, char** argv) {
       records.back().num("arena", nn::arena_enabled() ? 1.0 : 0.0);
     }
 
-    // Opt-in DEEPGATE_FAST_MATH lane: avx2 with the matmul family contracted
-    // to FMAs. Tolerance-checked against the reference like the avx2 row —
-    // the overlay trades the bitwise contract for one rounding per mul+add.
-    if (simd::available(SimdLevel::kAvx2)) {
-      const SimdLevel prev = simd::set_level(SimdLevel::kAvx2);
-      const bool fm_was = simd::set_fast_math(true);
-      std::vector<std::vector<float>> out;
-      const double secs = time_best_of(wl.reps, [&] { out = serial_predict(); });
-      simd::set_fast_math(fm_was);
-      simd::set_level(prev);
-      for (std::size_t i = 0; i < reference.size(); ++i)
-        for (std::size_t v = 0; v < reference[i].size(); ++v)
-          if (std::abs(out[i][v] - reference[i][v]) > 1e-4F) {
-            std::fprintf(stderr, "FAIL: avx2_fma backend diverged from reference (graph %zu "
-                                 "node %zu)\n", i, v);
-            return 1;
-          }
-      record("kernels_avx2_fma", 1, serial_opts.node_budget, secs);
-      records.back().num("speedup_vs_scalar", scalar_secs / secs);
-      records.back().num("arena", nn::arena_enabled() ? 1.0 : 0.0);
-    }
-
-    // bf16 weights at the best backend: throughput plus the accuracy cost.
-    deepgate::Options bf16_options = options;
-    bf16_options.precision = deepgate::Precision::kBf16;
-    const deepgate::Engine bf16_engine(bf16_options);
-    std::vector<std::vector<float>> bf16_out;
-    const double bf16_secs = time_best_of(
-        wl.reps, [&] { bf16_out = batched_probabilities(bf16_engine, ptrs, serial_opts, cache); });
-    double max_delta = 0.0;
-    for (std::size_t i = 0; i < reference.size(); ++i)
-      for (std::size_t v = 0; v < reference[i].size(); ++v)
-        max_delta = std::max(max_delta,
-                             static_cast<double>(std::abs(bf16_out[i][v] - reference[i][v])));
-    if (max_delta > 1e-2) {
-      std::fprintf(stderr, "FAIL: bf16 predictions drifted %.3g from fp32 (bound 1e-2)\n",
-                   max_delta);
-      return 1;
-    }
-    record("kernels_bf16", 1, serial_opts.node_budget, bf16_secs);
-    records.back().num("speedup_vs_scalar", scalar_secs / bf16_secs);
-    records.back().num("max_abs_delta_vs_fp32", max_delta);
-    records.back().num("arena", nn::arena_enabled() ? 1.0 : 0.0);
     util::set_global_threads(util::default_num_threads());
 
     std::printf("\n%s\n", table.render().c_str());
     std::printf("kernel dispatch: best=%s %.2fx over the scalar no-arena oracle "
-                "single-core; bf16 max |delta| %.2e vs fp32\n\n",
+                "single-core\n\n",
                 simd::level_name(simd::best_available()),
-                best_level_secs > 0.0 ? scalar_secs / best_level_secs : 0.0, max_delta);
+                best_level_secs > 0.0 ? scalar_secs / best_level_secs : 0.0);
   }
 
   if (!bench::write_json_report(ctx, "micro_serving", records)) return 1;

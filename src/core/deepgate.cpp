@@ -41,23 +41,15 @@ Engine::Engine(const Options& options)
     : options_(options),
       model_(dg::gnn::make_model(options.spec, options.model)),
       eval_cache_(std::make_unique<dg::gnn::MergeCache>(
-          dg::gnn::ServeOptions::from_env().merge_cache_capacity)) {
-  if (options_.precision == Precision::kBf16) model_->quantize_bf16();
-}
+          dg::gnn::ServeOptions::from_env().merge_cache_capacity)) {}
 
 dg::gnn::TrainResult Engine::train(const std::vector<CircuitGraph>& train_set,
                                    const TrainConfig& cfg) {
-  // Training updates run in fp32 (on bf16-grid starting values in bf16
-  // mode); re-quantize so inference returns to the bf16 grid.
-  auto result = dg::gnn::train(*model_, train_set, cfg);
-  if (options_.precision == Precision::kBf16) model_->quantize_bf16();
-  return result;
+  return dg::gnn::train(*model_, train_set, cfg);
 }
 
 dg::gnn::TrainResult Engine::train(dg::gnn::GraphStream& stream, const TrainConfig& cfg) {
-  auto result = dg::gnn::train_streaming(*model_, stream, cfg);
-  if (options_.precision == Precision::kBf16) model_->quantize_bf16();
-  return result;
+  return dg::gnn::train_streaming(*model_, stream, cfg);
 }
 
 double Engine::evaluate(const std::vector<CircuitGraph>& test_set,
@@ -115,13 +107,7 @@ BatchInference Engine::infer_batch(const std::vector<const CircuitGraph*>& batch
   return out;
 }
 
-std::unique_ptr<dg::gnn::Model> Engine::clone_model() const {
-  auto clone = model_->clone();
-  // clone() copies fp32 parameter values only; rebuild the packed bf16
-  // shadows so clone forwards stay bit-exact with the engine's own.
-  if (options_.precision == Precision::kBf16) clone->quantize_bf16();
-  return clone;
-}
+std::unique_ptr<dg::gnn::Model> Engine::clone_model() const { return model_->clone(); }
 
 int Engine::effective_iterations(int requested) const {
   const int effective = model_->effective_iterations(requested);
@@ -141,11 +127,7 @@ bool Engine::save(const std::string& path) const {
 
 bool Engine::load(const std::string& path) {
   auto params = model_->named_params();
-  const bool ok = dg::nn::load_params(path, params);
-  // Loaded checkpoints are fp32; a bf16 engine re-rounds them (and refreshes
-  // the packed shadows) so inference matches a bf16 engine trained in-place.
-  if (ok && options_.precision == Precision::kBf16) model_->quantize_bf16();
-  return ok;
+  return dg::nn::load_params(path, params);
 }
 
 }  // namespace deepgate

@@ -25,7 +25,6 @@
 #include "gnn/models.hpp"
 #include "gnn/trainer.hpp"
 #include "netlist/netlist.hpp"
-#include "nn/simd/dispatch.hpp"
 #include "obs/obs.hpp"
 
 #include <memory>
@@ -38,7 +37,6 @@ using CircuitGraph = dg::gnn::CircuitGraph;
 using ModelConfig = dg::gnn::ModelConfig;
 using TrainConfig = dg::gnn::TrainConfig;
 using ModelSpec = dg::gnn::ModelSpec;
-using Precision = dg::nn::kern::Precision;
 
 /// Observability facade: deepgate::obs::snapshot() / ::dump_trace() — see
 /// obs/obs.hpp. Metrics and tracing are bitwise-neutral on every output.
@@ -47,14 +45,6 @@ namespace obs = ::dg::obs;
 struct Options {
   ModelConfig model;       ///< architecture hyperparameters
   ModelSpec spec;          ///< which Table II family/aggregator to build
-  /// Inference weight precision. kBf16 rounds every parameter to the bf16
-  /// grid and serves the no-grad Linear forwards from packed bf16 weights
-  /// (fp32 accumulation) — ~half the weight-read bandwidth for a small,
-  /// measured accuracy delta on the Table II/III metrics (see
-  /// tests/kernel_dispatch_test.cpp). Re-applied automatically after train()
-  /// and load(), so the engine stays on the bf16 grid for its lifetime.
-  /// Default from DEEPGATE_PRECISION (fp32 when unset).
-  Precision precision = dg::nn::kern::precision_from_env();
   Options() {
     spec.family = dg::gnn::ModelFamily::kDeepGate;
     spec.agg = dg::gnn::AggKind::kAttention;

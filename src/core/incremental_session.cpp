@@ -16,6 +16,7 @@ IncrementalSession::IncrementalSession(const Engine& engine, CircuitGraph graph)
     throw std::invalid_argument("IncrementalSession: merged batch graphs not supported");
   if (graph_.node_pos.size() != static_cast<std::size_t>(graph_.num_nodes))
     throw std::invalid_argument("IncrementalSession: graph must be finalized");
+  dg::gnn::check_compatible(engine.model().config(), graph_);
   state_ = engine.model().make_incremental_state();
   old_of_new_.resize(static_cast<std::size_t>(graph_.num_nodes));
   std::iota(old_of_new_.begin(), old_of_new_.end(), 0);

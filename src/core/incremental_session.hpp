@@ -19,8 +19,9 @@ namespace deepgate {
 
 class IncrementalSession {
  public:
-  /// Takes the starting graph by value. It must be finalized, non-empty and
-  /// not a merged batch; throws std::invalid_argument otherwise.
+  /// Takes the starting graph by value. It must be finalized, non-empty,
+  /// not a merged batch and built for the engine's model
+  /// (gnn::check_compatible); throws std::invalid_argument otherwise.
   IncrementalSession(const Engine& engine, CircuitGraph graph);
 
   IncrementalSession(IncrementalSession&&) = default;

@@ -35,8 +35,6 @@ class ConvSumAggregator final : public Aggregator {
     lin_.collect(out, prefix + ".conv");
   }
 
-  void quantize_bf16() override { lin_.quantize_bf16(); }
-
  private:
   nn::Linear lin_;
 };
@@ -58,11 +56,6 @@ class DeepSetAggregator final : public Aggregator {
     post_.collect(out, prefix + ".post");
   }
 
-  void quantize_bf16() override {
-    pre_.quantize_bf16();
-    post_.quantize_bf16();
-  }
-
  private:
   nn::Linear pre_, post_;
 };
@@ -81,11 +74,6 @@ class GatedSumAggregator final : public Aggregator {
   void collect(nn::NamedParams& out, const std::string& prefix) const override {
     gate_.collect(out, prefix + ".gate");
     map_.collect(out, prefix + ".map");
-  }
-
-  void quantize_bf16() override {
-    gate_.quantize_bf16();
-    map_.quantize_bf16();
   }
 
  private:
@@ -146,12 +134,6 @@ class AttentionAggregator final : public Aggregator {
     query_.collect(out, prefix + ".q");
     key_.collect(out, prefix + ".k");
     pe_.collect(out, prefix + ".pe");
-  }
-
-  void quantize_bf16() override {
-    query_.quantize_bf16();
-    key_.quantize_bf16();
-    pe_.quantize_bf16();
   }
 
  private:

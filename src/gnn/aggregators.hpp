@@ -47,11 +47,6 @@ class Aggregator {
   }
 
   virtual void collect(nn::NamedParams& out, const std::string& prefix) const = 0;
-
-  /// Quantize the aggregator's Linear sublayers to bf16 (see
-  /// nn::Linear::quantize_bf16). Raw-Tensor parameters are covered by the
-  /// model-level named-params rounding instead.
-  virtual void quantize_bf16() = 0;
 };
 
 /// Factory. `dim` is the hidden width d, `pe_dim` the skip-edge attribute

@@ -46,12 +46,6 @@ class DagConvModel final : public Model {
     regressor_.collect(out, prefix + ".regressor");
   }
 
-  void quantize_bf16() override {
-    Model::quantize_bf16();
-    for (auto& layer : layers_) layer.quantize_bf16();
-    regressor_.quantize_bf16();
-  }
-
   const char* name() const override { return "DAG-ConvGNN"; }
 
  private:

@@ -50,13 +50,6 @@ class RecurrentDagModel final : public Model {
     regressor_.collect(out, prefix + ".regressor");
   }
 
-  void quantize_bf16() override {
-    Model::quantize_bf16();
-    fwd_->quantize_bf16();
-    if (rev_) rev_->quantize_bf16();
-    regressor_.quantize_bf16();
-  }
-
   const char* name() const override { return name_; }
 
  private:

@@ -64,6 +64,7 @@ std::size_t execute(const Model& model, const std::vector<const CircuitGraph*>& 
   live.reserve(graphs.size());
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     if (graphs[i] == nullptr) throw std::invalid_argument("gnn::execute: null graph");
+    check_compatible(model.config(), *graphs[i]);
     if (graphs[i]->num_nodes == 0) continue;
     live.push_back(graphs[i]);
     live_index.push_back(i);

@@ -97,8 +97,9 @@ using BatchSink = std::function<void(std::size_t index, const Batch& batch, std:
 /// plan_node_batches(opts.node_budget, opts.max_graphs), merge each group
 /// (through opts.merge_cache when set), forward it under a NoGradGuard —
 /// groups claimed dynamically by up to opts.threads pool lanes — and hand
-/// every member to `sink`. Throws std::invalid_argument on a null graph
-/// before any forward runs. Returns the number of forwards run.
+/// every member to `sink`. Throws std::invalid_argument on a null graph or
+/// one check_compatible rejects, before any forward runs. Returns the number
+/// of forwards run.
 std::size_t execute(const Model& model, const std::vector<const CircuitGraph*>& graphs,
                     const ServeOptions& opts, int iterations, const BatchSink& sink);
 

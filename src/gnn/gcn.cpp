@@ -155,13 +155,6 @@ class GcnModel final : public Model {
     regressor_.collect(out, prefix + ".regressor");
   }
 
-  void quantize_bf16() override {
-    Model::quantize_bf16();
-    for (auto& a : aggs_) a->quantize_bf16();
-    for (auto& c : combines_) c.quantize_bf16();
-    regressor_.quantize_bf16();
-  }
-
   const char* name() const override { return "GCN"; }
 
  private:

@@ -44,17 +44,21 @@ void copy_params(const nn::NamedParams& from, nn::NamedParams& to) {
   }
 }
 
+void check_compatible(const ModelConfig& cfg, const CircuitGraph& g) {
+  const auto require = [](const char* field, int graph_value, int model_value) {
+    if (graph_value != model_value)
+      throw std::invalid_argument(std::string("graph ") + field + " = " +
+                                  std::to_string(graph_value) + " does not match the model's " +
+                                  field + " = " + std::to_string(model_value));
+  };
+  require("num_types", g.num_types, cfg.num_types);
+  require("pe_L", g.pe_L, cfg.pe_L);
+}
+
 void copy_params(const Model& src, Model& dst) {
   const nn::NamedParams from = src.named_params();
   nn::NamedParams to = dst.named_params();
   copy_params(from, to);
-}
-
-// Base behavior: round every parameter to the bf16 grid. Subclasses extend
-// this to also build packed shadows in their Linear sublayers.
-void Model::quantize_bf16() {
-  nn::NamedParams params = named_params();
-  for (auto& [name, t] : params) nn::kern::bf16_round_inplace(t.mutable_value());
 }
 
 Regressor::Regressor(int num_types, int dim, int hidden, util::Rng& rng) {

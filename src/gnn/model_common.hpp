@@ -95,14 +95,6 @@ class Model {
   virtual void collect(nn::NamedParams& out, const std::string& prefix) const = 0;
   virtual const char* name() const = 0;
 
-  /// Switch the model to bf16 inference weights: round EVERY parameter to
-  /// the bf16 grid in place (idempotent) and build packed bf16 shadows in
-  /// the Linear sublayers. Raw-Tensor parameters (the GRU gate weights) keep
-  /// fp32 storage but hold exactly bf16-representable values, so the whole
-  /// forward is bitwise a function of bf16 weights. Must be re-invoked after
-  /// any parameter mutation (load, training step, copy_params).
-  virtual void quantize_bf16();
-
   /// Families supporting cone-limited re-propagation return a fresh memo
   /// holder; the base returns nullptr and forward_incremental degrades to
   /// plain full forwards.
@@ -134,6 +126,14 @@ class Model {
   ModelConfig cfg_;
 };
 
+/// Throws std::invalid_argument, naming the field and both values, unless
+/// `g` was built for a model configured as `cfg`: num_types sizes the
+/// one-hot input and the regressor heads, pe_L the skip-edge encoding the
+/// attention weights read, so a mismatched graph would be read out of
+/// bounds. Every inference entry point (gnn::execute, serve::Server's
+/// submit/try_submit, IncrementalSession) calls it before any kernel runs.
+void check_compatible(const ModelConfig& cfg, const CircuitGraph& g);
+
 /// Copy every parameter value of `src` into `dst`. Both models must have the
 /// same architecture (named_params aligned index by index).
 void copy_params(const Model& src, Model& dst);
@@ -159,10 +159,6 @@ class Regressor {
   /// that adding +0.0 would rewrite). No-grad only.
   void forward_rows(const nn::Matrix& h_full, const CircuitGraph& g,
                     const std::vector<int>& nodes, nn::Matrix& out) const;
-
-  void quantize_bf16() {
-    for (nn::Mlp& h : heads_) h.quantize_bf16();
-  }
 
   void collect(nn::NamedParams& out, const std::string& prefix) const;
 
@@ -243,10 +239,6 @@ class DirectedLayer {
   }
 
   void collect(nn::NamedParams& out, const std::string& prefix) const;
-
-  /// Quantize the aggregator's Linear sublayers; the GRU's raw Tensors are
-  /// rounded by the model-level named-params pass.
-  void quantize_bf16() { agg_->quantize_bf16(); }
 
  private:
   bool reversed_;

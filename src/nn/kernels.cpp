@@ -76,17 +76,6 @@ void matmul_acc(Matrix& c, const Matrix& a, const Matrix& b) {
   });
 }
 
-Matrix matmul_bf16(const Matrix& a, const Bf16Matrix& b) {
-  assert(a.cols() == b.rows());
-  Matrix c(a.rows(), b.cols());
-  const int m = a.rows(), k = a.cols(), n = b.cols();
-  const KernelBackend& be = backend();
-  for_row_blocks(m, static_cast<std::int64_t>(k) * n, [&](int i0, int i1) {
-    be.matmul_bf16_rows(c.data(), a.data(), b.data(), i0, i1, k, n);
-  });
-  return c;
-}
-
 // Parallel over column blocks of C: every chunk keeps the serial p-ascending
 // accumulation order per output element and writes a disjoint column range.
 Matrix matmul_tn(const Matrix& a, const Matrix& b) {

@@ -13,7 +13,6 @@
 #pragma once
 
 #include "nn/matrix.hpp"
-#include "nn/simd/bf16.hpp"
 
 #include <vector>
 
@@ -26,12 +25,8 @@ namespace dg::nn::kern {
 /// even +0.0. Observable consequences, guaranteed across all backends:
 /// the sign of a -0.0 accumulator survives a zero A-element, and Inf/NaN in
 /// a B row multiplied only by zeros never reaches C. Applies to matmul,
-/// matmul_acc, matmul_tn, and matmul_bf16.
+/// matmul_acc, and matmul_tn.
 Matrix matmul(const Matrix& a, const Matrix& b);
-/// C = A * decode(B) with B packed bf16 (exact decode, fp32 accumulation,
-/// same operation order and zero-skip as matmul). Guarantee:
-/// matmul_bf16(a, to_bf16(w)) == matmul(a, bf16_round(w)) bitwise.
-Matrix matmul_bf16(const Matrix& a, const Bf16Matrix& b);
 /// C = A^T * B  (A: KxM used as MxK).
 Matrix matmul_tn(const Matrix& a, const Matrix& b);
 /// C = A * B^T.

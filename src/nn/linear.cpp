@@ -1,7 +1,6 @@
 #include "nn/linear.hpp"
 
 #include "nn/init.hpp"
-#include "nn/kernels.hpp"
 
 namespace dg::nn {
 
@@ -14,16 +13,9 @@ Linear::Linear(int in_features, int out_features, util::Rng& rng, bool bias)
 }
 
 Tensor Linear::forward(const Tensor& x) const {
-  Tensor y = (wq_ && !grad_enabled()) ? constant(kern::matmul_bf16(x.value(), *wq_))
-                                      : matmul(x, w_);
+  Tensor y = matmul(x, w_);
   if (has_bias_) y = add_rowvec(y, b_);
   return y;
-}
-
-void Linear::quantize_bf16() {
-  kern::bf16_round_inplace(w_.mutable_value());
-  if (has_bias_) kern::bf16_round_inplace(b_.mutable_value());
-  wq_ = std::make_shared<const kern::Bf16Matrix>(kern::to_bf16(w_.value()));
 }
 
 void Linear::collect(NamedParams& out, const std::string& prefix) const {

@@ -3,10 +3,7 @@
 
 #include "nn/module.hpp"
 #include "nn/ops.hpp"
-#include "nn/simd/bf16.hpp"
 #include "util/rng.hpp"
-
-#include <memory>
 
 namespace dg::nn {
 
@@ -18,23 +15,13 @@ class Linear {
   /// x: N x in -> N x out.
   Tensor forward(const Tensor& x) const;
 
-  /// Round w/b to the bf16 grid in place and build the packed bf16 weight
-  /// shadow the no-grad forward path uses. Because the fp32 weights are left
-  /// exactly on the bf16 grid and matmul_bf16 decodes exactly with the same
-  /// operation order, the shadow path is bitwise-identical to the fp32 path
-  /// on the quantized weights. Stale after any subsequent weight update —
-  /// callers that mutate params (train, copy_params) must re-quantize.
-  void quantize_bf16();
-
   void collect(NamedParams& out, const std::string& prefix) const;
 
   int in_features() const { return in_; }
   int out_features() const { return out_; }
 
   /// Raw parameter access for fused no-grad kernels (the attention
-  /// aggregator's thin Ex1 projections). Safe to combine with bf16 mode:
-  /// quantize_bf16 leaves the fp32 weights exactly on the bf16 grid, so a
-  /// kernel reading them is bitwise-identical to the packed shadow path.
+  /// aggregator's thin Ex1 projections).
   const Tensor& weight() const { return w_; }
   const Tensor& bias() const { return b_; }
   bool has_bias() const { return has_bias_; }
@@ -45,7 +32,6 @@ class Linear {
   bool has_bias_ = true;
   Tensor w_;  // in x out
   Tensor b_;  // 1 x out
-  std::shared_ptr<const kern::Bf16Matrix> wq_;  // packed shadow of w_ (bf16 mode)
 };
 
 }  // namespace dg::nn

@@ -20,11 +20,6 @@ class Mlp {
 
   Tensor forward(const Tensor& x) const;
 
-  /// Quantize every layer to bf16 (see Linear::quantize_bf16).
-  void quantize_bf16() {
-    for (Linear& l : layers_) l.quantize_bf16();
-  }
-
   void collect(NamedParams& out, const std::string& prefix) const;
 
  private:

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 namespace dg::nn::kern {
 
@@ -32,12 +31,6 @@ struct KernelBackend {
   /// C: m x n), accumulating over rows p of A/B in ascending order.
   void (*matmul_tn_cols)(float* c, const float* a, const float* b, int j0, int j1, int k, int m,
                          int n);
-
-  /// C rows [i0, i1) += A * decode(B), B packed bf16 (k x n). Decoding is
-  /// exact; accumulation is fp32 with the same order and zero-skip as
-  /// matmul_rows.
-  void (*matmul_bf16_rows)(float* c, const float* a, const std::uint16_t* b, int i0, int i1,
-                           int k, int n);
 
   /// c[i] += dot(A row i, w) for rows [i0, i1) (A: rows x k, w: k floats,
   /// c: one float per row). Exactly matmul_rows with n == 1: zero-skip on
@@ -75,22 +68,12 @@ const KernelBackend& generic_backend();
 /// check CPU support at runtime before installing it (see dispatch.cpp).
 const KernelBackend* avx2_backend();
 
-/// AVX2+FMA fast-math backend: the matmul family contracted to fused
-/// multiply-adds (one rounding per step), every other kernel shared with the
-/// avx2 table. NOT bitwise-equal to the scalar oracle — tolerance-bounded
-/// instead — so it is never picked by default: dispatch installs it over the
-/// avx2 level only when DEEPGATE_FAST_MATH=on (or simd::set_fast_math).
-/// nullptr exactly when avx2_backend() is.
-const KernelBackend* avx2_fma_backend();
-
 // Scalar workers, exported so other backends can reuse them for kernels they
 // do not specialize (reuse keeps those kernels trivially bitwise-equal).
 namespace scalar_workers {
 void matmul_rows(float* c, const float* a, const float* b, int i0, int i1, int k, int n);
 void matmul_tn_cols(float* c, const float* a, const float* b, int j0, int j1, int k, int m,
                     int n);
-void matmul_bf16_rows(float* c, const float* a, const std::uint16_t* b, int i0, int i1, int k,
-                      int n);
 void matvec_rows(float* c, const float* a, const float* w, int i0, int i1, int k);
 void add_n(float* c, const float* a, const float* b, std::size_t n);
 void sub_n(float* c, const float* a, const float* b, std::size_t n);

@@ -11,7 +11,7 @@
 namespace dg::nn::kern {
 namespace {
 
-bool cpu_has_avx2_fma() {
+bool cpu_has_avx2_and_fma() {
 #if defined(__x86_64__) || defined(__i386__)
   // Both bits: the AVX2 TU is compiled with -mavx2 -mfma, so the compiler
   // may emit FMA for intrinsic-adjacent scaffolding even though the kernels
@@ -22,21 +22,6 @@ bool cpu_has_avx2_fma() {
 #endif
 }
 
-// Fast-math overlay state: -1 = follow DEEPGATE_FAST_MATH, else forced.
-std::atomic<int> g_fast_math_override{-1};
-
-std::string lowered(std::string s);  // defined below
-
-bool fast_math_requested() {
-  const int forced = g_fast_math_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  const std::string value = lowered(util::env_str("DEEPGATE_FAST_MATH", "off"));
-  if (value == "on") return true;
-  if (value != "off" && !value.empty())
-    util::log_warn("DEEPGATE_FAST_MATH: unknown value '", value, "'; using off");
-  return false;
-}
-
 const KernelBackend* table_for(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
@@ -44,9 +29,6 @@ const KernelBackend* table_for(SimdLevel level) {
     case SimdLevel::kGeneric:
       return &generic_backend();
     case SimdLevel::kAvx2:
-      // The FMA overlay rides the avx2 level: same ISA gate (the CPUID check
-      // required both avx2 and fma bits), strictly opt-in.
-      if (fast_math_requested() && avx2_fma_backend() != nullptr) return avx2_fma_backend();
       return avx2_backend();
   }
   return &scalar_backend();
@@ -90,7 +72,7 @@ bool available(SimdLevel level) {
     case SimdLevel::kGeneric:
       return true;
     case SimdLevel::kAvx2:
-      return avx2_backend() != nullptr && cpu_has_avx2_fma();
+      return avx2_backend() != nullptr && cpu_has_avx2_and_fma();
   }
   return false;
 }
@@ -129,17 +111,6 @@ const char* level_name(SimdLevel level) {
   return "scalar";
 }
 
-bool fast_math() { return fast_math_requested(); }
-
-bool set_fast_math(bool on) {
-  ensure_initialized();
-  const bool previous = fast_math_requested();
-  g_fast_math_override.store(on ? 1 : 0, std::memory_order_relaxed);
-  g_backend.store(table_for(g_level.load(std::memory_order_relaxed)),
-                  std::memory_order_relaxed);
-  return previous;
-}
-
 SimdLevel resolve(const std::string& value) {
   if (value == "scalar") return SimdLevel::kScalar;
   if (value == "generic") return SimdLevel::kGeneric;
@@ -159,18 +130,6 @@ SimdLevel resolve(const std::string& value) {
 const KernelBackend& backend() {
   ensure_initialized();
   return *g_backend.load(std::memory_order_relaxed);
-}
-
-const char* precision_name(Precision p) {
-  return p == Precision::kBf16 ? "bf16" : "fp32";
-}
-
-Precision precision_from_env() {
-  const std::string value = lowered(util::env_str("DEEPGATE_PRECISION", "fp32"));
-  if (value == "bf16") return Precision::kBf16;
-  if (value != "fp32" && !value.empty())
-    util::log_warn("DEEPGATE_PRECISION: unknown value '", value, "'; using fp32");
-  return Precision::kFp32;
 }
 
 }  // namespace dg::nn::kern

@@ -23,17 +23,6 @@
 // dispatched kernels are bitwise-equal across backends, except the
 // sigmoid/tanh maps on avx2, which use a polynomial exp and carry a tested
 // absolute-error bound (|simd - scalar| <= 2e-6 on the transcendental maps).
-//
-// DEEPGATE_FAST_MATH = on | off (default off) overlays the avx2 level with
-// the avx2_fma backend: the matmul family contracts mul+add into FMAs (one
-// rounding per step), trading the bitwise contract for a tolerance bound
-// (see tests/kernel_dispatch_test.cpp). Strictly opt-in; it never affects
-// the scalar/generic levels, and resolves to plain avx2 when the build or
-// CPU lacks the TU.
-//
-// DEEPGATE_PRECISION = fp32 | bf16 selects the default Engine inference
-// precision (see core/deepgate.hpp); it is resolved here so the knob lives
-// next to DEEPGATE_SIMD.
 #pragma once
 
 #include <string>
@@ -43,10 +32,6 @@ namespace dg::nn::kern {
 struct KernelBackend;
 
 enum class SimdLevel { kScalar = 0, kGeneric = 1, kAvx2 = 2 };
-
-/// Engine inference precision: fp32 weights, or weights rounded to the bf16
-/// grid with packed bf16 storage in Linear layers (fp32 accumulation).
-enum class Precision { kFp32, kBf16 };
 
 namespace simd {
 
@@ -70,24 +55,9 @@ const char* level_name(SimdLevel level);
 /// unknown values resolve to native with a warning).
 SimdLevel resolve(const std::string& value);
 
-/// Is the fast-math (FMA-contracted) overlay currently requested?
-/// (DEEPGATE_FAST_MATH, unless overridden by set_fast_math.) The overlay
-/// only takes effect at the avx2 level on builds/CPUs that have it.
-bool fast_math();
-
-/// Force the fast-math overlay on/off (test/bench knob; same in-flight
-/// caveat as set_level). Re-publishes the active backend table. Returns the
-/// previous setting so callers can restore it.
-bool set_fast_math(bool on);
-
 }  // namespace simd
 
 /// The active backend table (lazily resolved from DEEPGATE_SIMD).
 const KernelBackend& backend();
-
-const char* precision_name(Precision p);
-
-/// DEEPGATE_PRECISION = fp32 (default) | bf16.
-Precision precision_from_env();
 
 }  // namespace dg::nn::kern

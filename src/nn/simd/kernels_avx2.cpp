@@ -17,22 +17,8 @@
 
 #include <immintrin.h>
 
-
-#include <cstring>
-
 namespace dg::nn::kern {
 namespace {
-
-// Local bf16 decode for scalar tails. Deliberately NOT nn/simd/bf16.hpp:
-// including headers with inline functions in an AVX2 TU risks the
-// AVX2-compiled copy winning COMDAT selection and being executed from
-// baseline-ISA callers. Anonymous-namespace copies have internal linkage.
-inline float bf16_decode1(std::uint16_t v) {
-  const std::uint32_t bits = static_cast<std::uint32_t>(v) << 16;
-  float f;
-  std::memcpy(&f, &bits, sizeof(f));
-  return f;
-}
 
 void matmul_rows_avx2(float* c, const float* a, const float* b, int i0, int i1, int k, int n) {
   for (int i = i0; i < i1; ++i) {
@@ -76,61 +62,6 @@ void matmul_rows_avx2(float* c, const float* a, const float* b, int i0, int i1, 
       if (av == 0.0F) continue;
       const float* brow = b + static_cast<std::size_t>(p) * n;
       for (int jj = j; jj < n; ++jj) crow[jj] += av * brow[jj];
-    }
-  }
-}
-
-/// Decode 8 packed bf16 values into a ymm of floats (exact: shift into the
-/// high half of each 32-bit lane).
-inline __m256 load_bf16x8(const std::uint16_t* p) {
-  const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  return _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_cvtepu16_epi32(raw), 16));
-}
-
-void matmul_bf16_rows_avx2(float* c, const float* a, const std::uint16_t* b, int i0, int i1,
-                           int k, int n) {
-  for (int i = i0; i < i1; ++i) {
-    const float* arow = a + static_cast<std::size_t>(i) * k;
-    float* crow = c + static_cast<std::size_t>(i) * n;
-    int j = 0;
-    for (; j + 32 <= n; j += 32) {
-      float* cj = crow + j;
-      __m256 a0 = _mm256_loadu_ps(cj);
-      __m256 a1 = _mm256_loadu_ps(cj + 8);
-      __m256 a2 = _mm256_loadu_ps(cj + 16);
-      __m256 a3 = _mm256_loadu_ps(cj + 24);
-      for (int p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0F) continue;
-        const __m256 vav = _mm256_set1_ps(av);
-        const std::uint16_t* bj = b + static_cast<std::size_t>(p) * n + j;
-        a0 = _mm256_add_ps(a0, _mm256_mul_ps(vav, load_bf16x8(bj)));
-        a1 = _mm256_add_ps(a1, _mm256_mul_ps(vav, load_bf16x8(bj + 8)));
-        a2 = _mm256_add_ps(a2, _mm256_mul_ps(vav, load_bf16x8(bj + 16)));
-        a3 = _mm256_add_ps(a3, _mm256_mul_ps(vav, load_bf16x8(bj + 24)));
-      }
-      _mm256_storeu_ps(cj, a0);
-      _mm256_storeu_ps(cj + 8, a1);
-      _mm256_storeu_ps(cj + 16, a2);
-      _mm256_storeu_ps(cj + 24, a3);
-    }
-    for (; j + 8 <= n; j += 8) {
-      float* cj = crow + j;
-      __m256 acc = _mm256_loadu_ps(cj);
-      for (int p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0F) continue;
-        acc = _mm256_add_ps(
-            acc, _mm256_mul_ps(_mm256_set1_ps(av),
-                               load_bf16x8(b + static_cast<std::size_t>(p) * n + j)));
-      }
-      _mm256_storeu_ps(cj, acc);
-    }
-    for (int p = 0; p < k && j < n; ++p) {
-      const float av = arow[p];
-      if (av == 0.0F) continue;
-      const std::uint16_t* brow = b + static_cast<std::size_t>(p) * n;
-      for (int jj = j; jj < n; ++jj) crow[jj] += av * bf16_decode1(brow[jj]);
     }
   }
 }
@@ -336,7 +267,6 @@ const KernelBackend* avx2_backend() {
       "avx2",
       &matmul_rows_avx2,
       &matmul_tn_cols_avx2,
-      &matmul_bf16_rows_avx2,
       &matvec_rows_avx2,
       &add_n_avx2,
       &sub_n_avx2,

@@ -10,8 +10,6 @@
 // -ffp-contract=off so no platform can fuse the mul+add into an FMA.
 #include "nn/simd/backend.hpp"
 
-#include "nn/simd/bf16.hpp"
-
 namespace dg::nn::kern {
 namespace {
 
@@ -44,32 +42,6 @@ void matmul_rows_generic(float* c, const float* a, const float* b, int i0, int i
   }
 }
 
-void matmul_bf16_rows_generic(float* c, const float* a, const std::uint16_t* b, int i0, int i1,
-                              int k, int n) {
-  for (int i = i0; i < i1; ++i) {
-    const float* arow = a + static_cast<std::size_t>(i) * k;
-    float* crow = c + static_cast<std::size_t>(i) * n;
-    int j = 0;
-    for (; j + kBlock <= n; j += kBlock) {
-      float acc[kBlock];
-      for (int q = 0; q < kBlock; ++q) acc[q] = crow[j + q];
-      for (int p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0F) continue;
-        const std::uint16_t* bj = b + static_cast<std::size_t>(p) * n + j;
-        for (int q = 0; q < kBlock; ++q) acc[q] += av * bf16_to_float(bj[q]);
-      }
-      for (int q = 0; q < kBlock; ++q) crow[j + q] = acc[q];
-    }
-    for (int p = 0; p < k && j < n; ++p) {
-      const float av = arow[p];
-      if (av == 0.0F) continue;
-      const std::uint16_t* brow = b + static_cast<std::size_t>(p) * n;
-      for (int jj = j; jj < n; ++jj) crow[jj] += av * bf16_to_float(brow[jj]);
-    }
-  }
-}
-
 }  // namespace
 
 const KernelBackend& generic_backend() {
@@ -81,7 +53,6 @@ const KernelBackend& generic_backend() {
       "generic",
       &matmul_rows_generic,
       &scalar_workers::matmul_tn_cols,
-      &matmul_bf16_rows_generic,
       &scalar_workers::matvec_rows,
       &scalar_workers::add_n,
       &scalar_workers::sub_n,

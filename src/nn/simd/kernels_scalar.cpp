@@ -14,8 +14,6 @@
 //  * transcendental maps call libm (std::exp / std::tanh) per element.
 #include "nn/simd/backend.hpp"
 
-#include "nn/simd/bf16.hpp"
-
 #include <cmath>
 
 namespace dg::nn::kern {
@@ -44,20 +42,6 @@ void matmul_tn_cols(float* c, const float* a, const float* b, int j0, int j1, in
       if (av == 0.0F) continue;
       float* crow = c + static_cast<std::size_t>(i) * n;
       for (int j = j0; j < j1; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
-void matmul_bf16_rows(float* c, const float* a, const std::uint16_t* b, int i0, int i1, int k,
-                      int n) {
-  for (int i = i0; i < i1; ++i) {
-    const float* arow = a + static_cast<std::size_t>(i) * k;
-    float* crow = c + static_cast<std::size_t>(i) * n;
-    for (int p = 0; p < k; ++p) {
-      const float av = arow[p];
-      if (av == 0.0F) continue;
-      const std::uint16_t* brow = b + static_cast<std::size_t>(p) * n;
-      for (int j = 0; j < n; ++j) crow[j] += av * bf16_to_float(brow[j]);
     }
   }
 }
@@ -124,7 +108,6 @@ const KernelBackend& scalar_backend() {
       "scalar",
       &scalar_workers::matmul_rows,
       &scalar_workers::matmul_tn_cols,
-      &scalar_workers::matmul_bf16_rows,
       &scalar_workers::matvec_rows,
       &scalar_workers::add_n,
       &scalar_workers::sub_n,

@@ -146,6 +146,7 @@ void Server::note_admitted(bool served_immediately) {
 
 std::future<Response> Server::submit(const Request& request) {
   if (request.graph == nullptr) throw std::invalid_argument("serve::submit: null graph");
+  dg::gnn::check_compatible(engine_.model().config(), *request.graph);
   std::promise<Response> promise;
   std::future<Response> future = promise.get_future();
   if (stopped()) {
@@ -179,6 +180,7 @@ std::future<Response> Server::submit(const Request& request) {
 
 SubmitStatus Server::try_submit(const Request& request, std::future<Response>& out) {
   if (request.graph == nullptr) return SubmitStatus::kInvalid;
+  dg::gnn::check_compatible(engine_.model().config(), *request.graph);
   if (stopped()) {
     dg::util::MutexLock lock(stats_mu_);
     stats_.rejected_stopped += 1;

@@ -181,13 +181,15 @@ class Server {
   /// Admit a request, blocking while the queue is full. The returned future
   /// always resolves: with a Response, or with ServeError after a
   /// cancel-shutdown / submit-after-stop. Throws std::invalid_argument on a
-  /// null graph. Zero-node graphs resolve immediately with an empty
-  /// Response (nothing to forward).
+  /// null graph or one built for another model (gnn::check_compatible), so
+  /// a bad request never reaches, and fails, a merged batch. Zero-node
+  /// graphs resolve immediately with an empty Response (nothing to forward).
   std::future<Response> submit(const Request& request);
 
   /// Non-blocking admission: kAccepted fills `out`; kOverloaded (queue at
   /// capacity) and kStopped/kInvalid leave it untouched and never block —
-  /// the caller decides whether to retry, shed, or degrade.
+  /// the caller decides whether to retry, shed, or degrade. A graph built
+  /// for another model throws std::invalid_argument, as in submit().
   SubmitStatus try_submit(const Request& request, std::future<Response>& out);
 
   /// Hold admissions: queued requests stay queued (try_submit eventually

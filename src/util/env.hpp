@@ -14,16 +14,9 @@
 //                                            (inference kernel backend;
 //                                             default native = best the CPU
 //                                             supports — nn/simd/dispatch.hpp)
-//   DEEPGATE_PRECISION = fp32 | bf16         (default Engine inference weight
-//                                             precision; bf16 = packed bf16
-//                                             weights, fp32 accumulation)
 //   DEEPGATE_ARENA = on | off                (no-grad forward buffer arena,
 //                                             default on — nn/arena.hpp;
 //                                             off = plain heap per forward)
-//   DEEPGATE_FAST_MATH = on | off            (opt-in FMA-contracted avx2
-//                                             matmul kernels; default off =
-//                                             bitwise-vs-scalar contract —
-//                                             nn/simd/dispatch.hpp)
 //   DEEPGATE_INCREMENTAL_MEMO = on | off     (per-generation level-state memo
 //                                             behind IncrementalSession,
 //                                             default on — gnn/incremental.hpp)

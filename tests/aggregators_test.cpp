@@ -27,6 +27,12 @@ struct AggFixture {
     inv_deg = nn::constant(nn::Matrix::from_vector(num_dst, 1, {0.5F, 1.0F / 3.0F}));
     pe = nn::constant(nn::normal(num_edges, 16, 0.5F, rng));
   }
+
+  /// Runs `agg` over the fixture the way the models do: the raw E x 16 pe is
+  /// first projected to the E x 1 score term forward() consumes.
+  Tensor forward(const Aggregator& agg) const {
+    return agg.forward(h_src, h_query, seg, num_dst, inv_deg, agg.project_pe(pe));
+  }
 };
 
 class AggregatorSweep : public ::testing::TestWithParam<AggKind> {};
@@ -35,7 +41,7 @@ TEST_P(AggregatorSweep, OutputShape) {
   AggFixture f(1);
   util::Rng rng(2);
   auto agg = make_aggregator(GetParam(), f.d, 16, rng);
-  const Tensor m = agg->forward(f.h_src, f.h_query, f.seg, f.num_dst, f.inv_deg, f.pe);
+  const Tensor m = f.forward(*agg);
   EXPECT_EQ(m.rows(), f.num_dst);
   EXPECT_EQ(m.cols(), f.d);
 }
@@ -48,12 +54,7 @@ TEST_P(AggregatorSweep, GradientsFlowToSources) {
   agg->collect(params, "agg");
   std::vector<Tensor> leaves{f.h_src};
   for (auto& [n, t] : params) leaves.push_back(t);
-  const auto res = nn::gradcheck(
-      [&] {
-        return nn::mean_all(
-            agg->forward(f.h_src, f.h_query, f.seg, f.num_dst, f.inv_deg, f.pe));
-      },
-      leaves);
+  const auto res = nn::gradcheck([&] { return nn::mean_all(f.forward(*agg)); }, leaves);
   EXPECT_TRUE(res.ok) << agg_kind_name(GetParam()) << " rel=" << res.max_rel_err;
 }
 
@@ -89,12 +90,7 @@ TEST(Attention, QueryGradientFlows) {
   AggFixture f(8);
   util::Rng rng(9);
   auto agg = make_aggregator(AggKind::kAttention, f.d, 16, rng);
-  const auto res = nn::gradcheck(
-      [&] {
-        return nn::mean_all(
-            agg->forward(f.h_src, f.h_query, f.seg, f.num_dst, f.inv_deg, f.pe));
-      },
-      {f.h_query});
+  const auto res = nn::gradcheck([&] { return nn::mean_all(f.forward(*agg)); }, {f.h_query});
   EXPECT_TRUE(res.ok) << "rel=" << res.max_rel_err;
 }
 
@@ -103,8 +99,7 @@ TEST(Attention, PeChangesScores) {
   util::Rng rng(11);
   auto agg = make_aggregator(AggKind::kAttention, f.d, 16, rng);
   Tensor undef;
-  const Tensor with_pe =
-      agg->forward(f.h_src, f.h_query, f.seg, f.num_dst, f.inv_deg, f.pe);
+  const Tensor with_pe = f.forward(*agg);
   const Tensor without_pe =
       agg->forward(f.h_src, f.h_query, f.seg, f.num_dst, f.inv_deg, undef);
   float diff = 0.0F;

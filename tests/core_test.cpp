@@ -2,7 +2,9 @@
 // save, reload — through deepgate::Engine only.
 #include "core/deepgate.hpp"
 
+#include "core/incremental_session.hpp"
 #include "data/generators_small.hpp"
+#include "sim/probability.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
@@ -30,6 +32,39 @@ Options tiny_options() {
   opt.model.iterations = 3;
   opt.model.mlp_hidden = 8;
   return opt;
+}
+
+/// A graph the default model (3 types, pe_L = 8) cannot read, and the
+/// fragments the rejection message must contain.
+struct IncompatibleGraph {
+  CircuitGraph graph;
+  std::string graph_value, model_value;
+};
+
+/// An AIG graph re-finalized with pe_L = 16, and a raw netlist graph with
+/// num_types = 9.
+std::vector<IncompatibleGraph> incompatible_graphs() {
+  dg::util::Rng rng(5);
+  const dg::netlist::Netlist nl = dg::data::gen_itc_like(rng);
+  CircuitGraph wide_pe = deepgate::prepare(nl, 2000, 6);
+  wide_pe.finalize(16);
+  CircuitGraph nine_types =
+      CircuitGraph::from_netlist(nl, dg::sim::netlist_probabilities(nl, 2000, 7));
+  return {{std::move(wide_pe), "pe_L = 16", "pe_L = 8"},
+          {std::move(nine_types), "num_types = 9", "num_types = 3"}};
+}
+
+/// `fn` must throw std::invalid_argument naming the field and both values.
+template <typename Fn>
+void expect_rejected(const IncompatibleGraph& bad, Fn&& fn) {
+  try {
+    fn();
+    ADD_FAILURE() << "accepted a graph with " << bad.graph_value;
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(bad.graph_value), std::string::npos) << what;
+    EXPECT_NE(what.find(bad.model_value), std::string::npos) << what;
+  }
 }
 
 TEST(Core, PrepareBuildsAigGraphWithLabels) {
@@ -101,6 +136,20 @@ TEST(Core, DefaultOptionsAreFullDeepGate) {
   EXPECT_TRUE(opt.spec.use_skip);
   Engine engine(opt);
   EXPECT_STREQ(engine.model().name(), "DeepGate");
+}
+
+TEST(Core, RejectsGraphsBuiltForAnotherModel) {
+  const auto good = prepared_graphs(1, 8);
+  const Engine engine(tiny_options());
+  const auto before = engine.predict_probabilities(good[0]);
+  for (const IncompatibleGraph& bad : incompatible_graphs()) {
+    expect_rejected(bad, [&] { engine.predict_probabilities(bad.graph); });
+    expect_rejected(bad, [&] { engine.embeddings(bad.graph); });
+    expect_rejected(bad, [&] { engine.infer_batch({&good[0], &bad.graph}); });
+    expect_rejected(bad, [&] { engine.evaluate({good[0], bad.graph}); });
+    expect_rejected(bad, [&] { deepgate::IncrementalSession session(engine, bad.graph); });
+  }
+  EXPECT_EQ(engine.predict_probabilities(good[0]), before);
 }
 
 TEST(Core, AlternativeSpecsConstruct) {

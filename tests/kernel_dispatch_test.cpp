@@ -7,29 +7,20 @@
 //    Inf-bearing skipped B rows) — see nn/kernels.hpp;
 //  * bit-identical results at every DEEPGATE_THREADS value;
 //  * sigmoid/tanh within the stated absolute bound on avx2 (bitwise on
-//    generic, which keeps libm);
-//  * bf16: exact decode, round-to-nearest-even, and the key guarantee
-//    matmul_bf16(a, to_bf16(w)) == matmul(a, bf16_round(w)) bitwise;
-//  * Engine-level bf16 inference within a measured accuracy bound of fp32.
+//    generic, which keeps libm).
 //
 // The CI kernel-dispatch matrix re-runs this suite with DEEPGATE_SIMD set to
 // each level, so the dispatcher's env path is proven too, not just
 // set_level().
-#include "core/deepgate.hpp"
-#include "data/generators_large.hpp"
 #include "nn/init.hpp"
 #include "nn/kernels.hpp"
-#include "nn/simd/backend.hpp"
-#include "nn/simd/bf16.hpp"
 #include "nn/simd/dispatch.hpp"
-#include "util/env.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -325,68 +316,6 @@ TEST(KernelDispatch, TranscendentalMapsArePositionInvariant) {
   }
 }
 
-TEST(KernelDispatch, Bf16RoundTripAndRounding) {
-  // Values already on the bf16 grid decode back exactly.
-  for (const float v : {0.0F, 1.0F, -2.0F, 0.5F, -0.375F, 256.0F}) {
-    EXPECT_EQ(v, bf16_to_float(bf16_from_float(v)));
-    EXPECT_EQ(v, bf16_round(v));
-  }
-  // Sign of zero survives.
-  EXPECT_TRUE(std::signbit(bf16_round(-0.0F)));
-  EXPECT_FALSE(std::signbit(bf16_round(0.0F)));
-  // Infinities are representable; NaN stays NaN.
-  constexpr float kInf = std::numeric_limits<float>::infinity();
-  EXPECT_EQ(kInf, bf16_round(kInf));
-  EXPECT_EQ(-kInf, bf16_round(-kInf));
-  EXPECT_TRUE(std::isnan(bf16_round(std::numeric_limits<float>::quiet_NaN())));
-  // Round-to-nearest-even at the midpoint: bf16 keeps 7 mantissa bits, so
-  // 1 + 2^-8 is exactly between bf16(1.0) and bf16(1 + 2^-7); ties go to
-  // the even mantissa (1.0).
-  EXPECT_EQ(1.0F, bf16_round(1.0F + 0x1p-8F));
-  // Just above the midpoint rounds up.
-  EXPECT_EQ(1.0F + 0x1p-7F, bf16_round(1.0F + 0x1p-8F + 0x1p-15F));
-  // The next midpoint (odd mantissa below) rounds UP to even.
-  EXPECT_EQ(1.0F + 0x1p-6F, bf16_round(1.0F + 0x1p-7F + 0x1p-8F));
-  // Relative error bound 2^-8 for normal values.
-  util::Rng rng(505);
-  const Matrix m = normal(16, 16, 3.0F, rng);
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    const float v = m.data()[i];
-    EXPECT_LE(std::abs(bf16_round(v) - v), std::abs(v) * 0x1p-8F) << v;
-  }
-  // Idempotence: rounding is a projection.
-  for (std::size_t i = 0; i < m.size(); ++i)
-    EXPECT_EQ(bf16_round(m.data()[i]), bf16_round(bf16_round(m.data()[i])));
-}
-
-// The guarantee the Engine's bf16 mode rests on: serving from the packed
-// shadow is bitwise the same as serving fp32 weights that sit on the bf16
-// grid — on every backend, every shape, every thread count covered above.
-TEST(KernelDispatch, MatmulBf16EqualsRoundedFp32Bitwise) {
-  util::Rng rng(606);
-  for (const Shape& s : kShapes) {
-    const Matrix a = salted(s.m, s.k, rng, 41);
-    const Matrix w = normal(s.k, s.n, 1.0F, rng);
-    const Bf16Matrix wq = to_bf16(w);
-    Matrix w_rounded = w;
-    bf16_round_inplace(w_rounded);
-    expect_bitwise(from_bf16(wq), w_rounded, "decode == rounded");
-
-    Matrix want;
-    {
-      ScopedLevel scalar(SimdLevel::kScalar);
-      want = matmul(a, w_rounded);
-    }
-    for (SimdLevel l : runnable_levels()) {
-      ScopedLevel level(l);
-      const std::string tag = std::string(simd::level_name(l)) + " " + std::to_string(s.m) +
-                              "x" + std::to_string(s.k) + "x" + std::to_string(s.n);
-      expect_bitwise(matmul_bf16(a, wq), want, "matmul_bf16 " + tag);
-      expect_bitwise(matmul(a, w_rounded), want, "matmul rounded " + tag);
-    }
-  }
-}
-
 TEST(KernelDispatch, ResolveAndNames) {
   EXPECT_EQ(SimdLevel::kScalar, simd::resolve("scalar"));
   EXPECT_EQ(SimdLevel::kGeneric, simd::resolve("generic"));
@@ -401,202 +330,11 @@ TEST(KernelDispatch, ResolveAndNames) {
   EXPECT_STREQ("scalar", simd::level_name(SimdLevel::kScalar));
   EXPECT_STREQ("generic", simd::level_name(SimdLevel::kGeneric));
   EXPECT_STREQ("avx2", simd::level_name(SimdLevel::kAvx2));
-  EXPECT_STREQ("fp32", precision_name(Precision::kFp32));
-  EXPECT_STREQ("bf16", precision_name(Precision::kBf16));
   // The scalar level is always runnable and force-able.
   EXPECT_TRUE(simd::available(SimdLevel::kScalar));
   const SimdLevel prev = simd::set_level(SimdLevel::kScalar);
   EXPECT_EQ(SimdLevel::kScalar, simd::active());
   simd::set_level(prev);
-}
-
-// End-to-end: a bf16 Engine reproduces the fp32 Engine's predictions within
-// a measured bound on the Table II/III eval metric, and its clones serve
-// bit-exactly (the shadow rebuild in clone_model works).
-TEST(KernelDispatch, EngineBf16AccuracyAndCloneParity) {
-  // Weight-space rounding is 2^-8 relative; through dim=12 x 3 iterations of
-  // sigmoid/tanh-bounded propagation the observed prediction delta stays
-  // well under 1e-2 on the [0, 1] probability outputs.
-  constexpr float kPredBound = 1e-2F;
-
-  const deepgate::CircuitGraph g = deepgate::prepare(dg::data::gen_squarer(4), 2000, 9);
-
-  deepgate::Options fp32_opts;
-  fp32_opts.model.dim = 12;
-  fp32_opts.model.iterations = 3;
-  fp32_opts.model.mlp_hidden = 8;
-  fp32_opts.model.seed = 11;
-  fp32_opts.precision = Precision::kFp32;
-  deepgate::Options bf16_opts = fp32_opts;
-  bf16_opts.precision = Precision::kBf16;
-
-  const deepgate::Engine fp32_engine(fp32_opts);
-  const deepgate::Engine bf16_engine(bf16_opts);
-
-  const std::vector<float> p_fp32 = fp32_engine.predict_probabilities(g);
-  const std::vector<float> p_bf16 = bf16_engine.predict_probabilities(g);
-  ASSERT_EQ(p_fp32.size(), p_bf16.size());
-  float max_delta = 0.0F;
-  for (std::size_t i = 0; i < p_fp32.size(); ++i)
-    max_delta = std::max(max_delta, std::abs(p_fp32[i] - p_bf16[i]));
-  EXPECT_LE(max_delta, kPredBound);
-  EXPECT_GT(max_delta, 0.0F) << "bf16 rounding should be observable";
-
-  // Eval metric (avg prediction error, Eq. 8) moves by at most the
-  // prediction bound.
-  const double eval_fp32 = fp32_engine.evaluate({g});
-  const double eval_bf16 = bf16_engine.evaluate({g});
-  EXPECT_NEAR(eval_fp32, eval_bf16, kPredBound);
-
-  // Clone parity: the replica a serve lane would use is bit-exact with the
-  // engine's own forward.
-  const auto clone = bf16_engine.clone_model();
-  dg::nn::NoGradGuard no_grad;
-  const Matrix clone_pred = clone->forward_outputs(g).prediction.value();
-  for (std::size_t i = 0; i < p_bf16.size(); ++i)
-    EXPECT_EQ(p_bf16[i], clone_pred.at(static_cast<int>(i), 0)) << i;
-}
-
-/// RAII: force the fast-math overlay, restore the previous setting on exit.
-class ScopedFastMath {
- public:
-  explicit ScopedFastMath(bool on) : prev_(simd::set_fast_math(on)) {}
-  ~ScopedFastMath() { simd::set_fast_math(prev_); }
-
- private:
-  bool prev_;
-};
-
-// The DEEPGATE_FAST_MATH overlay must be strictly opt-in, ride the avx2
-// level only, and leave scalar/generic untouched.
-TEST(KernelDispatch, FastMathOverlayInstallsOnlyOnAvx2) {
-  if (dg::util::env_str("DEEPGATE_FAST_MATH") != "on") {
-    EXPECT_FALSE(simd::fast_math()) << "fast math must default to off";
-  }
-
-  ScopedFastMath fm(true);
-  EXPECT_TRUE(simd::fast_math());
-  {
-    ScopedLevel scalar(SimdLevel::kScalar);
-    EXPECT_STREQ("scalar", backend().name);
-  }
-  {
-    ScopedLevel generic(SimdLevel::kGeneric);
-    EXPECT_STREQ("generic", backend().name);
-  }
-  if (simd::available(SimdLevel::kAvx2)) {
-    ScopedLevel avx2(SimdLevel::kAvx2);
-    EXPECT_STREQ("avx2_fma", backend().name);
-    // Toggling off re-publishes the bitwise avx2 table for the same level.
-    ScopedFastMath off(false);
-    EXPECT_STREQ("avx2", backend().name);
-  }
-}
-
-// The fast-math matmul family carries a tolerance bound instead of the
-// bitwise contract: one FMA rounding per mul+add step, so the deviation from
-// the scalar oracle is a few ulps of the accumulated magnitude. The
-// zero-skip semantics (exact zeros skipped, Inf/NaN in skipped rows never
-// leak) must survive unchanged — they are value semantics, not rounding.
-TEST(KernelDispatch, FastMathMatmulFamilyWithinTolerance) {
-  if (!simd::available(SimdLevel::kAvx2)) GTEST_SKIP() << "no avx2 on this build/CPU";
-
-  const auto expect_close = [](const Matrix& got, const Matrix& want, const std::string& what) {
-    ASSERT_TRUE(got.same_shape(want)) << what;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      const float w = want.data()[i];
-      EXPECT_NEAR(w, got.data()[i], 1e-4F * (1.0F + std::abs(w))) << what << " i=" << i;
-    }
-  };
-
-  util::Rng rng(707);
-  // Includes n == 1 columns (the matvec_rows path) beyond kShapes' coverage.
-  const Shape fma_shapes[] = {{1, 1, 1}, {7, 13, 17}, {5, 64, 96}, {9, 13, 1},
-                              {2, 10, 100}, {33, 24, 1}};
-  for (const Shape& s : fma_shapes) {
-    const Matrix a = salted(s.m, s.k, rng, 53);
-    const Matrix b = normal(s.k, s.n, 1.0F, rng);
-    const Matrix at = normal(s.k, s.m, 1.0F, rng);
-    const Matrix c0 = normal(s.m, s.n, 1.0F, rng);
-    const Bf16Matrix wq = to_bf16(b);
-
-    Matrix want, want_acc, want_tn, want_bf16, want_axpy;
-    {
-      ScopedLevel scalar(SimdLevel::kScalar);
-      want = matmul(a, b);
-      want_acc = c0;
-      matmul_acc(want_acc, a, b);
-      want_tn = matmul_tn(at, b);
-      want_bf16 = matmul_bf16(a, wq);
-      want_axpy = c0;
-      axpy(want_axpy, -0.3F, c0);
-    }
-
-    ScopedLevel avx2(SimdLevel::kAvx2);
-    ScopedFastMath fm(true);
-    const std::string tag = std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
-                            std::to_string(s.n);
-    expect_close(matmul(a, b), want, "fma matmul " + tag);
-    Matrix acc_res = c0;
-    matmul_acc(acc_res, a, b);
-    expect_close(acc_res, want_acc, "fma matmul_acc " + tag);
-    expect_close(matmul_tn(at, b), want_tn, "fma matmul_tn " + tag);
-    expect_close(matmul_bf16(a, wq), want_bf16, "fma matmul_bf16 " + tag);
-    Matrix axpy_res = c0;
-    axpy(axpy_res, -0.3F, c0);
-    expect_close(axpy_res, want_axpy, "fma axpy " + tag);
-  }
-
-  // Zero-skip property under FMA contraction.
-  constexpr float kInf = std::numeric_limits<float>::infinity();
-  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
-  Matrix a(2, 2);
-  a.at(0, 0) = 0.0F;
-  a.at(0, 1) = -0.0F;
-  a.at(1, 0) = 1.0F;
-  a.at(1, 1) = 0.0F;
-  Matrix b(2, 9);
-  for (int j = 0; j < 9; ++j) {
-    b.at(0, j) = 2.0F + static_cast<float>(j);
-    b.at(1, j) = (j % 2 == 0) ? kInf : kNan;
-  }
-  ScopedLevel avx2(SimdLevel::kAvx2);
-  ScopedFastMath fm(true);
-  const Matrix c = matmul(a, b);
-  for (int j = 0; j < 9; ++j) {
-    EXPECT_EQ(0.0F, c.at(0, j)) << "all-zero A row must stay exact zero";
-    EXPECT_FALSE(std::signbit(c.at(0, j)));
-    EXPECT_EQ(2.0F + static_cast<float>(j), c.at(1, j))
-        << "Inf/NaN in the skipped B row must not leak";
-  }
-}
-
-// End-to-end: an Engine forward under the fast-math overlay stays within a
-// small tolerance of the bitwise avx2 path on [0, 1] probability outputs.
-TEST(KernelDispatch, FastMathEnginePredictionsWithinTolerance) {
-  if (!simd::available(SimdLevel::kAvx2)) GTEST_SKIP() << "no avx2 on this build/CPU";
-
-  const deepgate::CircuitGraph g = deepgate::prepare(dg::data::gen_squarer(4), 2000, 9);
-  deepgate::Options opts;
-  opts.model.dim = 12;
-  opts.model.iterations = 3;
-  opts.model.mlp_hidden = 8;
-  opts.model.seed = 11;
-  const deepgate::Engine engine(opts);
-
-  ScopedLevel avx2(SimdLevel::kAvx2);
-  std::vector<float> ref, fast;
-  {
-    ScopedFastMath off(false);
-    ref = engine.predict_probabilities(g);
-  }
-  {
-    ScopedFastMath on(true);
-    fast = engine.predict_probabilities(g);
-  }
-  ASSERT_EQ(ref.size(), fast.size());
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    EXPECT_NEAR(ref[i], fast[i], 1e-4F) << i;
 }
 
 }  // namespace

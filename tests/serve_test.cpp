@@ -11,6 +11,7 @@
 #include "gnn/merge_cache.hpp"
 #include "nn/arena.hpp"
 #include "obs/metrics.hpp"
+#include "sim/probability.hpp"
 #include "util/lru.hpp"
 
 #include <gtest/gtest.h>
@@ -319,6 +320,32 @@ TEST(ServeLoop, InvalidAndDegenerateRequests) {
   const Response r = fe.get();
   EXPECT_TRUE(r.probabilities.empty());
   EXPECT_EQ(r.embedding.rows(), 0);
+
+  // Graphs built for another model (pe_L = 16; a 9-type raw netlist graph)
+  // are refused at admission, naming the field, while a valid request held
+  // in the queue beside them is still served.
+  util::Rng rng(5);
+  const netlist::Netlist nl = data::gen_itc_like(rng);
+  CircuitGraph wide_pe = deepgate::prepare(nl, 2000, 6);
+  wide_pe.finalize(16);
+  const CircuitGraph nine_types =
+      CircuitGraph::from_netlist(nl, sim::netlist_probabilities(nl, 2000, 7));
+  const CircuitGraph good = deepgate::prepare(data::gen_squarer(4), 2000, 8);
+  server->pause();
+  auto fg = server->submit({&good});
+  const std::pair<const CircuitGraph*, const char*> rejected[] = {
+      {&wide_pe, "pe_L = 16"}, {&nine_types, "num_types = 9"}};
+  for (const auto& [bad, field] : rejected) {
+    try {
+      server->submit({bad});
+      ADD_FAILURE() << "submit accepted " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+    EXPECT_THROW(server->try_submit({bad}, f), std::invalid_argument);
+  }
+  server->resume();
+  EXPECT_EQ(fg.get().probabilities, engine.predict_probabilities(good));
 }
 
 // -- Shutdown ------------------------------------------------------------------

@@ -22,10 +22,7 @@ Rules (each violation prints one `rule: file:line: message` line; exit 1):
   kernels-fp-contract       Every vector TU (src/nn/simd/kernels_*.cpp except
                             the scalar oracle) must be compiled with
                             -ffp-contract=off so mul+add stays bitwise equal
-                            to the oracle. Documented exception: the opt-in
-                            DEEPGATE_FAST_MATH TU kernels_avx2_fma.cpp, which
-                            trades the bitwise contract for a tolerance bound
-                            and must NOT set it.
+                            to the oracle. No exceptions.
 
   kernels-raw-mutex         std::mutex / std::condition_variable /
                             std::lock_guard / std::unique_lock /
@@ -62,7 +59,6 @@ SSFP_RE = re.compile(r"set_source_files_properties\s*\(([^)]*)\)", re.IGNORECASE
 VECTOR_TU_DIR = "src/nn/simd"
 VECTOR_TU_RE = re.compile(r"^kernels_\w+\.cpp$")
 SCALAR_ORACLE = "kernels_scalar.cpp"
-FAST_MATH_TU = "kernels_avx2_fma.cpp"
 
 MUTEX_RE = re.compile(
     r"\bstd::(?:mutex|timed_mutex|recursive_mutex|shared_mutex|condition_variable(?:_any)?"
@@ -153,13 +149,7 @@ def lint_cmake(root: pathlib.Path, violations: list) -> None:
             offset += len(line)
 
     for tu in vector_tus:
-        if tu == FAST_MATH_TU:
-            if tu in fp_contract_tus:
-                violations.append(
-                    f"kernels-fp-contract: {VECTOR_TU_DIR}/{tu}: the DEEPGATE_FAST_MATH TU must "
-                    f"NOT set {FP_CONTRACT_OFF} (it is the documented tolerance-bounded "
-                    "exception; forcing it off defeats the lane)")
-        elif tu not in fp_contract_tus:
+        if tu not in fp_contract_tus:
             violations.append(
                 f"kernels-fp-contract: {VECTOR_TU_DIR}/{tu}: no set_source_files_properties "
                 f"block applies {FP_CONTRACT_OFF} — without it the compiler may contract "
