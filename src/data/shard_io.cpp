@@ -243,9 +243,7 @@ ShardStream::Loaded ShardStream::load_shard(std::size_t index) const {
                            shard_error_name(err), ")");
     return loaded;
   }
-  ++disk_loads_;
-  static obs::Counter& disk_counter = obs::counter("data.shard_stream.disk_loads");
-  disk_counter.add();
+  disk_loads_.add();
   loaded.ok = true;
   loaded.graphs.reserve(records.size());
   for (auto& rec : records) loaded.graphs.push_back(std::move(rec.graph));
@@ -275,9 +273,7 @@ bool ShardStream::next(std::vector<gnn::CircuitGraph>& out) {
       if (it->first != index) continue;
       out = it->second;
       lru_.splice(lru_.begin(), lru_, it);
-      ++lru_hits_;
-      static obs::Counter& lru_counter = obs::counter("data.shard_stream.lru_hits");
-      lru_counter.add();
+      lru_hits_.add();
       hit = true;
       break;
     }
@@ -291,11 +287,7 @@ bool ShardStream::next(std::vector<gnn::CircuitGraph>& out) {
     Loaded loaded;
     if (pending_.valid() && pending_index_ == index) {
       loaded = pending_.get();
-      if (loaded.ok) {
-        ++prefetch_hits_;
-        static obs::Counter& prefetch_counter = obs::counter("data.shard_stream.prefetch_hits");
-        prefetch_counter.add();
-      }
+      if (loaded.ok) prefetch_hits_.add();
     } else {
       drop_pending();
       loaded = load_shard(index);

@@ -17,8 +17,8 @@
 
 #include "gnn/circuit_graph.hpp"
 #include "gnn/trainer.hpp"
+#include "obs/metrics.hpp"
 
-#include <atomic>
 #include <cstdint>
 #include <future>
 #include <list>
@@ -156,9 +156,9 @@ class ShardStream final : public gnn::GraphStream {
   const StreamOptions& options() const { return opts_; }
 
   /// Observability for tests/benches.
-  std::size_t lru_hits() const { return lru_hits_; }
-  std::size_t prefetch_hits() const { return prefetch_hits_; }
-  std::size_t disk_loads() const { return disk_loads_.load(); }
+  std::size_t lru_hits() const { return lru_hits_.value(); }
+  std::size_t prefetch_hits() const { return prefetch_hits_.value(); }
+  std::size_t disk_loads() const { return disk_loads_.value(); }
 
  private:
   struct Loaded {
@@ -181,9 +181,10 @@ class ShardStream final : public gnn::GraphStream {
   std::future<Loaded> pending_;
   std::size_t pending_index_ = 0;
 
-  std::size_t lru_hits_ = 0;
-  std::size_t prefetch_hits_ = 0;
-  mutable std::atomic<std::size_t> disk_loads_{0};  ///< touched by the prefetch thread
+  obs::Scope scope_;
+  obs::Counter& lru_hits_ = scope_.counter("data.shard_stream.lru_hits");
+  obs::Counter& prefetch_hits_ = scope_.counter("data.shard_stream.prefetch_hits");
+  obs::Counter& disk_loads_ = scope_.counter("data.shard_stream.disk_loads");
 };
 
 }  // namespace dg::data

@@ -1,19 +1,8 @@
 #include "gnn/merge_cache.hpp"
 
-#include "obs/metrics.hpp"
 #include "util/hash.hpp"
 
 namespace dg::gnn {
-
-namespace {
-// Process-wide roll-up across every MergeCache instance (serve lanes,
-// Engine::evaluate); per-instance stats() stays exact.
-void note_lookup(bool hit) {
-  static obs::Counter& hits = obs::counter("gnn.merge_cache.hits");
-  static obs::Counter& misses = obs::counter("gnn.merge_cache.misses");
-  (hit ? hits : misses).add();
-}
-}  // namespace
 
 MergeCache::MergeCache(std::size_t capacity) : capacity_(capacity), cache_(capacity) {}
 
@@ -52,25 +41,19 @@ std::shared_ptr<const CircuitGraph> MergeCache::merged(
     const std::vector<const CircuitGraph*>& parts, bool* was_hit) {
   if (was_hit != nullptr) *was_hit = false;
   if (capacity_ == 0) {
-    {
-      util::MutexLock lock(mu_);
-      stats_.misses += 1;
-    }
-    note_lookup(false);
+    misses_.add();
     return std::make_shared<const CircuitGraph>(CircuitGraph::merge(parts));
   }
   const std::uint64_t key = signature(parts);
   {
     util::MutexLock lock(mu_);
     if (auto* hit = cache_.get(key)) {
-      stats_.hits += 1;
+      hits_.add();
       if (was_hit != nullptr) *was_hit = true;
-      note_lookup(true);
       return *hit;
     }
-    stats_.misses += 1;
   }
-  note_lookup(false);
+  misses_.add();
   // Merge outside the lock: finalize() is the expensive part and must not
   // serialize the worker lanes.
   auto built = std::make_shared<const CircuitGraph>(CircuitGraph::merge(parts));
@@ -85,8 +68,10 @@ void MergeCache::clear() {
 }
 
 MergeCacheStats MergeCache::stats() const {
+  MergeCacheStats snapshot;
+  snapshot.hits = hits_.value();
+  snapshot.misses = misses_.value();
   util::MutexLock lock(mu_);
-  MergeCacheStats snapshot = stats_;
   snapshot.entries = cache_.size();
   return snapshot;
 }

@@ -20,12 +20,16 @@
 // may race to build the same entry (both results are identical; last insert
 // wins, one is wasted work — acceptable and rare).
 //
+// Each lookup is counted once, into the cache's obs::Scope: stats() reads
+// it, and obs::snapshot() sums it into gnn.merge_cache.hits / .misses.
+//
 // Lives in the gnn layer next to the executor (gnn/executor.hpp), whose
 // Batch::merge step takes an optional cache: the serve::Server lanes and
 // Engine::evaluate re-running a fixed test set both merge through one.
 #pragma once
 
 #include "gnn/circuit_graph.hpp"
+#include "obs/metrics.hpp"
 #include "util/lru.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -69,12 +73,14 @@ class MergeCache {
 
  private:
   const std::size_t capacity_;
+  obs::Scope scope_;
+  obs::Counter& hits_ = scope_.counter("gnn.merge_cache.hits");
+  obs::Counter& misses_ = scope_.counter("gnn.merge_cache.misses");
   mutable util::Mutex mu_;
   // The LruCache itself is lock-free-of (documented in util/lru.hpp: callers
   // hold their own lock) — GUARDED_BY makes that contract compiler-checked.
   util::LruCache<std::uint64_t, std::shared_ptr<const CircuitGraph>> cache_
       DG_GUARDED_BY(mu_);
-  MergeCacheStats stats_ DG_GUARDED_BY(mu_);
 };
 
 }  // namespace dg::gnn

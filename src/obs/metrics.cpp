@@ -80,7 +80,8 @@ std::vector<double> make_bounds(const HistogramOptions& opts) {
 }  // namespace
 
 Histogram::Histogram(const HistogramOptions& opts)
-    : bounds_(make_bounds(opts)),
+    : opts_(opts),
+      bounds_(make_bounds(opts)),
       cells_(bounds_.size() + 1),
       tick_(opts.tick > 0.0 ? opts.tick : 1e-9) {}
 
@@ -146,6 +147,16 @@ struct Registry::Impl {
   };
   std::map<std::string, Callback> callbacks DG_GUARDED_BY(mu);
   std::uint64_t next_token DG_GUARDED_BY(mu) = 1;
+
+  // Per-owner metrics of every live Scope, keyed by the scope's address.
+  struct ScopeMetrics {
+    std::map<std::string, std::unique_ptr<Counter>> counters;
+    std::map<std::string, std::unique_ptr<Histogram>> histograms;
+  };
+  std::map<const Scope*, ScopeMetrics> scopes DG_GUARDED_BY(mu);
+  // What destroyed scopes recorded, by name.
+  std::map<std::string, std::uint64_t> retained_counts DG_GUARDED_BY(mu);
+  std::map<std::string, HistogramSnapshot> retained_hists DG_GUARDED_BY(mu);
 };
 
 Registry::Impl& Registry::impl() const {
@@ -194,12 +205,23 @@ void Registry::remove_callback(const std::string& name, std::uint64_t token) {
 }
 
 void Registry::visit(
-    const std::function<void(const std::string&, const Counter&)>& on_counter,
+    const std::function<void(const std::string&, std::uint64_t)>& on_counter,
     const std::function<void(const std::string&, double)>& on_gauge,
-    const std::function<void(const std::string&, const Histogram&)>& on_histogram) const {
+    const std::function<void(const std::string&, const HistogramSnapshot&)>& on_histogram)
+    const {
   Impl& im = impl();
   util::MutexLock lock(im.mu);
-  for (const auto& [name, c] : im.counters) on_counter(name, *c);
+  // Every scope name is registered too (Scope::counter/histogram), so
+  // walking the registered names covers retained and live scope values.
+  for (const auto& [name, c] : im.counters) {
+    std::uint64_t total = c->value();
+    if (const auto it = im.retained_counts.find(name); it != im.retained_counts.end())
+      total += it->second;
+    for (const auto& [scope, m] : im.scopes)
+      if (const auto it = m.counters.find(name); it != m.counters.end())
+        total += it->second->value();
+    on_counter(name, total);
+  }
   for (const auto& [name, g] : im.gauges)
     on_gauge(name, static_cast<double>(g->value()));
   // Callbacks must not call back into the registry (the lock is held); they
@@ -213,12 +235,55 @@ void Registry::visit(
       // Swallowed by design (see comment above): observation must not throw.
     }
   }
-  for (const auto& [name, h] : im.histograms) on_histogram(name, *h);
+  for (const auto& [name, h] : im.histograms) {
+    HistogramSnapshot total = h->snapshot();
+    if (const auto it = im.retained_hists.find(name); it != im.retained_hists.end())
+      total.merge(it->second);
+    for (const auto& [scope, m] : im.scopes)
+      if (const auto it = m.histograms.find(name); it != m.histograms.end())
+        total.merge(it->second->snapshot());
+    on_histogram(name, total);
+  }
 }
 
 Registry& registry() {
   static Registry instance;
   return instance;
+}
+
+// -- Scope --------------------------------------------------------------------
+
+Scope::~Scope() {
+  Registry::Impl& im = registry().impl();
+  util::MutexLock lock(im.mu);
+  const auto it = im.scopes.find(this);
+  if (it == im.scopes.end()) return;
+  for (const auto& [name, c] : it->second.counters) im.retained_counts[name] += c->value();
+  for (const auto& [name, h] : it->second.histograms) {
+    const auto [slot, fresh] = im.retained_hists.try_emplace(name, h->snapshot());
+    if (!fresh) slot->second.merge(h->snapshot());
+  }
+  im.scopes.erase(it);
+}
+
+Counter& Scope::counter(const std::string& name) {
+  Registry& reg = registry();
+  reg.counter(name);  // the key outlives the scope
+  Registry::Impl& im = reg.impl();
+  util::MutexLock lock(im.mu);
+  auto& slot = im.scopes[this].counters[name];
+  if (!slot) slot = std::make_unique<Counter>(/*always_on=*/true);
+  return *slot;
+}
+
+Histogram& Scope::histogram(const std::string& name, const HistogramOptions& opts) {
+  Registry& reg = registry();
+  const HistogramOptions layout = reg.histogram(name, opts).options();
+  Registry::Impl& im = reg.impl();
+  util::MutexLock lock(im.mu);
+  auto& slot = im.scopes[this].histograms[name];
+  if (!slot) slot = std::make_unique<Histogram>(layout);
+  return *slot;
 }
 
 Counter& counter(const std::string& name) { return registry().counter(name); }

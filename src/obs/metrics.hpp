@@ -1,7 +1,7 @@
 // Process-wide metrics registry: named atomic counters, gauges, and
 // fixed-bucket log-spaced histograms — the measurement substrate shared by
 // every subsystem (serve lanes, merge/shard caches, arena, incremental memo,
-// thread pool).
+// thread pool) — plus per-owner scopes.
 //
 // Design constraints, in order:
 //  - Hot-path cheap: a Counter::add is one relaxed atomic fetch_add behind a
@@ -15,6 +15,8 @@
 //    and commutative: a fixed-order reduction is bit-identical at any
 //    DEEPGATE_THREADS, and quantiles derived from the merged buckets are
 //    deterministic.
+//  - One accounting path: an object with per-instance accessors records
+//    each event once, into its own Scope (below), and the accessor reads it.
 //  - Bitwise-neutral: metrics only observe; nothing here feeds back into any
 //    computation. Inference outputs are bitwise identical with
 //    DEEPGATE_METRICS=on or off (asserted in tests/obs_test.cpp).
@@ -26,6 +28,12 @@
 //
 // Knob: DEEPGATE_METRICS=on|off (default on; strict parse — unknown values
 // warn and keep the default), or metrics_set_enabled() for tests/benches.
+// Off drops every registry counter/gauge add and every histogram record,
+// scope histograms included. Scope counters keep counting, because the
+// per-instance accessors report them: with metrics off the snapshot's
+// scope-backed counters (serve.requests.*, serve.windows.closed,
+// gnn.merge_cache.*, data.shard_stream.* and their hit rates) still advance
+// instead of staying frozen.
 #pragma once
 
 #include <atomic>
@@ -46,13 +54,19 @@ void metrics_set_enabled(bool on);
 /// totals do.
 class Counter {
  public:
+  Counter() = default;
+  /// `always_on` counters count even with recording off (scope counters and
+  /// other per-instance counts).
+  explicit Counter(bool always_on) : always_on_(always_on) {}
+
   void add(std::uint64_t n = 1) {
-    if (metrics_enabled()) v_.fetch_add(n, std::memory_order_relaxed);
+    if (always_on_ || metrics_enabled()) v_.fetch_add(n, std::memory_order_relaxed);
   }
   std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> v_{0};
+  bool always_on_ = false;
 };
 
 /// Last-writer-wins instantaneous value.
@@ -129,9 +143,11 @@ class Histogram {
   HistogramSnapshot snapshot() const;
 
   const std::vector<double>& bounds() const { return bounds_; }
+  const HistogramOptions& options() const { return opts_; }
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
 
  private:
+  HistogramOptions opts_;
   std::vector<double> bounds_;
   std::vector<std::atomic<std::uint64_t>> cells_;  ///< bounds_.size() + 1
   std::atomic<std::uint64_t> count_{0};
@@ -159,15 +175,45 @@ class Registry {
   void remove_callback(const std::string& name, std::uint64_t token);
 
   /// Visit every metric (and evaluated callback) under the registration
-  /// lock, name-sorted. Callback exceptions are swallowed (a snapshot must
+  /// lock, name-sorted. Counter and histogram values are the registered
+  /// metric plus the retained total of destroyed scopes plus every live
+  /// scope (see Scope). Callback exceptions are swallowed (a snapshot must
   /// never take down the process it observes).
-  void visit(const std::function<void(const std::string&, const Counter&)>& on_counter,
+  void visit(const std::function<void(const std::string&, std::uint64_t)>& on_counter,
              const std::function<void(const std::string&, double)>& on_gauge,
-             const std::function<void(const std::string&, const Histogram&)>& on_histogram) const;
+             const std::function<void(const std::string&, const HistogramSnapshot&)>&
+                 on_histogram) const;
 
  private:
+  friend class Scope;
   struct Impl;
   Impl& impl() const;
+};
+
+/// One object's share of the process-wide names (a serve::Server's Stats, a
+/// MergeCache's hit/miss counts, a ShardStream's load counts). The owner
+/// takes its metrics at construction and answers its accessors from them:
+///
+///   obs::Scope scope_;  // declared first: it outlives the references
+///   obs::Counter& hits_ = scope_.counter("gnn.merge_cache.hits");
+///
+/// obs::snapshot() reports each name as the registry's retained total plus
+/// every live scope; the destructor folds the scope into that total, exactly
+/// (HistogramSnapshot::merge). Scope counters always count; scope histograms
+/// obey the switch. Registration takes the registry lock; recording does not.
+class Scope {
+ public:
+  Scope() = default;
+  ~Scope();
+
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
+
+  /// This scope's counter `name` (the same object on repeated calls).
+  Counter& counter(const std::string& name);
+  /// This scope's histogram `name`, laid out as the registry's histogram of
+  /// that name (`opts` if this is the first use).
+  Histogram& histogram(const std::string& name, const HistogramOptions& opts = HistogramOptions());
 };
 
 /// The process-wide registry.

@@ -130,12 +130,10 @@ Snapshot snapshot() {
   ensure_well_known_metrics();
   Snapshot snap;
   registry().visit(
-      [&](const std::string& name, const Counter& c) {
-        snap.counters.emplace_back(name, c.value());
-      },
+      [&](const std::string& name, std::uint64_t v) { snap.counters.emplace_back(name, v); },
       [&](const std::string& name, double v) { snap.gauges.emplace_back(name, v); },
-      [&](const std::string& name, const Histogram& h) {
-        snap.histograms.push_back({name, h.snapshot()});
+      [&](const std::string& name, const HistogramSnapshot& h) {
+        snap.histograms.push_back({name, h});
       });
   append_pool_gauges(snap.gauges, snap.counters);
   append_hit_rates(snap.counters, snap.gauges);

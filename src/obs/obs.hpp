@@ -1,7 +1,8 @@
 // Unified observability facade: one call that freezes every registered
 // metric — counters, gauges (including pull-style callbacks and thread-pool
 // lane utilization), histograms — into a Snapshot renderable as aligned text
-// or JSON.
+// or JSON. A counter or histogram reports its registered value plus what
+// every live and destroyed obs::Scope recorded under the same name.
 //
 // snapshot() also derives convenience gauges: for every counter pair
 // "<prefix>.hits"/"<prefix>.misses" it emits "<prefix>.hit_rate" in [0, 1],

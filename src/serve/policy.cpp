@@ -12,27 +12,4 @@ const char* close_reason_name(CloseReason reason) {
   return "?";
 }
 
-std::vector<std::vector<std::size_t>> FifoPack::pack(
-    const std::vector<const dg::gnn::CircuitGraph*>& graphs, std::size_t node_budget,
-    std::size_t max_graphs) const {
-  std::vector<std::vector<std::size_t>> groups;
-  for (const auto& [begin, end] : dg::gnn::plan_node_batches(graphs, node_budget, max_graphs)) {
-    std::vector<std::size_t>& group = groups.emplace_back();
-    group.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) group.push_back(i);
-  }
-  return groups;
-}
-
-std::vector<std::vector<std::size_t>> DepthAwarePack::pack(
-    const std::vector<const dg::gnn::CircuitGraph*>& graphs, std::size_t node_budget,
-    std::size_t max_graphs) const {
-  return dg::gnn::plan_node_batches_by_depth(graphs, node_budget, max_graphs);
-}
-
-std::unique_ptr<PackPolicy> make_pack_policy(bool depth_aware) {
-  if (depth_aware) return std::make_unique<DepthAwarePack>();
-  return std::make_unique<FifoPack>();
-}
-
 }  // namespace deepgate::serve

@@ -1,25 +1,15 @@
-// Batch-formation policy for the serving loop.
+// Batch-formation outcome for the serving loop.
 //
-// Two separable decisions:
-//  1. WHEN to close the admission window — the batcher closes on the first
-//     of: accumulated node count >= node_budget, member count >= max_graphs,
-//     the oldest queued request's deadline (admission + max_batch_delay)
-//     expiring, or shutdown drain. That logic lives in the batcher thread
-//     (server.cpp); CloseReason names the outcome for stats.
-//  2. HOW to pack a closed window into merge groups — pluggable PackPolicy.
-//     FifoPack preserves arrival order (contiguous plan_node_batches);
-//     DepthAwarePack regroups members of similar level depth
-//     (gnn::plan_node_batches_by_depth) so merged forwards waste fewer
-//     masked tail levels on shallow members. Packing only permutes batch
-//     composition, and merged forwards are bit-exact per member regardless
-//     of composition, so the policy choice can never change served results.
+// The batcher (server.cpp) closes an admission window on the first of:
+// accumulated node count >= node_budget, member count >= max_graphs, the
+// oldest queued request's deadline (admission + max_batch_delay) expiring,
+// or shutdown drain; CloseReason names the outcome for stats and traces.
+// The closed window is then packed into merge groups of similar level depth
+// by gnn::plan_node_batches_by_depth, so merged forwards waste fewer masked
+// tail levels on shallow members. Packing only permutes batch composition,
+// and merged forwards are bit-exact per member regardless of composition,
+// so it can never change served results.
 #pragma once
-
-#include "gnn/circuit_graph.hpp"
-
-#include <cstddef>
-#include <memory>
-#include <vector>
 
 namespace deepgate::serve {
 
@@ -27,40 +17,5 @@ namespace deepgate::serve {
 enum class CloseReason { kBudget, kMaxGraphs, kDeadline, kDrain };
 
 const char* close_reason_name(CloseReason reason);
-
-/// Packs the graphs of one closed window into merge groups (indices into the
-/// window, every index in exactly one group). Implementations must be
-/// deterministic and thread-agnostic: pack() is called from the batcher
-/// thread only, but results flow to worker lanes.
-class PackPolicy {
- public:
-  virtual ~PackPolicy() = default;
-  virtual std::vector<std::vector<std::size_t>> pack(
-      const std::vector<const dg::gnn::CircuitGraph*>& graphs, std::size_t node_budget,
-      std::size_t max_graphs) const = 0;
-  virtual const char* name() const = 0;
-};
-
-/// Arrival-order packing: contiguous node-budgeted ranges (plan_node_batches).
-class FifoPack final : public PackPolicy {
- public:
-  std::vector<std::vector<std::size_t>> pack(const std::vector<const dg::gnn::CircuitGraph*>& graphs,
-                                             std::size_t node_budget,
-                                             std::size_t max_graphs) const override;
-  const char* name() const override { return "fifo"; }
-};
-
-/// Depth-aware packing: groups members of similar level depth
-/// (plan_node_batches_by_depth) to shrink masked tail levels.
-class DepthAwarePack final : public PackPolicy {
- public:
-  std::vector<std::vector<std::size_t>> pack(const std::vector<const dg::gnn::CircuitGraph*>& graphs,
-                                             std::size_t node_budget,
-                                             std::size_t max_graphs) const override;
-  const char* name() const override { return "depth_aware"; }
-};
-
-/// Factory used by ServerOptions: depth_aware ? DepthAwarePack : FifoPack.
-std::unique_ptr<PackPolicy> make_pack_policy(bool depth_aware);
 
 }  // namespace deepgate::serve

@@ -11,6 +11,8 @@
 //  - close() wakes every waiter; pops keep draining remaining items (drain
 //    overrides pause), pushes fail from then on. Deterministic shutdown
 //    builds on this: nothing enqueued before close() is ever lost.
+//  - push/try_push run an optional `on_push(depth)` hook under the lock, before
+//    any consumer can pop the item: admission counts never trail fulfillment.
 //  - set_pop_paused(true) gates consumers without touching producers: items
 //    accumulate until capacity and try_push reports kFull — how both the
 //    backpressure tests and an operational "hold admissions" switch get a
@@ -35,6 +37,11 @@ namespace deepgate::serve {
 enum class PushResult { kOk, kFull, kClosed };
 enum class PopResult { kItem, kTimeout, kClosed };
 
+/// The default push hook: records nothing.
+struct NoPushHook {
+  void operator()(std::size_t /*depth*/) const {}
+};
+
 template <typename T>
 class BoundedQueue {
  public:
@@ -44,21 +51,26 @@ class BoundedQueue {
 
   /// Blocking push: waits while full. Moves from `v` only on kOk; kClosed
   /// leaves `v` untouched for the caller to dispose of. Never returns kFull.
-  PushResult push(T& v) {
+  /// On kOk, `on_push(depth)` runs under the lock; depth includes `v`.
+  template <typename OnPush = NoPushHook>
+  PushResult push(T& v, OnPush&& on_push = OnPush{}) {
     dg::util::MutexLock lock(mu_);
     while (!closed_ && items_.size() >= capacity_) not_full_.wait(mu_);
     if (closed_) return PushResult::kClosed;
     items_.push_back(std::move(v));
+    on_push(items_.size());
     not_empty_.notify_one();
     return PushResult::kOk;
   }
 
-  /// Non-blocking push: kFull instead of waiting. Moves from `v` only on kOk.
-  PushResult try_push(T& v) {
+  /// Non-blocking push: kFull instead of waiting. Otherwise as push().
+  template <typename OnPush = NoPushHook>
+  PushResult try_push(T& v, OnPush&& on_push = OnPush{}) {
     dg::util::MutexLock lock(mu_);
     if (closed_) return PushResult::kClosed;
     if (items_.size() >= capacity_) return PushResult::kFull;
     items_.push_back(std::move(v));
+    on_push(items_.size());
     not_empty_.notify_one();
     return PushResult::kOk;
   }

@@ -4,6 +4,7 @@
 #include "gnn/executor.hpp"
 #include "obs/trace.hpp"
 #include "util/env.hpp"
+#include "util/log.hpp"
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
@@ -26,23 +27,16 @@ std::uint64_t ns_between(Clock::time_point from, Clock::time_point to) {
   return d > 0 ? static_cast<std::uint64_t>(d) : 0;
 }
 
-/// Process-wide registry roll-ups under the "serve.*" names, recorded at the
-/// same sites as the per-server Stats. References resolve once.
-struct ServeMetrics {
-  obs::Counter& submitted = obs::counter("serve.requests.submitted");
-  obs::Counter& served = obs::counter("serve.requests.served");
-  obs::Counter& cancelled = obs::counter("serve.requests.cancelled");
-  obs::Counter& failed = obs::counter("serve.requests.failed");
-  obs::Counter& windows = obs::counter("serve.windows.closed");
-  obs::Histogram& latency = obs::histogram("serve.latency_seconds", obs::latency_buckets());
-  obs::Histogram& queue_seconds = obs::histogram("serve.queue_seconds", obs::latency_buckets());
-  obs::Histogram& queue_depth = obs::histogram("serve.queue_depth", obs::size_buckets());
-  obs::Histogram& batch_nodes = obs::histogram("serve.batch_nodes", obs::size_buckets());
-};
+// Lanes share DEEPGATE_THREADS' cap. A delay over a day is a typo, and near
+// 9e12 ms the deadline (admitted + delay, in clock ticks) overflows.
+constexpr long long kMaxLanes = 512;
+constexpr long long kMaxDelayMs = 24LL * 60 * 60 * 1000;
 
-ServeMetrics& serve_metrics() {
-  static ServeMetrics m;
-  return m;
+/// `value` in [lo, hi]; otherwise warns that knob `name` keeps its default.
+bool knob_in_range(const char* name, long long value, long long lo, long long hi) {
+  if (value >= lo && value <= hi) return true;
+  dg::util::log_warn(name, "=", value, " is outside [", lo, ", ", hi, "]; keeping the default");
+  return false;
 }
 
 }  // namespace
@@ -63,20 +57,20 @@ ServerOptions ServerOptions::from_env() {
   opts.node_budget = base.node_budget;
   opts.max_graphs = base.max_graphs;
   opts.merge_cache_capacity = base.merge_cache_capacity;  // DEEPGATE_SERVE_CACHE
-  const long long lanes = dg::util::env_int("DEEPGATE_SERVE_LANES", -1);
-  if (lanes > 0) opts.lanes = static_cast<int>(lanes);
+  const long long lanes = dg::util::env_int("DEEPGATE_SERVE_LANES", opts.lanes);
+  if (knob_in_range("DEEPGATE_SERVE_LANES", lanes, 0, kMaxLanes))
+    opts.lanes = static_cast<int>(lanes);
   const long long delay_ms = dg::util::env_int("DEEPGATE_SERVE_DELAY_MS", -1);
-  if (delay_ms >= 0) opts.max_batch_delay = std::chrono::microseconds(delay_ms * 1000);
+  if (delay_ms != -1 && knob_in_range("DEEPGATE_SERVE_DELAY_MS", delay_ms, 0, kMaxDelayMs))
+    opts.max_batch_delay = std::chrono::milliseconds(delay_ms);
   const long long cap = dg::util::env_int("DEEPGATE_SERVE_QUEUE_CAP", -1);
   if (cap > 0) opts.queue_capacity = static_cast<std::size_t>(cap);
-  opts.depth_aware = dg::util::env_int("DEEPGATE_SERVE_DEPTH_AWARE", 1) != 0;
   return opts;
 }
 
 Server::Server(const Engine& engine, const ServerOptions& options)
     : engine_(engine),
       options_(options),
-      policy_(make_pack_policy(options.depth_aware)),
       merge_cache_(options.merge_cache_capacity),
       admission_(options.queue_capacity),
       // Small handoff buffer: deep enough to keep lanes busy, shallow enough
@@ -85,9 +79,6 @@ Server::Server(const Engine& engine, const ServerOptions& options)
       work_queue_(2 * static_cast<std::size_t>(std::max(
                           1, options.lanes > 0 ? options.lanes
                                                : dg::util::default_num_threads()))),
-      latency_hist_(obs::latency_buckets()),
-      queue_seconds_hist_(obs::latency_buckets()),
-      queue_depth_hist_(obs::size_buckets()),
       started_(Clock::now()) {
   const int lanes = options_.lanes > 0 ? options_.lanes : dg::util::default_num_threads();
   // Pull-style gauge: fraction of lane-seconds spent inside run_work since
@@ -107,10 +98,6 @@ Server::Server(const Engine& engine, const ServerOptions& options)
 
 Server::~Server() { shutdown(/*drain=*/true); }
 
-void Server::fail(std::promise<Response>& promise, const char* what) {
-  promise.set_exception(std::make_exception_ptr(ServeError(what)));
-}
-
 void Server::fail_admitted(Pending& pending, const char* what, Clock::time_point window_closed) {
   const Clock::time_point now = Clock::now();
   const double queue_s = window_closed == Clock::time_point{}
@@ -120,101 +107,73 @@ void Server::fail_admitted(Pending& pending, const char* what, Clock::time_point
       ServeError(what, queue_s, seconds_between(pending.admitted, now))));
 }
 
-void Server::note_admitted(bool served_immediately) {
+void Server::note_admitted(std::size_t depth, bool served_immediately) {
   // The ONE place `submitted` is bumped — every admission flows through here
   // (submit and try_submit, queued and zero-node fast paths), so the Stats
   // balance invariant (submitted == served + cancelled + failed at
   // quiescence) cannot drift as entry points evolve. The same property keeps
   // queue_depth_hist.count == submitted exact.
-  const double depth = static_cast<double>(admission_.size());
-  queue_depth_hist_.record(depth);
-  serve_metrics().queue_depth.record(depth);
-  serve_metrics().submitted.add();
+  queue_depth_hist_.record(static_cast<double>(depth));
+  submitted_.add();
   if (served_immediately) {
     // Zero-node fast path: served with ~zero latency; record it so
     // latency_hist.count == served stays exact.
     latency_hist_.record(0.0);
     queue_seconds_hist_.record(0.0);
-    serve_metrics().latency.record(0.0);
-    serve_metrics().queue_seconds.record(0.0);
-    serve_metrics().served.add();
+    served_.add();
   }
-  dg::util::MutexLock lock(stats_mu_);
-  stats_.submitted += 1;
-  if (served_immediately) stats_.served += 1;
 }
 
 std::future<Response> Server::submit(const Request& request) {
   if (request.graph == nullptr) throw std::invalid_argument("serve::submit: null graph");
-  dg::gnn::check_compatible(engine_.model().config(), *request.graph);
-  std::promise<Response> promise;
-  std::future<Response> future = promise.get_future();
-  if (stopped()) {
-    // Keep the shutdown contract uniform: even the zero-node fast path below
-    // must not "serve" on a stopped server.
-    fail(promise, "serve: submitted after shutdown");
-    dg::util::MutexLock lock(stats_mu_);
-    stats_.rejected_stopped += 1;
-    return future;
+  std::future<Response> future;
+  if (admit(request, /*block=*/true, future) != SubmitStatus::kAccepted) {
+    // Stopped: the caller still gets a fulfilled future, with the error.
+    std::promise<Response> promise;
+    future = promise.get_future();
+    promise.set_exception(
+        std::make_exception_ptr(ServeError("serve: submitted after shutdown")));
   }
-  if (request.graph->num_nodes == 0) {
-    // Nothing to forward: resolve immediately with an empty response.
-    promise.set_value(Response{});
-    note_admitted(/*served_immediately=*/true);
-    return future;
-  }
-  Pending pending{request, std::move(promise), Clock::now()};
-  if (obs::trace_enabled()) {
-    pending.trace_id = obs::next_trace_id();
-    obs::trace_instant("serve.submit", "serve", pending.trace_id);
-  }
-  if (admission_.push(pending) == PushResult::kClosed) {
-    fail(pending.promise, "serve: submitted after shutdown");
-    dg::util::MutexLock lock(stats_mu_);
-    stats_.rejected_stopped += 1;
-    return future;
-  }
-  note_admitted(/*served_immediately=*/false);
   return future;
 }
 
 SubmitStatus Server::try_submit(const Request& request, std::future<Response>& out) {
   if (request.graph == nullptr) return SubmitStatus::kInvalid;
+  return admit(request, /*block=*/false, out);
+}
+
+SubmitStatus Server::admit(const Request& request, bool block, std::future<Response>& out) {
   dg::gnn::check_compatible(engine_.model().config(), *request.graph);
-  if (stopped()) {
-    dg::util::MutexLock lock(stats_mu_);
-    stats_.rejected_stopped += 1;
-    return SubmitStatus::kStopped;
-  }
   std::promise<Response> promise;
   std::future<Response> future = promise.get_future();
-  if (request.graph->num_nodes == 0) {
+  // Keep the shutdown contract uniform: a stopped server admits nothing, not
+  // even the zero-node fast path.
+  PushResult pushed = PushResult::kClosed;
+  if (!stopped() && request.graph->num_nodes == 0) {
+    // Nothing to forward: resolve immediately with an empty response.
+    note_admitted(admission_.size(), /*served_immediately=*/true);
     promise.set_value(Response{});
-    out = std::move(future);
-    note_admitted(/*served_immediately=*/true);
-    return SubmitStatus::kAccepted;
+    pushed = PushResult::kOk;
+  } else if (!stopped()) {
+    Pending pending{request, std::move(promise), Clock::now()};
+    if (obs::trace_enabled()) {
+      pending.trace_id = obs::next_trace_id();
+      obs::trace_instant("serve.submit", "serve", pending.trace_id);
+    }
+    // Admission is noted under the queue lock, before a lane can serve it.
+    const auto admitted = [this](std::size_t depth) { note_admitted(depth, false); };
+    pushed = block ? admission_.push(pending, admitted) : admission_.try_push(pending, admitted);
   }
-  Pending pending{request, std::move(promise), Clock::now()};
-  if (obs::trace_enabled()) {
-    pending.trace_id = obs::next_trace_id();
-    obs::trace_instant("serve.submit", "serve", pending.trace_id);
-  }
-  switch (admission_.try_push(pending)) {
-    case PushResult::kOk: {
+  switch (pushed) {
+    case PushResult::kOk:
       out = std::move(future);
-      note_admitted(/*served_immediately=*/false);
       return SubmitStatus::kAccepted;
-    }
-    case PushResult::kFull: {
-      dg::util::MutexLock lock(stats_mu_);
-      stats_.rejected_overload += 1;
+    case PushResult::kFull:
+      rejected_overload_.add();
       return SubmitStatus::kOverloaded;
-    }
-    case PushResult::kClosed: {
-      dg::util::MutexLock lock(stats_mu_);
-      stats_.rejected_stopped += 1;
+    case PushResult::kClosed:
+      rejected_stopped_.add();
       return SubmitStatus::kStopped;
-    }
   }
   return SubmitStatus::kInvalid;  // unreachable
 }
@@ -249,10 +208,19 @@ void Server::shutdown(bool drain) {
 
 Stats Server::stats() const {
   Stats snapshot;
-  {
-    dg::util::MutexLock lock(stats_mu_);
-    snapshot = stats_;
-  }
+  snapshot.submitted = submitted_.value();
+  snapshot.rejected_overload = rejected_overload_.value();
+  snapshot.rejected_stopped = rejected_stopped_.value();
+  snapshot.served = served_.value();
+  snapshot.cancelled = cancelled_.value();
+  snapshot.failed = failed_.value();
+  snapshot.windows = windows_.value();
+  snapshot.batches = batches_.value();
+  snapshot.close_budget = close_budget_.value();
+  snapshot.close_max_graphs = close_max_graphs_.value();
+  snapshot.close_deadline = close_deadline_.value();
+  snapshot.close_drain = close_drain_.value();
+  snapshot.nodes_served = nodes_served_.value();
   const dg::gnn::MergeCacheStats cache = merge_cache_.stats();
   snapshot.merge_cache_hits = cache.hits;
   snapshot.merge_cache_misses = cache.misses;
@@ -305,27 +273,21 @@ void Server::batcher_loop() {
 
 void Server::dispatch_window(std::vector<Pending>& window, CloseReason reason) {
   const Clock::time_point closed_at = Clock::now();
-  serve_metrics().windows.add();
   obs::trace_instant("serve.window_close", "serve", 0, 0, close_reason_name(reason));
-  {
-    dg::util::MutexLock lock(stats_mu_);
-    stats_.windows += 1;
-    switch (reason) {
-      case CloseReason::kBudget: stats_.close_budget += 1; break;
-      case CloseReason::kMaxGraphs: stats_.close_max_graphs += 1; break;
-      case CloseReason::kDeadline: stats_.close_deadline += 1; break;
-      case CloseReason::kDrain: stats_.close_drain += 1; break;
-    }
+  windows_.add();
+  switch (reason) {
+    case CloseReason::kBudget: close_budget_.add(); break;
+    case CloseReason::kMaxGraphs: close_max_graphs_.add(); break;
+    case CloseReason::kDeadline: close_deadline_.add(); break;
+    case CloseReason::kDrain: close_drain_.add(); break;
   }
 
   if (cancel_.load(std::memory_order_acquire)) {
+    cancelled_.add(window.size());
     for (Pending& pending : window) {
       obs::trace_instant("serve.cancel", "serve", pending.trace_id);
       fail_admitted(pending, "serve: cancelled at shutdown", closed_at);
     }
-    serve_metrics().cancelled.add(window.size());
-    dg::util::MutexLock lock(stats_mu_);
-    stats_.cancelled += window.size();
     return;
   }
 
@@ -334,7 +296,7 @@ void Server::dispatch_window(std::vector<Pending>& window, CloseReason reason) {
   for (const Pending& pending : window) graphs.push_back(pending.request.graph);
 
   for (const std::vector<std::size_t>& group :
-       policy_->pack(graphs, options_.node_budget, options_.max_graphs)) {
+       dg::gnn::plan_node_batches_by_depth(graphs, options_.node_budget, options_.max_graphs)) {
     Work work;
     work.window_closed = closed_at;
     work.members.reserve(group.size());
@@ -342,13 +304,11 @@ void Server::dispatch_window(std::vector<Pending>& window, CloseReason reason) {
     if (work_queue_.push(work) == PushResult::kClosed) {
       // Only reachable if the work queue were closed early; keep the
       // no-unfulfilled-futures invariant regardless.
+      cancelled_.add(work.members.size());
       for (Pending& pending : work.members) {
         obs::trace_instant("serve.cancel", "serve", pending.trace_id);
         fail_admitted(pending, "serve: cancelled at shutdown", closed_at);
       }
-      serve_metrics().cancelled.add(work.members.size());
-      dg::util::MutexLock lock(stats_mu_);
-      stats_.cancelled += work.members.size();
     }
   }
 }
@@ -398,8 +358,9 @@ void Server::run_work(Work& work, const dg::gnn::Model& model) {
       batch.forward(model);
     }
     const Clock::time_point done = Clock::now();
+    batches_.add();
+    batch_nodes_hist_.record(static_cast<double>(batch_nodes));
 
-    double sum_queue = 0.0, sum_service = 0.0, sum_latency = 0.0, max_latency = 0.0;
     for (std::size_t i = 0; i < work.members.size(); ++i) {
       Pending& pending = work.members[i];
       // Request-scoped spans: the queueing interval the member already spent
@@ -416,44 +377,22 @@ void Server::run_work(Work& work, const dg::gnn::Model& model) {
       response.latency_seconds = seconds_between(pending.admitted, done);
       response.batch_graphs = graphs.size();
       response.batch_nodes = batch_nodes;
-      sum_queue += response.queue_seconds;
-      sum_service += response.service_seconds;
-      sum_latency += response.latency_seconds;
-      max_latency = std::max(max_latency, response.latency_seconds);
+      // Recorded before the promise is fulfilled, so stats() never trails get().
       latency_hist_.record(response.latency_seconds);
       queue_seconds_hist_.record(response.queue_seconds);
-      serve_metrics().latency.record(response.latency_seconds);
-      serve_metrics().queue_seconds.record(response.queue_seconds);
+      nodes_served_.add(static_cast<std::uint64_t>(pending.request.graph->num_nodes));
+      served_.add();
       pending.promise.set_value(std::move(response));
-      serve_metrics().served.add();
       ++fulfilled;
     }
-    serve_metrics().batch_nodes.record(static_cast<double>(batch_nodes));
-
-    dg::util::MutexLock lock(stats_mu_);
-    stats_.served += work.members.size();
-    stats_.batches += 1;
-    if (graphs.size() >= 2) stats_.merged_batches += 1;
-    stats_.nodes_served += batch_nodes;
-    stats_.sum_batch_utilization +=
-        options_.node_budget == 0
-            ? 1.0
-            : static_cast<double>(batch_nodes) / static_cast<double>(options_.node_budget);
-    stats_.sum_queue_seconds += sum_queue;
-    stats_.sum_service_seconds += sum_service;
-    stats_.sum_latency_seconds += sum_latency;
-    stats_.max_latency_seconds = std::max(stats_.max_latency_seconds, max_latency);
   } catch (const std::exception& e) {
     // Only the promises not yet resolved may be failed — set_exception on an
     // already-satisfied promise throws future_error out of the lane thread.
     // fail_admitted carries the timing into the ServeError, so even a
     // forward failure reports how long the request was held.
+    failed_.add(work.members.size() - fulfilled);
     for (std::size_t i = fulfilled; i < work.members.size(); ++i)
       fail_admitted(work.members[i], e.what(), work.window_closed);
-    serve_metrics().failed.add(work.members.size() - fulfilled);
-    dg::util::MutexLock lock(stats_mu_);
-    stats_.served += fulfilled;
-    stats_.failed += work.members.size() - fulfilled;
   }
   lanes_busy_ns_.fetch_add(ns_between(work_start, Clock::now()), std::memory_order_relaxed);
 }

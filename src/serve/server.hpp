@@ -22,8 +22,9 @@
 //   accumulated nodes >= node_budget, members >= max_graphs, or the OLDEST
 //   queued request's deadline (admission time + max_batch_delay) expiring —
 //   so light traffic pays at most max_batch_delay of batching latency and
-//   heavy traffic forms full batches without waiting. A pluggable PackPolicy
-//   (FIFO or depth-aware) then splits the window into merge groups.
+//   heavy traffic forms full batches without waiting. Depth-aware packing
+//   (gnn::plan_node_batches_by_depth) then splits the window into merge
+//   groups of similar level depth.
 // - Worker lanes run each formed group through the executor's two steps
 //   (gnn/executor.hpp): Batch::merge (through the signature-keyed
 //   MergeCache) and Batch::forward — ONE Model::forward_outputs pass yields
@@ -47,7 +48,6 @@
 #include "serve/policy.hpp"
 #include "serve/queue.hpp"
 #include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
 
 #include <atomic>
 #include <chrono>
@@ -107,18 +107,20 @@ struct ServerOptions {
   std::chrono::microseconds max_batch_delay{2000};  ///< ... or the oldest
                                      ///< request's deadline expiring
   int lanes = 0;                     ///< worker lanes (model replicas); 0 = DEEPGATE_THREADS
-  bool depth_aware = true;           ///< DepthAwarePack vs FifoPack window packing
   std::size_t merge_cache_capacity = 32;  ///< merged super-graphs kept; 0 = off
 
   /// Env knobs: DEEPGATE_SERVE_BUDGET / DEEPGATE_SERVE_MAX_GRAPHS (shared
-  /// with gnn::ServeOptions), DEEPGATE_SERVE_LANES, DEEPGATE_SERVE_DELAY_MS,
-  /// DEEPGATE_SERVE_QUEUE_CAP, DEEPGATE_SERVE_CACHE,
-  /// DEEPGATE_SERVE_DEPTH_AWARE.
+  /// with gnn::ServeOptions), DEEPGATE_SERVE_LANES (0..512),
+  /// DEEPGATE_SERVE_DELAY_MS (0..86400000, one day), DEEPGATE_SERVE_QUEUE_CAP,
+  /// DEEPGATE_SERVE_CACHE. An out-of-range lane count or delay warns and
+  /// keeps the default.
   static ServerOptions from_env();
 };
 
-/// Monotonic counters + a queue-depth snapshot. All counters are cumulative
-/// since construction; means derive as sum / count.
+/// A read-only view of one server's counts (its obs::Scope for the serve.*
+/// snapshot names, its other counters, its MergeCache's) plus the current
+/// queue depth. Each event is recorded once, before the future it concerns
+/// is fulfilled, so a stats() read right after get() already counts it.
 ///
 /// Accounting invariant (asserted by tests/serve_test.cpp): every admitted
 /// request resolves exactly once, so at any quiescent point — after
@@ -129,6 +131,7 @@ struct ServerOptions {
 /// holds exactly. `submitted` is bumped in ONE place (Server::note_admitted,
 /// through which every entry point flows); rejected_* count attempts that
 /// were never admitted and are deliberately NOT part of `submitted`.
+/// Counters count whatever DEEPGATE_METRICS says; histograms are empty off.
 struct Stats {
   std::uint64_t submitted = 0;          ///< requests admitted (incl. zero-node fast path)
   std::uint64_t rejected_overload = 0;  ///< try_submit refused: queue full
@@ -139,29 +142,21 @@ struct Stats {
 
   std::uint64_t windows = 0;            ///< admission windows closed
   std::uint64_t batches = 0;            ///< merge groups forwarded
-  std::uint64_t merged_batches = 0;     ///< ... of which had >= 2 members
   std::uint64_t close_budget = 0;       ///< windows closed on node budget
   std::uint64_t close_max_graphs = 0;   ///< ... on the member cap
   std::uint64_t close_deadline = 0;     ///< ... on the oldest deadline
   std::uint64_t close_drain = 0;        ///< ... by shutdown drain
 
   std::uint64_t nodes_served = 0;       ///< total nodes across served requests
-  double sum_batch_utilization = 0.0;   ///< sum over batches of nodes/node_budget
-
-  double sum_queue_seconds = 0.0;       ///< admission -> window close, summed
-  double sum_service_seconds = 0.0;     ///< window close -> fulfilled, summed
-  double sum_latency_seconds = 0.0;     ///< admission -> fulfilled, summed
-  double max_latency_seconds = 0.0;
 
   std::uint64_t merge_cache_hits = 0;
   std::uint64_t merge_cache_misses = 0;
 
   std::size_t queue_depth = 0;          ///< admission queue depth at snapshot time
 
-  // Per-server distribution snapshots (dg::obs fixed-bucket histograms;
-  // p50/p95/p99 derive deterministically via HistogramSnapshot::quantile).
-  // latency_hist.count == served and queue_depth_hist.count == submitted
-  // exactly while metrics recording is enabled (asserted in serve_test).
+  // Distributions (p50/p95/p99 derive deterministically via
+  // HistogramSnapshot::quantile). With metrics on, latency_hist.count ==
+  // served and queue_depth_hist.count == submitted exactly.
   dg::obs::HistogramSnapshot latency_hist;       ///< admission -> fulfilled, seconds
   dg::obs::HistogramSnapshot queue_seconds_hist; ///< admission -> window close, seconds
   dg::obs::HistogramSnapshot queue_depth_hist;   ///< admission-queue depth at each admission
@@ -228,8 +223,11 @@ class Server {
   void run_work(Work& work, const dg::gnn::Model& model);
   /// The single site that bumps Stats::submitted (and served, for requests
   /// resolved at admission) — keeps the balance invariant audit-proof.
-  void note_admitted(bool served_immediately);
-  static void fail(std::promise<Response>& promise, const char* what);
+  /// `depth` is the admission-queue depth including this request.
+  void note_admitted(std::size_t depth, bool served_immediately);
+  /// submit (block) and try_submit after the null check: admit, or count
+  /// the rejection. `out` is filled only on kAccepted.
+  SubmitStatus admit(const Request& request, bool block, std::future<Response>& out);
   /// Fail an admitted request: the ServeError carries queue/latency timing
   /// measured up to the failure, so cancelled/failed futures report latency
   /// like served ones do.
@@ -238,7 +236,6 @@ class Server {
 
   const Engine& engine_;
   const ServerOptions options_;
-  std::unique_ptr<PackPolicy> policy_;
   dg::gnn::MergeCache merge_cache_;
 
   BoundedQueue<Pending> admission_;
@@ -248,15 +245,30 @@ class Server {
   std::atomic<bool> cancel_{false};
   dg::util::Mutex lifecycle_mu_;  ///< serializes shutdown
 
-  mutable dg::util::Mutex stats_mu_;
-  Stats stats_ DG_GUARDED_BY(stats_mu_);
-
-  // Per-server distribution state behind Stats::*_hist (concurrent,
-  // lock-free record). The process-wide registry copies under the
-  // "serve.*" names are recorded at the same sites.
-  dg::obs::Histogram latency_hist_;
-  dg::obs::Histogram queue_seconds_hist_;
-  dg::obs::Histogram queue_depth_hist_;
+  // Everything stats() reports, each recorded once (see Stats): the scope's
+  // share of the serve.* names, then counts with no process-wide name.
+  dg::obs::Scope scope_;
+  dg::obs::Counter& submitted_ = scope_.counter("serve.requests.submitted");
+  dg::obs::Counter& served_ = scope_.counter("serve.requests.served");
+  dg::obs::Counter& cancelled_ = scope_.counter("serve.requests.cancelled");
+  dg::obs::Counter& failed_ = scope_.counter("serve.requests.failed");
+  dg::obs::Counter& windows_ = scope_.counter("serve.windows.closed");
+  dg::obs::Histogram& latency_hist_ =
+      scope_.histogram("serve.latency_seconds", dg::obs::latency_buckets());
+  dg::obs::Histogram& queue_seconds_hist_ =
+      scope_.histogram("serve.queue_seconds", dg::obs::latency_buckets());
+  dg::obs::Histogram& queue_depth_hist_ =
+      scope_.histogram("serve.queue_depth", dg::obs::size_buckets());
+  dg::obs::Histogram& batch_nodes_hist_ =
+      scope_.histogram("serve.batch_nodes", dg::obs::size_buckets());
+  dg::obs::Counter rejected_overload_{/*always_on=*/true};
+  dg::obs::Counter rejected_stopped_{true};
+  dg::obs::Counter batches_{true};
+  dg::obs::Counter nodes_served_{true};
+  dg::obs::Counter close_budget_{true};
+  dg::obs::Counter close_max_graphs_{true};
+  dg::obs::Counter close_deadline_{true};
+  dg::obs::Counter close_drain_{true};
 
   // Serve-lane utilization: busy time accumulated by run_work across lanes,
   // published as the "serve.lanes.utilization" callback gauge (removed — by

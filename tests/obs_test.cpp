@@ -273,6 +273,64 @@ TEST_F(ObsTest, RegistryConcurrentRecordingIsExact) {
             static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
+// -- Scopes --------------------------------------------------------------------
+
+// The snapshot reports each name as the retained total plus every live
+// scope: two live scopes and a destroyed third sum exactly — counter values
+// and bit-identical histogram cells — to one histogram that saw every
+// sample. Scope counters keep counting with metrics off while scope
+// histograms drop the sample.
+TEST_F(ObsTest, ScopesSumExactlyIntoSnapshot) {
+  const std::string count_name = "obs_test.scope.count";
+  const std::string hist_name = "obs_test.scope.seconds";
+  const Snapshot before = snapshot();
+  const HistogramSnapshot* before_hist = before.find_histogram(hist_name);
+  ASSERT_EQ(before_hist, nullptr) << "names must be fresh for this test";
+
+  Histogram reference(latency_buckets());
+  std::uint64_t state = 0x2545f4914f6cdd1dull;
+  const auto record = [&](Scope& scope, int samples) {
+    Counter& c = scope.counter(count_name);
+    Histogram& h = scope.histogram(hist_name, latency_buckets());
+    for (int i = 0; i < samples; ++i) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      const double u = static_cast<double>(state >> 11) / 9007199254740992.0;
+      const double v = 1e-7 * std::pow(10.0, u * 9.0);
+      c.add();
+      h.record(v);
+      reference.record(v);
+    }
+  };
+
+  Scope a;
+  Scope b;
+  record(a, 300);
+  record(b, 500);
+  {
+    Scope c;
+    record(c, 700);
+  }
+  EXPECT_EQ(&a.counter(count_name), &a.counter(count_name));  // same object back
+
+  // Recording off: the scope counter still counts, the histogram drops.
+  metrics_set_enabled(false);
+  a.counter(count_name).add(4);
+  a.histogram(hist_name).record(1.0);
+  metrics_set_enabled(true);
+  EXPECT_EQ(a.counter(count_name).value(), 304u);
+  EXPECT_EQ(a.histogram(hist_name).count(), 300u);
+
+  const Snapshot snap = snapshot();
+  EXPECT_EQ(snap.counter_value(count_name), 1504u);
+  const HistogramSnapshot* merged = snap.find_histogram(hist_name);
+  ASSERT_NE(merged, nullptr);
+  const HistogramSnapshot want = reference.snapshot();
+  EXPECT_EQ(merged->counts, want.counts);
+  EXPECT_EQ(merged->count, want.count);
+  EXPECT_EQ(merged->sum_ticks, want.sum_ticks);
+  EXPECT_EQ(merged->quantile(0.99), want.quantile(0.99));
+}
+
 // -- Trace ring ----------------------------------------------------------------
 
 TEST_F(ObsTest, TraceDisabledRecordsNothing) {

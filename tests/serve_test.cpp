@@ -10,7 +10,7 @@
 #include "data/generators_small.hpp"
 #include "gnn/merge_cache.hpp"
 #include "nn/arena.hpp"
-#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "sim/probability.hpp"
 #include "util/lru.hpp"
 
@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <future>
 #include <vector>
 
@@ -158,7 +159,8 @@ TEST(ServeLoop, EmbeddingOnlyForRequestingMembers) {
   }
 }
 
-// Depth-aware and FIFO packing must serve identical results — packing only
+// Depth-aware packing reorders a window into groups of similar depth; the
+// served results must still equal the single-graph path — packing only
 // permutes batch composition.
 TEST(ServeLoop, PackingPolicyCannotChangeResults) {
   const auto graphs = mixed_graphs();
@@ -166,18 +168,15 @@ TEST(ServeLoop, PackingPolicyCannotChangeResults) {
   options.model = tiny_config();
   const deepgate::Engine engine(options);
 
-  for (const bool depth_aware : {false, true}) {
-    ServerOptions sopts;
-    sopts.lanes = 2;
-    sopts.depth_aware = depth_aware;
-    sopts.node_budget = 200;
-    auto server = deepgate::serve::start(engine, sopts);
-    std::vector<std::future<Response>> futures;
-    for (const auto& g : graphs) futures.push_back(server->submit({&g}));
-    for (std::size_t k = 0; k < futures.size(); ++k)
-      EXPECT_EQ(futures[k].get().probabilities, engine.predict_probabilities(graphs[k]))
-          << (depth_aware ? "depth_aware" : "fifo") << " request " << k;
-  }
+  ServerOptions sopts;
+  sopts.lanes = 2;
+  sopts.node_budget = 200;
+  auto server = deepgate::serve::start(engine, sopts);
+  std::vector<std::future<Response>> futures;
+  for (const auto& g : graphs) futures.push_back(server->submit({&g}));
+  for (std::size_t k = 0; k < futures.size(); ++k)
+    EXPECT_EQ(futures[k].get().probabilities, engine.predict_probabilities(graphs[k]))
+        << "depth_aware request " << k;
 }
 
 // -- Batch-formation policy ----------------------------------------------------
@@ -575,17 +574,158 @@ TEST(ServeStats, HistogramCountsMatchBalanceCounters) {
   EXPECT_EQ(stats.latency_hist.count, stats.served);
   EXPECT_EQ(stats.queue_seconds_hist.count, stats.served);
   EXPECT_EQ(stats.queue_depth_hist.count, stats.submitted);
-  // The tick sums reproduce the double accumulators to tick resolution.
-  EXPECT_NEAR(stats.latency_hist.sum(), stats.sum_latency_seconds,
-              1e-9 * static_cast<double>(stats.served) + 1e-12);
-  EXPECT_NEAR(stats.queue_seconds_hist.sum(), stats.sum_queue_seconds,
-              1e-9 * static_cast<double>(stats.served) + 1e-12);
   // Quantiles are monotone and saturate within the bucket layout.
   const double p50 = stats.latency_hist.quantile(0.50);
   const double p99 = stats.latency_hist.quantile(0.99);
   EXPECT_GT(p50, 0.0);
   EXPECT_LE(p50, p99);
   EXPECT_LE(p99, stats.latency_hist.bounds.back());
+}
+
+// Every counter of a request is recorded before its promise is fulfilled, so
+// stats() is exact right after get() — no shutdown, no waiting. Counters
+// count whatever the metrics switch; histograms obey it. The loop covers the
+// environment's mode (DEEPGATE_METRICS) and a forced-off pass.
+TEST(ServeStats, ExactAfterEveryGetWhateverTheMetricsSwitch) {
+  const auto graphs = mixed_graphs();
+  deepgate::Options options;
+  options.model = tiny_config();
+  const deepgate::Engine engine(options);
+  const bool env_metrics = obs::metrics_enabled();
+
+  for (const bool metrics : {env_metrics, false}) {
+    obs::metrics_set_enabled(metrics);
+    ServerOptions sopts;
+    sopts.lanes = 2;
+    auto server = deepgate::serve::start(engine, sopts);
+
+    // One at a time: the k-th get() is already counted.
+    std::uint64_t n = 0;
+    for (const auto& g : graphs) {
+      server->submit({&g}).get();
+      ++n;
+      const auto stats = server->stats();
+      EXPECT_EQ(stats.served, n);
+      EXPECT_EQ(stats.submitted, n);
+    }
+    // A burst: after the last get(), submitted == served == N.
+    std::vector<std::future<Response>> futures;
+    for (int round = 0; round < 3; ++round)
+      for (const auto& g : graphs) futures.push_back(server->submit({&g}));
+    for (auto& f : futures) f.get();
+    n += futures.size();
+    const auto stats = server->stats();
+    EXPECT_EQ(stats.served, n) << "metrics " << metrics;
+    EXPECT_EQ(stats.submitted, stats.served) << "metrics " << metrics;
+    EXPECT_GE(stats.batches, 1u);
+    EXPECT_GT(stats.nodes_served, 0u);
+    EXPECT_EQ(stats.latency_hist.count, metrics ? stats.served : 0u) << "metrics " << metrics;
+    EXPECT_EQ(stats.queue_depth_hist.count, metrics ? stats.submitted : 0u)
+        << "metrics " << metrics;
+  }
+  obs::metrics_set_enabled(env_metrics);
+}
+
+// The process-wide snapshot is the sum of the servers' scopes: across two
+// sequential servers — the first destroyed (its scope folded into the
+// retained total), the second live, then destroyed — the deltas of
+// serve.requests.served and serve.latency_seconds.count equal the sum of
+// their final Stats.
+TEST(ServeStats, SnapshotDeltasEqualSumOfServerStats) {
+  const auto graphs = mixed_graphs();
+  deepgate::Options options;
+  options.model = tiny_config();
+  const deepgate::Engine engine(options);
+
+  const auto served = [](const obs::Snapshot& snap) {
+    return snap.counter_value("serve.requests.served");
+  };
+  const auto latency_count = [](const obs::Snapshot& snap) {
+    const obs::HistogramSnapshot* h = snap.find_histogram("serve.latency_seconds");
+    return h == nullptr ? std::uint64_t{0} : h->count;
+  };
+  const auto run = [&](Server& server, int rounds) {
+    std::vector<std::future<Response>> futures;
+    for (int round = 0; round < rounds; ++round)
+      for (const auto& g : graphs) futures.push_back(server.submit({&g}));
+    for (auto& f : futures) f.get();
+    return server.stats();
+  };
+
+  const obs::Snapshot before = obs::snapshot();
+  deepgate::serve::Stats first;
+  {
+    auto server = deepgate::serve::start(engine, ServerOptions{});
+    first = run(*server, 2);
+  }
+  auto server = deepgate::serve::start(engine, ServerOptions{});
+  const deepgate::serve::Stats second = run(*server, 3);
+  const obs::Snapshot live = obs::snapshot();
+  EXPECT_EQ(served(live) - served(before), first.served + second.served);
+  EXPECT_EQ(latency_count(live) - latency_count(before),
+            first.latency_hist.count + second.latency_hist.count);
+  server.reset();
+  const obs::Snapshot after = obs::snapshot();
+  EXPECT_EQ(served(after) - served(before), first.served + second.served);
+  EXPECT_EQ(latency_count(after) - latency_count(before),
+            first.latency_hist.count + second.latency_hist.count);
+}
+
+// -- Env knobs -----------------------------------------------------------------
+
+/// Sets an environment variable for one scope, restoring the previous value.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_.empty()) ::unsetenv(name_);
+    else ::setenv(name_, old_.c_str(), 1);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::string old_;
+};
+
+// DEEPGATE_SERVE_DELAY_MS used to be multiplied by 1000 unchecked (signed
+// overflow at 1e16; values just below overflowed admitted + delay), and
+// DEEPGATE_SERVE_LANES was narrowed to int with no cap. Out-of-range values
+// now warn and keep the default; in-range ones apply, and a server built
+// with the largest delay still serves (the deadline arithmetic is exercised
+// under UBSan in the sanitizer lane).
+TEST(ServerOptions, FromEnvBoundsLanesAndDelay) {
+  const ServerOptions defaults;
+  for (const char* bad : {"10000000000000000", "9000000000000000", "86400001", "-5"}) {
+    const ScopedEnv env("DEEPGATE_SERVE_DELAY_MS", bad);
+    EXPECT_EQ(ServerOptions::from_env().max_batch_delay, defaults.max_batch_delay) << bad;
+  }
+  for (const char* bad : {"513", "-1", "4294967297"}) {
+    const ScopedEnv env("DEEPGATE_SERVE_LANES", bad);
+    EXPECT_EQ(ServerOptions::from_env().lanes, defaults.lanes) << bad;
+  }
+  {
+    const ScopedEnv env("DEEPGATE_SERVE_LANES", "512");
+    EXPECT_EQ(ServerOptions::from_env().lanes, 512);
+  }
+  const ScopedEnv lanes("DEEPGATE_SERVE_LANES", "2");
+  const ScopedEnv delay("DEEPGATE_SERVE_DELAY_MS", "86400000");
+  const ServerOptions sopts = ServerOptions::from_env();
+  EXPECT_EQ(sopts.lanes, 2);
+  EXPECT_EQ(sopts.max_batch_delay, std::chrono::hours(24));
+
+  deepgate::Options options;
+  options.model = tiny_config();
+  const deepgate::Engine engine(options);
+  const auto graphs = mixed_graphs();
+  auto server = deepgate::serve::start(engine, sopts);
+  auto f = server->submit({&graphs[0]});
+  server->shutdown();  // drain closes the day-long window
+  EXPECT_EQ(f.get().probabilities, engine.predict_probabilities(graphs[0]));
 }
 
 // -- Merge cache ---------------------------------------------------------------
