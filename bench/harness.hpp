@@ -3,7 +3,7 @@
 //   DEEPGATE_SCALE      = tiny | small | paper
 //   DEEPGATE_EPOCHS     = <int>
 //   DEEPGATE_SEED       = <uint64>
-//   DEEPGATE_THREADS    = <int>   (pool size used by kernels/sim/trainer)
+//   DEEPGATE_THREADS    = <int>   (pool size used by sim/trainer/executor)
 //   DEEPGATE_BENCH_JSON = <path>  (machine-readable result file for benches
 //                                  that call write_json_report — currently
 //                                  micro_parallel; the --json CLI flag takes

@@ -1,17 +1,17 @@
 // Scaling microbenchmark for the parallel execution layer: bit-parallel
-// pattern simulation, the matmul kernel, and a full data-parallel training
-// run, each measured across thread counts with speedup vs the serial
-// baseline. Also cross-checks the determinism contract: simulation results
-// must be bit-identical at every thread count, and training losses must
-// agree across worker counts to float tolerance.
+// pattern simulation and a full data-parallel training run, each measured
+// across thread counts with speedup vs the serial baseline. Also
+// cross-checks the determinism contract: simulation results must be
+// bit-identical at every thread count, and training losses must agree
+// across worker counts to float tolerance. (The nn kernels have no
+// thread-scaling row: they run on the calling thread at every
+// DEEPGATE_THREADS value.)
 //
 // Honors --json out.json / DEEPGATE_BENCH_JSON for the perf-trajectory CI.
 #include "harness.hpp"
 
 #include "core/deepgate.hpp"
 #include "data/generators_large.hpp"
-#include "nn/init.hpp"
-#include "nn/kernels.hpp"
 #include "sim/probability.hpp"
 #include "util/thread_pool.hpp"
 
@@ -26,18 +26,17 @@ namespace {
 struct Workload {
   std::size_t sim_patterns;
   int mult_bits;        // multiplier size for the simulated circuit
-  int matmul_rows;
   int train_circuits;
   int train_epochs;
 };
 
 Workload workload_for(dg::util::BenchScale scale) {
   switch (scale) {
-    case dg::util::BenchScale::kTiny: return {20000, 10, 1024, 4, 2};
-    case dg::util::BenchScale::kPaper: return {100000, 24, 16384, 16, 8};
+    case dg::util::BenchScale::kTiny: return {20000, 10, 4, 2};
+    case dg::util::BenchScale::kPaper: return {100000, 24, 16, 8};
     case dg::util::BenchScale::kSmall: break;
   }
-  return {100000, 16, 4096, 8, 3};
+  return {100000, 16, 8, 3};
 }
 
 double time_best_of(int reps, const std::function<void()>& fn) {
@@ -55,7 +54,7 @@ double time_best_of(int reps, const std::function<void()>& fn) {
 int main(int argc, char** argv) {
   using namespace dg;
   bench::Context ctx = bench::make_context(argc, argv);
-  bench::print_banner("micro_parallel: thread-scaling of sim / kernels / training", ctx);
+  bench::print_banner("micro_parallel: thread-scaling of sim / training", ctx);
 
   const Workload wl = workload_for(ctx.scale);
   const std::vector<int> thread_counts = {1, 2, 4};
@@ -93,22 +92,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "FAIL: simulation not bit-identical across threads\n");
       return 1;
     }
-  table.add_rule();
-
-  // -- Matmul kernel ---------------------------------------------------------
-  util::Rng rng(ctx.seed);
-  const nn::Matrix a = nn::normal(wl.matmul_rows, 256, 1.0F, rng);
-  const nn::Matrix b = nn::normal(256, 256, 1.0F, rng);
-  double mm_base = 0.0;
-  for (const int t : thread_counts) {
-    util::set_global_threads(t);
-    const double secs = time_best_of(3, [&] {
-      volatile float sink = nn::kern::matmul(a, b).at(0, 0);
-      (void)sink;
-    });
-    if (t == 1) mm_base = secs;
-    record("matmul", t, secs, mm_base);
-  }
   table.add_rule();
 
   // -- End-to-end training ---------------------------------------------------

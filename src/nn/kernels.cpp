@@ -2,51 +2,18 @@
 
 #include "nn/simd/backend.hpp"
 #include "nn/simd/dispatch.hpp"
-#include "util/thread_pool.hpp"
 
 #include <algorithm>
 #include <cassert>
-#include <cstdint>
 #include <limits>
 
 namespace dg::nn::kern {
-namespace {
 
-// Row-blocked parallelism: each output row (or flat element range) is written
-// by exactly one chunk with the same per-element accumulation order as the
-// serial loop, so results are bit-identical at every DEEPGATE_THREADS value.
-// The grain keeps small matrices (the per-level batches of shallow circuits)
-// on the calling thread where pool dispatch would dominate.
-//
-// SIMD dispatch happens INSIDE the chunks: the partitioning below is
-// identical for every backend, and the active backend (see
-// nn/simd/dispatch.hpp) only changes how a chunk's inner loop is executed.
-constexpr std::int64_t kFlopGrain = 1 << 15;  // min useful flops per chunk
-constexpr std::int64_t kElemGrain = 1 << 15;  // min elements per chunk
-
-std::int64_t row_grain(std::int64_t flops_per_row) {
-  return kFlopGrain / std::max<std::int64_t>(1, flops_per_row) + 1;
-}
-
-/// Run body(i0, i1) over row blocks of [0, rows).
-template <typename Body>
-void for_row_blocks(int rows, std::int64_t flops_per_row, const Body& body) {
-  util::parallel_for(0, rows, row_grain(flops_per_row),
-                     [&](std::int64_t lo, std::int64_t hi) {
-                       body(static_cast<int>(lo), static_cast<int>(hi));
-                     });
-}
-
-/// Run body(i0, i1) over blocks of the flat element range [0, n).
-template <typename Body>
-void for_elem_blocks(std::size_t n, const Body& body) {
-  util::parallel_for(0, static_cast<std::int64_t>(n), kElemGrain,
-                     [&](std::int64_t lo, std::int64_t hi) {
-                       body(static_cast<std::size_t>(lo), static_cast<std::size_t>(hi));
-                     });
-}
-
-}  // namespace
+// Every kernel runs on the thread that calls it, one backend call over the
+// full range. A forward's kernels see one level at a time (tens of rows), so
+// splitting them across the pool cost more in wake-ups than it saved;
+// parallelism lives one level up (serve lanes, gnn::execute designs, trainer
+// replicas, simulator pattern blocks).
 
 // i-k-j loop order: the inner loop walks both B and C contiguously, which is
 // the cache-friendly ordering for row-major storage and vectorizes across
@@ -58,36 +25,22 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   // vectorizes across rows instead.
   if (b.cols() == 1) return matvec(a, b);
   Matrix c(a.rows(), b.cols());
-  const int m = a.rows(), k = a.cols(), n = b.cols();
-  const KernelBackend& be = backend();
-  for_row_blocks(m, static_cast<std::int64_t>(k) * n, [&](int i0, int i1) {
-    be.matmul_rows(c.data(), a.data(), b.data(), i0, i1, k, n);
-  });
+  backend().matmul_rows(c.data(), a.data(), b.data(), 0, a.rows(), a.cols(), b.cols());
   return c;
 }
 
 void matmul_acc(Matrix& c, const Matrix& a, const Matrix& b) {
   assert(a.cols() == b.rows());
   assert(c.rows() == a.rows() && c.cols() == b.cols());
-  const int m = a.rows(), k = a.cols(), n = b.cols();
-  const KernelBackend& be = backend();
-  for_row_blocks(m, static_cast<std::int64_t>(k) * n, [&](int i0, int i1) {
-    be.matmul_rows(c.data(), a.data(), b.data(), i0, i1, k, n);
-  });
+  backend().matmul_rows(c.data(), a.data(), b.data(), 0, a.rows(), a.cols(), b.cols());
 }
 
-// Parallel over column blocks of C: every chunk keeps the serial p-ascending
-// accumulation order per output element and writes a disjoint column range.
+// Every output element keeps the serial p-ascending accumulation order.
 Matrix matmul_tn(const Matrix& a, const Matrix& b) {
   assert(a.rows() == b.rows());
   Matrix c(a.cols(), b.cols());
   const int k = a.rows(), m = a.cols(), n = b.cols();
-  const KernelBackend& be = backend();
-  util::parallel_for(0, n, row_grain(static_cast<std::int64_t>(k) * m),
-                     [&](std::int64_t j0, std::int64_t j1) {
-                       be.matmul_tn_cols(c.data(), a.data(), b.data(), static_cast<int>(j0),
-                                         static_cast<int>(j1), k, m, n);
-                     });
+  backend().matmul_tn_cols(c.data(), a.data(), b.data(), 0, n, k, m, n);
   return c;
 }
 
@@ -98,68 +51,50 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b) {
   assert(a.cols() == b.cols());
   Matrix c(a.rows(), b.rows());
   const int m = a.rows(), k = a.cols(), n = b.rows();
-  for_row_blocks(m, static_cast<std::int64_t>(k) * n, [&](int i0, int i1) {
-    for (int i = i0; i < i1; ++i) {
-      const float* arow = a.row_ptr(i);
-      float* crow = c.row_ptr(i);
-      for (int j = 0; j < n; ++j) {
-        const float* brow = b.row_ptr(j);
-        float acc = 0.0F;
-        for (int p = 0; p < k; ++p) acc += arow[p] * brow[p];
-        crow[j] += acc;
-      }
+  for (int i = 0; i < m; ++i) {
+    const float* arow = a.row_ptr(i);
+    float* crow = c.row_ptr(i);
+    for (int j = 0; j < n; ++j) {
+      const float* brow = b.row_ptr(j);
+      float acc = 0.0F;
+      for (int p = 0; p < k; ++p) acc += arow[p] * brow[p];
+      crow[j] += acc;
     }
-  });
+  }
   return c;
 }
 
 Matrix matvec(const Matrix& a, const Matrix& w) {
   assert(a.cols() == w.rows() && w.cols() == 1);
   Matrix c(a.rows(), 1);
-  const int k = a.cols();
-  const KernelBackend& be = backend();
-  for_row_blocks(a.rows(), k, [&](int i0, int i1) {
-    be.matvec_rows(c.data(), a.data(), w.data(), i0, i1, k);
-  });
+  backend().matvec_rows(c.data(), a.data(), w.data(), 0, a.rows(), a.cols());
   return c;
 }
 
 Matrix add(const Matrix& a, const Matrix& b) {
   assert(a.same_shape(b));
   Matrix c(a.rows(), a.cols());
-  const KernelBackend& be = backend();
-  for_elem_blocks(a.size(), [&](std::size_t i0, std::size_t i1) {
-    be.add_n(c.data() + i0, a.data() + i0, b.data() + i0, i1 - i0);
-  });
+  backend().add_n(c.data(), a.data(), b.data(), a.size());
   return c;
 }
 
 Matrix sub(const Matrix& a, const Matrix& b) {
   assert(a.same_shape(b));
   Matrix c(a.rows(), a.cols());
-  const KernelBackend& be = backend();
-  for_elem_blocks(a.size(), [&](std::size_t i0, std::size_t i1) {
-    be.sub_n(c.data() + i0, a.data() + i0, b.data() + i0, i1 - i0);
-  });
+  backend().sub_n(c.data(), a.data(), b.data(), a.size());
   return c;
 }
 
 Matrix mul(const Matrix& a, const Matrix& b) {
   assert(a.same_shape(b));
   Matrix c(a.rows(), a.cols());
-  const KernelBackend& be = backend();
-  for_elem_blocks(a.size(), [&](std::size_t i0, std::size_t i1) {
-    be.mul_n(c.data() + i0, a.data() + i0, b.data() + i0, i1 - i0);
-  });
+  backend().mul_n(c.data(), a.data(), b.data(), a.size());
   return c;
 }
 
 Matrix scale(const Matrix& a, float s) {
   Matrix c(a.rows(), a.cols());
-  const KernelBackend& be = backend();
-  for_elem_blocks(a.size(), [&](std::size_t i0, std::size_t i1) {
-    be.scale_n(c.data() + i0, a.data() + i0, s, i1 - i0);
-  });
+  backend().scale_n(c.data(), a.data(), s, a.size());
   return c;
 }
 
@@ -168,9 +103,7 @@ Matrix add_rowvec(const Matrix& a, const Matrix& b) {
   Matrix c(a.rows(), a.cols());
   const KernelBackend& be = backend();
   const std::size_t n = static_cast<std::size_t>(a.cols());
-  for_row_blocks(a.rows(), a.cols(), [&](int r0, int r1) {
-    for (int r = r0; r < r1; ++r) be.add_n(c.row_ptr(r), a.row_ptr(r), b.row_ptr(0), n);
-  });
+  for (int r = 0; r < a.rows(); ++r) be.add_n(c.row_ptr(r), a.row_ptr(r), b.row_ptr(0), n);
   return c;
 }
 
@@ -185,61 +118,35 @@ Matrix scale_rows(const Matrix& a, const Matrix& s) {
 
 void acc(Matrix& a, const Matrix& b) {
   assert(a.same_shape(b));
-  const KernelBackend& be = backend();
-  for_elem_blocks(a.size(), [&](std::size_t i0, std::size_t i1) {
-    be.acc_n(a.data() + i0, b.data() + i0, i1 - i0);
-  });
+  backend().acc_n(a.data(), b.data(), a.size());
 }
 
 void axpy(Matrix& a, float alpha, const Matrix& b) {
   assert(a.same_shape(b));
-  const KernelBackend& be = backend();
-  for_elem_blocks(a.size(), [&](std::size_t i0, std::size_t i1) {
-    be.axpy_n(a.data() + i0, alpha, b.data() + i0, i1 - i0);
-  });
+  backend().axpy_n(a.data(), alpha, b.data(), a.size());
 }
 
-// The transcendental maps get a finer grain: exp/tanh cost tens of cycles per
-// element, so smaller blocks still amortize pool dispatch.
 Matrix sigmoid(const Matrix& a) {
   Matrix c(a.rows(), a.cols());
-  const KernelBackend& be = backend();
-  util::parallel_for(0, static_cast<std::int64_t>(a.size()), kElemGrain / 8,
-                     [&](std::int64_t i0, std::int64_t i1) {
-                       be.sigmoid_n(c.data() + i0, a.data() + i0,
-                                    static_cast<std::size_t>(i1 - i0));
-                     });
+  backend().sigmoid_n(c.data(), a.data(), a.size());
   return c;
 }
 
 Matrix tanh_m(const Matrix& a) {
   Matrix c(a.rows(), a.cols());
-  const KernelBackend& be = backend();
-  util::parallel_for(0, static_cast<std::int64_t>(a.size()), kElemGrain / 8,
-                     [&](std::int64_t i0, std::int64_t i1) {
-                       be.tanh_n(c.data() + i0, a.data() + i0,
-                                 static_cast<std::size_t>(i1 - i0));
-                     });
+  backend().tanh_n(c.data(), a.data(), a.size());
   return c;
 }
 
 Matrix exp_m(const Matrix& a) {
   Matrix c(a.rows(), a.cols());
-  const KernelBackend& be = backend();
-  util::parallel_for(0, static_cast<std::int64_t>(a.size()), kElemGrain / 8,
-                     [&](std::int64_t i0, std::int64_t i1) {
-                       be.exp_n(c.data() + i0, a.data() + i0,
-                                static_cast<std::size_t>(i1 - i0));
-                     });
+  backend().exp_n(c.data(), a.data(), a.size());
   return c;
 }
 
 Matrix relu(const Matrix& a) {
   Matrix c(a.rows(), a.cols());
-  const KernelBackend& be = backend();
-  for_elem_blocks(a.size(), [&](std::size_t i0, std::size_t i1) {
-    be.relu_n(c.data() + i0, a.data() + i0, i1 - i0);
-  });
+  backend().relu_n(c.data(), a.data(), a.size());
   return c;
 }
 
@@ -326,10 +233,7 @@ Matrix softmax_segments(const Matrix& s, const std::vector<int>& segment, int nu
   float* ov = out.data();
   for (int i = 0; i < rows; ++i) mx[segment[i]] = std::max(mx[segment[i]], sv[i]);
   for (int i = 0; i < rows; ++i) ov[i] = sv[i] - mx[segment[i]];
-  const KernelBackend& be = backend();
-  util::parallel_for(0, rows, kElemGrain / 8, [&](std::int64_t i0, std::int64_t i1) {
-    be.exp_n(ov + i0, ov + i0, static_cast<std::size_t>(i1 - i0));
-  });
+  backend().exp_n(ov, ov, static_cast<std::size_t>(rows));
   // Sum and normalize in ascending i: identical per-segment accumulation
   // order to the original fused exp loop, so scalar results are bitwise.
   for (int i = 0; i < rows; ++i) sum[segment[i]] += ov[i];

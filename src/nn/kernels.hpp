@@ -7,9 +7,13 @@
 //
 // Backends: the inner loops dispatch at runtime between a scalar reference
 // oracle and vectorized implementations (see nn/simd/dispatch.hpp and the
-// DEEPGATE_SIMD environment variable). Thread-pool partitioning is identical
-// for every backend, and all backends are bitwise-equal to the oracle except
-// the sigmoid/tanh maps on avx2 (tested absolute-error bound).
+// DEEPGATE_SIMD environment variable). All backends are bitwise-equal to the
+// oracle except the sigmoid/tanh maps on avx2 (tested absolute-error bound).
+//
+// Threading: every kernel runs entirely on the thread that calls it and
+// never touches the thread pool, so results do not depend on
+// DEEPGATE_THREADS. Callers parallelize above the kernels (serve lanes,
+// gnn::execute, trainer replicas).
 #pragma once
 
 #include "nn/matrix.hpp"

@@ -4,7 +4,6 @@
 #include "gnn/executor.hpp"
 #include "obs/trace.hpp"
 #include "util/env.hpp"
-#include "util/log.hpp"
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
@@ -27,17 +26,10 @@ std::uint64_t ns_between(Clock::time_point from, Clock::time_point to) {
   return d > 0 ? static_cast<std::uint64_t>(d) : 0;
 }
 
-// Lanes share DEEPGATE_THREADS' cap. A delay over a day is a typo, and near
-// 9e12 ms the deadline (admitted + delay, in clock ticks) overflows.
-constexpr long long kMaxLanes = 512;
+// Lanes share DEEPGATE_THREADS' cap (util::kMaxThreads). A delay over a day
+// is a typo, and near 9e12 ms the deadline (admitted + delay, in clock ticks)
+// overflows.
 constexpr long long kMaxDelayMs = 24LL * 60 * 60 * 1000;
-
-/// `value` in [lo, hi]; otherwise warns that knob `name` keeps its default.
-bool knob_in_range(const char* name, long long value, long long lo, long long hi) {
-  if (value >= lo && value <= hi) return true;
-  dg::util::log_warn(name, "=", value, " is outside [", lo, ", ", hi, "]; keeping the default");
-  return false;
-}
 
 }  // namespace
 
@@ -58,10 +50,11 @@ ServerOptions ServerOptions::from_env() {
   opts.max_graphs = base.max_graphs;
   opts.merge_cache_capacity = base.merge_cache_capacity;  // DEEPGATE_SERVE_CACHE
   const long long lanes = dg::util::env_int("DEEPGATE_SERVE_LANES", opts.lanes);
-  if (knob_in_range("DEEPGATE_SERVE_LANES", lanes, 0, kMaxLanes))
+  if (dg::util::knob_in_range("DEEPGATE_SERVE_LANES", lanes, 0, dg::util::kMaxThreads))
     opts.lanes = static_cast<int>(lanes);
   const long long delay_ms = dg::util::env_int("DEEPGATE_SERVE_DELAY_MS", -1);
-  if (delay_ms != -1 && knob_in_range("DEEPGATE_SERVE_DELAY_MS", delay_ms, 0, kMaxDelayMs))
+  if (delay_ms != -1 &&
+      dg::util::knob_in_range("DEEPGATE_SERVE_DELAY_MS", delay_ms, 0, kMaxDelayMs))
     opts.max_batch_delay = std::chrono::milliseconds(delay_ms);
   const long long cap = dg::util::env_int("DEEPGATE_SERVE_QUEUE_CAP", -1);
   if (cap > 0) opts.queue_capacity = static_cast<std::size_t>(cap);
@@ -318,9 +311,6 @@ void Server::dispatch_window(std::vector<Pending>& window, CloseReason reason) {
 void Server::worker_loop() {
   // Lane-owned replica: identical parameters, private mutable state.
   const std::unique_ptr<dg::gnn::Model> model = engine_.clone_model();
-  // Lanes are the unit of parallelism: nested kernel parallel_for calls run
-  // inline here instead of N lanes contending on the shared pool.
-  const dg::util::InlineParallelGuard inline_kernels;
   Work work;
   while (work_queue_.pop(work) == PopResult::kItem) run_work(work, *model);
 }

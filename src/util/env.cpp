@@ -52,6 +52,12 @@ double env_double(const std::string& name, double fallback) {
   return parsed;
 }
 
+bool knob_in_range(const std::string& name, long long value, long long lo, long long hi) {
+  if (value >= lo && value <= hi) return true;
+  log_warn(name, "=", value, " is outside [", lo, ", ", hi, "]; keeping the default");
+  return false;
+}
+
 std::string env_str(const std::string& name, const std::string& fallback) {
   const char* v = std::getenv(name.c_str());
   return v == nullptr ? fallback : std::string(v);

@@ -4,9 +4,12 @@
 //   DEEPGATE_SCALE   = tiny | small | paper  (default small)
 //   DEEPGATE_EPOCHS  = <int>                 (override epoch count)
 //   DEEPGATE_SEED    = <uint64>              (default 1)
-//   DEEPGATE_THREADS = <int>                 (pool size; default hardware
-//                                             concurrency, 1 = serial —
-//                                             resolved in thread_pool.hpp)
+//   DEEPGATE_THREADS = <int>                 (pool size in [1, 512] for
+//                                             gnn::execute, simulation,
+//                                             training and dataset builds;
+//                                             default hardware concurrency,
+//                                             1 = serial; kernels never use
+//                                             it — util/thread_pool.hpp)
 //   DEEPGATE_BENCH_JSON = <path>             (bench harness JSON output)
 //   DEEPGATE_DATA_DIR = <path>               (on-disk dataset shard cache;
 //                                             unset = caching disabled)
@@ -62,6 +65,11 @@ long long env_int(const std::string& name, long long fallback);
 /// env_int: the whole value must parse ("0.5x" or "" warn and return
 /// `fallback`).
 double env_double(const std::string& name, double fallback);
+
+/// True when `value` lies in [lo, hi]; otherwise warns that knob `name`
+/// keeps its default and returns false. The one range check for integer
+/// knobs: `if (knob_in_range(name, v, lo, hi)) opt = v;`.
+bool knob_in_range(const std::string& name, long long value, long long lo, long long hi);
 
 /// Generic string env lookup.
 std::string env_str(const std::string& name, const std::string& fallback = {});

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -21,9 +22,9 @@ namespace dg::util {
 // spawned threads and never context-switches in the N == 1 case.
 namespace {
 // Set while a thread executes chunks of some pool job. Nested run_chunks
-// calls (e.g. a parallel matrix kernel invoked from a data-parallel trainer
-// worker) run inline instead of re-entering the pool: the outer level already
-// owns the hardware, and inline execution keeps chunk results identical.
+// calls (e.g. pattern simulation invoked from a dataset-build chunk) run
+// inline instead of re-entering the pool: the outer level already owns the
+// hardware, and inline execution keeps chunk results identical.
 thread_local bool t_in_parallel_region = false;
 
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0,
@@ -220,8 +221,12 @@ double ThreadPool::seconds_alive() const {
 }
 
 int default_num_threads() {
-  const long long env = env_int("DEEPGATE_THREADS", 0);
-  if (env >= 1) return static_cast<int>(std::min<long long>(env, 512));
+  // Only a set value is range-checked: a host with more than kMaxThreads
+  // cores keeps its hardware default without a warning.
+  constexpr long long kUnset = std::numeric_limits<long long>::min();
+  const long long env = env_int("DEEPGATE_THREADS", kUnset);
+  if (env != kUnset && knob_in_range("DEEPGATE_THREADS", env, 1, kMaxThreads))
+    return static_cast<int>(env);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
@@ -251,35 +256,6 @@ void set_global_threads(int num_threads) {
   g_pool.store(nullptr, std::memory_order_release);
   global_slot() = std::make_unique<ThreadPool>(num_threads);
   g_pool.store(global_slot().get(), std::memory_order_release);
-}
-
-void parallel_for(ThreadPool& pool, std::int64_t begin, std::int64_t end, std::int64_t grain,
-                  const std::function<void(std::int64_t, std::int64_t)>& body) {
-  const std::int64_t n = end - begin;
-  if (n <= 0) return;
-  const std::int64_t g = std::max<std::int64_t>(1, grain);
-  const int chunks =
-      static_cast<int>(std::min<std::int64_t>(pool.num_threads(), (n + g - 1) / g));
-  if (chunks <= 1) {
-    body(begin, end);
-    return;
-  }
-  pool.run_chunks(chunks, [&](int c) {
-    const std::int64_t lo = begin + chunk_begin(n, chunks, c);
-    const std::int64_t hi = begin + chunk_begin(n, chunks, c + 1);
-    if (lo < hi) body(lo, hi);
-  });
-}
-
-void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                  const std::function<void(std::int64_t, std::int64_t)>& body) {
-  // Inside a pool chunk the call would inline anyway; skip the global-pool
-  // lookup (and its creation lock) entirely.
-  if (t_in_parallel_region) {
-    if (end > begin) body(begin, end);
-    return;
-  }
-  parallel_for(global_pool(), begin, end, grain, body);
 }
 
 void parallel_for_chunked(ThreadPool& pool, std::int64_t n, int num_chunks,

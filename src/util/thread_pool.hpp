@@ -1,12 +1,17 @@
-// Fixed-size thread pool with a deterministic parallel_for primitive.
+// Fixed-size thread pool with deterministic chunked execution.
 //
 // Work is partitioned into contiguous chunks with fixed boundaries
-// (chunk c of C over [begin, end) is [begin + c*len/C, begin + (c+1)*len/C)),
-// so a caller that keeps one accumulator per chunk and reduces them in chunk
-// order gets results that do not depend on how chunks were scheduled onto
-// threads. Integer accumulations (the bit-parallel simulator) and disjoint
-// writes (row-blocked matrix kernels) are therefore bit-identical at every
-// thread count; float reductions are deterministic for a fixed chunk count.
+// (chunk c of C over [0, n) is [c*n/C, (c+1)*n/C)), so a caller that keeps
+// one accumulator per chunk and reduces them in chunk order gets results
+// that do not depend on how chunks were scheduled onto threads. Integer
+// accumulations (the bit-parallel simulator) and disjoint writes (one
+// design per gnn::execute lane) are therefore bit-identical at every thread
+// count; float reductions (trainer replicas) are deterministic for a fixed
+// chunk count.
+//
+// The callers are coarse-grained: gnn::execute, the simulator, the trainer
+// and the dataset builder. The nn kernels never reach the pool; they run on
+// the thread that calls them (nn/kernels.hpp).
 //
 // The pool size is controlled by the DEEPGATE_THREADS environment variable
 // (default: hardware concurrency). A single-thread pool never spawns workers
@@ -65,13 +70,11 @@ class ThreadPool {
 };
 
 /// RAII: mark the current thread as already inside a parallel region, so any
-/// nested run_chunks/parallel_for it issues executes inline on this thread
-/// instead of re-entering the pool (external run_chunks callers serialize on
-/// a submit lock). Long-lived worker threads that exist OUTSIDE the pool —
-/// the serve lanes — wrap their drain loops in this guard: thread-level
-/// parallelism across lanes replaces kernel-level fan-out within one, and N
-/// lanes never contend on the pool. Pool workers get this behavior
-/// automatically; the guard extends it to threads the pool doesn't know.
+/// nested run_chunks it issues executes inline on this thread instead of
+/// re-entering the pool (external run_chunks callers serialize on a submit
+/// lock). Pool workers get this behavior automatically; the guard extends it
+/// to threads the pool doesn't know, such as a caller that already runs one
+/// task per pool lane itself.
 class InlineParallelGuard {
  public:
   InlineParallelGuard();
@@ -83,8 +86,12 @@ class InlineParallelGuard {
   bool prev_;
 };
 
-/// Resolved DEEPGATE_THREADS: the env value if set (clamped to >= 1), else
-/// std::thread::hardware_concurrency().
+/// Largest accepted DEEPGATE_THREADS (and DEEPGATE_SERVE_LANES) value.
+constexpr int kMaxThreads = 512;
+
+/// Resolved DEEPGATE_THREADS: the env value if set and in [1, kMaxThreads],
+/// else std::thread::hardware_concurrency(). An out-of-range value warns
+/// and keeps that default.
 int default_num_threads();
 
 /// Process-wide pool, lazily created with default_num_threads() lanes.
@@ -104,20 +111,9 @@ inline std::int64_t chunk_begin(std::int64_t n, int num_chunks, int c) {
   return n * c / num_chunks;
 }
 
-/// Partition [begin, end) into at most `max_chunks` fixed chunks of at least
-/// `grain` indices and run body(lo, hi) for each on the given pool. With one
-/// chunk the body runs inline on the caller.
-void parallel_for(ThreadPool& pool, std::int64_t begin, std::int64_t end, std::int64_t grain,
-                  const std::function<void(std::int64_t, std::int64_t)>& body);
-
-/// parallel_for on the global pool.
-void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                  const std::function<void(std::int64_t, std::int64_t)>& body);
-
-/// Chunk-indexed variant for callers that keep per-chunk accumulators:
-/// body(chunk, lo, hi) with exactly `num_chunks` chunks (chunks may be empty
-/// when n < num_chunks). Reduction over chunks in index order is
-/// scheduling-independent.
+/// Split [0, n) into exactly `num_chunks` fixed chunks (empty when
+/// n < num_chunks) and run body(chunk, lo, hi) for each on the given pool.
+/// Reduction over chunks in index order is scheduling-independent.
 void parallel_for_chunked(ThreadPool& pool, std::int64_t n, int num_chunks,
                           const std::function<void(int, std::int64_t, std::int64_t)>& body);
 

@@ -30,12 +30,14 @@ EXPECTATIONS = {
     "kernels_stray_flag": ("tools/lint_kernels.py", "kernels-stray-simd-flag"),
     "kernels_missing_fpcontract": ("tools/lint_kernels.py", "kernels-fp-contract"),
     "kernels_raw_mutex": ("tools/lint_kernels.py", "kernels-raw-mutex"),
+    "kernels_pool_fanout": ("tools/lint_kernels.py", "kernels-pool-fanout"),
 }
 
 ALL_RULES = {
     "tools/lint_knobs.py": {"knobs-raw-getenv", "knobs-undocumented", "knobs-stale-doc"},
     "tools/lint_kernels.py": {"kernels-stray-intrinsic", "kernels-stray-simd-flag",
-                              "kernels-fp-contract", "kernels-raw-mutex"},
+                              "kernels-fp-contract", "kernels-raw-mutex",
+                              "kernels-pool-fanout"},
 }
 
 RULE_LINE_RE = re.compile(r"^([a-z-]+):", re.MULTILINE)

@@ -1,10 +1,12 @@
 // Thread pool: lifecycle, chunk coverage, exception propagation, nested
-// submission, and the end-to-end determinism contracts of the parallel
-// execution layer (bit-identical simulation at every thread count; training
-// losses matching across worker counts to float tolerance).
+// submission, caller-thread forwards staying off the pool, and the
+// end-to-end determinism contracts of the parallel execution layer
+// (bit-identical simulation at every thread count; training losses matching
+// across worker counts to float tolerance).
 #include "util/thread_pool.hpp"
 
 #include "core/deepgate.hpp"
+#include "core/incremental_session.hpp"
 #include "data/generators_large.hpp"
 #include "nn/init.hpp"
 #include "nn/kernels.hpp"
@@ -12,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -43,8 +47,11 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   for (int n : {1, 3, 4}) {
     util::ThreadPool pool(n);
     constexpr std::int64_t kN = 10001;
+    constexpr int kChunks = 7;
     std::vector<std::atomic<int>> hits(kN);
-    util::parallel_for(pool, 0, kN, 1, [&](std::int64_t lo, std::int64_t hi) {
+    util::parallel_for_chunked(pool, kN, kChunks, [&](int c, std::int64_t lo, std::int64_t hi) {
+      EXPECT_EQ(lo, util::chunk_begin(kN, kChunks, c));
+      EXPECT_EQ(hi, util::chunk_begin(kN, kChunks, c + 1));
       for (std::int64_t i = lo; i < hi; ++i) hits[static_cast<std::size_t>(i)]++;
     });
     for (std::int64_t i = 0; i < kN; ++i)
@@ -78,27 +85,78 @@ TEST(ThreadPool, ExceptionPropagatesToCaller) {
 TEST(ThreadPool, NestedParallelForRunsInline) {
   util::ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(64);
+  std::atomic<int> off_thread{0};
   pool.run_chunks(4, [&](int c) {
-    // Nested submission from a worker must not deadlock or drop work.
-    util::parallel_for(pool, c * 16, (c + 1) * 16, 1,
-                       [&](std::int64_t lo, std::int64_t hi) {
-                         for (std::int64_t i = lo; i < hi; ++i)
-                           hits[static_cast<std::size_t>(i)]++;
-                       });
+    // Nested submission from a worker must not deadlock or drop work, and
+    // runs on the thread that issued it.
+    const std::thread::id outer = std::this_thread::get_id();
+    util::parallel_for_chunked(pool, 16, 4, [&](int, std::int64_t lo, std::int64_t hi) {
+      if (std::this_thread::get_id() != outer) off_thread++;
+      for (std::int64_t i = lo; i < hi; ++i) hits[static_cast<std::size_t>(c * 16 + i)]++;
+    });
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(off_thread.load(), 0);
 }
 
 TEST(ThreadPool, EmptyAndTinyRanges) {
   util::ThreadPool pool(4);
-  int calls = 0;
-  util::parallel_for(pool, 5, 5, 1, [&](std::int64_t, std::int64_t) { calls++; });
-  EXPECT_EQ(calls, 0);
+  std::atomic<int> calls{0};
+  util::parallel_for_chunked(pool, 0, 4, [&](int, std::int64_t, std::int64_t) { calls++; });
+  util::parallel_for_chunked(pool, 5, 0, [&](int, std::int64_t, std::int64_t) { calls++; });
+  pool.run_chunks(0, [&](int) { calls++; });
+  EXPECT_EQ(calls.load(), 0);
+  // One index over four chunks: three chunks are empty, the index is
+  // covered once.
   std::atomic<int> hits{0};
-  util::parallel_for(pool, 0, 1, 1, [&](std::int64_t lo, std::int64_t hi) {
+  util::parallel_for_chunked(pool, 1, 4, [&](int, std::int64_t lo, std::int64_t hi) {
     hits += static_cast<int>(hi - lo);
   });
   EXPECT_EQ(hits.load(), 1);
+}
+
+// Kernels run on the thread that calls them: a forward issued from the
+// caller thread, on a circuit with levels of 10 or more nodes (enough rows
+// for a row-blocked split of the GRU matmuls at 2 lanes), must leave every
+// lane's chunk counter untouched.
+TEST(ThreadPool, CallerThreadForwardsNeverReachThePool) {
+  util::set_global_threads(2);
+  deepgate::Engine engine;
+  const gnn::CircuitGraph g = deepgate::prepare(data::gen_arbiter(8, 3), 2048, 5);
+  std::size_t widest = 0;
+  for (const auto& level : g.nodes_at_level) widest = std::max(widest, level.size());
+  ASSERT_GE(widest, 10U);
+  deepgate::IncrementalSession session(engine, g);
+
+  // A level-1 two-input gate, rewired onto two other primary inputs: its
+  // whole fan-out cone is dirty for the incremental query.
+  const std::vector<int>& pis = g.nodes_at_level[0];
+  ASSERT_GE(pis.size(), 3U);
+  const std::vector<std::vector<int>> fanins = g.fanin_lists();
+  int v = -1;
+  for (const int u : g.nodes_at_level[1])
+    if (fanins[static_cast<std::size_t>(u)].size() == 2) v = u;
+  ASSERT_GE(v, 0);
+  std::vector<int> rewired;
+  for (const int pi : pis) {
+    const auto& old = fanins[static_cast<std::size_t>(v)];
+    if (rewired.size() < 2 && std::find(old.begin(), old.end(), pi) == old.end())
+      rewired.push_back(pi);
+  }
+  ASSERT_EQ(rewired.size(), 2U);
+
+  const std::vector<util::PoolLaneStats> before = util::global_pool().lane_stats();
+  EXPECT_EQ(engine.predict_probabilities(g).size(), static_cast<std::size_t>(g.num_nodes));
+  engine.predict_incremental(session);  // first query: full capture
+  session.rewire_node(v, rewired);
+  engine.predict_incremental(session);
+  EXPECT_TRUE(session.last_stats().partial);
+  const std::vector<util::PoolLaneStats> after = util::global_pool().lane_stats();
+
+  ASSERT_EQ(before.size(), after.size());
+  for (std::size_t lane = 0; lane < before.size(); ++lane)
+    EXPECT_EQ(after[lane].chunks, before[lane].chunks) << "lane " << lane;
+  util::set_global_threads(1);
 }
 
 TEST(ParallelDeterminism, SimulationBitIdenticalAcrossThreadCounts) {

@@ -1,11 +1,13 @@
 #include "util/env.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdlib>
+#include <string>
 #include <thread>
 
 namespace dg::util {
@@ -155,6 +157,33 @@ TEST(Env, EpochOverride) {
   ::setenv("DEEPGATE_EPOCHS", "3", 1);
   EXPECT_EQ(env_epochs(12), 3);
   ::unsetenv("DEEPGATE_EPOCHS");
+}
+
+// DEEPGATE_THREADS is bounded like the serve knobs: a value outside
+// [1, kMaxThreads] warns and keeps the hardware-concurrency default instead
+// of being clamped into range.
+TEST(Env, ThreadsKnobOutOfRangeWarnsAndKeepsDefault) {
+  const std::string saved = env_str("DEEPGATE_THREADS");
+  ::unsetenv("DEEPGATE_THREADS");
+  const int fallback = default_num_threads();
+  EXPECT_GE(fallback, 1);
+  for (const char* bad : {"0", "-3", "600"}) {
+    ::setenv("DEEPGATE_THREADS", bad, 1);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(default_num_threads(), fallback) << bad;
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("DEEPGATE_THREADS=" + std::string(bad) + " is outside [1, 512]"),
+              std::string::npos)
+        << bad << ": " << err;
+  }
+  ::setenv("DEEPGATE_THREADS", "4", 1);
+  EXPECT_EQ(default_num_threads(), 4);
+  ::setenv("DEEPGATE_THREADS", "512", 1);
+  EXPECT_EQ(default_num_threads(), kMaxThreads);
+  if (saved.empty())
+    ::unsetenv("DEEPGATE_THREADS");
+  else
+    ::setenv("DEEPGATE_THREADS", saved.c_str(), 1);
 }
 
 TEST(Timer, MeasuresElapsed) {

@@ -32,6 +32,15 @@ Rules (each violation prints one `rule: file:line: message` line; exit 1):
                             so the clang -Wthread-safety lane sees every
                             lock.
 
+  kernels-pool-fanout       No file under src/nn/ may include
+                            util/thread_pool.hpp or call parallel_for* /
+                            run_chunks. Kernels run on the thread that calls
+                            them: a forward's kernels see one level (tens of
+                            rows) at a time, where a pool split costs more in
+                            worker wake-ups than it saves. Parallelism lives
+                            in the callers (serve lanes, gnn::execute, the
+                            trainer, the simulator).
+
 The CMake rules are textual (conditional branches are scanned as if taken):
 a flag inside an `if()` is still confined to its designated TU, which is the
 invariant being enforced.
@@ -65,6 +74,10 @@ MUTEX_RE = re.compile(
     r"|lock_guard|unique_lock|scoped_lock|shared_lock)\b")
 MUTEX_ALLOWED_PREFIX = "src/util/"
 
+POOL_FANOUT_RE = re.compile(
+    r"#\s*include\s*[<\"]util/thread_pool\.hpp[>\"]|\b(?:parallel_for\w*|run_chunks)\s*\(")
+POOL_FANOUT_SCOPE = "src/nn/"
+
 
 def rel_posix(path: pathlib.Path, root: pathlib.Path) -> str:
     return path.relative_to(root).as_posix()
@@ -81,6 +94,7 @@ def lint_sources(root: pathlib.Path, violations: list) -> None:
                 text = path.read_text(errors="replace")
                 intrinsics_ok = bool(ALLOWED_INTRINSIC_RE.match(rel))
                 mutex_ok = rel.startswith(MUTEX_ALLOWED_PREFIX) or not rel.startswith("src/")
+                pool_ok = not rel.startswith(POOL_FANOUT_SCOPE)
                 for lineno, line in enumerate(text.splitlines(), start=1):
                     if not intrinsics_ok:
                         m = INTRINSIC_RE.search(line)
@@ -96,6 +110,13 @@ def lint_sources(root: pathlib.Path, violations: list) -> None:
                                 f"kernels-raw-mutex: {rel}:{lineno}: '{m.group(0)}' outside "
                                 "src/util/ — use util::Mutex/MutexLock/CondVar "
                                 "(src/util/mutex.hpp) so -Wthread-safety sees the lock")
+                    if not pool_ok:
+                        m = POOL_FANOUT_RE.search(line)
+                        if m:
+                            violations.append(
+                                f"kernels-pool-fanout: {rel}:{lineno}: '{m.group(0)}' under "
+                                "src/nn/ — kernels run on the thread that calls them; "
+                                "parallelize in the caller instead")
 
 
 def lint_cmake(root: pathlib.Path, violations: list) -> None:
