@@ -7,8 +7,8 @@
 //                through its own MergeCache — the caller-driven baseline the
 //                serving loop must match.
 //   serve_burst  every request submitted at once (closed bursts, one per
-//                rep); measures serving throughput including batcher/queue
-//                overhead and the merge-cache effect on repeated traffic.
+//                rep); measures serving throughput including queue overhead
+//                and the merge-cache effect on repeated traffic.
 //   serve_open   open-loop generator: requests submitted on a fixed
 //                inter-arrival schedule at ~70% of burst throughput,
 //                independent of completions — the classic serving-latency
@@ -180,9 +180,7 @@ int main(int argc, char** argv) {
   deepgate::serve::ServerOptions sopts = deepgate::serve::ServerOptions::from_env();
   sopts.lanes = threads;
   sopts.queue_capacity = static_cast<std::size_t>(total_requests) + 1;
-  // Close a window as soon as one full request round is admitted: bursts
-  // would otherwise sit out max_batch_delay on every underfull round, which
-  // benchmarks the deadline knob rather than the serving path.
+  // A window holds at most one request round.
   sopts.max_graphs = std::min<std::size_t>(sopts.max_graphs, static_cast<std::size_t>(wl.num_graphs));
 
   // -- serve_burst: closed bursts through the admission queue -----------------
@@ -370,11 +368,12 @@ int main(int argc, char** argv) {
            stats.batches);
     std::printf("%s\n", table.render().c_str());
     std::printf("serve_open: %d req at %.1f req/s offered; close reasons "
-                "budget=%llu max_graphs=%llu deadline=%llu drain=%llu\n",
+                "budget=%llu max_graphs=%llu empty=%llu share=%llu drain=%llu\n",
                 total_requests, rate,
                 static_cast<unsigned long long>(stats.close_budget),
                 static_cast<unsigned long long>(stats.close_max_graphs),
-                static_cast<unsigned long long>(stats.close_deadline),
+                static_cast<unsigned long long>(stats.close_empty),
+                static_cast<unsigned long long>(stats.close_share),
                 static_cast<unsigned long long>(stats.close_drain));
   }
 

@@ -1,13 +1,15 @@
-// Bounded MPMC queue — the admission front end of the serving loop.
+// Bounded MPMC queue — the admission queue of the serving loop.
 //
 // Semantics the server relies on:
 //  - push/try_push move from the caller's slot ONLY on success, so a caller
 //    whose item was refused (full or closed queue) still owns it and can
 //    fulfill its promise with an explicit status instead of leaking a
 //    broken_promise.
-//  - pop_until distinguishes "got an item", "deadline passed" and "closed
-//    and drained" — the batcher turns the first into batch growth, the
-//    second into a deadline-closed batch and the third into shutdown.
+//  - pop_window is the only consumer op. A free lane blocks in it for the
+//    first item, then takes what is already queued, up to a cost budget, an
+//    item cap and its fair share of the queue, in the same lock hold. It
+//    never waits for more items to arrive: the window is whatever queued
+//    while every lane was busy.
 //  - close() wakes every waiter; pops keep draining remaining items (drain
 //    overrides pause), pushes fail from then on. Deterministic shutdown
 //    builds on this: nothing enqueued before close() is ever lost.
@@ -24,18 +26,27 @@
 // overloads).
 #pragma once
 
+#include "serve/policy.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
-#include <chrono>
 #include <cstddef>
 #include <deque>
 #include <utility>
+#include <vector>
 
 namespace deepgate::serve {
 
 enum class PushResult { kOk, kFull, kClosed };
-enum class PopResult { kItem, kTimeout, kClosed };
+enum class PopResult { kItem, kClosed };
+
+/// What bounds one pop_window take.
+struct WindowLimits {
+  std::size_t budget = 0;     ///< close once the summed item cost reaches this (0: one item)
+  std::size_t max_items = 1;  ///< ... or the window holds this many items (0 counts as 1)
+  std::size_t lanes = 1;      ///< ... or it holds ceil(queued / lanes), its lane's fair
+                              ///< share of the queue (0 counts as 1)
+};
 
 /// The default push hook: records nothing.
 struct NoPushHook {
@@ -75,31 +86,54 @@ class BoundedQueue {
     return PushResult::kOk;
   }
 
-  /// Blocking pop: waits for an item (or close + drained). Never kTimeout.
-  PopResult pop(T& out) {
+  /// Window pop: clears `out`, blocks until an item is poppable (or close +
+  /// drained), then moves queued items into `out`, in FIFO order and in one
+  /// lock hold, until the first of: the summed `cost(item)` reaches
+  /// `limits.budget`, `out` holds `limits.max_items`, the queue is empty, or
+  /// `out` holds ceil(queued / limits.lanes) — the fair share that leaves the
+  /// rest for the other lanes, so one lane never takes the whole backlog
+  /// while another is about to be free. `reason` names which one ended the
+  /// window; an empty queue is kEmpty, or kDrain once the queue is closed.
+  /// Returns kClosed, with `out` empty and `reason` untouched, only once the
+  /// queue is closed and drained.
+  template <typename Cost>
+  PopResult pop_window(std::vector<T>& out, CloseReason& reason, const WindowLimits& limits,
+                       Cost&& cost) {
+    out.clear();
     dg::util::MutexLock lock(mu_);
     while (!poppable_locked()) not_empty_.wait(mu_);
-    return take_locked(out);
-  }
-
-  /// Timed pop: waits until an item is available or `deadline` passes.
-  template <typename Clock, typename Duration>
-  PopResult pop_until(T& out, const std::chrono::time_point<Clock, Duration>& deadline) {
-    dg::util::MutexLock lock(mu_);
-    while (!poppable_locked()) {
-      if (not_empty_.wait_until(mu_, deadline) == std::cv_status::timeout) {
-        // One last predicate check after the deadline fired: an item (or
-        // close) that raced the timeout still wins, matching the std
-        // wait_until(pred) contract the server was built against.
-        if (poppable_locked()) break;
-        return PopResult::kTimeout;
+    if (items_.empty()) return PopResult::kClosed;  // only reachable when closed_
+    const std::size_t max_items = limits.max_items == 0 ? 1 : limits.max_items;
+    const std::size_t lanes = limits.lanes == 0 ? 1 : limits.lanes;
+    const std::size_t share = (items_.size() + lanes - 1) / lanes;
+    std::size_t taken_cost = 0;
+    for (;;) {
+      taken_cost += cost(items_.front());
+      out.push_back(std::move(items_.front()));
+      items_.pop_front();
+      if (taken_cost >= limits.budget) {
+        reason = CloseReason::kBudget;
+        break;
+      }
+      if (out.size() >= max_items) {
+        reason = CloseReason::kMaxGraphs;
+        break;
+      }
+      if (items_.empty()) {
+        reason = closed_ ? CloseReason::kDrain : CloseReason::kEmpty;
+        break;
+      }
+      if (out.size() >= share) {
+        reason = CloseReason::kShare;
+        break;
       }
     }
-    return take_locked(out);
+    not_full_.notify_all();  // every slot freed may unblock a waiting push
+    return PopResult::kItem;
   }
 
   /// Stop accepting items and wake every waiter. Idempotent. Items already
-  /// queued remain poppable (drain).
+  /// queued remain poppable (drain), paused or not.
   void close() {
     dg::util::MutexLock lock(mu_);
     closed_ = true;
@@ -107,8 +141,8 @@ class BoundedQueue {
     not_full_.notify_all();
   }
 
-  /// Gate consumers: while paused, pops block (or time out) even when items
-  /// are queued — unless the queue is closed, when draining takes priority.
+  /// Gate consumers: while paused, pops block even when items are queued —
+  /// unless the queue is closed, when draining takes priority.
   void set_pop_paused(bool paused) {
     dg::util::MutexLock lock(mu_);
     pop_paused_ = paused;
@@ -129,13 +163,6 @@ class BoundedQueue {
   bool poppable_locked() const DG_REQUIRES(mu_) {
     if (closed_) return true;  // item or kClosed, either way wake up
     return !pop_paused_ && !items_.empty();
-  }
-  PopResult take_locked(T& out) DG_REQUIRES(mu_) {
-    if (items_.empty()) return PopResult::kClosed;  // only reachable when closed_
-    out = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return PopResult::kItem;
   }
 
   const std::size_t capacity_;

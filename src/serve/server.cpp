@@ -26,11 +26,6 @@ std::uint64_t ns_between(Clock::time_point from, Clock::time_point to) {
   return d > 0 ? static_cast<std::uint64_t>(d) : 0;
 }
 
-// Lanes share DEEPGATE_THREADS' cap (util::kMaxThreads). A delay over a day
-// is a typo, and near 9e12 ms the deadline (admitted + delay, in clock ticks)
-// overflows.
-constexpr long long kMaxDelayMs = 24LL * 60 * 60 * 1000;
-
 }  // namespace
 
 const char* submit_status_name(SubmitStatus status) {
@@ -49,15 +44,14 @@ ServerOptions ServerOptions::from_env() {
   opts.node_budget = base.node_budget;
   opts.max_graphs = base.max_graphs;
   opts.merge_cache_capacity = base.merge_cache_capacity;  // DEEPGATE_SERVE_CACHE
+  // Lanes share DEEPGATE_THREADS' cap (util::kMaxThreads).
   const long long lanes = dg::util::env_int("DEEPGATE_SERVE_LANES", opts.lanes);
   if (dg::util::knob_in_range("DEEPGATE_SERVE_LANES", lanes, 0, dg::util::kMaxThreads))
     opts.lanes = static_cast<int>(lanes);
-  const long long delay_ms = dg::util::env_int("DEEPGATE_SERVE_DELAY_MS", -1);
-  if (delay_ms != -1 &&
-      dg::util::knob_in_range("DEEPGATE_SERVE_DELAY_MS", delay_ms, 0, kMaxDelayMs))
-    opts.max_batch_delay = std::chrono::milliseconds(delay_ms);
-  const long long cap = dg::util::env_int("DEEPGATE_SERVE_QUEUE_CAP", -1);
-  if (cap > 0) opts.queue_capacity = static_cast<std::size_t>(cap);
+  const long long cap = dg::util::env_int("DEEPGATE_SERVE_QUEUE_CAP",
+                                          static_cast<long long>(opts.queue_capacity));
+  if (dg::util::knob_in_range("DEEPGATE_SERVE_QUEUE_CAP", cap, 1, kMaxQueueCapacity))
+    opts.queue_capacity = static_cast<std::size_t>(cap);
   return opts;
 }
 
@@ -66,15 +60,9 @@ Server::Server(const Engine& engine, const ServerOptions& options)
       options_(options),
       merge_cache_(options.merge_cache_capacity),
       admission_(options.queue_capacity),
-      // Small handoff buffer: deep enough to keep lanes busy, shallow enough
-      // that backpressure propagates to the admission queue when lanes fall
-      // behind instead of formed batches piling up unboundedly.
-      work_queue_(2 * static_cast<std::size_t>(std::max(
-                          1, options.lanes > 0 ? options.lanes
-                                               : dg::util::default_num_threads()))),
       started_(Clock::now()) {
   const int lanes = options_.lanes > 0 ? options_.lanes : dg::util::default_num_threads();
-  // Pull-style gauge: fraction of lane-seconds spent inside run_work since
+  // Pull-style gauge: fraction of lane-seconds spent inside run_group since
   // startup. Token-scoped so a stale destructor can never tear down the
   // callback a newer server registered under the same name.
   util_token_ = obs::registry().set_callback("serve.lanes.utilization", [this, lanes] {
@@ -84,9 +72,8 @@ Server::Server(const Engine& engine, const ServerOptions& options)
         static_cast<double>(lanes_busy_ns_.load(std::memory_order_relaxed)) * 1e-9;
     return std::min(1.0, busy / (alive * static_cast<double>(lanes)));
   });
-  batcher_ = std::thread([this] { batcher_loop(); });
   lanes_.reserve(static_cast<std::size_t>(lanes));
-  for (int i = 0; i < lanes; ++i) lanes_.emplace_back([this] { worker_loop(); });
+  for (int i = 0; i < lanes; ++i) lanes_.emplace_back([this, lanes] { lane_loop(lanes); });
 }
 
 Server::~Server() { shutdown(/*drain=*/true); }
@@ -186,14 +173,10 @@ void Server::shutdown(bool drain) {
   // touch it. Token-matched, so a newer server's callback is left alone.
   obs::registry().remove_callback("serve.lanes.utilization", util_token_);
   cancel_.store(!drain, std::memory_order_release);
-  // Shutdown overrides pause: a paused server must still drain (or cancel)
-  // deterministically instead of deadlocking on held admissions.
-  admission_.set_pop_paused(false);
+  // Closing overrides pause: a paused server still drains (or cancels) what
+  // it holds instead of deadlocking, and every window taken from here on
+  // sees a closed queue, so the one that empties it closes as kDrain.
   admission_.close();
-  if (batcher_.joinable()) batcher_.join();
-  // The batcher has pushed its last work item; closing lets lanes drain
-  // what's formed and exit.
-  work_queue_.close();
   for (std::thread& lane : lanes_) {
     if (lane.joinable()) lane.join();
   }
@@ -211,7 +194,8 @@ Stats Server::stats() const {
   snapshot.batches = batches_.value();
   snapshot.close_budget = close_budget_.value();
   snapshot.close_max_graphs = close_max_graphs_.value();
-  snapshot.close_deadline = close_deadline_.value();
+  snapshot.close_empty = close_empty_.value();
+  snapshot.close_share = close_share_.value();
   snapshot.close_drain = close_drain_.value();
   snapshot.nodes_served = nodes_served_.value();
   const dg::gnn::MergeCacheStats cache = merge_cache_.stats();
@@ -224,54 +208,32 @@ Stats Server::stats() const {
   return snapshot;
 }
 
-// -- Batcher ------------------------------------------------------------------
+// -- Worker lanes -------------------------------------------------------------
 
-void Server::batcher_loop() {
-  for (;;) {
-    Pending first;
-    if (admission_.pop(first) == PopResult::kClosed) break;
-
-    std::vector<Pending> window;
-    std::size_t window_nodes = static_cast<std::size_t>(first.request.graph->num_nodes);
-    const Clock::time_point deadline = first.admitted + options_.max_batch_delay;
-    window.push_back(std::move(first));
-
-    // Grow the window until the first of: node budget, member cap, oldest
-    // deadline, or shutdown drain. A backed-up queue never waits on the
-    // deadline: pop_until returns queued items immediately even when the
-    // deadline already passed.
-    CloseReason reason;
-    for (;;) {
-      if (window_nodes >= options_.node_budget) {  // budget 0: serve singly
-        reason = CloseReason::kBudget;
-        break;
-      }
-      if (window.size() >= std::max<std::size_t>(1, options_.max_graphs)) {
-        reason = CloseReason::kMaxGraphs;
-        break;
-      }
-      Pending next;
-      const PopResult got = admission_.pop_until(next, deadline);
-      if (got == PopResult::kItem) {
-        window_nodes += static_cast<std::size_t>(next.request.graph->num_nodes);
-        window.push_back(std::move(next));
-        continue;
-      }
-      reason = got == PopResult::kTimeout ? CloseReason::kDeadline : CloseReason::kDrain;
-      break;
-    }
-    dispatch_window(window, reason);
-  }
+void Server::lane_loop(int lanes) {
+  // Lane-owned replica: identical parameters, private mutable state.
+  const std::unique_ptr<dg::gnn::Model> model = engine_.clone_model();
+  const WindowLimits limits{options_.node_budget, options_.max_graphs,
+                            static_cast<std::size_t>(lanes)};
+  const auto nodes = [](const Pending& pending) {
+    return static_cast<std::size_t>(pending.request.graph->num_nodes);
+  };
+  std::vector<Pending> window;
+  CloseReason reason = CloseReason::kEmpty;
+  while (admission_.pop_window(window, reason, limits, nodes) == PopResult::kItem)
+    serve_window(window, reason, *model);
 }
 
-void Server::dispatch_window(std::vector<Pending>& window, CloseReason reason) {
+void Server::serve_window(std::vector<Pending>& window, CloseReason reason,
+                          const dg::gnn::Model& model) {
   const Clock::time_point closed_at = Clock::now();
   obs::trace_instant("serve.window_close", "serve", 0, 0, close_reason_name(reason));
   windows_.add();
   switch (reason) {
     case CloseReason::kBudget: close_budget_.add(); break;
     case CloseReason::kMaxGraphs: close_max_graphs_.add(); break;
-    case CloseReason::kDeadline: close_deadline_.add(); break;
+    case CloseReason::kEmpty: close_empty_.add(); break;
+    case CloseReason::kShare: close_share_.add(); break;
     case CloseReason::kDrain: close_drain_.add(); break;
   }
 
@@ -288,34 +250,17 @@ void Server::dispatch_window(std::vector<Pending>& window, CloseReason reason) {
   graphs.reserve(window.size());
   for (const Pending& pending : window) graphs.push_back(pending.request.graph);
 
+  std::vector<Pending> members;
   for (const std::vector<std::size_t>& group :
        dg::gnn::plan_node_batches_by_depth(graphs, options_.node_budget, options_.max_graphs)) {
-    Work work;
-    work.window_closed = closed_at;
-    work.members.reserve(group.size());
-    for (const std::size_t idx : group) work.members.push_back(std::move(window[idx]));
-    if (work_queue_.push(work) == PushResult::kClosed) {
-      // Only reachable if the work queue were closed early; keep the
-      // no-unfulfilled-futures invariant regardless.
-      cancelled_.add(work.members.size());
-      for (Pending& pending : work.members) {
-        obs::trace_instant("serve.cancel", "serve", pending.trace_id);
-        fail_admitted(pending, "serve: cancelled at shutdown", closed_at);
-      }
-    }
+    members.clear();
+    for (const std::size_t idx : group) members.push_back(std::move(window[idx]));
+    run_group(members, closed_at, model);
   }
 }
 
-// -- Worker lanes -------------------------------------------------------------
-
-void Server::worker_loop() {
-  // Lane-owned replica: identical parameters, private mutable state.
-  const std::unique_ptr<dg::gnn::Model> model = engine_.clone_model();
-  Work work;
-  while (work_queue_.pop(work) == PopResult::kItem) run_work(work, *model);
-}
-
-void Server::run_work(Work& work, const dg::gnn::Model& model) {
+void Server::run_group(std::vector<Pending>& members, Clock::time_point window_closed,
+                       const dg::gnn::Model& model) {
   const Clock::time_point work_start = Clock::now();
   // Batch correlation id: request-level spans recorded below carry ref=bid,
   // linking every member to the merge/forward spans of the batch that served
@@ -323,9 +268,9 @@ void Server::run_work(Work& work, const dg::gnn::Model& model) {
   const std::uint64_t bid = obs::trace_enabled() ? obs::next_trace_id() : 0;
   dg::nn::NoGradGuard no_grad;
   std::vector<const CircuitGraph*> graphs;
-  graphs.reserve(work.members.size());
+  graphs.reserve(members.size());
   std::size_t batch_nodes = 0;
-  for (const Pending& pending : work.members) {
+  for (const Pending& pending : members) {
     graphs.push_back(pending.request.graph);
     batch_nodes += static_cast<std::size_t>(pending.request.graph->num_nodes);
   }
@@ -351,19 +296,19 @@ void Server::run_work(Work& work, const dg::gnn::Model& model) {
     batches_.add();
     batch_nodes_hist_.record(static_cast<double>(batch_nodes));
 
-    for (std::size_t i = 0; i < work.members.size(); ++i) {
-      Pending& pending = work.members[i];
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      Pending& pending = members[i];
       // Request-scoped spans: the queueing interval the member already spent
       // (admission -> window close), then the fulfillment work below — both
       // linked to this batch's merge/forward spans via ref=bid.
-      obs::trace_record("serve.admission", "serve", pending.admitted, work.window_closed,
+      obs::trace_record("serve.admission", "serve", pending.admitted, window_closed,
                         pending.trace_id, bid);
       obs::TraceSpan fulfill_span("serve.fulfill", "serve", pending.trace_id, bid);
       Response response;
       response.probabilities = batch.prediction(i);
       if (pending.request.want_embedding) response.embedding = batch.embedding(i);
-      response.queue_seconds = seconds_between(pending.admitted, work.window_closed);
-      response.service_seconds = seconds_between(work.window_closed, done);
+      response.queue_seconds = seconds_between(pending.admitted, window_closed);
+      response.service_seconds = seconds_between(window_closed, done);
       response.latency_seconds = seconds_between(pending.admitted, done);
       response.batch_graphs = graphs.size();
       response.batch_nodes = batch_nodes;
@@ -380,9 +325,9 @@ void Server::run_work(Work& work, const dg::gnn::Model& model) {
     // already-satisfied promise throws future_error out of the lane thread.
     // fail_admitted carries the timing into the ServeError, so even a
     // forward failure reports how long the request was held.
-    failed_.add(work.members.size() - fulfilled);
-    for (std::size_t i = fulfilled; i < work.members.size(); ++i)
-      fail_admitted(work.members[i], e.what(), work.window_closed);
+    failed_.add(members.size() - fulfilled);
+    for (std::size_t i = fulfilled; i < members.size(); ++i)
+      fail_admitted(members[i], e.what(), window_closed);
   }
   lanes_busy_ns_.fetch_add(ns_between(work_start, Clock::now()), std::memory_order_relaxed);
 }

@@ -6,37 +6,38 @@
 //   std::future<serve::Response> f = server->submit({&graph});
 //   const std::vector<float>& probs = f.get().probabilities;
 //
-// Architecture (three stages, two bounded queues):
+// Architecture (two stages, one bounded queue):
 //
-//   submit/try_submit --> [admission queue] --> batcher --> [work queue] --> N lanes
-//     (futures out)        bounded MPMC,        closes a     bounded        each lane owns a
-//                          backpressure         window on    handoff        Model::clone(),
-//                                               budget /                    runs the merged
-//                                               max-graphs /                forward, fulfills
-//                                               deadline                    promises
+//   submit/try_submit --> [admission queue] --> N worker lanes
+//     (futures out)        bounded MPMC,         a free lane takes the queued
+//                          backpressure          window, packs it, runs the
+//                                                merged forwards on its own
+//                                                Model::clone(), fulfills
+//                                                promises
 //
 // - submit() blocks while the admission queue is full; try_submit() instead
 //   reports kOverloaded immediately — explicit backpressure, never silent
 //   drops.
-// - The batcher closes an admission window on whichever comes first:
-//   accumulated nodes >= node_budget, members >= max_graphs, or the OLDEST
-//   queued request's deadline (admission time + max_batch_delay) expiring —
-//   so light traffic pays at most max_batch_delay of batching latency and
-//   heavy traffic forms full batches without waiting. Depth-aware packing
-//   (gnn::plan_node_batches_by_depth) then splits the window into merge
-//   groups of similar level depth.
-// - Worker lanes run each formed group through the executor's two steps
-//   (gnn/executor.hpp): Batch::merge (through the signature-keyed
-//   MergeCache) and Batch::forward — ONE Model::forward_outputs pass yields
-//   every member's prediction AND embedding, and embedding rows are copied
-//   out only for the members that asked. Merged forwards are bit-exact per
-//   member and each lane's clone carries identical parameters, so a served
-//   Response equals a direct Engine::predict_probabilities /
-//   Engine::embeddings call REGARDLESS of how requests happened to be
-//   batched.
+// - Serving is work-conserving: a free lane blocks for the first request,
+//   then takes the requests already queued until accumulated nodes >=
+//   node_budget, members >= max_graphs, or it holds its fair share of the
+//   queue, ceil(queued / lanes) (BoundedQueue::pop_window). It never waits
+//   for more traffic, so light traffic is forwarded alone with no batching
+//   delay and heavy traffic batches whatever queued while every lane was
+//   busy. Depth-aware packing (gnn::plan_node_batches_by_depth) then splits
+//   the window into merge groups of similar level depth, which the lane
+//   runs in order.
+// - Each group runs through the executor's two steps (gnn/executor.hpp):
+//   Batch::merge (through the signature-keyed MergeCache) and
+//   Batch::forward — ONE Model::forward_outputs pass yields every member's
+//   prediction AND embedding, and embedding rows are copied out only for
+//   the members that asked. Merged forwards are bit-exact per member and
+//   each lane's clone carries identical parameters, so a served Response
+//   equals a direct Engine::predict_probabilities / Engine::embeddings call
+//   REGARDLESS of how requests happened to be batched.
 // - shutdown(drain=true) serves everything already admitted, then joins;
-//   shutdown(drain=false) cancels queued-but-unformed requests with an
-//   explicit exception (batches already handed to lanes still complete).
+//   shutdown(drain=false) cancels still-queued requests with an explicit
+//   exception (windows a lane already took still complete).
 //   Either way every future returned by submit/try_submit is fulfilled —
 //   no unfulfilled futures, deterministically.
 #pragma once
@@ -104,16 +105,16 @@ struct ServerOptions {
   std::size_t queue_capacity = 256;  ///< admission queue bound (backpressure point)
   std::size_t node_budget = 8192;    ///< close a window at this many nodes
   std::size_t max_graphs = 64;       ///< ... or this many member graphs
-  std::chrono::microseconds max_batch_delay{2000};  ///< ... or the oldest
-                                     ///< request's deadline expiring
   int lanes = 0;                     ///< worker lanes (model replicas); 0 = DEEPGATE_THREADS
   std::size_t merge_cache_capacity = 32;  ///< merged super-graphs kept; 0 = off
 
+  /// Largest DEEPGATE_SERVE_QUEUE_CAP accepted.
+  static constexpr long long kMaxQueueCapacity = 1LL << 20;
+
   /// Env knobs: DEEPGATE_SERVE_BUDGET / DEEPGATE_SERVE_MAX_GRAPHS (shared
   /// with gnn::ServeOptions), DEEPGATE_SERVE_LANES (0..512),
-  /// DEEPGATE_SERVE_DELAY_MS (0..86400000, one day), DEEPGATE_SERVE_QUEUE_CAP,
-  /// DEEPGATE_SERVE_CACHE. An out-of-range lane count or delay warns and
-  /// keeps the default.
+  /// DEEPGATE_SERVE_QUEUE_CAP (1..kMaxQueueCapacity), DEEPGATE_SERVE_CACHE.
+  /// An out-of-range lane count or queue capacity warns and keeps the default.
   static ServerOptions from_env();
 };
 
@@ -144,8 +145,10 @@ struct Stats {
   std::uint64_t batches = 0;            ///< merge groups forwarded
   std::uint64_t close_budget = 0;       ///< windows closed on node budget
   std::uint64_t close_max_graphs = 0;   ///< ... on the member cap
-  std::uint64_t close_deadline = 0;     ///< ... on the oldest deadline
+  std::uint64_t close_empty = 0;        ///< ... with nothing else queued
+  std::uint64_t close_share = 0;        ///< ... at the lane's fair share of the queue
   std::uint64_t close_drain = 0;        ///< ... by shutdown drain
+  std::uint64_t close_deadline = 0;     ///< always 0: no window waits on a deadline
 
   std::uint64_t nodes_served = 0;       ///< total nodes across served requests
 
@@ -164,9 +167,9 @@ struct Stats {
 
 class Server {
  public:
-  /// Spins up the batcher and `lanes` worker threads immediately. The engine
-  /// must outlive the server; its model parameters are cloned per lane at
-  /// startup, so concurrent training on the engine will NOT be picked up.
+  /// Spins up `lanes` worker threads immediately. The engine must outlive
+  /// the server; its model parameters are cloned per lane at startup, so
+  /// concurrent training on the engine will NOT be picked up.
   explicit Server(const Engine& engine, const ServerOptions& options = ServerOptions::from_env());
   ~Server();  ///< shutdown(/*drain=*/true)
 
@@ -194,9 +197,9 @@ class Server {
   void resume();
 
   /// Stop accepting work and join all threads. drain=true serves every
-  /// admitted request first; drain=false fails queued-but-unformed requests
-  /// with ServeError (formed batches still complete). Idempotent; every
-  /// outstanding future is fulfilled either way.
+  /// admitted request first; drain=false fails still-queued requests with
+  /// ServeError (windows a lane already took still complete). Idempotent;
+  /// every outstanding future is fulfilled either way.
   void shutdown(bool drain = true);
 
   bool stopped() const { return stopped_.load(std::memory_order_acquire); }
@@ -211,16 +214,16 @@ class Server {
     Clock::time_point admitted;
     std::uint64_t trace_id = 0;  ///< nonzero only while tracing is enabled
   };
-  /// One merge group handed to a worker lane.
-  struct Work {
-    std::vector<Pending> members;
-    Clock::time_point window_closed;
-  };
-
-  void batcher_loop();
-  void worker_loop();
-  void dispatch_window(std::vector<Pending>& window, CloseReason reason);
-  void run_work(Work& work, const dg::gnn::Model& model);
+  /// One of `lanes` worker threads: take windows until the queue is closed
+  /// and drained.
+  void lane_loop(int lanes);
+  /// Count the window's close, then serve (or, at cancel-shutdown, fail)
+  /// its merge groups in plan order on this lane's `model`.
+  void serve_window(std::vector<Pending>& window, CloseReason reason,
+                    const dg::gnn::Model& model);
+  /// Merge, forward and fulfill one merge group.
+  void run_group(std::vector<Pending>& members, Clock::time_point window_closed,
+                 const dg::gnn::Model& model);
   /// The single site that bumps Stats::submitted (and served, for requests
   /// resolved at admission) — keeps the balance invariant audit-proof.
   /// `depth` is the admission-queue depth including this request.
@@ -239,7 +242,6 @@ class Server {
   dg::gnn::MergeCache merge_cache_;
 
   BoundedQueue<Pending> admission_;
-  BoundedQueue<Work> work_queue_;
 
   std::atomic<bool> stopped_{false};
   std::atomic<bool> cancel_{false};
@@ -267,17 +269,17 @@ class Server {
   dg::obs::Counter nodes_served_{true};
   dg::obs::Counter close_budget_{true};
   dg::obs::Counter close_max_graphs_{true};
-  dg::obs::Counter close_deadline_{true};
+  dg::obs::Counter close_empty_{true};
+  dg::obs::Counter close_share_{true};
   dg::obs::Counter close_drain_{true};
 
-  // Serve-lane utilization: busy time accumulated by run_work across lanes,
+  // Serve-lane utilization: busy time accumulated by run_group across lanes,
   // published as the "serve.lanes.utilization" callback gauge (removed — by
   // token, so a newer server is never torn down — at shutdown).
   std::atomic<std::uint64_t> lanes_busy_ns_{0};
   Clock::time_point started_;
   std::uint64_t util_token_ = 0;
 
-  std::thread batcher_;
   std::vector<std::thread> lanes_;
 };
 

@@ -23,7 +23,6 @@
 
 #include "util/thread_annotations.hpp"
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -83,18 +82,6 @@ class CondVar {
     std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
     cv_.wait(native);
     native.release();
-  }
-
-  /// wait() with a deadline; reports whether it woke by timeout. The mutex
-  /// is held again on return either way.
-  template <typename Clock, typename Duration>
-  std::cv_status wait_until(Mutex& mu,
-                            const std::chrono::time_point<Clock, Duration>& deadline)
-      DG_REQUIRES(mu) {
-    std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
-    const std::cv_status status = cv_.wait_until(native, deadline);
-    native.release();
-    return status;
   }
 
   void notify_one() noexcept { cv_.notify_one(); }

@@ -1,8 +1,9 @@
 // The async serving loop: served responses must be bit-exact with direct
 // per-graph Engine inference for every Table II model family regardless of
-// how requests happened to be batched; batches must close on deadline when
-// the budget is not reached and on budget when it is; try_submit must reject
-// (not block) at capacity; shutdown must leave no unfulfilled futures.
+// how requests happened to be batched; a free lane's window must close on an
+// empty queue when neither the budget nor the member cap is reached, and on
+// them when they are; try_submit must reject (not block) at capacity;
+// shutdown must leave no unfulfilled futures.
 #include "serve/server.hpp"
 
 #include "core/deepgate.hpp"
@@ -17,9 +18,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <future>
+#include <initializer_list>
+#include <thread>
 #include <vector>
 
 namespace dg {
@@ -75,6 +79,181 @@ std::vector<ModelSpec> table2_specs() {
   };
 }
 
+// -- BoundedQueue::pop_window -------------------------------------------------
+
+using deepgate::serve::BoundedQueue;
+using deepgate::serve::CloseReason;
+using deepgate::serve::PopResult;
+using deepgate::serve::WindowLimits;
+
+/// Queue items are their own cost (nodes, in the server).
+std::size_t int_cost(int v) { return static_cast<std::size_t>(v); }
+
+/// Pushes each value in order.
+void push_all(BoundedQueue<int>& q, std::initializer_list<int> values) {
+  for (int v : values) ASSERT_EQ(q.push(v), deepgate::serve::PushResult::kOk);
+}
+
+/// Runs pop_window on its own thread, so a test can watch it block.
+struct AsyncWindow {
+  std::vector<int> out;
+  CloseReason reason = CloseReason::kBudget;
+  std::atomic<bool> done{false};
+  PopResult result = PopResult::kClosed;
+  std::thread thread;
+
+  AsyncWindow(BoundedQueue<int>& q, WindowLimits limits)
+      : thread([this, &q, limits] {
+          result = q.pop_window(out, reason, limits, int_cost);
+          done.store(true);
+        }) {}
+  ~AsyncWindow() {
+    if (thread.joinable()) thread.join();
+  }
+  AsyncWindow(const AsyncWindow&) = delete;
+  AsyncWindow& operator=(const AsyncWindow&) = delete;
+  void join() { thread.join(); }
+};
+
+TEST(BoundedQueue, PopWindowBlocksForTheFirstItem) {
+  BoundedQueue<int> q(8);
+  AsyncWindow w(q, {1000, 16, 1});
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(w.done.load()) << "pop_window returned on an empty queue";
+  push_all(q, {7});
+  w.join();
+  EXPECT_EQ(w.result, PopResult::kItem);
+  EXPECT_EQ(w.out, std::vector<int>({7}));
+  EXPECT_EQ(w.reason, CloseReason::kEmpty);
+}
+
+// Everything already queued is taken in one call, in FIFO order, up to the
+// budget (the item that reaches it is included) or the member cap.
+TEST(BoundedQueue, PopWindowTakesQueuedItemsUpToBudgetAndCap) {
+  BoundedQueue<int> q(16);
+  std::vector<int> out = {99};  // stale contents are cleared
+  CloseReason reason = CloseReason::kDrain;
+
+  push_all(q, {3, 4, 5, 6, 1, 1, 1, 2});
+  ASSERT_EQ(q.pop_window(out, reason, {/*budget=*/10, /*max_items=*/8, /*lanes=*/1}, int_cost),
+            PopResult::kItem);
+  EXPECT_EQ(out, std::vector<int>({3, 4, 5}));  // 3 + 4 < 10 <= 3 + 4 + 5
+  EXPECT_EQ(reason, CloseReason::kBudget);
+
+  ASSERT_EQ(q.pop_window(out, reason, {100, /*max_items=*/3, 1}, int_cost), PopResult::kItem);
+  EXPECT_EQ(out, std::vector<int>({6, 1, 1}));
+  EXPECT_EQ(reason, CloseReason::kMaxGraphs);
+
+  ASSERT_EQ(q.pop_window(out, reason, {100, 8, 1}, int_cost), PopResult::kItem);
+  EXPECT_EQ(out, std::vector<int>({1, 2}));
+  EXPECT_EQ(reason, CloseReason::kEmpty);
+  EXPECT_EQ(q.size(), 0u);
+
+  // Budget 0 and cap 0 each take exactly one item.
+  push_all(q, {1, 1, 1});
+  ASSERT_EQ(q.pop_window(out, reason, {0, 8, 1}, int_cost), PopResult::kItem);
+  EXPECT_EQ(out, std::vector<int>({1}));
+  EXPECT_EQ(reason, CloseReason::kBudget);
+  ASSERT_EQ(q.pop_window(out, reason, {100, 0, 1}, int_cost), PopResult::kItem);
+  EXPECT_EQ(out, std::vector<int>({1}));
+  EXPECT_EQ(reason, CloseReason::kMaxGraphs);
+  EXPECT_EQ(q.size(), 1u);
+}
+
+// With several lanes a window takes at most ceil(queued / lanes) items, its
+// lane's fair share, and leaves the rest for the other lanes.
+TEST(BoundedQueue, PopWindowTakesItsLaneShare) {
+  BoundedQueue<int> q(16);
+  std::vector<int> out;
+  CloseReason reason = CloseReason::kBudget;
+  const WindowLimits two_lanes{100, 8, 2};
+  push_all(q, {1, 2, 3, 4, 5});
+  ASSERT_EQ(q.pop_window(out, reason, two_lanes, int_cost), PopResult::kItem);
+  EXPECT_EQ(out, std::vector<int>({1, 2, 3}));  // ceil(5 / 2)
+  EXPECT_EQ(reason, CloseReason::kShare);
+  ASSERT_EQ(q.pop_window(out, reason, two_lanes, int_cost), PopResult::kItem);
+  EXPECT_EQ(out, std::vector<int>({4}));
+  EXPECT_EQ(reason, CloseReason::kShare);
+  ASSERT_EQ(q.pop_window(out, reason, two_lanes, int_cost), PopResult::kItem);
+  EXPECT_EQ(out, std::vector<int>({5}));  // a lone item empties the queue
+  EXPECT_EQ(reason, CloseReason::kEmpty);
+
+  // Budget and member cap still bind first.
+  push_all(q, {1, 1, 1, 1, 1, 1, 1, 1});
+  ASSERT_EQ(q.pop_window(out, reason, {100, 2, 2}, int_cost), PopResult::kItem);
+  EXPECT_EQ(out.size(), 2u);
+  EXPECT_EQ(reason, CloseReason::kMaxGraphs);
+  ASSERT_EQ(q.pop_window(out, reason, {2, 8, 2}, int_cost), PopResult::kItem);
+  EXPECT_EQ(out.size(), 2u);
+  EXPECT_EQ(reason, CloseReason::kBudget);
+  ASSERT_EQ(q.pop_window(out, reason, {100, 8, 0}, int_cost), PopResult::kItem);
+  EXPECT_EQ(out.size(), 4u);  // lanes 0 counts as 1: the whole queue
+  EXPECT_EQ(reason, CloseReason::kEmpty);
+}
+
+// Freed slots wake a producer blocked on a full queue.
+TEST(BoundedQueue, PopWindowUnblocksFullQueuePushes) {
+  BoundedQueue<int> q(2);
+  push_all(q, {1, 1});
+  std::thread producer([&q] { push_all(q, {2, 3}); });
+  std::vector<int> seen;
+  std::vector<int> out;
+  CloseReason reason = CloseReason::kBudget;
+  while (seen.size() < 4) {
+    ASSERT_EQ(q.pop_window(out, reason, {100, 8, 1}, int_cost), PopResult::kItem);
+    seen.insert(seen.end(), out.begin(), out.end());
+  }
+  producer.join();
+  EXPECT_EQ(seen, std::vector<int>({1, 1, 2, 3}));
+}
+
+TEST(BoundedQueue, PopWindowHonoursPause) {
+  BoundedQueue<int> q(8);
+  q.set_pop_paused(true);
+  push_all(q, {1, 2, 3});
+  AsyncWindow w(q, {1000, 16, 1});
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(w.done.load()) << "pop_window took items while paused";
+  EXPECT_EQ(q.size(), 3u);
+  q.set_pop_paused(false);
+  w.join();
+  EXPECT_EQ(w.result, PopResult::kItem);
+  EXPECT_EQ(w.out, std::vector<int>({1, 2, 3}));  // the whole backlog at once
+  EXPECT_EQ(w.reason, CloseReason::kEmpty);
+}
+
+// kClosed only once the queue is closed AND drained: a closed queue still
+// hands out what it holds (even while paused), the window that empties it
+// reports kDrain, and a waiter blocked on an empty queue wakes with kClosed.
+TEST(BoundedQueue, PopWindowReturnsClosedOnlyWhenClosedAndDrained) {
+  BoundedQueue<int> q(8);
+  q.set_pop_paused(true);
+  AsyncWindow waiter(q, {1000, 16, 1});
+  push_all(q, {1, 2, 3});
+  q.close();
+  waiter.join();
+  EXPECT_EQ(waiter.result, PopResult::kItem);  // close overrides pause
+  EXPECT_EQ(waiter.out, std::vector<int>({1, 2, 3}));
+  EXPECT_EQ(waiter.reason, CloseReason::kDrain);
+
+  std::vector<int> out = {99};
+  CloseReason reason = CloseReason::kBudget;
+  EXPECT_EQ(q.pop_window(out, reason, {1000, 16, 1}, int_cost), PopResult::kClosed);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(reason, CloseReason::kBudget);  // untouched
+  int late = 4;
+  EXPECT_EQ(q.push(late), deepgate::serve::PushResult::kClosed);
+
+  BoundedQueue<int> empty(4);
+  AsyncWindow blocked(empty, {1000, 16, 1});
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(blocked.done.load());
+  empty.close();
+  blocked.join();
+  EXPECT_EQ(blocked.result, PopResult::kClosed);
+  EXPECT_TRUE(blocked.out.empty());
+}
+
 // -- Bit-exactness across every model family ----------------------------------
 
 // The acceptance bar: whatever batches the server happens to form, every
@@ -90,7 +269,6 @@ TEST(ServeLoop, BitExactWithDirectEngineForAllFamilies) {
     ServerOptions sopts;
     sopts.lanes = 2;
     sopts.node_budget = 160;  // forces several merged batches for this mix
-    sopts.max_batch_delay = std::chrono::microseconds(500);
     auto server = deepgate::serve::start(engine, sopts);
 
     // Several rounds so batch composition varies (and the merge cache gets
@@ -135,7 +313,6 @@ TEST(ServeLoop, EmbeddingOnlyForRequestingMembers) {
   sopts.lanes = 1;
   sopts.node_budget = 1u << 30;
   sopts.max_graphs = graphs.size();
-  sopts.max_batch_delay = std::chrono::seconds(3600);
   auto server = deepgate::serve::start(engine, sopts);
 
   // One full window with alternating want_embedding flags.
@@ -181,9 +358,10 @@ TEST(ServeLoop, PackingPolicyCannotChangeResults) {
 
 // -- Batch-formation policy ----------------------------------------------------
 
-// A batch must close on the oldest request's deadline even when the node
-// budget is nowhere near reached.
-TEST(ServeLoop, DeadlineClosesUnderfullBatch) {
+// A lone request is served at once: the free lane takes it, finds nothing
+// else queued and closes the window on the empty queue, with the node budget
+// and member cap nowhere near reached.
+TEST(ServeLoop, LoneRequestClosesOnEmptyQueue) {
   const auto graphs = mixed_graphs();
   deepgate::Options options;
   options.model = tiny_config();
@@ -193,23 +371,24 @@ TEST(ServeLoop, DeadlineClosesUnderfullBatch) {
   sopts.lanes = 1;
   sopts.node_budget = 1u << 30;  // unreachable
   sopts.max_graphs = 1u << 20;   // unreachable
-  sopts.max_batch_delay = std::chrono::microseconds(20000);  // 20ms
   auto server = deepgate::serve::start(engine, sopts);
 
   auto f = server->submit({&graphs[0]});
-  // The future must resolve without any further submissions: only the
-  // deadline can close this batch.
+  // The future must resolve without any further submissions: only the empty
+  // queue can close this window.
   ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready);
-  EXPECT_EQ(f.get().probabilities, engine.predict_probabilities(graphs[0]));
+  const Response r = f.get();
+  EXPECT_EQ(r.probabilities, engine.predict_probabilities(graphs[0]));
+  EXPECT_EQ(r.batch_graphs, 1u);
   const auto stats = server->stats();
-  EXPECT_GE(stats.close_deadline, 1u);
+  EXPECT_GE(stats.close_empty, 1u);
   EXPECT_EQ(stats.close_budget, 0u);
   EXPECT_EQ(stats.close_max_graphs, 0u);
 }
 
-// With an effectively infinite deadline, only the node budget can close the
-// batch — submissions beyond the budget must be what releases the futures.
-TEST(ServeLoop, BudgetClosesBatchBeforeDeadline) {
+// Requests held while paused queue up together; on resume the lane's window
+// must close on the node budget before the queue runs empty.
+TEST(ServeLoop, BudgetClosesBatch) {
   const auto graphs = mixed_graphs();
   deepgate::Options options;
   options.model = tiny_config();
@@ -221,21 +400,21 @@ TEST(ServeLoop, BudgetClosesBatchBeforeDeadline) {
   ServerOptions sopts;
   sopts.lanes = 1;
   sopts.node_budget = total_nodes / 2;  // a full pass trips the budget twice-ish
-  sopts.max_batch_delay = std::chrono::seconds(3600);  // deadline can't fire
   auto server = deepgate::serve::start(engine, sopts);
 
+  server->pause();
   std::vector<std::future<Response>> futures;
   for (int round = 0; round < 2; ++round)
     for (const auto& g : graphs) futures.push_back(server->submit({&g}));
-  // Shutdown drains whatever the budget didn't close; budget must have
-  // closed at least one window before that.
+  server->resume();
+  for (auto& f : futures) f.wait();
   server->shutdown();
   for (std::size_t k = 0; k < futures.size(); ++k)
     EXPECT_EQ(futures[k].get().probabilities,
               engine.predict_probabilities(graphs[k % graphs.size()]));
   const auto stats = server->stats();
   EXPECT_GE(stats.close_budget, 1u);
-  EXPECT_EQ(stats.close_deadline, 0u);
+  EXPECT_EQ(stats.close_deadline, 0u);  // kept for old readers; never counts
   EXPECT_EQ(stats.served, futures.size());
 }
 
@@ -249,11 +428,12 @@ TEST(ServeLoop, MaxGraphsClosesBatch) {
   sopts.lanes = 1;
   sopts.node_budget = 1u << 30;
   sopts.max_graphs = 2;
-  sopts.max_batch_delay = std::chrono::seconds(3600);
   auto server = deepgate::serve::start(engine, sopts);
 
+  server->pause();
   std::vector<std::future<Response>> futures;
   for (const auto& g : graphs) futures.push_back(server->submit({&g}));  // 4 = 2 windows
+  server->resume();
   for (auto& f : futures) f.wait();
   const auto stats = server->stats();
   EXPECT_GE(stats.close_max_graphs, 1u);
@@ -267,8 +447,8 @@ TEST(ServeLoop, MaxGraphsClosesBatch) {
 // -- Backpressure --------------------------------------------------------------
 
 // try_submit must REJECT, not block, when the admission queue is at
-// capacity. pause() gives a deterministic full-queue state: the batcher
-// cannot pop while paused, so capacity is exact.
+// capacity. pause() gives a deterministic full-queue state: no lane can pop
+// while paused, so capacity is exact.
 TEST(ServeLoop, TrySubmitRejectsWhenQueueFull) {
   const auto graphs = mixed_graphs();
   deepgate::Options options;
@@ -358,10 +538,11 @@ TEST(ServeLoop, ShutdownDrainsAllFutures) {
 
   ServerOptions sopts;
   sopts.lanes = 2;
-  sopts.max_batch_delay = std::chrono::seconds(3600);  // only drain can flush
   sopts.node_budget = 1u << 30;
   auto server = deepgate::serve::start(engine, sopts);
 
+  // Held while paused, so only the shutdown drain can release them.
+  server->pause();
   std::vector<std::future<Response>> futures;
   for (int round = 0; round < 4; ++round)
     for (const auto& g : graphs) futures.push_back(server->submit({&g}));
@@ -692,17 +873,15 @@ class ScopedEnv {
   std::string old_;
 };
 
-// DEEPGATE_SERVE_DELAY_MS used to be multiplied by 1000 unchecked (signed
-// overflow at 1e16; values just below overflowed admitted + delay), and
-// DEEPGATE_SERVE_LANES was narrowed to int with no cap. Out-of-range values
-// now warn and keep the default; in-range ones apply, and a server built
-// with the largest delay still serves (the deadline arithmetic is exercised
-// under UBSan in the sanitizer lane).
-TEST(ServerOptions, FromEnvBoundsLanesAndDelay) {
+// DEEPGATE_SERVE_LANES used to be narrowed to int with no cap, and
+// DEEPGATE_SERVE_QUEUE_CAP silently dropped 0 and negative values and took
+// any huge one. Out-of-range values now warn and keep the default; in-range
+// ones apply, and a server built with the largest queue still serves.
+TEST(ServerOptions, FromEnvBoundsLanesAndQueueCap) {
   const ServerOptions defaults;
-  for (const char* bad : {"10000000000000000", "9000000000000000", "86400001", "-5"}) {
-    const ScopedEnv env("DEEPGATE_SERVE_DELAY_MS", bad);
-    EXPECT_EQ(ServerOptions::from_env().max_batch_delay, defaults.max_batch_delay) << bad;
+  for (const char* bad : {"0", "-3", "1048577", "10000000000000000"}) {
+    const ScopedEnv env("DEEPGATE_SERVE_QUEUE_CAP", bad);
+    EXPECT_EQ(ServerOptions::from_env().queue_capacity, defaults.queue_capacity) << bad;
   }
   for (const char* bad : {"513", "-1", "4294967297"}) {
     const ScopedEnv env("DEEPGATE_SERVE_LANES", bad);
@@ -712,11 +891,16 @@ TEST(ServerOptions, FromEnvBoundsLanesAndDelay) {
     const ScopedEnv env("DEEPGATE_SERVE_LANES", "512");
     EXPECT_EQ(ServerOptions::from_env().lanes, 512);
   }
+  {
+    const ScopedEnv env("DEEPGATE_SERVE_QUEUE_CAP", "1");
+    EXPECT_EQ(ServerOptions::from_env().queue_capacity, 1u);
+  }
   const ScopedEnv lanes("DEEPGATE_SERVE_LANES", "2");
-  const ScopedEnv delay("DEEPGATE_SERVE_DELAY_MS", "86400000");
+  const ScopedEnv cap("DEEPGATE_SERVE_QUEUE_CAP", "1048576");
   const ServerOptions sopts = ServerOptions::from_env();
   EXPECT_EQ(sopts.lanes, 2);
-  EXPECT_EQ(sopts.max_batch_delay, std::chrono::hours(24));
+  EXPECT_EQ(sopts.queue_capacity,
+            static_cast<std::size_t>(ServerOptions::kMaxQueueCapacity));
 
   deepgate::Options options;
   options.model = tiny_config();
@@ -724,7 +908,7 @@ TEST(ServerOptions, FromEnvBoundsLanesAndDelay) {
   const auto graphs = mixed_graphs();
   auto server = deepgate::serve::start(engine, sopts);
   auto f = server->submit({&graphs[0]});
-  server->shutdown();  // drain closes the day-long window
+  server->shutdown();
   EXPECT_EQ(f.get().probabilities, engine.predict_probabilities(graphs[0]));
 }
 
@@ -779,7 +963,6 @@ TEST(ServeLoop, MergeCacheServesRepeatedTraffic) {
   sopts.lanes = 1;
   sopts.max_graphs = graphs.size();
   sopts.node_budget = 1u << 30;
-  sopts.max_batch_delay = std::chrono::seconds(3600);
   sopts.merge_cache_capacity = 8;
   auto server = deepgate::serve::start(engine, sopts);
 
@@ -925,7 +1108,6 @@ TEST(ServeLoop, SteadyStateRequestsHitZeroArenaHeapAllocs) {
   ServerOptions sopts;
   sopts.lanes = 1;       // one lane -> one arena, deterministic reuse
   sopts.max_graphs = 1;  // solo batches: identical forward every request
-  sopts.max_batch_delay = std::chrono::microseconds(50);
   auto server = deepgate::serve::start(engine, sopts);
 
   const auto run_request = [&] {
