@@ -190,12 +190,14 @@ std::vector<float> member_column(const nn::Matrix& full, const GraphMember& m);
 /// Pack `graphs` (kept in order) into contiguous batches whose total node
 /// count stays within `node_budget` and whose member count stays within
 /// `max_graphs`. A single graph larger than the budget gets a batch of its
-/// own; node_budget == 0 disables merging (one graph per batch — the
-/// pre-batching fallback). Returns [begin, end) index ranges.
+/// own; node_budget == 0 disables merging (one graph per batch). Returns
+/// [begin, end) index ranges. Inference does not use it: this is the
+/// trainer's request-order splitter of an optimizer batch.
 std::vector<std::pair<std::size_t, std::size_t>> plan_node_batches(
     const std::vector<const CircuitGraph*>& graphs, std::size_t node_budget,
     std::size_t max_graphs);
 
+/// The one inference planner: gnn::execute and serve::Server group with it.
 /// Depth-aware packing: like plan_node_batches but free to reorder, grouping
 /// graphs of similar level depth so a merged batch wastes fewer masked tail
 /// levels (a shallow member inside a deep batch sits idle for every level

@@ -13,12 +13,18 @@ namespace dg::gnn {
 
 ServeOptions ServeOptions::from_env() {
   ServeOptions opts;
-  const long long budget = util::env_int("DEEPGATE_SERVE_BUDGET", -1);
-  if (budget >= 0) opts.node_budget = static_cast<std::size_t>(budget);
-  const long long max_graphs = util::env_int("DEEPGATE_SERVE_MAX_GRAPHS", -1);
-  if (max_graphs > 0) opts.max_graphs = static_cast<std::size_t>(max_graphs);
-  const long long cache = util::env_int("DEEPGATE_SERVE_CACHE", -1);
-  if (cache >= 0) opts.merge_cache_capacity = static_cast<std::size_t>(cache);
+  const long long budget =
+      util::env_int("DEEPGATE_SERVE_BUDGET", static_cast<long long>(opts.node_budget));
+  if (util::knob_in_range("DEEPGATE_SERVE_BUDGET", budget, 0, kMaxNodeBudget))
+    opts.node_budget = static_cast<std::size_t>(budget);
+  const long long max_graphs =
+      util::env_int("DEEPGATE_SERVE_MAX_GRAPHS", static_cast<long long>(opts.max_graphs));
+  if (util::knob_in_range("DEEPGATE_SERVE_MAX_GRAPHS", max_graphs, 1, kMaxGraphs))
+    opts.max_graphs = static_cast<std::size_t>(max_graphs);
+  const long long cache =
+      util::env_int("DEEPGATE_SERVE_CACHE", static_cast<long long>(opts.merge_cache_capacity));
+  if (util::knob_in_range("DEEPGATE_SERVE_CACHE", cache, 0, kMaxCacheCapacity))
+    opts.merge_cache_capacity = static_cast<std::size_t>(cache);
   return opts;
 }
 
@@ -57,6 +63,33 @@ nn::Matrix Batch::embedding(std::size_t i) const {
   return member_rows(out_.embedding.value(), member(i));
 }
 
+namespace {
+
+/// Claim order for `groups` (indices into `live`): descending total node
+/// rows — forward cost is linear in rows x level sweeps — then greater
+/// merged depth, then plan position. Longest-processing-time-first keeps the
+/// heaviest group off the tail of the pass.
+std::vector<std::size_t> longest_first(const std::vector<const CircuitGraph*>& live,
+                                       const std::vector<std::vector<std::size_t>>& groups) {
+  std::vector<std::size_t> rows(groups.size(), 0);
+  std::vector<int> depth(groups.size(), 0);
+  for (std::size_t k = 0; k < groups.size(); ++k) {
+    for (const std::size_t i : groups[k]) {
+      rows[k] += static_cast<std::size_t>(live[i]->num_nodes);
+      depth[k] = std::max(depth[k], live[i]->num_levels);
+    }
+  }
+  std::vector<std::size_t> order(groups.size());
+  for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (rows[a] != rows[b]) return rows[a] > rows[b];
+    return depth[a] > depth[b];
+  });
+  return order;
+}
+
+}  // namespace
+
 std::size_t execute(const Model& model, const std::vector<const CircuitGraph*>& graphs,
                     const ServeOptions& opts, int iterations, const BatchSink& sink) {
   std::vector<const CircuitGraph*> live;
@@ -70,40 +103,42 @@ std::size_t execute(const Model& model, const std::vector<const CircuitGraph*>& 
     live_index.push_back(i);
   }
   if (live.empty()) return 0;
-  const auto plan = plan_node_batches(live, opts.node_budget, opts.max_graphs);
+  const auto groups = plan_node_batches_by_depth(live, opts.node_budget, opts.max_graphs);
+  const std::vector<std::size_t> order = longest_first(live, groups);
 
-  const auto run_batch = [&](std::size_t b) {
-    const auto [begin, end] = plan[b];
-    Batch batch = Batch::merge({live.begin() + static_cast<std::ptrdiff_t>(begin),
-                                live.begin() + static_cast<std::ptrdiff_t>(end)},
-                               opts.merge_cache);
+  const auto run_group = [&](std::size_t k) {
+    const std::vector<std::size_t>& group = groups[k];
+    std::vector<const CircuitGraph*> parts;
+    parts.reserve(group.size());
+    for (const std::size_t i : group) parts.push_back(live[i]);
+    Batch batch = Batch::merge(parts, opts.merge_cache);
     batch.forward(model, iterations);
-    for (std::size_t i = begin; i < end; ++i) sink(live_index[i], batch, i - begin);
+    for (std::size_t m = 0; m < group.size(); ++m) sink(live_index[group[m]], batch, m);
   };
 
   const int requested = opts.threads > 0 ? opts.threads : util::default_num_threads();
   const int workers = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(1, requested)), plan.size()));
+      static_cast<std::size_t>(std::max(1, requested)), groups.size()));
   if (workers <= 1) {
     const nn::NoGradGuard no_grad;
-    for (std::size_t b = 0; b < plan.size(); ++b) run_batch(b);
-    return plan.size();
+    for (const std::size_t k : order) run_group(k);
+    return groups.size();
   }
-  // `workers` lanes claim batches dynamically off a shared counter, so a
-  // straggler batch never leaves other lanes idle behind a static partition
-  // while opts.threads still bounds concurrency. Each sink writes its own
-  // indices and reductions downstream are index-ordered, so the result is
-  // scheduling-independent.
+  // `workers` lanes claim groups off a shared counter in longest-first
+  // order, so the heaviest group starts at once and a free lane always takes
+  // the largest one left, while opts.threads still bounds concurrency. Each
+  // sink writes its own indices and reductions downstream are index-ordered,
+  // so the result is scheduling-independent.
   std::atomic<std::size_t> next{0};
   util::global_pool().run_chunks(workers, [&](int /*lane*/) {
     const nn::NoGradGuard no_grad;  // the grad-enable flag is thread_local
     for (;;) {
-      const std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
-      if (b >= plan.size()) break;
-      run_batch(b);
+      const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
+      if (c >= order.size()) break;
+      run_group(order[c]);
     }
   });
-  return plan.size();
+  return groups.size();
 }
 
 }  // namespace dg::gnn

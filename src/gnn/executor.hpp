@@ -2,7 +2,9 @@
 //
 // A request of graphs goes through four steps, each written once here:
 //   1. zero-node graphs are skipped (nothing to forward or merge),
-//   2. plan_node_batches packs the rest into node-budgeted groups,
+//   2. plan_node_batches_by_depth packs the rest into node-budgeted groups
+//      of similar depth, and lanes claim them longest first (most node
+//      rows, then deepest, then plan order),
 //   3. Batch::merge turns each group into what one forward runs on — a solo
 //      graph as itself, a multi-member group as its level-merged super-graph
 //      (through an optional MergeCache),
@@ -12,14 +14,16 @@
 //
 // execute() drives all four, fanning groups across the thread pool;
 // Engine::predict_probabilities / embeddings / infer_batch / evaluate call
-// it. serve::Server forms its own groups and calls the Batch steps directly,
-// so it can wrap merge and forward in their own trace spans. Merged forwards
+// it. serve::Server forms its own windows, groups each with the same
+// plan_node_batches_by_depth and calls the Batch steps directly, so it can
+// wrap merge and forward in their own trace spans. Merged forwards
 // are bit-exact per member, so every caller returns the same bits for a
 // graph however it was batched.
 #pragma once
 
 #include "gnn/model_common.hpp"
 
+#include <climits>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -35,8 +39,8 @@ struct ServeOptions {
   std::size_t node_budget = 8192;///< nodes per merged super-graph; 0 = one
                                  ///< graph per forward (pre-batching fallback)
   std::size_t max_graphs = 64;   ///< member cap per merged super-graph
-  int threads = 0;               ///< max pool lanes claiming batches
-                                 ///< (dynamically, off a shared counter);
+  int threads = 0;               ///< max pool lanes claiming groups
+                                 ///< (longest first, off a shared counter);
                                  ///< 0 = DEEPGATE_THREADS, 1 = serial
   std::size_t merge_cache_capacity = 32;  ///< merged super-graphs retained by
                                  ///< consumers that own a MergeCache
@@ -49,9 +53,15 @@ struct ServeOptions {
                                  ///< Never set by from_env(); the caller
                                  ///< manages the cache's lifetime.
 
-  /// node_budget from DEEPGATE_SERVE_BUDGET, max_graphs from
-  /// DEEPGATE_SERVE_MAX_GRAPHS, merge_cache_capacity from
-  /// DEEPGATE_SERVE_CACHE when set.
+  /// Upper bounds of the from_env() knobs.
+  static constexpr long long kMaxNodeBudget = INT_MAX;
+  static constexpr long long kMaxGraphs = 1LL << 20;
+  static constexpr long long kMaxCacheCapacity = 1LL << 20;
+
+  /// node_budget from DEEPGATE_SERVE_BUDGET (0..kMaxNodeBudget), max_graphs
+  /// from DEEPGATE_SERVE_MAX_GRAPHS (1..kMaxGraphs), merge_cache_capacity
+  /// from DEEPGATE_SERVE_CACHE (0..kMaxCacheCapacity) when set. A value out
+  /// of range warns and keeps the default.
   static ServeOptions from_env();
 };
 
@@ -94,12 +104,14 @@ class Batch {
 using BatchSink = std::function<void(std::size_t index, const Batch& batch, std::size_t member)>;
 
 /// Run `graphs` through the model: skip zero-node graphs, pack the rest with
-/// plan_node_batches(opts.node_budget, opts.max_graphs), merge each group
-/// (through opts.merge_cache when set), forward it under a NoGradGuard —
-/// groups claimed dynamically by up to opts.threads pool lanes — and hand
-/// every member to `sink`. Throws std::invalid_argument on a null graph or
-/// one check_compatible rejects, before any forward runs. Returns the number
-/// of forwards run.
+/// plan_node_batches_by_depth(opts.node_budget, opts.max_graphs), merge each
+/// group (through opts.merge_cache when set), forward it under a
+/// NoGradGuard and hand every member to `sink`. Groups run longest first:
+/// most total node rows, ties to the greater merged depth, then to plan
+/// position. Up to opts.threads pool lanes claim them in that order off a
+/// shared counter; at one thread they run in that order on the caller.
+/// Throws std::invalid_argument on a null graph or one check_compatible
+/// rejects, before any forward runs. Returns the number of forwards run.
 std::size_t execute(const Model& model, const std::vector<const CircuitGraph*>& graphs,
                     const ServeOptions& opts, int iterations, const BatchSink& sink);
 

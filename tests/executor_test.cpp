@@ -1,0 +1,300 @@
+// gnn::execute: groups from the depth planner, claimed longest first, with
+// results bitwise equal to per-graph inference at any thread count and node
+// budget; and the bounded DEEPGATE_SERVE_* knobs ServeOptions reads.
+#include "core/deepgate.hpp"
+#include "data/dataset.hpp"
+#include "data/generators_large.hpp"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+namespace dg {
+namespace {
+
+using gnn::CircuitGraph;
+
+gnn::ModelConfig tiny_config() {
+  gnn::ModelConfig cfg;
+  cfg.dim = 12;
+  cfg.iterations = 3;
+  cfg.mlp_hidden = 8;
+  cfg.seed = 11;
+  return cfg;
+}
+
+bool bit_equal_matrix(const nn::Matrix& a, const nn::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+/// Graphs of different sizes and depths. Indices 1 and 4 are identical (a
+/// tie in rows and depth), and 6 has the diamond's (3) node count at depth
+/// one, so both tie-breaks of the claim order are observable.
+std::vector<CircuitGraph> sized_graphs() {
+  std::vector<CircuitGraph> graphs;
+  graphs.push_back(deepgate::prepare(data::gen_multiplier(3), 500, 1));
+  graphs.push_back(deepgate::prepare(data::gen_squarer(4), 500, 2));
+  graphs.push_back(deepgate::prepare(data::gen_multiplier(5), 500, 3));
+  {
+    aig::Aig a;
+    const aig::Lit x = aig::make_lit(a.add_input(), false);
+    const aig::Lit y = aig::make_lit(a.add_input(), false);
+    const aig::Lit z = aig::make_lit(a.add_input(), false);
+    a.add_output(a.add_and(a.add_and(x, y), a.add_and(x, z)));
+    graphs.push_back(deepgate::prepare(a, 500, 4));
+  }
+  graphs.push_back(graphs[1]);
+  graphs.push_back(deepgate::prepare(data::gen_multiplier(4), 500, 5));
+  {
+    // Primary inputs only: one level, as many rows as the diamond.
+    const std::size_t n = static_cast<std::size_t>(graphs[3].num_nodes);
+    CircuitGraph wide;
+    wide.num_nodes = graphs[3].num_nodes;
+    wide.num_types = graphs[3].num_types;
+    wide.type_id.assign(n, 0);
+    wide.level.assign(n, 0);
+    wide.labels.assign(n, 0.5F);
+    wide.finalize(graphs[3].pe_L);
+    graphs.push_back(std::move(wide));
+  }
+  return graphs;
+}
+
+std::vector<const CircuitGraph*> pointers(const std::vector<CircuitGraph>& graphs) {
+  std::vector<const CircuitGraph*> ptrs;
+  for (const auto& g : graphs) ptrs.push_back(&g);
+  return ptrs;
+}
+
+std::size_t group_rows(const std::vector<const CircuitGraph*>& ptrs,
+                       const std::vector<std::size_t>& group) {
+  std::size_t rows = 0;
+  for (const std::size_t i : group) rows += static_cast<std::size_t>(ptrs[i]->num_nodes);
+  return rows;
+}
+
+int group_depth(const std::vector<const CircuitGraph*>& ptrs,
+                const std::vector<std::size_t>& group) {
+  int depth = 0;
+  for (const std::size_t i : group) depth = std::max(depth, ptrs[i]->num_levels);
+  return depth;
+}
+
+/// Sets an environment variable for one scope, restoring the previous value.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_.empty()) ::unsetenv(name_);
+    else ::setenv(name_, old_.c_str(), 1);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::string old_;
+};
+
+// -- Claim order ---------------------------------------------------------------
+
+// At one thread the sink sees whole groups, largest total node rows first;
+// equal rows go to the deeper group, then to the planner's order. The
+// groups themselves are exactly plan_node_batches_by_depth's.
+TEST(ExecuteOrder, SerialRunsGroupsLongestFirstTiesInPlanOrder) {
+  const auto graphs = sized_graphs();
+  const auto ptrs = pointers(graphs);
+  deepgate::Options options;
+  options.model = tiny_config();
+  const deepgate::Engine engine(options);
+
+  for (const std::size_t budget : {std::size_t{0}, std::size_t{300}, std::size_t{2048}}) {
+    gnn::ServeOptions opts;
+    opts.node_budget = budget;
+    opts.threads = 1;
+    std::vector<std::vector<std::size_t>> seen;
+    const std::size_t forwards = gnn::execute(
+        engine.model(), ptrs, opts, 0,
+        [&](std::size_t i, const gnn::Batch&, std::size_t member) {
+          if (member == 0) seen.emplace_back();
+          ASSERT_EQ(member, seen.back().size());
+          seen.back().push_back(i);
+        });
+
+    const auto plan = gnn::plan_node_batches_by_depth(ptrs, budget, opts.max_graphs);
+    ASSERT_EQ(forwards, plan.size()) << "budget " << budget;
+    ASSERT_EQ(seen.size(), plan.size()) << "budget " << budget;
+    std::vector<std::size_t> position;
+    for (const auto& group : seen) {
+      const auto it = std::find(plan.begin(), plan.end(), group);
+      ASSERT_NE(it, plan.end()) << "budget " << budget << ": group not in the plan";
+      position.push_back(static_cast<std::size_t>(it - plan.begin()));
+    }
+    for (std::size_t k = 1; k < seen.size(); ++k) {
+      const std::size_t prev = group_rows(ptrs, seen[k - 1]), rows = group_rows(ptrs, seen[k]);
+      EXPECT_GE(prev, rows) << "budget " << budget << " group " << k;
+      if (prev != rows) continue;
+      const int prev_depth = group_depth(ptrs, seen[k - 1]), depth = group_depth(ptrs, seen[k]);
+      EXPECT_GE(prev_depth, depth) << "budget " << budget << " group " << k;
+      if (prev_depth == depth) {
+        EXPECT_LT(position[k - 1], position[k]) << "budget " << budget << " group " << k;
+      }
+    }
+  }
+
+  // Singleton groups spelled out. By rows: multipliers 5 and 4, the
+  // identical squarers in plan order (1, 4), multiplier 3, then the diamond
+  // before the equally large but shallower input-only graph, although the
+  // planner puts the shallower one first.
+  gnn::ServeOptions solo;
+  solo.node_budget = 0;
+  solo.threads = 1;
+  std::vector<std::size_t> order;
+  gnn::execute(engine.model(), ptrs, solo, 0,
+               [&](std::size_t i, const gnn::Batch&, std::size_t) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<std::size_t>{2, 5, 1, 4, 0, 3, 6}));
+}
+
+// -- Merged == solo at any thread count and budget -------------------------------
+
+// Every lane count and budget returns each graph's per-graph prediction and
+// embedding bit for bit. A zero-node graph never reaches the sink; a
+// pre-merged super-graph interleaved in the request cannot share a group
+// and runs as its own.
+TEST(ExecuteEquivalence, BitwiseEqualToPerGraphAtAnyThreadsAndBudget) {
+  auto graphs = sized_graphs();
+  CircuitGraph empty;
+  empty.num_types = graphs[0].num_types;
+  empty.finalize(graphs[0].pe_L);
+  graphs.insert(graphs.begin() + 2, empty);
+  graphs.insert(graphs.begin() + 4, CircuitGraph::merge({&graphs[0], &graphs[1]}));
+  const auto ptrs = pointers(graphs);
+
+  deepgate::Options options;
+  options.model = tiny_config();
+  const deepgate::Engine engine(options);
+  std::vector<std::vector<float>> ref_prob;
+  std::vector<nn::Matrix> ref_emb;
+  for (const auto& g : graphs) {
+    ref_prob.push_back(g.num_nodes == 0 ? std::vector<float>{} : engine.predict_probabilities(g));
+    ref_emb.push_back(g.num_nodes == 0 ? nn::Matrix{} : engine.embeddings(g));
+  }
+
+  for (const int threads : {1, 2, 4}) {
+    for (const std::size_t budget : {std::size_t{0}, std::size_t{48}, std::size_t{2048}}) {
+      gnn::ServeOptions opts;
+      opts.node_budget = budget;
+      opts.threads = threads;
+      std::vector<std::vector<float>> prob(graphs.size());
+      std::vector<nn::Matrix> emb(graphs.size());
+      std::vector<int> calls(graphs.size(), 0);
+      gnn::execute(engine.model(), ptrs, opts, 0,
+                   [&](std::size_t i, const gnn::Batch& batch, std::size_t member) {
+                     calls[i] += 1;
+                     prob[i] = batch.prediction(member);
+                     emb[i] = batch.embedding(member);
+                   });
+      for (std::size_t i = 0; i < graphs.size(); ++i) {
+        const std::string where = "threads " + std::to_string(threads) + " budget " +
+                                  std::to_string(budget) + " graph " + std::to_string(i);
+        EXPECT_EQ(calls[i], graphs[i].num_nodes == 0 ? 0 : 1) << where;
+        EXPECT_EQ(prob[i], ref_prob[i]) << where;
+        EXPECT_TRUE(bit_equal_matrix(emb[i], ref_emb[i])) << where;
+      }
+    }
+  }
+
+  // A graph whose pe_L the model cannot run is rejected before any forward.
+  CircuitGraph other = graphs[0];
+  other.finalize(4);
+  std::vector<const CircuitGraph*> bad = ptrs;
+  bad.insert(bad.begin() + 3, &other);
+  int sink_calls = 0;
+  gnn::ServeOptions opts;
+  opts.threads = 2;
+  EXPECT_THROW(gnn::execute(engine.model(), bad, opts, 0,
+                            [&](std::size_t, const gnn::Batch&, std::size_t) { ++sink_calls; }),
+               std::invalid_argument);
+  EXPECT_EQ(sink_calls, 0);
+}
+
+// Eq. (8) over the tiny Table III designs on two lanes equals the serial
+// per-graph reduction in test-set order, bit for bit.
+TEST(ExecuteEquivalence, PooledEvaluateOnTable3MatchesSerialEq8) {
+  std::vector<CircuitGraph> designs;
+  std::uint64_t seed = 31;
+  for (const data::LargeDesign& d : data::table3_designs(util::BenchScale::kTiny))
+    designs.push_back(data::graph_from_aig(d.aig, 256, seed++));
+
+  deepgate::Options options;
+  options.model = tiny_config();
+  const deepgate::Engine engine(options);
+
+  double total = 0.0;
+  std::size_t nodes = 0;
+  for (const CircuitGraph& g : designs) {
+    const std::vector<float> p = engine.predict_probabilities(g);
+    const nn::Matrix pred = nn::Matrix::from_vector(g.num_nodes, 1, p);
+    total += gnn::avg_prediction_error(g.labels, pred) * static_cast<double>(g.num_nodes);
+    nodes += static_cast<std::size_t>(g.num_nodes);
+  }
+  const double serial = total / static_cast<double>(nodes);
+
+  gnn::EvalOptions opts;
+  opts.threads = 2;
+  const double pooled = gnn::evaluate(engine.model(), designs, opts);
+  EXPECT_EQ(std::memcmp(&pooled, &serial, sizeof pooled), 0) << pooled << " vs " << serial;
+}
+
+// -- Env knobs -----------------------------------------------------------------
+
+// DEEPGATE_SERVE_BUDGET used to drop negatives silently and take any huge
+// value, DEEPGATE_SERVE_MAX_GRAPHS dropped 0 and negatives, and
+// DEEPGATE_SERVE_CACHE had no upper bound. Out-of-range values now warn and
+// keep the default; the range ends apply.
+TEST(ServeOptionsEnv, FromEnvBoundsBudgetMaxGraphsAndCache) {
+  const gnn::ServeOptions defaults;
+  for (const char* bad : {"-1", "2147483648", "10000000000000000"}) {
+    const ScopedEnv env("DEEPGATE_SERVE_BUDGET", bad);
+    EXPECT_EQ(gnn::ServeOptions::from_env().node_budget, defaults.node_budget) << bad;
+  }
+  for (const char* bad : {"0", "-2", "1048577"}) {
+    const ScopedEnv env("DEEPGATE_SERVE_MAX_GRAPHS", bad);
+    EXPECT_EQ(gnn::ServeOptions::from_env().max_graphs, defaults.max_graphs) << bad;
+  }
+  for (const char* bad : {"-1", "1048577"}) {
+    const ScopedEnv env("DEEPGATE_SERVE_CACHE", bad);
+    EXPECT_EQ(gnn::ServeOptions::from_env().merge_cache_capacity,
+              defaults.merge_cache_capacity)
+        << bad;
+  }
+  {
+    const ScopedEnv budget("DEEPGATE_SERVE_BUDGET", "0");
+    const ScopedEnv max_graphs("DEEPGATE_SERVE_MAX_GRAPHS", "1");
+    const ScopedEnv cache("DEEPGATE_SERVE_CACHE", "0");
+    const gnn::ServeOptions low = gnn::ServeOptions::from_env();
+    EXPECT_EQ(low.node_budget, 0u);
+    EXPECT_EQ(low.max_graphs, 1u);
+    EXPECT_EQ(low.merge_cache_capacity, 0u);
+  }
+  const ScopedEnv budget("DEEPGATE_SERVE_BUDGET", "2147483647");
+  const ScopedEnv max_graphs("DEEPGATE_SERVE_MAX_GRAPHS", "1048576");
+  const ScopedEnv cache("DEEPGATE_SERVE_CACHE", "1048576");
+  const gnn::ServeOptions high = gnn::ServeOptions::from_env();
+  EXPECT_EQ(high.node_budget, static_cast<std::size_t>(gnn::ServeOptions::kMaxNodeBudget));
+  EXPECT_EQ(high.max_graphs, static_cast<std::size_t>(gnn::ServeOptions::kMaxGraphs));
+  EXPECT_EQ(high.merge_cache_capacity,
+            static_cast<std::size_t>(gnn::ServeOptions::kMaxCacheCapacity));
+}
+
+}  // namespace
+}  // namespace dg
