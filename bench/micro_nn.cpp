@@ -1,6 +1,6 @@
 // Microbenchmarks of the neural substrate: the kernels dominating DeepGate's
-// training/inference time — matmul, GRU steps, attention aggregation, full
-// model forward and forward+backward.
+// training/inference time — matmul and matvec per SIMD backend, GRU steps,
+// attention aggregation, full model forward and forward+backward.
 #include <benchmark/benchmark.h>
 
 #include "aig/gate_graph.hpp"
@@ -10,6 +10,7 @@
 #include "nn/init.hpp"
 #include "nn/kernels.hpp"
 #include "nn/ops.hpp"
+#include "nn/simd/dispatch.hpp"
 #include "sim/probability.hpp"
 #include "synth/optimize.hpp"
 
@@ -17,17 +18,55 @@ namespace {
 
 using namespace dg;
 
+// Kernel rows run on every backend: the second argument is the SimdLevel
+// (0 scalar, 1 generic, 2 avx2; the label names it), so one run shows each
+// backend's thin-level and wide-level rates side by side. Levels this CPU
+// or build cannot run are skipped.
+bool pin_level(benchmark::State& state, int arg) {
+  const auto level = static_cast<nn::kern::SimdLevel>(arg);
+  if (!nn::kern::simd::available(level)) {
+    state.SkipWithError("backend not available");
+    return false;
+  }
+  nn::kern::simd::set_level(level);
+  state.SetLabel(nn::kern::simd::level_name(level));
+  return true;
+}
+
+// Row counts 6 and 32 are thin topological levels; 16/256/4096 are merged
+// serving batches.
 void BM_Matmul(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   util::Rng rng(1);
   const nn::Matrix a = nn::normal(n, 64, 1.0F, rng);
   const nn::Matrix b = nn::normal(64, 64, 1.0F, rng);
+  const nn::kern::SimdLevel prev = nn::kern::simd::active();
+  if (!pin_level(state, static_cast<int>(state.range(1)))) return;
   for (auto _ : state) {
     benchmark::DoNotOptimize(nn::kern::matmul(a, b));
   }
+  nn::kern::simd::set_level(prev);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n * 64 * 64 * 2);
 }
-BENCHMARK(BM_Matmul)->Arg(16)->Arg(256)->Arg(4096);
+BENCHMARK(BM_Matmul)->ArgsProduct({{6, 16, 32, 256, 4096}, {0, 1, 2}});
+
+// The attention aggregator's E x 64 * 64 x 1 score projections. Rows 6, 12
+// and 30 leave 6, 4 and 6 rows after the last 8-row block (the masked tail
+// on avx2).
+void BM_Matvec(benchmark::State& state) {
+  const int rows = static_cast<int>(state.range(0));
+  util::Rng rng(4);
+  const nn::Matrix a = nn::normal(rows, 64, 1.0F, rng);
+  const nn::Matrix w = nn::normal(64, 1, 1.0F, rng);
+  const nn::kern::SimdLevel prev = nn::kern::simd::active();
+  if (!pin_level(state, static_cast<int>(state.range(1)))) return;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nn::kern::matvec(a, w));
+  }
+  nn::kern::simd::set_level(prev);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * rows * 64 * 2);
+}
+BENCHMARK(BM_Matvec)->ArgsProduct({{6, 12, 30, 256}, {0, 1, 2}});
 
 void BM_GruForward(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));

@@ -1,6 +1,9 @@
 #include "nn/gru.hpp"
 
 #include "nn/init.hpp"
+#include "nn/kernels.hpp"
+#include "nn/simd/backend.hpp"
+#include "nn/simd/dispatch.hpp"
 
 namespace dg::nn {
 
@@ -24,12 +27,69 @@ GruCell::GruCell(int input_size, int hidden_size, util::Rng& rng)
 }
 
 Tensor GruCell::forward(const Tensor& x, const Tensor& h) const {
+  if (!grad_enabled()) return constant(forward_no_grad(x.value(), h.value()));
   const Tensor z = sigmoid(add_rowvec(add(matmul(x, wz_), matmul(h, uz_)), bz_));
   const Tensor r = sigmoid(add_rowvec(add(matmul(x, wr_), matmul(h, ur_)), br_));
   const Tensor n = tanh_t(add_rowvec(add(matmul(x, wn_), mul(r, matmul(h, un_))), bn_));
   // h' = (1 - z) o n + z o h, written without a ones constant:
   // h' = n - z o n + z o h.
   return add(sub(n, mul(z, n)), mul(z, h));
+}
+
+// The taped composition above, op for op, with every intermediate folded
+// into three buffers. Each matmul starts from a zeroed buffer like
+// kern::matmul does, and each elementwise step is the same backend call on
+// the same operands in the same order, only written in place, so the
+// result is bitwise the taped one on every backend.
+Matrix GruCell::forward_no_grad(const Matrix& x, const Matrix& h) const {
+  const kern::KernelBackend& be = kern::backend();
+  const int rows = h.rows();
+  const std::size_t size = h.size();
+  const std::size_t cols = static_cast<std::size_t>(hidden_);
+  // buf = a * w, from zero.
+  auto product = [](Matrix& buf, const Matrix& a, const Tensor& w) {
+    buf.fill(0.0F);
+    kern::matmul_acc(buf, a, w.value());
+  };
+  // buf = buf + bias, row by row (kern::add_rowvec).
+  auto add_bias = [&](Matrix& buf, const Tensor& bias) {
+    const float* b = bias.value().data();
+    for (int r = 0; r < rows; ++r) be.add_n(buf.row_ptr(r), buf.row_ptr(r), b, cols);
+  };
+  Matrix z(rows, hidden_);
+  Matrix r(rows, hidden_);
+  Matrix t(rows, hidden_);
+
+  // z = sigmoid(x Wz + h Uz + bz)
+  product(z, x, wz_);
+  product(t, h, uz_);
+  be.add_n(z.data(), z.data(), t.data(), size);
+  add_bias(z, bz_);
+  be.sigmoid_n(z.data(), z.data(), size);
+
+  // r = sigmoid(x Wr + h Ur + br)
+  product(r, x, wr_);
+  product(t, h, ur_);
+  be.add_n(r.data(), r.data(), t.data(), size);
+  add_bias(r, br_);
+  be.sigmoid_n(r.data(), r.data(), size);
+
+  // n = tanh(x Wn + r o (h Un) + bn); r's buffer takes x Wn once r o (h Un)
+  // has consumed r, and then holds n.
+  product(t, h, un_);
+  be.mul_n(t.data(), r.data(), t.data(), size);
+  Matrix& n = r;
+  product(n, x, wn_);
+  be.add_n(n.data(), n.data(), t.data(), size);
+  add_bias(n, bn_);
+  be.tanh_n(n.data(), n.data(), size);
+
+  // h' = (n - z o n) + z o h
+  be.mul_n(t.data(), z.data(), n.data(), size);
+  be.sub_n(t.data(), n.data(), t.data(), size);
+  be.mul_n(z.data(), z.data(), h.data(), size);
+  be.add_n(t.data(), t.data(), z.data(), size);
+  return t;
 }
 
 void GruCell::collect(NamedParams& out, const std::string& prefix) const {

@@ -1,7 +1,9 @@
 // Internal kernel-backend table: one set of raw-pointer worker functions per
 // ISA level. The public kernels (nn/kernels.cpp) keep all shape logic and
-// thread-pool partitioning and call through the active table for the inner
-// loops, so every backend sees identical work decomposition.
+// make one call through the active table over the full range, on the
+// calling thread, so every backend sees identical work decomposition. The
+// one other caller is the fused no-grad GRU step (nn/gru.cpp), which runs
+// the elementwise workers in place on its own buffers.
 //
 // Contract: every worker must produce results BITWISE IDENTICAL to the
 // scalar worker — same per-element floating-point operation order (the

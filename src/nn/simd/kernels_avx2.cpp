@@ -11,6 +11,19 @@
 // dispatch.hpp). The matmul family keeps the per-(i,p) zero-skip branch and
 // blocks C in ymm registers across k, which preserves the oracle's
 // k-ascending one-rounding-per-op accumulation per output element.
+//
+// Thin-level shapes (a topological level is often under 10 rows, the hidden
+// width is 64) shape two of the blocks below:
+//
+//  * matmul_rows runs a 64-column block (8 accumulators) ahead of the
+//    32-column and 8-column blocks. At n == 64 a row is one block, so each
+//    k-step issues 8 independent add chains instead of 4; per element the
+//    order is still k-ascending with one rounding per mul and per add.
+//  * matvec_rows vectorizes across 8 rows; the rows left after the last full
+//    8-row block (all of them on a level of fewer than 8 rows) run as ONE
+//    masked block — masked gather, maskload/maskstore — instead of a scalar
+//    k-chain bound by add latency. Masked-off lanes never touch memory, so
+//    the block reads and writes exactly the rows the scalar loop would.
 #include "nn/simd/backend.hpp"
 
 #ifdef DG_SIMD_AVX2_TU
@@ -25,6 +38,39 @@ void matmul_rows_avx2(float* c, const float* a, const float* b, int i0, int i1, 
     const float* arow = a + static_cast<std::size_t>(i) * k;
     float* crow = c + static_cast<std::size_t>(i) * n;
     int j = 0;
+    for (; j + 64 <= n; j += 64) {
+      float* cj = crow + j;
+      __m256 a0 = _mm256_loadu_ps(cj);
+      __m256 a1 = _mm256_loadu_ps(cj + 8);
+      __m256 a2 = _mm256_loadu_ps(cj + 16);
+      __m256 a3 = _mm256_loadu_ps(cj + 24);
+      __m256 a4 = _mm256_loadu_ps(cj + 32);
+      __m256 a5 = _mm256_loadu_ps(cj + 40);
+      __m256 a6 = _mm256_loadu_ps(cj + 48);
+      __m256 a7 = _mm256_loadu_ps(cj + 56);
+      for (int p = 0; p < k; ++p) {
+        const float av = arow[p];
+        if (av == 0.0F) continue;
+        const __m256 vav = _mm256_set1_ps(av);
+        const float* bj = b + static_cast<std::size_t>(p) * n + j;
+        a0 = _mm256_add_ps(a0, _mm256_mul_ps(vav, _mm256_loadu_ps(bj)));
+        a1 = _mm256_add_ps(a1, _mm256_mul_ps(vav, _mm256_loadu_ps(bj + 8)));
+        a2 = _mm256_add_ps(a2, _mm256_mul_ps(vav, _mm256_loadu_ps(bj + 16)));
+        a3 = _mm256_add_ps(a3, _mm256_mul_ps(vav, _mm256_loadu_ps(bj + 24)));
+        a4 = _mm256_add_ps(a4, _mm256_mul_ps(vav, _mm256_loadu_ps(bj + 32)));
+        a5 = _mm256_add_ps(a5, _mm256_mul_ps(vav, _mm256_loadu_ps(bj + 40)));
+        a6 = _mm256_add_ps(a6, _mm256_mul_ps(vav, _mm256_loadu_ps(bj + 48)));
+        a7 = _mm256_add_ps(a7, _mm256_mul_ps(vav, _mm256_loadu_ps(bj + 56)));
+      }
+      _mm256_storeu_ps(cj, a0);
+      _mm256_storeu_ps(cj + 8, a1);
+      _mm256_storeu_ps(cj + 16, a2);
+      _mm256_storeu_ps(cj + 24, a3);
+      _mm256_storeu_ps(cj + 32, a4);
+      _mm256_storeu_ps(cj + 40, a5);
+      _mm256_storeu_ps(cj + 48, a6);
+      _mm256_storeu_ps(cj + 56, a7);
+    }
     for (; j + 32 <= n; j += 32) {
       float* cj = crow + j;
       __m256 a0 = _mm256_loadu_ps(cj);
@@ -75,6 +121,11 @@ void matvec_rows_avx2(float* c, const float* a, const float* w, int i0, int i1, 
   // false for NaN), which also keeps Inf/NaN in skipped w entries out of c
   // and preserves a -0.0 accumulator. Mul and add stay separate roundings
   // (-ffp-contract=off), so every lane matches the scalar oracle bitwise.
+  //
+  // The 1..7 rows after the last full block run as one masked block: the
+  // gather, maskload and maskstore leave lanes >= rem alone (no access at
+  // all), and those lanes' av is the gather's zero source, so the zero-skip
+  // blend keeps them untouched as well.
   const __m256 zero = _mm256_setzero_ps();
   const __m256i stride =
       _mm256_setr_epi32(0, k, 2 * k, 3 * k, 4 * k, 5 * k, 6 * k, 7 * k);
@@ -90,14 +141,20 @@ void matvec_rows_avx2(float* c, const float* a, const float* w, int i0, int i1, 
     }
     _mm256_storeu_ps(c + i, acc);
   }
-  for (; i < i1; ++i) {
-    const float* arow = a + static_cast<std::size_t>(i) * k;
-    for (int p = 0; p < k; ++p) {
-      const float av = arow[p];
-      if (av == 0.0F) continue;
-      c[i] += av * w[p];
-    }
+  const int rem = i1 - i;
+  if (rem <= 0) return;
+  const __m256i lanes = _mm256_cmpgt_epi32(_mm256_set1_epi32(rem),
+                                           _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  const __m256 live = _mm256_castsi256_ps(lanes);
+  const float* base = a + static_cast<std::size_t>(i) * k;
+  __m256 acc = _mm256_maskload_ps(c + i, lanes);
+  for (int p = 0; p < k; ++p) {
+    const __m256 av = _mm256_mask_i32gather_ps(zero, base + p, stride, live, 4);
+    const __m256 mask = _mm256_cmp_ps(av, zero, _CMP_NEQ_UQ);
+    const __m256 sum = _mm256_add_ps(acc, _mm256_mul_ps(av, _mm256_set1_ps(w[p])));
+    acc = _mm256_blendv_ps(acc, sum, mask);
   }
+  _mm256_maskstore_ps(c + i, lanes, acc);
 }
 
 void matmul_tn_cols_avx2(float* c, const float* a, const float* b, int j0, int j1, int k, int m,

@@ -1,0 +1,160 @@
+// The fused no-grad GRU step (ctest label: kernels). GruCell::forward under
+// NoGradGuard must equal the taped composition it replaces, bit for bit, on
+// every runnable backend with the arena on and off — the taped path (run
+// with gradients recording) is the oracle. A structural guard keeps the
+// fused step from drifting back to the op chain's per-op buffers.
+#include "nn/arena.hpp"
+#include "nn/gru.hpp"
+#include "nn/init.hpp"
+#include "nn/ops.hpp"
+#include "nn/simd/dispatch.hpp"
+#include "util/rng.hpp"
+
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
+#include <vector>
+
+namespace dg::nn {
+namespace {
+
+std::vector<kern::SimdLevel> runnable_levels() {
+  std::vector<kern::SimdLevel> levels;
+  for (kern::SimdLevel l :
+       {kern::SimdLevel::kScalar, kern::SimdLevel::kGeneric, kern::SimdLevel::kAvx2})
+    if (kern::simd::available(l)) levels.push_back(l);
+  return levels;
+}
+
+class ScopedLevel {
+ public:
+  explicit ScopedLevel(kern::SimdLevel level) : prev_(kern::simd::set_level(level)) {}
+  ~ScopedLevel() { kern::simd::set_level(prev_); }
+
+ private:
+  kern::SimdLevel prev_;
+};
+
+class ScopedArena {
+ public:
+  explicit ScopedArena(bool on) : prev_(arena_enabled()) { arena_set_enabled(on); }
+  ~ScopedArena() { arena_set_enabled(prev_); }
+
+ private:
+  bool prev_;
+};
+
+/// Level input with exact zeros of both signs salted in (one-hot columns and
+/// zero states are what the matmuls' zero-skip keys on).
+Matrix salted(int rows, int cols, util::Rng& rng) {
+  Matrix m = normal(rows, cols, 1.0F, rng);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    const std::uint64_t r = rng.next_below(8);
+    if (r == 0) m.data()[i] = 0.0F;
+    if (r == 1) m.data()[i] = -0.0F;
+  }
+  return m;
+}
+
+/// Non-zero biases, so the bias adds are exercised (init leaves them 0).
+void randomize_biases(const GruCell& gru, util::Rng& rng) {
+  NamedParams params;
+  gru.collect(params, "gru");
+  for (auto& [name, t] : params)
+    if (t.rows() == 1) t.mutable_value() = normal(1, t.cols(), 0.5F, rng);
+}
+
+Matrix taped_forward(const GruCell& gru, const Matrix& x, const Matrix& h) {
+  EXPECT_TRUE(grad_enabled());
+  const Tensor out = gru.forward(Tensor::leaf(x, true), Tensor::leaf(h, true));
+  EXPECT_TRUE(out.requires_grad()) << "oracle must run the taped composition";
+  return out.value();
+}
+
+Matrix fused_forward(const GruCell& gru, const Matrix& x, const Matrix& h) {
+  NoGradGuard no_grad;
+  return gru.forward(constant(x), constant(h)).value();
+}
+
+TEST(GruFused, BitwiseEqualToTapedCompositionEverywhere) {
+  const int hidden = 64;
+  for (const int input : {64, 67}) {
+    util::Rng rng(static_cast<std::uint64_t>(input));
+    GruCell gru(input, hidden, rng);
+    randomize_biases(gru, rng);
+    for (const int rows : {0, 1, 5, 8, 33}) {
+      const Matrix x = salted(rows, input, rng);
+      const Matrix h = salted(rows, hidden, rng);
+      for (const kern::SimdLevel level : runnable_levels()) {
+        const ScopedLevel scoped_level(level);
+        for (const bool arena_on : {false, true}) {
+          const ScopedArena scoped_arena(arena_on);
+          const std::string tag = std::string(kern::simd::level_name(level)) +
+                                  " input=" + std::to_string(input) +
+                                  " rows=" + std::to_string(rows) +
+                                  (arena_on ? " arena" : " heap");
+          const Matrix want = taped_forward(gru, x, h);
+          Matrix got;
+          {
+            ArenaScope scope;
+            got = fused_forward(gru, x, h);
+            // Twice: the second call runs on recycled buffers.
+            got = fused_forward(gru, x, h);
+          }
+          ASSERT_EQ(rows, got.rows()) << tag;
+          ASSERT_EQ(hidden, got.cols()) << tag;
+          if (want.size() == 0) continue;
+          EXPECT_EQ(0, std::memcmp(got.data(), want.data(), want.size() * sizeof(float)))
+              << tag << ": fused no-grad step differs from the taped composition";
+        }
+      }
+    }
+  }
+}
+
+// Saturated gates (sigmoid at 0/1, tanh at +-1) and large pre-activations
+// take the same path through the backend's maps in both compositions.
+TEST(GruFused, SaturatedGatesMatchTapedComposition) {
+  util::Rng rng(7);
+  GruCell gru(67, 64, rng);
+  randomize_biases(gru, rng);
+  Matrix x = salted(6, 67, rng);
+  Matrix h = salted(6, 64, rng);
+  for (int j = 0; j < 67; j += 4) x.at(1, j) = 90.0F;
+  for (int j = 0; j < 64; j += 3) h.at(2, j) = -90.0F;
+  x.at(4, 66) = 1e20F;
+  h.at(5, 0) = -1e20F;
+  for (const kern::SimdLevel level : runnable_levels()) {
+    const ScopedLevel scoped_level(level);
+    const Matrix want = taped_forward(gru, x, h);
+    const Matrix got = fused_forward(gru, x, h);
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(), want.size() * sizeof(float)))
+        << kern::simd::level_name(level);
+  }
+}
+
+// The op chain acquires a buffer and a tape node per op (~20 or more per
+// call); the fused step takes three work buffers and the result's tape node.
+TEST(GruFused, NoGradStepMakesAtMostFiveArenaAcquisitions) {
+  const ScopedArena scoped_arena(true);
+  util::Rng rng(11);
+  GruCell gru(67, 64, rng);
+  const Tensor x = constant(salted(6, 67, rng));
+  const Tensor h = constant(salted(6, 64, rng));
+  NoGradGuard no_grad;
+  ArenaScope scope;
+  const Tensor warm = gru.forward(x, h);
+  const ArenaStats before = arena_stats();
+  const Tensor out = gru.forward(x, h);
+  const ArenaStats after = arena_stats();
+  const std::size_t acquisitions =
+      (after.reuses - before.reuses) + (after.heap_allocs - before.heap_allocs);
+  EXPECT_LE(acquisitions, 5U);
+  EXPECT_GT(acquisitions, 0U) << "arena not active: the guard measured nothing";
+  EXPECT_EQ(0, std::memcmp(warm.value().data(), out.value().data(),
+                           out.value().size() * sizeof(float)));
+}
+
+}  // namespace
+}  // namespace dg::nn

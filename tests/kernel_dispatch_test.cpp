@@ -5,6 +5,9 @@
 //    odd shapes (1x1, empty, non-multiple-of-8 tails) and alignments;
 //  * the zero-skip oracle property (exact zeros, negative zeros, denormals,
 //    Inf-bearing skipped B rows) — see nn/kernels.hpp;
+//  * sweeps over every avx2 matvec tail length and matmul column block,
+//    with 0.0f / -0.0f / NaN planted in A and Inf/NaN in the B rows that
+//    meet only zero A-elements;
 //  * bit-identical results at every DEEPGATE_THREADS value;
 //  * sigmoid/tanh within the stated absolute bound on avx2 (bitwise on
 //    generic, which keeps libm).
@@ -222,6 +225,117 @@ TEST(KernelDispatch, ZeroSkipOracleProperty) {
     const Matrix got = matmul(a, b);
     for (int j = 0; j < 9; ++j)
       EXPECT_EQ(want.at(1, j), got.at(1, j)) << simd::level_name(l) << " j=" << j;
+  }
+}
+
+/// A (rows x k) for the special-value sweeps: normal values salted with
+/// 0.0f, -0.0f and NaN, plus "dead" columns (every third, and the last)
+/// holding only zeros of either sign. Returns the dead-column mask.
+std::vector<bool> plant_specials(Matrix& a, std::uint64_t seed) {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  const int k = a.cols();
+  std::vector<bool> dead(static_cast<std::size_t>(k), false);
+  for (int p = 0; p < k; p += 3) dead[static_cast<std::size_t>(p)] = true;
+  if (k > 0) dead[static_cast<std::size_t>(k - 1)] = true;
+  util::Rng salt(seed);
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int p = 0; p < k; ++p) {
+      float& v = a.at(i, p);
+      if (dead[static_cast<std::size_t>(p)]) {
+        v = salt.next_below(2) == 0 ? 0.0F : -0.0F;
+        continue;
+      }
+      const std::uint64_t r = salt.next_below(16);
+      if (r == 0) v = 0.0F;
+      if (r == 1) v = -0.0F;
+      if (r == 2 && salt.next_below(4) == 0) v = kNan;
+    }
+  }
+  return dead;
+}
+
+/// Inf and NaN in the rows of B (or entries of w) that meet only zero
+/// A-elements: the zero-skip must keep every one of them out of C.
+void poison_dead_rows(Matrix& b, const std::vector<bool>& dead) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  for (int p = 0; p < b.rows(); ++p) {
+    if (!dead[static_cast<std::size_t>(p)]) continue;
+    for (int j = 0; j < b.cols(); ++j) b.at(p, j) = (p + j) % 2 == 0 ? kInf : -kNan;
+  }
+}
+
+// Thin levels: every row count a topological level can leave after the
+// avx2 matvec's last full 8-row block (1..7 masked lanes), whole blocks,
+// and block + tail, over attention-shaped and odd k.
+TEST(KernelDispatch, MatvecSweepBitwiseWithSpecialValues) {
+  std::vector<int> row_counts;
+  for (int rows = 1; rows <= 17; ++rows) row_counts.push_back(rows);
+  row_counts.push_back(63);
+  row_counts.push_back(250);
+  util::Rng rng(404);
+  for (const int k : {1, 7, 24, 64, 67}) {
+    for (const int rows : row_counts) {
+      Matrix a = normal(rows, k, 1.0F, rng);
+      const std::vector<bool> dead =
+          plant_specials(a, static_cast<std::uint64_t>(rows * 131 + k));
+      Matrix w = normal(k, 1, 1.0F, rng);
+      poison_dead_rows(w, dead);
+      Matrix c0 = normal(rows, 1, 1.0F, rng);
+      c0.at(0, 0) = -0.0F;
+      Matrix want, want_acc;
+      {
+        ScopedLevel scalar(SimdLevel::kScalar);
+        want = matvec(a, w);
+        want_acc = c0;
+        matmul_acc(want_acc, a, w);
+      }
+      for (SimdLevel l : runnable_levels()) {
+        ScopedLevel level(l);
+        const std::string tag = std::string(simd::level_name(l)) +
+                                " rows=" + std::to_string(rows) + " k=" + std::to_string(k);
+        expect_bitwise(matvec(a, w), want, "matvec " + tag);
+        expect_bitwise(matmul(a, w), want, "matmul n=1 " + tag);
+        Matrix acc = c0;
+        matmul_acc(acc, a, w);
+        expect_bitwise(acc, want_acc, "matmul_acc n=1 " + tag);
+      }
+    }
+  }
+}
+
+// Every column block of the avx2 matmul (64, 32, 8, scalar tail) and their
+// boundaries, at thin and wider row counts.
+TEST(KernelDispatch, MatmulColumnSweepBitwiseWithSpecialValues) {
+  util::Rng rng(505);
+  for (const int n : {1, 8, 31, 32, 33, 63, 64, 65, 96, 128, 192}) {
+    for (const int m : {1, 6, 33}) {
+      for (const int k : {7, 67}) {
+        Matrix a = normal(m, k, 1.0F, rng);
+        const std::vector<bool> dead =
+            plant_specials(a, static_cast<std::uint64_t>(n * 977 + m * 31 + k));
+        Matrix b = normal(k, n, 1.0F, rng);
+        poison_dead_rows(b, dead);
+        Matrix c0 = normal(m, n, 1.0F, rng);
+        for (int j = 0; j < n; j += 5) c0.at(0, j) = -0.0F;
+        Matrix want, want_acc;
+        {
+          ScopedLevel scalar(SimdLevel::kScalar);
+          want = matmul(a, b);
+          want_acc = c0;
+          matmul_acc(want_acc, a, b);
+        }
+        for (SimdLevel l : runnable_levels()) {
+          ScopedLevel level(l);
+          const std::string tag = std::string(simd::level_name(l)) + " " + std::to_string(m) +
+                                  "x" + std::to_string(k) + "x" + std::to_string(n);
+          expect_bitwise(matmul(a, b), want, "matmul " + tag);
+          Matrix acc = c0;
+          matmul_acc(acc, a, b);
+          expect_bitwise(acc, want_acc, "matmul_acc " + tag);
+        }
+      }
+    }
   }
 }
 
