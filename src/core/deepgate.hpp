@@ -124,12 +124,13 @@ class Engine {
 
   /// Incremental inference over a mutating circuit (core/incremental_session
   /// .hpp): per-node probabilities / embeddings of the session's CURRENT
-  /// graph, re-propagating only the fan-out cone of the edits since the
-  /// session's previous query (and replaying cached outputs outright when
-  /// nothing changed — so embed-then-predict on an unchanged session costs
-  /// exactly one level-loop forward). Bitwise identical to rebuilding the
-  /// graph and calling predict_probabilities / embeddings. The session must
-  /// be bound to THIS engine; throws std::invalid_argument otherwise.
+  /// graph. A session edited since its previous query runs one full forward
+  /// through the executor, as predict_probabilities does; an unchanged one
+  /// replays its cached outputs, so embed-then-predict on an unchanged
+  /// session costs exactly one level-loop forward. Bitwise identical to
+  /// rebuilding the graph and calling predict_probabilities / embeddings.
+  /// The session must be bound to THIS engine; throws std::invalid_argument
+  /// otherwise.
   std::vector<float> predict_incremental(IncrementalSession& session) const;
   dg::nn::Matrix embeddings_incremental(IncrementalSession& session) const;
 
@@ -162,10 +163,6 @@ class Engine {
   void clear_eval_cache() const { eval_cache_->clear(); }
 
  private:
-  /// The body shared by predict_incremental and embeddings_incremental.
-  dg::gnn::ForwardOutputs forward_incremental(IncrementalSession& session,
-                                              const char* caller) const;
-
   Options options_;
   std::unique_ptr<dg::gnn::Model> model_;
   /// Attached to the executor by evaluate(): repeated offline eval

@@ -673,14 +673,20 @@ bool CircuitGraph::deserialize(const std::uint8_t* data, std::size_t size, std::
     if (cg.level[v] < 0 || cg.level[v] > cg.num_nodes) return false;
   }
 
+  // Every edge must point strictly upward in level — the levelized forward
+  // relies on it, and it is what rules out cycles — and a skip edge must
+  // carry exactly its endpoints' level difference.
   const auto in_range = [&](int v) { return v >= 0 && v < cg.num_nodes; };
+  const auto rise = [&](int src, int dst) {
+    return cg.level[static_cast<std::size_t>(dst)] - cg.level[static_cast<std::size_t>(src)];
+  };
   const std::uint64_t num_edges = r.u64();
   if (!r.ok() || num_edges > r.remaining() / 8) return false;
   cg.edges.resize(static_cast<std::size_t>(num_edges));
   for (auto& [src, dst] : cg.edges) {
     src = r.i32();
     dst = r.i32();
-    if (!r.ok() || !in_range(src) || !in_range(dst)) return false;
+    if (!r.ok() || !in_range(src) || !in_range(dst) || rise(src, dst) < 1) return false;
   }
   const std::uint64_t num_skip = r.u64();
   if (!r.ok() || num_skip > r.remaining() / 12) return false;
@@ -689,7 +695,9 @@ bool CircuitGraph::deserialize(const std::uint8_t* data, std::size_t size, std::
     e.src = r.i32();
     e.dst = r.i32();
     e.level_diff = r.i32();
-    if (!r.ok() || !in_range(e.src) || !in_range(e.dst) || e.level_diff < 0) return false;
+    if (!r.ok() || !in_range(e.src) || !in_range(e.dst) || e.level_diff < 1 ||
+        e.level_diff != rise(e.src, e.dst))
+      return false;
   }
   cg.labels.resize(n);
   for (auto& l : cg.labels) l = r.f32();

@@ -65,10 +65,10 @@ struct CircuitGraph {
   std::vector<analysis::SkipEdge> skip_edges;
   std::vector<float> labels;                ///< simulated signal probabilities
 
-  /// Structure-version counter, bumped by finalize() and by every delta_*
-  /// edit. Memoized forward state (gnn/incremental.hpp) is keyed on it to
-  /// detect staleness. Not a defining field: excluded from serialize() and
-  /// bit_equal().
+  /// Structure-version counter, bumped by finalize() and by every applied
+  /// delta_* edit (a rejected edit leaves it as it was).
+  /// core::IncrementalSession keys its cached outputs on it. Not a defining
+  /// field: excluded from serialize() and bit_equal().
   std::uint64_t generation = 0;
 
   /// Batch metadata — non-empty only for super-graphs built by merge().

@@ -2,7 +2,6 @@
 // Within a layer, levels are processed in topological order and aggregation
 // reads the CURRENT layer's already-updated predecessor states; there is no
 // reversed propagation and no recurrence.
-#include "gnn/incremental.hpp"
 #include "gnn/models.hpp"
 
 namespace dg::gnn {
@@ -28,16 +27,6 @@ class DagConvModel final : public Model {
     auto copy = std::make_unique<DagConvModel>(cfg_);
     copy_params(*this, *copy);
     return copy;
-  }
-
-  std::unique_ptr<IncrementalState> make_incremental_state() const override {
-    return std::make_unique<LayeredIncrementalState>();
-  }
-
-  ForwardOutputs forward_incremental(const CircuitGraph& g, IncrementalState* state,
-                                     const std::vector<int>& old_of_new,
-                                     IncrementalRunStats* stats) const override {
-    return run_layered_incremental(g, sweeps(), regressor_, cfg_, state, old_of_new, stats);
   }
 
   void collect(nn::NamedParams& out, const std::string& prefix) const override {

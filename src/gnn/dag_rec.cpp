@@ -3,7 +3,6 @@
 // reversed layer (separate parameters, Sec. III-C), applied T times; queries
 // for the attention aggregator are the states at entry of each directional
 // sweep (h^{t-1} of Eq. 5). The level loop itself is run_layered_forward.
-#include "gnn/incremental.hpp"
 #include "gnn/models.hpp"
 
 namespace dg::gnn {
@@ -31,17 +30,6 @@ class RecurrentDagModel final : public Model {
     auto copy = std::make_unique<RecurrentDagModel>(cfg_, name_);
     copy_params(*this, *copy);
     return copy;
-  }
-
-  std::unique_ptr<IncrementalState> make_incremental_state() const override {
-    return std::make_unique<LayeredIncrementalState>();
-  }
-
-  ForwardOutputs forward_incremental(const CircuitGraph& g, IncrementalState* state,
-                                     const std::vector<int>& old_of_new,
-                                     IncrementalRunStats* stats) const override {
-    return run_layered_incremental(g, sweeps(cfg_.iterations), regressor_, cfg_, state,
-                                   old_of_new, stats);
   }
 
   void collect(nn::NamedParams& out, const std::string& prefix) const override {

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
+#include <map>
 #include <stdexcept>
 
 namespace dg::gnn {
@@ -14,23 +15,13 @@ using nn::Tensor;
 
 namespace {
 std::atomic<std::uint64_t> g_full_forwards{0};
-std::atomic<std::uint64_t> g_partial_forwards{0};
 }  // namespace
 
-ForwardCounters forward_counters() {
-  return {g_full_forwards.load(std::memory_order_relaxed),
-          g_partial_forwards.load(std::memory_order_relaxed)};
-}
+ForwardCounters forward_counters() { return {g_full_forwards.load(std::memory_order_relaxed)}; }
 
 void count_full_forward() {
   g_full_forwards.fetch_add(1, std::memory_order_relaxed);
   static obs::Counter& c = obs::counter("gnn.forwards.full");
-  c.add();
-}
-
-void count_partial_forward() {
-  g_partial_forwards.fetch_add(1, std::memory_order_relaxed);
-  static obs::Counter& c = obs::counter("gnn.forwards.partial");
   c.add();
 }
 
@@ -81,26 +72,6 @@ Tensor Regressor::forward(const Tensor& h_full, const CircuitGraph& g) const {
   return out;
 }
 
-void Regressor::forward_rows(const nn::Matrix& h_full, const CircuitGraph& g,
-                             const std::vector<int>& nodes, nn::Matrix& out) const {
-  assert(!nn::grad_enabled());
-  assert(static_cast<int>(heads_.size()) == g.num_types);
-  std::vector<std::vector<int>> by_type(static_cast<std::size_t>(g.num_types));
-  for (int v : nodes) by_type[static_cast<std::size_t>(g.type_id[static_cast<std::size_t>(v)])].push_back(v);
-  for (int t = 0; t < g.num_types; ++t) {
-    const auto& idx = by_type[static_cast<std::size_t>(t)];
-    if (idx.empty()) continue;
-    nn::Matrix rows(static_cast<int>(idx.size()), h_full.cols());
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      const float* src = h_full.row_ptr(idx[i]);
-      std::copy(src, src + h_full.cols(), rows.row_ptr(static_cast<int>(i)));
-    }
-    const Tensor y = heads_[static_cast<std::size_t>(t)].forward(nn::constant(std::move(rows)));
-    for (std::size_t i = 0; i < idx.size(); ++i)
-      out.at(idx[i], 0) = y.value().at(static_cast<int>(i), 0);
-  }
-}
-
 void Regressor::collect(nn::NamedParams& out, const std::string& prefix) const {
   for (std::size_t t = 0; t < heads_.size(); ++t)
     heads_[t].collect(out, prefix + ".head" + std::to_string(t));
@@ -139,10 +110,9 @@ constexpr std::uint64_t kH0SeedMix = 0xd1f7a2b3c4e5f607ULL;
 /// Seed of the h0 row at (level, row): a SplitMix64-style finalizer over the
 /// model seed and the cell coordinates, so every row owns an independent
 /// stream. Counter-based rather than one sequential stream per graph on
-/// purpose: a delta edit that leaves a node's (level, row) cell in place
-/// keeps its h0 bitwise stable, which is what lets the incremental path
-/// (gnn/incremental.hpp) treat h0 as a per-node property and reuse memoized
-/// states outside the edit's cone. `level` -1 is the whole-graph
+/// purpose: a member of a merged batch replays exactly the cells it draws
+/// alone (batched_random_level_rows), so the h0 values never depend on what
+/// else shares the forward. `level` -1 is the whole-graph
 /// (init_full_state) stream. util::Rng applies its own SplitMix64 pass on
 /// top of the returned value.
 std::uint64_t h0_row_seed(std::uint64_t seed, int level, int row) {
@@ -360,94 +330,24 @@ void DirectedLayer::run(const CircuitGraph& g, std::vector<Tensor>& states,
   }
 }
 
-void DirectedLayer::run_level_rows(const CircuitGraph& g, int L, const std::vector<int>& rows,
-                                   const std::vector<nn::Matrix>& cur, const nn::Matrix& entry_L,
-                                   nn::Matrix& out_L) const {
-  assert(!nn::grad_enabled());
-  const std::size_t lvl = static_cast<std::size_t>(L);
-  const LevelBatch& batch = batch_at(g, L);
-  assert(!batch.empty());
-  assert(!batch.masked());
-  const int num_dst = static_cast<int>(g.nodes_at_level[lvl].size());
-  const int dim = entry_L.cols();
-  const int nsel = static_cast<int>(rows.size());
-  if (nsel == 0) return;
-
-  // Rank of each selected destination row (its seg id in the sub-batch).
-  std::vector<int> rank(static_cast<std::size_t>(num_dst), -1);
-  for (int i = 0; i < nsel; ++i) rank[static_cast<std::size_t>(rows[static_cast<std::size_t>(i)])] = i;
-
-  // Select the edges feeding selected destinations, flattening the groups'
-  // (src level, src pos) coordinates. Walking edges in stored order keeps
-  // every destination's full message segment in the batch's order — the
-  // property that makes per-segment aggregation bitwise equal to run().
-  std::vector<int> seg_sub;
-  std::vector<int> src_level;
-  std::vector<int> src_pos;
-  std::vector<int> edge_idx;  // original edge index, for pe row gathers
-  int e = 0;
-  for (const auto& group : batch.groups)
-    for (const int pos : group.pos) {
-      const int s = batch.seg[static_cast<std::size_t>(e)];
-      if (rank[static_cast<std::size_t>(s)] >= 0) {
-        seg_sub.push_back(rank[static_cast<std::size_t>(s)]);
-        src_level.push_back(group.level);
-        src_pos.push_back(pos);
-        edge_idx.push_back(e);
-      }
-      ++e;
-    }
-
-  const int nsub = static_cast<int>(seg_sub.size());
-  nn::Matrix h_src(nsub, dim);
-  for (int i = 0; i < nsub; ++i) {
-    const float* src = cur[static_cast<std::size_t>(src_level[static_cast<std::size_t>(i)])]
-                           .row_ptr(src_pos[static_cast<std::size_t>(i)]);
-    std::copy(src, src + dim, h_src.row_ptr(i));
-  }
-  Tensor pe_term;
-  if (batch.pe.rows() > 0) {
-    nn::Matrix pe(nsub, batch.pe.cols());
-    for (int i = 0; i < nsub; ++i) {
-      const float* src = batch.pe.row_ptr(edge_idx[static_cast<std::size_t>(i)]);
-      std::copy(src, src + batch.pe.cols(), pe.row_ptr(i));
-    }
-    pe_term = agg_->project_pe(nn::constant(std::move(pe)));
-  }
-  nn::Matrix inv(nsel, 1);
-  for (int i = 0; i < nsel; ++i)
-    inv.at(i, 0) = batch.inv_deg[static_cast<std::size_t>(rows[static_cast<std::size_t>(i)])];
-  nn::Matrix entry_rows(nsel, dim);
-  for (int i = 0; i < nsel; ++i) {
-    const float* src = entry_L.row_ptr(rows[static_cast<std::size_t>(i)]);
-    std::copy(src, src + dim, entry_rows.row_ptr(i));
-  }
-  // run() reads the same entry values twice — as the attention query and as
-  // the GRU hidden — so one constant serves both roles here.
-  const Tensor entry = nn::constant(std::move(entry_rows));
-
-  const Tensor m =
-      agg_->forward(nn::constant(std::move(h_src)), entry, seg_sub, nsel,
-                    nn::constant(std::move(inv)), pe_term);
-  Tensor input = m;
-  if (refeed_) {
-    nn::Matrix x(nsel, g.num_types);
-    for (int i = 0; i < nsel; ++i) {
-      const int v = g.nodes_at_level[lvl][static_cast<std::size_t>(rows[static_cast<std::size_t>(i)])];
-      x.at(i, g.type_id[static_cast<std::size_t>(v)]) = 1.0F;
-    }
-    input = nn::concat_cols(m, nn::constant(std::move(x)));
-  }
-  const Tensor updated = gru_.forward(input, entry);
-  for (int i = 0; i < nsel; ++i) {
-    const float* src = updated.value().row_ptr(i);
-    std::copy(src, src + dim, out_L.row_ptr(rows[static_cast<std::size_t>(i)]));
-  }
-}
-
 void DirectedLayer::collect(nn::NamedParams& out, const std::string& prefix) const {
   agg_->collect(out, prefix + ".agg");
   gru_.collect(out, prefix + ".gru");
+}
+
+ForwardOutputs run_layered_forward(const CircuitGraph& g,
+                                   const std::vector<const DirectedLayer*>& sweeps,
+                                   const Regressor& regressor, const ModelConfig& cfg) {
+  count_full_forward();
+  std::vector<Tensor> states = init_level_states(g, cfg.dim, cfg.random_h0, cfg.seed);
+  const std::vector<Tensor> x_lvl = level_onehot(g);
+  std::map<const DirectedLayer*, DirectedLayer::Scratch> scratch;
+  for (const DirectedLayer* layer : sweeps) {
+    const std::vector<Tensor> queries = states;
+    layer->run(g, states, queries, x_lvl, &scratch[layer]);
+  }
+  const Tensor h = full_from_levels(states, g);
+  return {regressor.forward(h, g), h};
 }
 
 }  // namespace dg::gnn

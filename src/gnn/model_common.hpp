@@ -42,27 +42,10 @@ struct ForwardOutputs {
 /// executed batch, and the incremental session's memo-hit guarantee). Updated with
 /// relaxed atomics: these are counts, not synchronization.
 struct ForwardCounters {
-  std::uint64_t full = 0;     ///< complete level-loop forwards
-  std::uint64_t partial = 0;  ///< cone-limited incremental re-propagations
+  std::uint64_t full = 0;  ///< complete level-loop forwards
 };
 ForwardCounters forward_counters();
 void count_full_forward();
-void count_partial_forward();
-
-/// Opaque per-session memo a model keeps between forward_incremental calls
-/// (per-generation level states — see gnn/incremental.hpp). Owned by the
-/// caller (core::IncrementalSession), typed by the model family.
-class IncrementalState {
- public:
-  virtual ~IncrementalState() = default;
-};
-
-/// What one forward_incremental call actually did.
-struct IncrementalRunStats {
-  bool memo_hit = false;  ///< unchanged generation: outputs replayed, zero propagation
-  bool partial = false;   ///< cone-limited re-propagation (vs full capture run)
-  int dirty_nodes = 0;    ///< rows recomputed in the final sweep of a partial run
-};
 
 class Model {
  public:
@@ -94,26 +77,6 @@ class Model {
 
   virtual void collect(nn::NamedParams& out, const std::string& prefix) const = 0;
   virtual const char* name() const = 0;
-
-  /// Families supporting cone-limited re-propagation return a fresh memo
-  /// holder; the base returns nullptr and forward_incremental degrades to
-  /// plain full forwards.
-  virtual std::unique_ptr<IncrementalState> make_incremental_state() const { return nullptr; }
-
-  /// Forward with per-generation memoization for mutating graphs. `state`
-  /// (from make_incremental_state) carries the previous query's per-level
-  /// states; `old_of_new[v]` maps current node ids to the memoized
-  /// generation's ids (-1 = node did not exist then). Must run under
-  /// nn::NoGradGuard. Outputs are bitwise identical to forward_outputs(g);
-  /// the base implementation simply runs the full forward.
-  virtual ForwardOutputs forward_incremental(const CircuitGraph& g, IncrementalState* state,
-                                             const std::vector<int>& old_of_new,
-                                             IncrementalRunStats* stats = nullptr) const {
-    (void)state;
-    (void)old_of_new;
-    if (stats != nullptr) *stats = {};
-    return forward_outputs(g);
-  }
 
   nn::NamedParams named_params() const {
     nn::NamedParams p;
@@ -150,15 +113,6 @@ class Regressor {
 
   /// h_full: N x d node states in node order -> N x 1 predictions.
   nn::Tensor forward(const nn::Tensor& h_full, const CircuitGraph& g) const;
-
-  /// Incremental path: recompute predictions for `nodes` only and write them
-  /// into `out` (N x 1) in place. Bitwise identical per row to forward():
-  /// the heads are per-row MLPs, and the full path's scatter_add-into-zeros
-  /// composition adds only exact zeros to each row's own head output (which
-  /// is sigmoid-bounded, hence strictly positive — never the one value, -0.0,
-  /// that adding +0.0 would rewrite). No-grad only.
-  void forward_rows(const nn::Matrix& h_full, const CircuitGraph& g,
-                    const std::vector<int>& nodes, nn::Matrix& out) const;
 
   void collect(nn::NamedParams& out, const std::string& prefix) const;
 
@@ -215,22 +169,9 @@ class DirectedLayer {
            const std::vector<nn::Tensor>& queries, const std::vector<nn::Tensor>& x_lvl,
            Scratch* scratch = nullptr) const;
 
-  /// Incremental path: recompute ONLY the given destination rows (ascending
-  /// positions within level L) of this layer's level-L update. Sources are
-  /// gathered from `cur` (the sweep's current per-level states); the GRU
-  /// hidden and attention query rows come from `entry_L` (level L's state at
-  /// sweep entry — run() reads the same values through `queries`/`states`).
-  /// Updated rows are written into `out_L` in place; others are untouched.
-  /// Per-row results are bitwise identical to run(): every selected
-  /// destination keeps its complete in-order message segment, and all
-  /// kernels involved are row- or segment-local. Requires a non-empty,
-  /// unmasked batch at L and an active nn::NoGradGuard.
-  void run_level_rows(const CircuitGraph& g, int L, const std::vector<int>& rows,
-                      const std::vector<nn::Matrix>& cur, const nn::Matrix& entry_L,
-                      nn::Matrix& out_L) const;
+  void collect(nn::NamedParams& out, const std::string& prefix) const;
 
-  bool reversed() const { return reversed_; }
-
+ private:
   /// The level-L batch this layer consumes (rev / fwd_skip / fwd).
   const LevelBatch& batch_at(const CircuitGraph& g, int L) const {
     return reversed_ ? g.rev[static_cast<std::size_t>(L)]
@@ -238,14 +179,19 @@ class DirectedLayer {
                        : g.fwd[static_cast<std::size_t>(L)];
   }
 
-  void collect(nn::NamedParams& out, const std::string& prefix) const;
-
- private:
   bool reversed_;
   bool use_skip_;
   bool refeed_;
   std::unique_ptr<Aggregator> agg_;
   nn::GruCell gru_;
 };
+
+/// The one level-loop forward of every DirectedLayer family: h0, the
+/// `sweeps` in execution order (e.g. [fwd, rev] x T for the recurrent models,
+/// the stacked layers for DAG-ConvGNN), then the regressor. It is the
+/// forward behind Model::forward_outputs, training tape included.
+ForwardOutputs run_layered_forward(const CircuitGraph& g,
+                                   const std::vector<const DirectedLayer*>& sweeps,
+                                   const Regressor& regressor, const ModelConfig& cfg);
 
 }  // namespace dg::gnn

@@ -20,13 +20,6 @@
 //   DEEPGATE_ARENA = on | off                (no-grad forward buffer arena,
 //                                             default on — nn/arena.hpp;
 //                                             off = plain heap per forward)
-//   DEEPGATE_INCREMENTAL_MEMO = on | off     (per-generation level-state memo
-//                                             behind IncrementalSession,
-//                                             default on — gnn/incremental.hpp)
-//   DEEPGATE_INCREMENTAL_MEMO_MB = <double>  (memo capacity per session in
-//                                             MiB, default 512; over-cap
-//                                             graphs fall back to full
-//                                             forwards with output caching)
 //   DEEPGATE_LOG_LEVEL = error | warn | info | debug
 //                                            (stderr log threshold, default
 //                                             info — util/log.hpp)

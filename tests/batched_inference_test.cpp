@@ -329,7 +329,6 @@ TEST(FusedForward, OneFullForwardPerBatchForBothOutputs) {
     const auto c3 = gnn::forward_counters();
     EXPECT_EQ(c3.full - c2.full, 1u) << gnn::model_spec_label(spec);
     EXPECT_TRUE(bit_equal_matrix(direct.embedding.value(), emb)) << gnn::model_spec_label(spec);
-    EXPECT_EQ(c3.partial, c0.partial);
   }
 }
 

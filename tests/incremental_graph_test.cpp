@@ -294,6 +294,48 @@ TEST(IncrementalGraph, MutatedGraphSerializesRoundTrip) {
   EXPECT_TRUE(bit_equal(round, rebuild(g)));
 }
 
+/// Serialize a hand-built graph's defining fields and parse them back.
+bool deserializes(const CircuitGraph& g) {
+  std::vector<std::uint8_t> bytes;
+  g.serialize(bytes);
+  CircuitGraph out;
+  std::size_t offset = 0;
+  return CircuitGraph::deserialize(bytes.data(), bytes.size(), offset, out);
+}
+
+/// The chain 0 -> 1 -> 2 on levels 0, 1, 2, plus `skip` skip edges.
+CircuitGraph chain_graph(std::vector<analysis::SkipEdge> skip) {
+  CircuitGraph g;
+  g.num_nodes = 3;
+  g.type_id = {0, 1, 2};
+  g.level = {0, 1, 2};
+  g.edges = {{0, 1}, {1, 2}};
+  g.skip_edges = std::move(skip);
+  g.labels = {0.5F, 0.25F, 0.75F};
+  return g;
+}
+
+// Hostile bytes: an edge that does not rise in level is refused. With
+// 0 -> 1, 2 -> 1 and 1 -> 2 the graph is a cycle.
+TEST(IncrementalGraph, DeserializeRejectsEdgeNotRisingInLevel) {
+  CircuitGraph cycle = chain_graph({});
+  cycle.level = {0, 1, 0};
+  cycle.edges = {{0, 1}, {2, 1}, {1, 2}};
+  EXPECT_FALSE(deserializes(cycle));
+
+  CircuitGraph flat = chain_graph({});
+  flat.level = {0, 1, 1};  // 1 -> 2 stays on level 1
+  EXPECT_FALSE(deserializes(flat));
+}
+
+// A skip edge must carry exactly level[dst] - level[src], which must be >= 1.
+TEST(IncrementalGraph, DeserializeRejectsSkipEdgeWithWrongLevelDiff) {
+  EXPECT_TRUE(deserializes(chain_graph({{0, 2, 2}})));
+  EXPECT_FALSE(deserializes(chain_graph({{0, 2, 3}})));
+  EXPECT_FALSE(deserializes(chain_graph({{0, 2, 1}})));
+  EXPECT_FALSE(deserializes(chain_graph({{1, 1, 0}})));
+}
+
 TEST(IncrementalGraph, GenerationCountsEveryEdit) {
   CircuitGraph g = diamond_graph();
   const std::uint64_t g0 = g.generation;

@@ -7,7 +7,6 @@
 // session performs exactly one level-loop forward.
 #include "core/incremental_session.hpp"
 
-#include "gnn/incremental.hpp"
 #include "nn/arena.hpp"
 #include "synth/mutate.hpp"
 #include "util/rng.hpp"
@@ -175,44 +174,10 @@ INSTANTIATE_TEST_SUITE_P(ArenaOnOff, IncrementalFuzz, ::testing::Values(true, fa
                            return info.param ? "ArenaOn" : "ArenaOff";
                          });
 
-// Memoization disabled: every query is a plain full forward, and outputs
-// still match the from-scratch oracle.
-TEST(IncrementalMemoKnob, DisabledSessionStaysCorrect) {
-  struct OverrideGuard {
-    ~OverrideGuard() { dg::gnn::incremental_memo_clear_override(); }
-  } guard;
-
-  const deepgate::Engine engine(small_options(dg::gnn::ModelFamily::kDeepGate));
-  deepgate::IncrementalSession session(engine, random_graph(25, 5));
-
-  // Capture a memo, then disable: the next query must fall back to a plain
-  // full forward AND discard the now-unmaintained memo.
-  auto probs = engine.predict_incremental(session);
-  EXPECT_TRUE(session.last_stats().partial == false && session.last_stats().memo_hit == false);
-  dg::gnn::incremental_memo_set_enabled(false);
-  session.insert_node(1, {0, 1});
-  probs = engine.predict_incremental(session);
-  EXPECT_FALSE(session.last_stats().memo_hit);
-  EXPECT_FALSE(session.last_stats().partial);
-  expect_bitwise(probs, engine.predict_probabilities(rebuild(session.graph())), "disabled");
-
-  // Re-enabling mid-session must not resurrect the stale pre-disable memo.
-  dg::gnn::incremental_memo_set_enabled(true);
-  session.rewire_node(session.graph().num_nodes - 1, {1, 2});
-  probs = engine.predict_incremental(session);
-  EXPECT_FALSE(session.last_stats().partial);  // no memo survived: full capture
-  expect_bitwise(probs, engine.predict_probabilities(rebuild(session.graph())), "re-enabled");
-
-  // And the rebuilt memo serves the partial path again.
-  session.insert_node(2, {0});
-  probs = engine.predict_incremental(session);
-  EXPECT_TRUE(session.last_stats().partial);
-  expect_bitwise(probs, engine.predict_probabilities(rebuild(session.graph())), "partial again");
-}
-
-// The PR 5 residual, closed: embed-then-predict on an unchanged session runs
-// exactly ONE level-loop propagation (the embed's), the predict replays the
-// memo. Asserted structurally via the process-wide forward counters.
+// Embed-then-predict on an unchanged session runs exactly ONE level-loop
+// propagation (the embed's); the predict replays the cached outputs. An edit
+// makes the next query one full forward again. Asserted structurally via the
+// process-wide forward counter.
 TEST(IncrementalForwardCount, EmbedThenPredictUnchangedIsOneForward) {
   const deepgate::Engine engine(small_options(dg::gnn::ModelFamily::kDeepGate));
   deepgate::IncrementalSession session(engine, random_graph(30, 9));
@@ -221,25 +186,45 @@ TEST(IncrementalForwardCount, EmbedThenPredictUnchangedIsOneForward) {
   const dg::nn::Matrix emb = engine.embeddings_incremental(session);
   const auto c1 = dg::gnn::forward_counters();
   EXPECT_EQ(c1.full, c0.full + 1);
-  EXPECT_EQ(c1.partial, c0.partial);
+  EXPECT_FALSE(session.last_stats().memo_hit);
 
   const std::vector<float> probs = engine.predict_incremental(session);
   const auto c2 = dg::gnn::forward_counters();
   EXPECT_EQ(c2.full, c1.full);  // memo hit: zero propagation
-  EXPECT_EQ(c2.partial, c1.partial);
   EXPECT_TRUE(session.last_stats().memo_hit);
   EXPECT_EQ(static_cast<int>(probs.size()), session.graph().num_nodes);
   EXPECT_EQ(emb.rows(), session.graph().num_nodes);
 
-  // An edit flips the next query to the cone-limited partial path.
   session.insert_node(1, {0, 1});
   engine.predict_incremental(session);
   const auto c3 = dg::gnn::forward_counters();
-  EXPECT_EQ(c3.full, c2.full);
-  EXPECT_EQ(c3.partial, c2.partial + 1);
-  EXPECT_TRUE(session.last_stats().partial);
-  EXPECT_GT(session.last_stats().dirty_nodes, 0);
-  EXPECT_LT(session.last_stats().dirty_nodes, session.graph().num_nodes);
+  EXPECT_EQ(c3.full, c2.full + 1);
+  EXPECT_FALSE(session.last_stats().memo_hit);
+}
+
+// A rejected edit leaves the session as it was: the generation does not
+// move, so the next query replays the cached outputs with zero forwards and
+// returns the same bits as before the attempt.
+TEST(IncrementalSession, RejectedRewireKeepsTheMemo) {
+  const deepgate::Engine engine(small_options(dg::gnn::ModelFamily::kDeepGate));
+  deepgate::IncrementalSession session(engine, random_graph(30, 13));
+  const std::vector<float> probs = engine.predict_incremental(session);
+  const dg::nn::Matrix emb = engine.embeddings_incremental(session);
+
+  // Rewiring a node onto one of its own fanouts closes a cycle.
+  const CircuitGraph& g = session.graph();
+  ASSERT_FALSE(g.edges.empty());
+  const auto [src, dst] = g.edges.front();
+  const std::uint64_t generation = g.generation;
+  EXPECT_THROW(session.rewire_node(src, {dst}), std::invalid_argument);
+  EXPECT_EQ(session.graph().generation, generation);
+
+  const auto c0 = dg::gnn::forward_counters();
+  expect_bitwise(engine.predict_incremental(session), probs, "prediction");
+  EXPECT_TRUE(session.last_stats().memo_hit);
+  expect_bitwise(engine.embeddings_incremental(session), emb, "embedding");
+  EXPECT_TRUE(session.last_stats().memo_hit);
+  EXPECT_EQ(dg::gnn::forward_counters().full, c0.full);
 }
 
 TEST(IncrementalSession, RejectsForeignAndDegenerateGraphs) {

@@ -128,8 +128,8 @@ TEST(ThreadPool, CallerThreadForwardsNeverReachThePool) {
   ASSERT_GE(widest, 10U);
   deepgate::IncrementalSession session(engine, g);
 
-  // A level-1 two-input gate, rewired onto two other primary inputs: its
-  // whole fan-out cone is dirty for the incremental query.
+  // A level-1 two-input gate, rewired onto two other primary inputs: the
+  // incremental query after the edit runs a forward.
   const std::vector<int>& pis = g.nodes_at_level[0];
   ASSERT_GE(pis.size(), 3U);
   const std::vector<std::vector<int>> fanins = g.fanin_lists();
@@ -147,10 +147,10 @@ TEST(ThreadPool, CallerThreadForwardsNeverReachThePool) {
 
   const std::vector<util::PoolLaneStats> before = util::global_pool().lane_stats();
   EXPECT_EQ(engine.predict_probabilities(g).size(), static_cast<std::size_t>(g.num_nodes));
-  engine.predict_incremental(session);  // first query: full capture
+  engine.predict_incremental(session);  // first query: full forward
   session.rewire_node(v, rewired);
   engine.predict_incremental(session);
-  EXPECT_TRUE(session.last_stats().partial);
+  EXPECT_FALSE(session.last_stats().memo_hit);
   const std::vector<util::PoolLaneStats> after = util::global_pool().lane_stats();
 
   ASSERT_EQ(before.size(), after.size());
