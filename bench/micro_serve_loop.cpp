@@ -3,12 +3,10 @@
 // thread count, plus an open-loop arrival schedule for latency percentiles.
 //
 // Modes:
-//   offline      gnn::execute over the whole request list, repeated, merging
-//                through its own MergeCache — the caller-driven baseline the
-//                serving loop must match.
+//   offline      gnn::execute over the whole request list, repeated — the
+//                caller-driven baseline the serving loop must match.
 //   serve_burst  every request submitted at once (closed bursts, one per
-//                rep); measures serving throughput including queue overhead
-//                and the merge-cache effect on repeated traffic.
+//                rep); measures serving throughput including queue overhead.
 //   serve_open   open-loop generator: requests submitted on a fixed
 //                inter-arrival schedule at ~70% of burst throughput,
 //                independent of completions — the classic serving-latency
@@ -126,13 +124,11 @@ int main(int argc, char** argv) {
     }
   };
 
-  util::TextTable table(
-      {"mode", "threads", "seconds", "graphs/s", "p50 ms", "p99 ms", "cache hit"});
+  util::TextTable table({"mode", "threads", "seconds", "graphs/s", "p50 ms", "p99 ms"});
   std::vector<bench::JsonRecord> records;
   double offline_gps = 0.0;
   const auto record = [&](const char* mode, double seconds,
-                          const std::vector<double>& latencies, std::uint64_t cache_hits,
-                          std::uint64_t cache_misses, std::uint64_t batches) {
+                          const std::vector<double>& latencies, std::uint64_t batches) {
     const double gps = static_cast<double>(total_requests) / seconds;
     const double nps = static_cast<double>(round_nodes) * wl.reps / seconds;
     const double p50 = percentile_ms(latencies, 0.50);
@@ -141,8 +137,7 @@ int main(int argc, char** argv) {
     if (offline_gps == 0.0) offline_gps = gps;
     table.add_row({mode, std::to_string(threads), util::fmt_fixed(seconds, 4),
                    util::fmt_fixed(gps, 1), latencies.empty() ? "-" : util::fmt_fixed(p50, 2),
-                   latencies.empty() ? "-" : util::fmt_fixed(p99, 2),
-                   std::to_string(cache_hits)});
+                   latencies.empty() ? "-" : util::fmt_fixed(p99, 2)});
     records.push_back(bench::JsonRecord{}
                           .str("mode", mode)
                           .num("threads", threads)
@@ -153,8 +148,6 @@ int main(int argc, char** argv) {
                           .num("p99_ms", p99)
                           .num("max_ms", pmax)
                           .num("batches", static_cast<double>(batches))
-                          .num("merge_cache_hits", static_cast<double>(cache_hits))
-                          .num("merge_cache_misses", static_cast<double>(cache_misses))
                           .num("speedup_vs_offline", gps / offline_gps));
   };
 
@@ -162,8 +155,6 @@ int main(int argc, char** argv) {
   {
     gnn::ServeOptions opts = gnn::ServeOptions::from_env();
     opts.threads = threads;
-    gnn::MergeCache cache(opts.merge_cache_capacity);
-    opts.merge_cache = &cache;
     std::vector<std::vector<float>> out(ptrs.size());
     std::uint64_t batches = 0;
     util::Timer t;
@@ -174,7 +165,7 @@ int main(int argc, char** argv) {
                               });
       for (std::size_t i = 0; i < out.size(); ++i) check(i, out[i]);
     }
-    record("offline", t.seconds(), {}, cache.stats().hits, cache.stats().misses, batches);
+    record("offline", t.seconds(), {}, batches);
   }
 
   deepgate::serve::ServerOptions sopts = deepgate::serve::ServerOptions::from_env();
@@ -205,9 +196,7 @@ int main(int argc, char** argv) {
     const double seconds = t.seconds();
     burst_gps = static_cast<double>(total_requests) / seconds;
     burst_nps = static_cast<double>(round_nodes) * wl.reps / seconds;
-    const auto stats = server->stats();
-    record("serve_burst", seconds, latencies, stats.merge_cache_hits, stats.merge_cache_misses,
-           stats.batches);
+    record("serve_burst", seconds, latencies, server->stats().batches);
   }
 
   // -- trace coverage: every burst request must show admission -> fulfill
@@ -283,10 +272,7 @@ int main(int argc, char** argv) {
         latencies.push_back(r.latency_seconds);
       }
     }
-    const double seconds = t.seconds();
-    const auto stats = server->stats();
-    record("serve_burst_embed", seconds, latencies, stats.merge_cache_hits,
-           stats.merge_cache_misses, stats.batches);
+    record("serve_burst_embed", t.seconds(), latencies, server->stats().batches);
   }
 
   // -- serve_burst_nometrics: the observability-overhead control --------------
@@ -312,9 +298,7 @@ int main(int argc, char** argv) {
       }
       const double seconds = t.seconds();
       nometrics_nps = static_cast<double>(round_nodes) * wl.reps / seconds;
-      const auto stats = server->stats();
-      record("serve_burst_nometrics", seconds, latencies, stats.merge_cache_hits,
-             stats.merge_cache_misses, stats.batches);
+      record("serve_burst_nometrics", seconds, latencies, server->stats().batches);
     }
     obs::metrics_set_enabled(metrics_prev);
     obs::trace_set_enabled(tracing);
@@ -347,7 +331,7 @@ int main(int argc, char** argv) {
     const auto stats = server->stats();
 
     // -- snapshot acceptance: while the server is live, obs::snapshot() must
-    // report its lane-utilization gauge and the derived cache hit rates.
+    // report its lane-utilization gauge and the derived hit-rate gauges.
     if (obs::metrics_enabled()) {
       const obs::Snapshot snap = obs::snapshot();
       const auto has_gauge = [&](const char* name) {
@@ -355,17 +339,16 @@ int main(int argc, char** argv) {
           if (n == name) return true;
         return false;
       };
-      if (!has_gauge("serve.lanes.utilization") || !has_gauge("gnn.merge_cache.hit_rate") ||
+      if (!has_gauge("serve.lanes.utilization") || !has_gauge("gnn.memo.hit_rate") ||
           !has_gauge("util.pool.utilization")) {
-        std::fprintf(stderr, "FAIL: obs snapshot lacks a serve/cache/pool gauge\n");
+        std::fprintf(stderr, "FAIL: obs snapshot lacks a serve/memo/pool gauge\n");
         return 1;
       }
-      std::printf("obs snapshot: merge_cache hit_rate=%.3f, serve lanes util=%.3f\n",
-                  snap.gauge_value("gnn.merge_cache.hit_rate"),
+      std::printf("obs snapshot: memo hit_rate=%.3f, serve lanes util=%.3f\n",
+                  snap.gauge_value("gnn.memo.hit_rate"),
                   snap.gauge_value("serve.lanes.utilization"));
     }
-    record("serve_open", seconds, latencies, stats.merge_cache_hits, stats.merge_cache_misses,
-           stats.batches);
+    record("serve_open", seconds, latencies, stats.batches);
     std::printf("%s\n", table.render().c_str());
     std::printf("serve_open: %d req at %.1f req/s offered; close reasons "
                 "budget=%llu max_graphs=%llu empty=%llu share=%llu drain=%llu\n",

@@ -40,14 +40,11 @@ Workload workload_for(dg::util::BenchScale scale) {
   return {32, 5000, 3};
 }
 
-/// Per-graph probabilities through the batched executor with `opts`, merging
-/// through `cache` so repeated rounds skip merge+finalize the way a
-/// long-lived serving loop does.
+/// Per-graph probabilities through the batched executor with `opts`.
 std::vector<std::vector<float>> batched_probabilities(
     const deepgate::Engine& engine, const std::vector<const dg::gnn::CircuitGraph*>& ptrs,
-    dg::gnn::ServeOptions opts, dg::gnn::MergeCache& cache) {
+    const dg::gnn::ServeOptions& opts) {
   std::vector<std::vector<float>> out(ptrs.size());
-  opts.merge_cache = &cache;
   dg::gnn::execute(engine.model(), ptrs, opts, 0,
                    [&](std::size_t i, const dg::gnn::Batch& batch, std::size_t member) {
                      out[i] = batch.prediction(member);
@@ -99,7 +96,6 @@ int main(int argc, char** argv) {
   const deepgate::Engine engine(options);
 
   const gnn::ServeOptions bopts = gnn::ServeOptions::from_env();
-  gnn::MergeCache cache(bopts.merge_cache_capacity);
 
   util::TextTable table({"mode", "threads", "budget", "seconds", "graphs/s", "nodes/s",
                          "speedup"});
@@ -134,17 +130,15 @@ int main(int argc, char** argv) {
   // -- batched: node-budgeted merged forwards, serial over batches -----------
   gnn::ServeOptions serial_opts = bopts;
   serial_opts.threads = 1;
-  const auto serial_predict = [&] {
-    return batched_probabilities(engine, ptrs, serial_opts, cache);
-  };
+  const auto serial_predict = [&] { return batched_probabilities(engine, ptrs, serial_opts); };
   std::vector<std::vector<float>> batched;
   const double batched_secs = time_best_of(wl.reps, [&] { batched = serial_predict(); });
   record("batched", 1, serial_opts.node_budget, batched_secs);
 
   // -- batched+pool: merged forwards fanned across the thread pool -----------
   std::vector<std::vector<float>> pooled;
-  const double pooled_secs = time_best_of(
-      wl.reps, [&] { pooled = batched_probabilities(engine, ptrs, bopts, cache); });
+  const double pooled_secs =
+      time_best_of(wl.reps, [&] { pooled = batched_probabilities(engine, ptrs, bopts); });
   record("batched_pool", pool_threads, bopts.node_budget, pooled_secs);
 
   std::printf("%s\n", table.render().c_str());

@@ -12,8 +12,6 @@
 // w/o SC — are what this harness regenerates.
 #include "harness.hpp"
 
-#include "gnn/merge_cache.hpp"
-
 int main() {
   using namespace dg;
   using gnn::AggKind;
@@ -29,12 +27,8 @@ int main() {
   // Evaluation runs batched: the test set is packed into node-budgeted
   // level-merged super-graphs fanned across the pool. Merged forwards are
   // bit-exact per member, so the reported error is identical to the old
-  // one-graph-per-call loop — just served faster. Every row evaluates the
-  // SAME test set, so one shared signature cache pays the merge+finalize of
-  // each super-graph once for all 13 rows instead of re-merging per model.
-  gnn::EvalOptions eval_opts = gnn::EvalOptions::from_env();
-  gnn::MergeCache eval_cache(eval_opts.merge_cache_capacity);
-  eval_opts.merge_cache = &eval_cache;
+  // one-graph-per-call loop — just served faster.
+  const gnn::EvalOptions eval_opts = gnn::EvalOptions::from_env();
   std::printf("evaluation: batched (budget %zu nodes/forward)\n\n", eval_opts.node_budget);
 
   struct Row {

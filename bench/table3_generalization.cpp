@@ -14,7 +14,6 @@
 #include "harness.hpp"
 
 #include "data/generators_large.hpp"
-#include "gnn/merge_cache.hpp"
 
 int main() {
   using namespace dg;
@@ -35,12 +34,8 @@ int main() {
   gnn::train(*deepgate_model, train_set, ctx.train_config());
 
   // Held-out evaluation is served batched (node-budgeted merged forwards,
-  // pool fan-out); bit-exact with the per-graph loop it replaces. Both
-  // contenders evaluate the same test set, so a shared signature cache pays
-  // each super-graph merge once instead of once per model.
-  gnn::EvalOptions eval_opts = gnn::EvalOptions::from_env();
-  gnn::MergeCache eval_cache(eval_opts.merge_cache_capacity);
-  eval_opts.merge_cache = &eval_cache;
+  // pool fan-out); bit-exact with the per-graph loop it replaces.
+  const gnn::EvalOptions eval_opts = gnn::EvalOptions::from_env();
   std::printf("held-out sub-circuit error: DeepSet %.4f, DeepGate %.4f (batched eval, "
               "budget %zu)\n\n",
               gnn::evaluate(*deepset, test_set, eval_opts),

@@ -39,9 +39,7 @@ dg::data::Dataset prepare_dataset(const dg::data::DatasetConfig& config,
 
 Engine::Engine(const Options& options)
     : options_(options),
-      model_(dg::gnn::make_model(options.spec, options.model)),
-      eval_cache_(std::make_unique<dg::gnn::MergeCache>(
-          dg::gnn::ServeOptions::from_env().merge_cache_capacity)) {}
+      model_(dg::gnn::make_model(options.spec, options.model)) {}
 
 dg::gnn::TrainResult Engine::train(const std::vector<CircuitGraph>& train_set,
                                    const TrainConfig& cfg) {
@@ -57,16 +55,13 @@ double Engine::evaluate(const std::vector<CircuitGraph>& test_set,
   if (iterations_override > 0) effective_iterations(iterations_override);  // log-once
   dg::gnn::EvalOptions opts = dg::gnn::EvalOptions::from_env();
   opts.iterations_override = iterations_override;
-  // Epoch-loop eval of a fixed test set re-forms identical merge groups
-  // every call; the engine-owned signature cache pays merge+finalize once.
-  opts.merge_cache = eval_cache_.get();
   return dg::gnn::evaluate(*model_, test_set, opts);
 }
 
 namespace {
 
 /// Direct Engine calls: the whole request in one merge (split only where
-/// graphs cannot share one), on the calling thread, no merge cache.
+/// graphs cannot share one), on the calling thread.
 dg::gnn::ServeOptions single_merge() {
   dg::gnn::ServeOptions opts;
   opts.node_budget = std::numeric_limits<std::size_t>::max();

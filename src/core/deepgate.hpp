@@ -20,7 +20,6 @@
 
 #include "aig/aig.hpp"
 #include "data/dataset.hpp"
-#include "gnn/merge_cache.hpp"
 #include "gnn/metrics.hpp"
 #include "gnn/models.hpp"
 #include "gnn/trainer.hpp"
@@ -153,24 +152,9 @@ class Engine {
   const dg::gnn::Model& model() const { return *model_; }
   const Options& options() const { return options_; }
 
-  /// Hit/miss counters of the evaluate() merge cache (see eval_cache_).
-  dg::gnn::MergeCacheStats eval_merge_cache_stats() const { return eval_cache_->stats(); }
-
-  /// Release the merged super-graphs evaluate() retained. The cache holds
-  /// deep copies of up to DEEPGATE_SERVE_CACHE merged test-set batches for
-  /// the engine's lifetime — call this after a one-shot eval of a large set
-  /// you will not evaluate again (or export DEEPGATE_SERVE_CACHE=0).
-  void clear_eval_cache() const { eval_cache_->clear(); }
-
  private:
   Options options_;
   std::unique_ptr<dg::gnn::Model> model_;
-  /// Attached to the executor by evaluate(): repeated offline eval
-  /// of a fixed test set (epoch loops, Table II/III sweeps) re-forms the
-  /// same merge groups every pass, so the signature cache skips the
-  /// merge+finalize rework after the first. Thread-safe; capacity from
-  /// DEEPGATE_SERVE_CACHE (0 disables). unique_ptr keeps Engine movable.
-  mutable std::unique_ptr<dg::gnn::MergeCache> eval_cache_;
   mutable bool iterations_warned_ = false;  ///< log-once latch (effective_iterations)
 };
 

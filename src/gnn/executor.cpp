@@ -1,6 +1,5 @@
 #include "gnn/executor.hpp"
 
-#include "gnn/merge_cache.hpp"
 #include "nn/arena.hpp"
 #include "util/env.hpp"
 #include "util/thread_pool.hpp"
@@ -21,24 +20,16 @@ ServeOptions ServeOptions::from_env() {
       util::env_int("DEEPGATE_SERVE_MAX_GRAPHS", static_cast<long long>(opts.max_graphs));
   if (util::knob_in_range("DEEPGATE_SERVE_MAX_GRAPHS", max_graphs, 1, kMaxGraphs))
     opts.max_graphs = static_cast<std::size_t>(max_graphs);
-  const long long cache =
-      util::env_int("DEEPGATE_SERVE_CACHE", static_cast<long long>(opts.merge_cache_capacity));
-  if (util::knob_in_range("DEEPGATE_SERVE_CACHE", cache, 0, kMaxCacheCapacity))
-    opts.merge_cache_capacity = static_cast<std::size_t>(cache);
   return opts;
 }
 
-Batch Batch::merge(const std::vector<const CircuitGraph*>& parts, MergeCache* cache,
-                   bool* cache_hit) {
-  if (cache_hit != nullptr) *cache_hit = false;
+Batch Batch::merge(const std::vector<const CircuitGraph*>& parts) {
   Batch batch;
   if (parts.size() == 1) {
     batch.graph_ = parts[0];
     return batch;
   }
-  batch.merged_ = cache != nullptr
-                      ? cache->merged(parts, cache_hit)
-                      : std::make_shared<const CircuitGraph>(CircuitGraph::merge(parts));
+  batch.merged_ = std::make_unique<const CircuitGraph>(CircuitGraph::merge(parts));
   batch.graph_ = batch.merged_.get();
   return batch;
 }
@@ -111,7 +102,7 @@ std::size_t execute(const Model& model, const std::vector<const CircuitGraph*>& 
     std::vector<const CircuitGraph*> parts;
     parts.reserve(group.size());
     for (const std::size_t i : group) parts.push_back(live[i]);
-    Batch batch = Batch::merge(parts, opts.merge_cache);
+    Batch batch = Batch::merge(parts);
     batch.forward(model, iterations);
     for (std::size_t m = 0; m < group.size(); ++m) sink(live_index[group[m]], batch, m);
   };

@@ -6,8 +6,7 @@
 //      of similar depth, and lanes claim them longest first (most node
 //      rows, then deepest, then plan order),
 //   3. Batch::merge turns each group into what one forward runs on — a solo
-//      graph as itself, a multi-member group as its level-merged super-graph
-//      (through an optional MergeCache),
+//      graph as itself, a multi-member group as its level-merged super-graph,
 //   4. Batch::forward runs ONE Model::forward_outputs inside an
 //      nn::ArenaScope, and each member reads its prediction column and
 //      embedding rows back out of the batch.
@@ -31,8 +30,6 @@
 
 namespace dg::gnn {
 
-class MergeCache;
-
 /// Batched-serving knobs shared by every executor caller — the defaults live
 /// in exactly one place.
 struct ServeOptions {
@@ -42,26 +39,14 @@ struct ServeOptions {
   int threads = 0;               ///< max pool lanes claiming groups
                                  ///< (longest first, off a shared counter);
                                  ///< 0 = DEEPGATE_THREADS, 1 = serial
-  std::size_t merge_cache_capacity = 32;  ///< merged super-graphs retained by
-                                 ///< consumers that own a MergeCache
-                                 ///< (Engine::evaluate, the serve::Server
-                                 ///< lanes); 0 = off
-  MergeCache* merge_cache = nullptr;  ///< non-owning, thread-safe: when set,
-                                 ///< multi-graph groups are merged through
-                                 ///< the cache, so repeated serving/eval of
-                                 ///< identical groups skips merge+finalize.
-                                 ///< Never set by from_env(); the caller
-                                 ///< manages the cache's lifetime.
 
   /// Upper bounds of the from_env() knobs.
   static constexpr long long kMaxNodeBudget = INT_MAX;
   static constexpr long long kMaxGraphs = 1LL << 20;
-  static constexpr long long kMaxCacheCapacity = 1LL << 20;
 
   /// node_budget from DEEPGATE_SERVE_BUDGET (0..kMaxNodeBudget), max_graphs
-  /// from DEEPGATE_SERVE_MAX_GRAPHS (1..kMaxGraphs), merge_cache_capacity
-  /// from DEEPGATE_SERVE_CACHE (0..kMaxCacheCapacity) when set. A value out
-  /// of range warns and keeps the default.
+  /// from DEEPGATE_SERVE_MAX_GRAPHS (1..kMaxGraphs) when set. A value out of
+  /// range warns and keeps the default.
   static ServeOptions from_env();
 };
 
@@ -71,11 +56,9 @@ class Batch {
   Batch() = default;
 
   /// The merge step. `parts` must be non-empty, non-null graphs with nodes.
-  /// A single graph runs as itself (no merge, no cache lookup); several are
-  /// level-merged, through `cache` when given. `cache_hit` (optional)
-  /// reports whether the merged graph came out of the cache.
-  static Batch merge(const std::vector<const CircuitGraph*>& parts,
-                     MergeCache* cache = nullptr, bool* cache_hit = nullptr);
+  /// A single graph runs as itself (no merge); several are level-merged
+  /// with CircuitGraph::merge.
+  static Batch merge(const std::vector<const CircuitGraph*>& parts);
 
   /// The forward step: ONE model forward over the group, inside an
   /// nn::ArenaScope so level states and scratch recycle call to call. The
@@ -93,7 +76,7 @@ class Batch {
   GraphMember member(std::size_t i) const;
 
   const CircuitGraph* graph_ = nullptr;         ///< what forward() runs on
-  std::shared_ptr<const CircuitGraph> merged_;  ///< owns *graph_ when merged
+  std::unique_ptr<const CircuitGraph> merged_;  ///< owns *graph_ when merged
   ForwardOutputs out_;
 };
 
@@ -105,11 +88,11 @@ using BatchSink = std::function<void(std::size_t index, const Batch& batch, std:
 
 /// Run `graphs` through the model: skip zero-node graphs, pack the rest with
 /// plan_node_batches_by_depth(opts.node_budget, opts.max_graphs), merge each
-/// group (through opts.merge_cache when set), forward it under a
-/// NoGradGuard and hand every member to `sink`. Groups run longest first:
-/// most total node rows, ties to the greater merged depth, then to plan
-/// position. Up to opts.threads pool lanes claim them in that order off a
-/// shared counter; at one thread they run in that order on the caller.
+/// group, forward it under a NoGradGuard and hand every member to `sink`.
+/// Groups run longest first: most total node rows, ties to the greater merged
+/// depth, then to plan position. Up to opts.threads pool lanes claim them in
+/// that order off a shared counter; at one thread they run in that order on
+/// the caller.
 /// Throws std::invalid_argument on a null graph or one check_compatible
 /// rejects, before any forward runs. Returns the number of forwards run.
 std::size_t execute(const Model& model, const std::vector<const CircuitGraph*>& graphs,

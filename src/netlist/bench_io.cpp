@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace dg::netlist {
@@ -39,7 +40,13 @@ struct PendingGate {
   std::string name;
   GateType type;
   std::vector<std::string> fanin_names;
+  int line = 0;  ///< 1-based line of the definition
 };
+
+/// "line N: msg" — every parse error names the line it is about.
+std::string at_line(int line, const std::string& msg) {
+  return "line " + std::to_string(line) + ": " + msg;
+}
 
 }  // namespace
 
@@ -69,10 +76,24 @@ bool write_bench_file(const Netlist& nl, const std::string& path) {
 std::optional<Netlist> read_bench(const std::string& text, std::string* error) {
   std::istringstream in(text);
   std::string line;
-  std::vector<std::string> input_names, output_names;
+  std::vector<std::string> input_names;
+  std::vector<std::pair<std::string, int>> outputs;  ///< name, line
   std::vector<PendingGate> pending;
+  // Every signal is defined once, by an INPUT or a gate. A second definition
+  // is rejected rather than shadowing the first (an input named like a gate
+  // would hide that gate's fanins, e.g. a self-loop).
+  std::unordered_map<std::string, int> defined_at;
+  const auto define = [&](const std::string& name, int at) {
+    const auto [it, fresh] = defined_at.emplace(name, at);
+    if (!fresh)
+      set_error(error, at_line(at, "'" + name + "' already defined on line " +
+                                       std::to_string(it->second)));
+    return fresh;
+  };
 
+  int line_no = 0;
   while (std::getline(in, line)) {
+    ++line_no;
     const std::size_t hash = line.find('#');
     if (hash != std::string::npos) line = line.substr(0, hash);
     line = trim(line);
@@ -84,17 +105,18 @@ std::optional<Netlist> read_bench(const std::string& text, std::string* error) {
       const std::size_t lp = line.find('(');
       const std::size_t rp = line.rfind(')');
       if (lp == std::string::npos || rp == std::string::npos || rp < lp) {
-        set_error(error, "malformed line: " + line);
+        set_error(error, at_line(line_no, "malformed line: " + line));
         return std::nullopt;
       }
       const std::string head = trim(line.substr(0, lp));
       const std::string arg = trim(line.substr(lp + 1, rp - lp - 1));
       if (head == "INPUT") {
+        if (!define(arg, line_no)) return std::nullopt;
         input_names.push_back(arg);
       } else if (head == "OUTPUT") {
-        output_names.push_back(arg);
+        outputs.emplace_back(arg, line_no);
       } else {
-        set_error(error, "unknown directive: " + head);
+        set_error(error, at_line(line_no, "unknown directive: " + head));
         return std::nullopt;
       }
       continue;
@@ -102,16 +124,17 @@ std::optional<Netlist> read_bench(const std::string& text, std::string* error) {
 
     PendingGate pg;
     pg.name = trim(line.substr(0, eq));
+    pg.line = line_no;
     const std::string rhs = trim(line.substr(eq + 1));
     const std::size_t lp = rhs.find('(');
     const std::size_t rp = rhs.rfind(')');
     if (lp == std::string::npos || rp == std::string::npos || rp < lp) {
-      set_error(error, "malformed gate: " + line);
+      set_error(error, at_line(line_no, "malformed gate: " + line));
       return std::nullopt;
     }
     const auto type = parse_gate_type(trim(rhs.substr(0, lp)));
     if (!type) {
-      set_error(error, "unknown gate type in: " + line);
+      set_error(error, at_line(line_no, "unknown gate type in: " + line));
       return std::nullopt;
     }
     pg.type = *type;
@@ -123,9 +146,15 @@ std::optional<Netlist> read_bench(const std::string& text, std::string* error) {
       if (!tok.empty()) pg.fanin_names.push_back(tok);
     }
     if (pg.fanin_names.empty()) {
-      set_error(error, "gate with no fanins: " + line);
+      set_error(error, at_line(line_no, "gate with no fanins: " + line));
       return std::nullopt;
     }
+    if ((pg.type == GateType::kNot || pg.type == GateType::kBuf) && pg.fanin_names.size() != 1) {
+      set_error(error, at_line(line_no, std::string(gate_type_name(pg.type)) +
+                                            " takes exactly one fanin: " + line));
+      return std::nullopt;
+    }
+    if (!define(pg.name, line_no)) return std::nullopt;
     pending.push_back(std::move(pg));
   }
 
@@ -159,15 +188,18 @@ std::optional<Netlist> read_bench(const std::string& text, std::string* error) {
       progress = true;
     }
     if (!progress) {
-      set_error(error, "cyclic or undefined signal in netlist");
+      const auto stuck = std::find(emitted.begin(), emitted.end(), false) - emitted.begin();
+      const PendingGate& pg = pending[static_cast<std::size_t>(stuck)];
+      set_error(error, at_line(pg.line, "cyclic or undefined signal in netlist at '" +
+                                            pg.name + "'"));
       return std::nullopt;
     }
   }
 
-  for (const auto& n : output_names) {
+  for (const auto& [n, at] : outputs) {
     auto it = id_of.find(n);
     if (it == id_of.end()) {
-      set_error(error, "undefined output: " + n);
+      set_error(error, at_line(at, "undefined output: " + n));
       return std::nullopt;
     }
     nl.mark_output(it->second);

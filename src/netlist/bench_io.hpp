@@ -17,8 +17,9 @@ std::string write_bench(const Netlist& nl);
 bool write_bench_file(const Netlist& nl, const std::string& path);
 
 /// Parse .bench text. Gate definitions may appear in any order (two-pass
-/// resolution); unknown gate types or undefined signals fail with a message
-/// in `error`.
+/// resolution). Unknown gate types, undefined or cyclic signals, a NOT/BUF
+/// without exactly one fanin and a signal defined twice (by INPUT or a gate)
+/// fail with a message in `error` that starts with the 1-based line number.
 std::optional<Netlist> read_bench(const std::string& text, std::string* error = nullptr);
 std::optional<Netlist> read_bench_file(const std::string& path, std::string* error = nullptr);
 

@@ -24,8 +24,6 @@ void ensure_well_known_metrics() {
     histogram("serve.queue_seconds", latency_buckets());
     histogram("serve.queue_depth", size_buckets());
     histogram("serve.batch_nodes", size_buckets());
-    counter("gnn.merge_cache.hits");
-    counter("gnn.merge_cache.misses");
     counter("gnn.memo.hits");
     counter("gnn.memo.misses");
     counter("data.shard_cache.hits");

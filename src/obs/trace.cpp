@@ -163,7 +163,7 @@ TraceSpan::TraceSpan(const char* name, const char* cat, std::uint64_t id, std::u
 
 TraceSpan::~TraceSpan() {
   if (!armed_) return;
-  trace_record(name_, cat_, start_, TraceClock::now(), id_, ref_, detail_);
+  trace_record(name_, cat_, start_, TraceClock::now(), id_, ref_);
 }
 
 TraceSinkStats trace_sink_stats() { return sink().stats(); }

@@ -73,13 +73,9 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  /// Attach a literal detail (e.g. "hit"/"miss") before the span closes.
-  void set_detail(const char* detail) { detail_ = detail; }
-
  private:
   const char* name_;
   const char* cat_;
-  const char* detail_ = nullptr;
   std::uint64_t id_;
   std::uint64_t ref_;
   TraceClock::time_point start_;

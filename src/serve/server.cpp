@@ -43,7 +43,6 @@ ServerOptions ServerOptions::from_env() {
   const dg::gnn::ServeOptions base = dg::gnn::ServeOptions::from_env();
   opts.node_budget = base.node_budget;
   opts.max_graphs = base.max_graphs;
-  opts.merge_cache_capacity = base.merge_cache_capacity;  // DEEPGATE_SERVE_CACHE
   // Lanes share DEEPGATE_THREADS' cap (util::kMaxThreads).
   const long long lanes = dg::util::env_int("DEEPGATE_SERVE_LANES", opts.lanes);
   if (dg::util::knob_in_range("DEEPGATE_SERVE_LANES", lanes, 0, dg::util::kMaxThreads))
@@ -58,7 +57,6 @@ ServerOptions ServerOptions::from_env() {
 Server::Server(const Engine& engine, const ServerOptions& options)
     : engine_(engine),
       options_(options),
-      merge_cache_(options.merge_cache_capacity),
       admission_(options.queue_capacity),
       started_(Clock::now()) {
   const int lanes = options_.lanes > 0 ? options_.lanes : dg::util::default_num_threads();
@@ -198,9 +196,6 @@ Stats Server::stats() const {
   snapshot.close_share = close_share_.value();
   snapshot.close_drain = close_drain_.value();
   snapshot.nodes_served = nodes_served_.value();
-  const dg::gnn::MergeCacheStats cache = merge_cache_.stats();
-  snapshot.merge_cache_hits = cache.hits;
-  snapshot.merge_cache_misses = cache.misses;
   snapshot.queue_depth = admission_.size();
   snapshot.latency_hist = latency_hist_.snapshot();
   snapshot.queue_seconds_hist = queue_seconds_hist_.snapshot();
@@ -281,10 +276,8 @@ void Server::run_group(std::vector<Pending>& members, Clock::time_point window_c
     // themselves: no merge, no merge span.
     dg::gnn::Batch batch;
     if (graphs.size() > 1) {
-      obs::TraceSpan merge_span("serve.merge", "serve", bid);
-      bool merge_hit = false;
-      batch = dg::gnn::Batch::merge(graphs, &merge_cache_, &merge_hit);
-      merge_span.set_detail(merge_hit ? "hit" : "miss");
+      const obs::TraceSpan merge_span("serve.merge", "serve", bid);
+      batch = dg::gnn::Batch::merge(graphs);
     } else {
       batch = dg::gnn::Batch::merge(graphs);
     }

@@ -28,7 +28,7 @@
 //   the window into merge groups of similar level depth, which the lane
 //   runs in order.
 // - Each group runs through the executor's two steps (gnn/executor.hpp):
-//   Batch::merge (through the signature-keyed MergeCache) and
+//   Batch::merge (CircuitGraph::merge for a multi-member group) and
 //   Batch::forward — ONE Model::forward_outputs pass yields every member's
 //   prediction AND embedding, and embedding rows are copied out only for
 //   the members that asked. Merged forwards are bit-exact per member and
@@ -43,7 +43,6 @@
 #pragma once
 
 #include "gnn/circuit_graph.hpp"
-#include "gnn/merge_cache.hpp"
 #include "nn/matrix.hpp"
 #include "obs/metrics.hpp"
 #include "serve/policy.hpp"
@@ -106,22 +105,21 @@ struct ServerOptions {
   std::size_t node_budget = 8192;    ///< close a window at this many nodes
   std::size_t max_graphs = 64;       ///< ... or this many member graphs
   int lanes = 0;                     ///< worker lanes (model replicas); 0 = DEEPGATE_THREADS
-  std::size_t merge_cache_capacity = 32;  ///< merged super-graphs kept; 0 = off
 
   /// Largest DEEPGATE_SERVE_QUEUE_CAP accepted.
   static constexpr long long kMaxQueueCapacity = 1LL << 20;
 
   /// Env knobs: DEEPGATE_SERVE_BUDGET / DEEPGATE_SERVE_MAX_GRAPHS (shared
   /// with gnn::ServeOptions), DEEPGATE_SERVE_LANES (0..512),
-  /// DEEPGATE_SERVE_QUEUE_CAP (1..kMaxQueueCapacity), DEEPGATE_SERVE_CACHE.
+  /// DEEPGATE_SERVE_QUEUE_CAP (1..kMaxQueueCapacity).
   /// An out-of-range lane count or queue capacity warns and keeps the default.
   static ServerOptions from_env();
 };
 
 /// A read-only view of one server's counts (its obs::Scope for the serve.*
-/// snapshot names, its other counters, its MergeCache's) plus the current
-/// queue depth. Each event is recorded once, before the future it concerns
-/// is fulfilled, so a stats() read right after get() already counts it.
+/// snapshot names and its other counters) plus the current queue depth. Each
+/// event is recorded once, before the future it concerns is fulfilled, so a
+/// stats() read right after get() already counts it.
 ///
 /// Accounting invariant (asserted by tests/serve_test.cpp): every admitted
 /// request resolves exactly once, so at any quiescent point — after
@@ -152,8 +150,8 @@ struct Stats {
 
   std::uint64_t nodes_served = 0;       ///< total nodes across served requests
 
-  std::uint64_t merge_cache_hits = 0;
-  std::uint64_t merge_cache_misses = 0;
+  std::uint64_t merge_cache_hits = 0;   ///< always 0: groups merge without a cache
+  std::uint64_t merge_cache_misses = 0; ///< always 0: groups merge without a cache
 
   std::size_t queue_depth = 0;          ///< admission queue depth at snapshot time
 
@@ -239,7 +237,6 @@ class Server {
 
   const Engine& engine_;
   const ServerOptions options_;
-  dg::gnn::MergeCache merge_cache_;
 
   BoundedQueue<Pending> admission_;
 

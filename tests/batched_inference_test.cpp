@@ -4,7 +4,6 @@
 #include "core/deepgate.hpp"
 #include "data/generators_large.hpp"
 #include "data/generators_small.hpp"
-#include "gnn/merge_cache.hpp"
 #include "netlist/to_aig.hpp"
 #include "sim/probability.hpp"
 
@@ -250,9 +249,9 @@ TEST(BatchedInference, DegenerateRequests) {
   EXPECT_EQ(split.probabilities[1], pair_probs);
 }
 
-// The executor through budgeted packing + pool fan-out stays bit-exact, and
-// repeated identical requests hit the caller's merge cache.
-TEST(Executor, BudgetedFanOutMatchesSinglePathAndHitsMergeCache) {
+// The executor through budgeted packing + pool fan-out stays bit-exact, pass
+// after pass of the same request.
+TEST(Executor, BudgetedFanOutMatchesSinglePathOnRepeatedPasses) {
   const auto graphs = mixed_graphs();
   std::vector<const CircuitGraph*> ptrs;
   for (const auto& g : graphs) ptrs.push_back(&g);
@@ -262,11 +261,9 @@ TEST(Executor, BudgetedFanOutMatchesSinglePathAndHitsMergeCache) {
   const deepgate::Engine engine(options);
 
   for (const std::size_t budget : {std::size_t{48}, std::size_t{2048}}) {
-    gnn::MergeCache cache(8);
     gnn::ServeOptions opts;
     opts.node_budget = budget;  // 48 forces several batches, 2048 merges most
     opts.threads = 4;
-    opts.merge_cache = &cache;
     for (int pass = 0; pass < 2; ++pass) {
       deepgate::BatchInference out;
       out.probabilities.resize(ptrs.size());
@@ -284,12 +281,6 @@ TEST(Executor, BudgetedFanOutMatchesSinglePathAndHitsMergeCache) {
         EXPECT_TRUE(bit_equal_matrix(out.embeddings[i], engine.embeddings(graphs[i])))
             << "budget " << budget << " graph " << i;
       }
-    }
-    // The second pass re-formed the same groups: every merge came out of
-    // the cache (solo batches bypass it).
-    EXPECT_EQ(cache.stats().hits, cache.stats().misses) << "budget " << budget;
-    if (budget == 2048) {
-      EXPECT_GE(cache.stats().hits, 1u);
     }
   }
 }
@@ -401,50 +392,28 @@ TEST(BatchedEvaluate, MatchesPerGraphFallbackAndIsDeterministic) {
 }
 
 // Repeated offline eval of a fixed test set re-forms identical merge groups
-// every pass: with a caller-attached MergeCache the second pass hits the
-// signature cache instead of re-paying merge+finalize, and the Eq. (8)
-// number is unchanged. Engine::evaluate wires its own cache the same way.
-TEST(BatchedEvaluate, MergeCacheReusedAcrossRepeatedEvaluate) {
+// every pass and reports the identical Eq. (8) number, through gnn::evaluate
+// and through Engine::evaluate.
+TEST(BatchedEvaluate, RepeatedEvaluateIsBitIdentical) {
   const auto graphs = mixed_graphs();
   deepgate::Options options;
   options.model = tiny_config();
   const deepgate::Engine engine(options);
 
-  gnn::MergeCache cache(8);
   gnn::EvalOptions opts;
-  opts.node_budget = 2048;  // multi-member groups (solo batches bypass the cache)
-  opts.merge_cache = &cache;
+  opts.node_budget = 2048;  // multi-member groups
 
-  const double uncached = gnn::evaluate(engine.model(), graphs, gnn::EvalOptions{});
+  const double default_budget = gnn::evaluate(engine.model(), graphs, gnn::EvalOptions{});
   const double first = gnn::evaluate(engine.model(), graphs, opts);
-  const auto after_first = cache.stats();
-  EXPECT_GE(after_first.misses, 1u);
   const double second = gnn::evaluate(engine.model(), graphs, opts);
-  const auto after_second = cache.stats();
-  EXPECT_GE(after_second.hits, 1u);
-  EXPECT_EQ(after_second.misses, after_first.misses);  // nothing re-merged
   EXPECT_EQ(first, second);
   // Budgets differ between opts and the default, but the result is the same
   // batched-bit-exact Eq. (8) number either way.
-  EXPECT_EQ(first, uncached);
+  EXPECT_EQ(first, default_budget);
 
-  // The engine-owned cache behind Engine::evaluate: first call merges,
-  // repeats hit.
   const double e1 = engine.evaluate(graphs);
-  const auto engine_first = engine.eval_merge_cache_stats();
   const double e2 = engine.evaluate(graphs);
-  const auto engine_second = engine.eval_merge_cache_stats();
   EXPECT_EQ(e1, e2);
-  EXPECT_GT(engine_second.hits, engine_first.hits);
-  EXPECT_EQ(engine_second.misses, engine_first.misses);
-
-  // clear() releases the retained super-graphs; the next eval re-merges
-  // (a fresh miss) and still reports the identical number.
-  EXPECT_GE(engine_second.entries, 1u);
-  engine.clear_eval_cache();
-  EXPECT_EQ(engine.eval_merge_cache_stats().entries, 0u);
-  EXPECT_EQ(engine.evaluate(graphs), e1);
-  EXPECT_GT(engine.eval_merge_cache_stats().misses, engine_second.misses);
 }
 
 TEST(EffectiveIterations, RecurrentHonorsOverrideStackedLogsOnce) {

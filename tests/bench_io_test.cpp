@@ -94,5 +94,58 @@ TEST(BenchIo, CaseInsensitiveGateNames) {
   EXPECT_EQ(nl->gate(nl->outputs()[0]).type, GateType::kNand);
 }
 
+// NOT/BUF take exactly one fanin. Two fanins used to parse, and then trip
+// the Netlist's arity assert in a build with asserts on.
+TEST(BenchIo, RejectsNotOrBufWithoutExactlyOneFanin) {
+  for (const char* text : {"INPUT(a)\nINPUT(b)\ny = NOT(a, b)\nOUTPUT(y)\n",
+                           "INPUT(a)\nINPUT(b)\ny = BUF(a, b)\nOUTPUT(y)\n",
+                           "INPUT(a)\nINPUT(b)\ny = BUFF(a, b)\nOUTPUT(y)\n"}) {
+    std::string err;
+    EXPECT_FALSE(read_bench(text, &err).has_value()) << text;
+    EXPECT_NE(err.find("line 3:"), std::string::npos) << err;
+    EXPECT_NE(err.find("exactly one fanin"), std::string::npos) << err;
+  }
+}
+
+TEST(BenchIo, RejectsRepeatedInput) {
+  std::string err;
+  EXPECT_FALSE(read_bench("INPUT(a)\nINPUT(b)\nINPUT(a)\nf = AND(a, b)\nOUTPUT(f)\n", &err)
+                   .has_value());
+  EXPECT_NE(err.find("line 3:"), std::string::npos) << err;
+  EXPECT_NE(err.find("already defined on line 1"), std::string::npos) << err;
+}
+
+TEST(BenchIo, RejectsGateDefinedTwice) {
+  std::string err;
+  EXPECT_FALSE(read_bench("INPUT(a)\nINPUT(b)\n"
+                          "y = AND(a, b)\n"
+                          "# a comment line still counts\n"
+                          "y = OR(a, b)\n"
+                          "OUTPUT(y)\n",
+                          &err)
+                   .has_value());
+  EXPECT_NE(err.find("line 5:"), std::string::npos) << err;
+  EXPECT_NE(err.find("already defined on line 3"), std::string::npos) << err;
+}
+
+// An INPUT must not shadow a gate of the same name: here the gate is really a
+// self-loop, which used to parse as NOT of the input.
+TEST(BenchIo, RejectsInputShadowingAGate) {
+  std::string err;
+  EXPECT_FALSE(read_bench("INPUT(a)\na = NOT(a)\nOUTPUT(a)\n", &err).has_value());
+  EXPECT_NE(err.find("line 2:"), std::string::npos) << err;
+  EXPECT_NE(err.find("already defined on line 1"), std::string::npos) << err;
+}
+
+TEST(BenchIo, ErrorsNameTheirLine) {
+  std::string err;
+  EXPECT_FALSE(read_bench("INPUT(a)\n\nf = FROB(a)\n", &err).has_value());
+  EXPECT_EQ(err.rfind("line 3:", 0), 0u) << err;
+  EXPECT_FALSE(read_bench("INPUT(a)\nOUTPUT(g)\n", &err).has_value());
+  EXPECT_EQ(err.rfind("line 2:", 0), 0u) << err;
+  EXPECT_FALSE(read_bench("INPUT(a)\nx = AND(a, y)\ny = AND(a, x)\n", &err).has_value());
+  EXPECT_EQ(err.rfind("line 2:", 0), 0u) << err;
+}
+
 }  // namespace
 }  // namespace dg::netlist

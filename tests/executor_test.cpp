@@ -258,10 +258,9 @@ TEST(ExecuteEquivalence, PooledEvaluateOnTable3MatchesSerialEq8) {
 // -- Env knobs -----------------------------------------------------------------
 
 // DEEPGATE_SERVE_BUDGET used to drop negatives silently and take any huge
-// value, DEEPGATE_SERVE_MAX_GRAPHS dropped 0 and negatives, and
-// DEEPGATE_SERVE_CACHE had no upper bound. Out-of-range values now warn and
-// keep the default; the range ends apply.
-TEST(ServeOptionsEnv, FromEnvBoundsBudgetMaxGraphsAndCache) {
+// value, and DEEPGATE_SERVE_MAX_GRAPHS dropped 0 and negatives. Out-of-range
+// values now warn and keep the default; the range ends apply.
+TEST(ServeOptionsEnv, FromEnvBoundsBudgetAndMaxGraphs) {
   const gnn::ServeOptions defaults;
   for (const char* bad : {"-1", "2147483648", "10000000000000000"}) {
     const ScopedEnv env("DEEPGATE_SERVE_BUDGET", bad);
@@ -271,29 +270,18 @@ TEST(ServeOptionsEnv, FromEnvBoundsBudgetMaxGraphsAndCache) {
     const ScopedEnv env("DEEPGATE_SERVE_MAX_GRAPHS", bad);
     EXPECT_EQ(gnn::ServeOptions::from_env().max_graphs, defaults.max_graphs) << bad;
   }
-  for (const char* bad : {"-1", "1048577"}) {
-    const ScopedEnv env("DEEPGATE_SERVE_CACHE", bad);
-    EXPECT_EQ(gnn::ServeOptions::from_env().merge_cache_capacity,
-              defaults.merge_cache_capacity)
-        << bad;
-  }
   {
     const ScopedEnv budget("DEEPGATE_SERVE_BUDGET", "0");
     const ScopedEnv max_graphs("DEEPGATE_SERVE_MAX_GRAPHS", "1");
-    const ScopedEnv cache("DEEPGATE_SERVE_CACHE", "0");
     const gnn::ServeOptions low = gnn::ServeOptions::from_env();
     EXPECT_EQ(low.node_budget, 0u);
     EXPECT_EQ(low.max_graphs, 1u);
-    EXPECT_EQ(low.merge_cache_capacity, 0u);
   }
   const ScopedEnv budget("DEEPGATE_SERVE_BUDGET", "2147483647");
   const ScopedEnv max_graphs("DEEPGATE_SERVE_MAX_GRAPHS", "1048576");
-  const ScopedEnv cache("DEEPGATE_SERVE_CACHE", "1048576");
   const gnn::ServeOptions high = gnn::ServeOptions::from_env();
   EXPECT_EQ(high.node_budget, static_cast<std::size_t>(gnn::ServeOptions::kMaxNodeBudget));
   EXPECT_EQ(high.max_graphs, static_cast<std::size_t>(gnn::ServeOptions::kMaxGraphs));
-  EXPECT_EQ(high.merge_cache_capacity,
-            static_cast<std::size_t>(gnn::ServeOptions::kMaxCacheCapacity));
 }
 
 }  // namespace

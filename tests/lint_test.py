@@ -26,6 +26,7 @@ EXPECTATIONS = {
     "knobs_raw_getenv": ("tools/lint_knobs.py", "knobs-raw-getenv"),
     "knobs_undocumented": ("tools/lint_knobs.py", "knobs-undocumented"),
     "knobs_stale_doc": ("tools/lint_knobs.py", "knobs-stale-doc"),
+    "metrics_unrecorded": ("tools/lint_knobs.py", "metrics-unrecorded"),
     "kernels_stray_intrinsic": ("tools/lint_kernels.py", "kernels-stray-intrinsic"),
     "kernels_stray_flag": ("tools/lint_kernels.py", "kernels-stray-simd-flag"),
     "kernels_missing_fpcontract": ("tools/lint_kernels.py", "kernels-fp-contract"),
@@ -34,7 +35,8 @@ EXPECTATIONS = {
 }
 
 ALL_RULES = {
-    "tools/lint_knobs.py": {"knobs-raw-getenv", "knobs-undocumented", "knobs-stale-doc"},
+    "tools/lint_knobs.py": {"knobs-raw-getenv", "knobs-undocumented", "knobs-stale-doc",
+                            "metrics-unrecorded"},
     "tools/lint_kernels.py": {"kernels-stray-intrinsic", "kernels-stray-simd-flag",
                               "kernels-fp-contract", "kernels-raw-mutex",
                               "kernels-pool-fanout"},

@@ -372,19 +372,17 @@ TEST_F(ObsTest, TraceSpanAndChromeJsonExport) {
   const std::uint64_t id = next_trace_id();
   const std::uint64_t ref = next_trace_id();
   EXPECT_NE(id, ref);
-  {
-    TraceSpan span("obs_test.span", "test", id, ref);
-    span.set_detail("hit");
-  }
-  trace_instant("obs_test.mark", "test");
+  { const TraceSpan span("obs_test.span", "test", id, ref); }
+  trace_instant("obs_test.mark", "test", 0, 0, "budget");
   const std::vector<TraceEvent> events = trace_events();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_STREQ(events[0].name, "obs_test.span");
   EXPECT_GE(events[0].dur_ns, 0);   // complete event
   EXPECT_EQ(events[0].id, id);
   EXPECT_EQ(events[0].ref, ref);
-  EXPECT_STREQ(events[0].detail, "hit");
+  EXPECT_EQ(events[0].detail, nullptr);
   EXPECT_EQ(events[1].dur_ns, -1);  // instant event
+  EXPECT_STREQ(events[1].detail, "budget");
   EXPECT_LE(events[0].start_ns, events[1].start_ns);
 
   std::ostringstream os;
@@ -394,7 +392,7 @@ TEST_F(ObsTest, TraceSpanAndChromeJsonExport) {
   EXPECT_NE(json.find("\"obs_test.span\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);  // the span
   EXPECT_NE(json.find("\"ph\": \"i\""), std::string::npos);  // the instant
-  EXPECT_NE(json.find("\"detail\": \"hit\""), std::string::npos);
+  EXPECT_NE(json.find("\"detail\": \"budget\""), std::string::npos);
   // Balanced braces/brackets — cheap structural sanity without a parser (CI
   // additionally runs python3 -m json.tool over a real export).
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Repo lint: DEEPGATE_* environment knobs.
+"""Repo lint: DEEPGATE_* environment knobs and well-known metric names.
 
 Rules (each violation prints one `rule: file:line: message` line; exit 1):
 
@@ -18,6 +18,12 @@ Rules (each violation prints one `rule: file:line: message` line; exit 1):
                        knob read somewhere in code, or as a CMake option in
                        CMakeLists.txt. Docs for deleted knobs rot silently
                        otherwise.
+
+  metrics-unrecorded   Every metric name that obs's ensure_well_known_metrics()
+                       pre-registers must also appear as a string literal
+                       (comments do not count) in some other file under src/,
+                       where the metric is recorded. A deleted feature must not
+                       leave its keys reporting zeros in every snapshot.
 
 Knob names are collected ONLY from string literals passed to the env readers
 (never from comments or prose), so a wildcard like "DEEPGATE_SERVE_*" in a
@@ -50,6 +56,30 @@ CMAKE_VAR_RE = re.compile(r"\b(?:option|set)\s*\(\s*(DEEPGATE_[A-Z0-9_]+)", re.I
 
 RAW_GETENV_ALLOWED = {pathlib.PurePosixPath("src/util/env.cpp")}
 
+WELL_KNOWN_FN_RE = re.compile(r"\bvoid\s+ensure_well_known_metrics\s*\(\s*\)\s*\{")
+REGISTER_RE = re.compile(r'\b(?:counter|gauge|histogram)\s*\(\s*"([^"]+)"')
+# C++ string literals, with comments and char literals matched only to be skipped.
+CPP_TOKEN_RE = re.compile(r'"((?:\\.|[^"\\\n])*)"|//[^\n]*|/\*.*?\*/|\'(?:\\.|[^\'\\\n])\'',
+                          re.DOTALL)
+
+
+def string_literals(text: str):
+    """The contents of every string literal in C++ `text`, outside comments."""
+    return {m.group(1) for m in CPP_TOKEN_RE.finditer(text) if m.group(1) is not None}
+
+
+def well_known_metrics(text: str):
+    """(name, line) for each name registered inside ensure_well_known_metrics()."""
+    m = WELL_KNOWN_FN_RE.search(text)
+    if m is None:
+        return []
+    depth, end = 1, m.end()
+    while depth > 0 and end < len(text):
+        depth += {"{": 1, "}": -1}.get(text[end], 0)
+        end += 1
+    return [(r.group(1), text.count("\n", 0, r.start()) + 1)
+            for r in REGISTER_RE.finditer(text, m.end(), end)]
+
 
 def iter_cpp_files(root: pathlib.Path):
     for d in CPP_DIRS:
@@ -70,6 +100,8 @@ def main() -> int:
     violations = []
     reads = {}      # knob -> first "file:line" seen, any scanned dir
     doc_scope_reads = set()  # knobs read under src/ or bench/
+    registered = []  # (metric name, "file:line") from ensure_well_known_metrics
+    src_literals = {}  # src/ file -> its string literals
 
     for path in iter_cpp_files(root):
         rel = path.relative_to(root)
@@ -79,6 +111,9 @@ def main() -> int:
         except OSError as e:
             violations.append(f"knobs-io: {rel}: unreadable ({e})")
             continue
+        if rel_posix.parts[0] == "src":
+            src_literals[rel] = string_literals(text)
+            registered += [(name, rel, line) for name, line in well_known_metrics(text)]
         for lineno, line in enumerate(text.splitlines(), start=1):
             for m in READ_RE.finditer(line):
                 reads.setdefault(m.group(1), f"{rel}:{lineno}")
@@ -116,6 +151,12 @@ def main() -> int:
             violations.append(
                 f"knobs-stale-doc: README.md:{lineno}: {token} is documented but neither read "
                 "in code (env_*/getenv string literal) nor a CMake option — stale doc?")
+
+    for name, rel, lineno in registered:
+        if not any(name in lits for f, lits in src_literals.items() if f != rel):
+            violations.append(
+                f"metrics-unrecorded: {rel}:{lineno}: {name} is pre-registered but no other "
+                "file under src/ records it — a deleted feature's key?")
 
     for v in violations:
         print(v)
