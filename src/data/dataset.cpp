@@ -96,7 +96,6 @@ std::vector<ShardRecord> generate_shard(const ShardPlan& plan, const DatasetConf
 BuildOptions BuildOptions::from_env() {
   BuildOptions opts;
   opts.cache_dir = util::env_str("DEEPGATE_DATA_DIR");
-  opts.stream = StreamOptions::from_env();
   return opts;
 }
 

@@ -8,7 +8,8 @@
 // production fans out across the global thread pool. Results are therefore
 // bit-identical at every thread count and schedule. With a cache directory
 // configured (DEEPGATE_DATA_DIR or BuildOptions::cache_dir) finished shards
-// are persisted in the shard_io format and reused on the next run.
+// are persisted in the shard_io format and reused on the next run, and
+// Dataset::shard_files lists them for a ShardStream to replay.
 #pragma once
 
 #include "data/extract.hpp"
@@ -63,12 +64,8 @@ struct BuildOptions {
   std::string cache_dir;
   /// Sub-circuits per shard: the parallelism grain and cache-file unit.
   std::size_t shard_size = 8;
-  /// ShardStream tuning (in-memory shard LRU + background read-ahead) for
-  /// consumers that stream the built dataset back from disk.
-  StreamOptions stream;
 
-  /// cache_dir from DEEPGATE_DATA_DIR (cache disabled when unset), stream
-  /// knobs from DEEPGATE_SHARD_LRU / DEEPGATE_SHARD_READAHEAD.
+  /// cache_dir from DEEPGATE_DATA_DIR (cache disabled when unset).
   static BuildOptions from_env();
 };
 

@@ -2,7 +2,6 @@
 
 #include "obs/metrics.hpp"
 #include "util/bytes.hpp"
-#include "util/env.hpp"
 #include "util/hash.hpp"
 #include "util/log.hpp"
 
@@ -22,6 +21,9 @@ obs::Counter& bytes_read_counter() {
 
 constexpr char kMagic[4] = {'D', 'G', 'S', 'H'};
 constexpr std::size_t kMagicAndVersion = 8;  // magic + u32 version
+// Smallest record: family length, node count and level count (16 bytes),
+// then an empty graph's header and its edge and skip-edge counts (28 bytes).
+constexpr std::size_t kMinRecordBytes = 16 + 28;
 
 void serialize_record(std::vector<std::uint8_t>& out, const ShardRecord& rec) {
   util::put_str(out, rec.info.family);
@@ -91,9 +93,14 @@ bool write_shard(const std::string& path, std::uint64_t config_hash, std::uint64
 ShardError ShardReader::open(const std::string& path) {
   error_ = ShardError::kNone;
   records_left_ = 0;
+  // A directory (or device) at the path opens as a stream but has no
+  // meaningful size; only regular files are read.
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) return error_ = ShardError::kIo;
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return error_ = ShardError::kIo;
   const std::streamsize size = in.tellg();
+  if (size < 0) return error_ = ShardError::kIo;
   in.seekg(0);
   buf_.resize(static_cast<std::size_t>(size));
   if (!in.read(reinterpret_cast<char*>(buf_.data()), size)) return error_ = ShardError::kIo;
@@ -119,6 +126,10 @@ ShardError ShardReader::open(const std::string& path) {
   header_.shard_index = r.u32();
   header_.num_records = r.u32();
   offset_ = 4 + r.offset();
+  // The checksum is not a MAC: a forged header can claim any record count.
+  // Bound it by what the payload can hold before a caller reserves for it.
+  if (header_.num_records > (payload_end_ - offset_) / kMinRecordBytes)
+    return error_ = ShardError::kCorrupt;
   records_left_ = header_.num_records;
   return ShardError::kNone;
 }
@@ -210,101 +221,26 @@ bool ShardCache::store(std::uint32_t index, const std::vector<ShardRecord>& reco
   return write_shard(shard_path(index), config_hash_, seed_, index, records);
 }
 
-StreamOptions StreamOptions::from_env() {
-  StreamOptions opts;
-  const long long lru = util::env_int("DEEPGATE_SHARD_LRU", 0);
-  if (lru > 0) opts.lru_shards = static_cast<std::size_t>(lru);
-  opts.readahead = util::env_int("DEEPGATE_SHARD_READAHEAD", 0) != 0;
-  return opts;
-}
+ShardStream::ShardStream(std::vector<std::string> paths) : paths_(std::move(paths)) {}
 
-ShardStream::ShardStream(std::vector<std::string> paths, StreamOptions opts)
-    : paths_(std::move(paths)), opts_(opts) {}
-
-ShardStream::~ShardStream() { drop_pending(); }
-
-void ShardStream::reset() {
-  // An in-flight prefetch of the NEXT epoch's first shards could in principle
-  // be kept, but the cursor may now diverge from pending_index_; simplest
-  // correct behavior is to retire it (the LRU usually absorbs the cost).
-  drop_pending();
-  cursor_ = 0;
-  maybe_prefetch();
-}
-
-ShardStream::Loaded ShardStream::load_shard(std::size_t index) const {
-  Loaded loaded;
-  ShardHeader header;
-  std::vector<ShardRecord> records;
-  const ShardError err = ShardReader::read_all(paths_[index], header, records);
-  if (err != ShardError::kNone) {
-    static util::LogRateLimit skip_limit(1.0);
-    util::log_warn_limited(skip_limit, "shard stream: skipping ", paths_[index], " (",
-                           shard_error_name(err), ")");
-    return loaded;
-  }
-  disk_loads_.add();
-  loaded.ok = true;
-  loaded.graphs.reserve(records.size());
-  for (auto& rec : records) loaded.graphs.push_back(std::move(rec.graph));
-  return loaded;
-}
-
-void ShardStream::drop_pending() {
-  if (pending_.valid()) pending_.get();
-}
-
-void ShardStream::maybe_prefetch() {
-  if (!opts_.readahead || pending_.valid() || cursor_ >= paths_.size()) return;
-  for (const auto& entry : lru_)
-    if (entry.first == cursor_) return;  // already resident, nothing to fetch
-  pending_index_ = cursor_;
-  pending_ = std::async(std::launch::async,
-                        [this, index = cursor_] { return load_shard(index); });
-}
+void ShardStream::reset() { cursor_ = 0; }
 
 bool ShardStream::next(std::vector<gnn::CircuitGraph>& out) {
   while (cursor_ < paths_.size()) {
-    const std::size_t index = cursor_++;
-
-    // 1. Resident in the LRU? Serve a copy and refresh recency.
-    bool hit = false;
-    for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-      if (it->first != index) continue;
-      out = it->second;
-      lru_.splice(lru_.begin(), lru_, it);
-      lru_hits_.add();
-      hit = true;
-      break;
-    }
-    if (hit) {
-      maybe_prefetch();
-      return true;
-    }
-
-    // 2. Otherwise take the prefetched result if it is this shard, retiring
-    // a mismatched in-flight load first (reset/skip changed the cursor).
-    Loaded loaded;
-    if (pending_.valid() && pending_index_ == index) {
-      loaded = pending_.get();
-      if (loaded.ok) prefetch_hits_.add();
-    } else {
-      drop_pending();
-      loaded = load_shard(index);
-    }
-    if (!loaded.ok) {
-      // Keep the pipeline primed past the bad file (cursor_ already points
-      // at the next shard), then retry the loop.
-      maybe_prefetch();
+    const std::string& path = paths_[cursor_++];
+    ShardHeader header;
+    std::vector<ShardRecord> records;
+    const ShardError err = ShardReader::read_all(path, header, records);
+    if (err != ShardError::kNone) {
+      static util::LogRateLimit skip_limit(1.0);
+      util::log_warn_limited(skip_limit, "shard stream: skipping ", path, " (",
+                             shard_error_name(err), ")");
       continue;
     }
-
-    if (opts_.lru_shards > 0) {
-      lru_.emplace_front(index, loaded.graphs);
-      while (lru_.size() > opts_.lru_shards) lru_.pop_back();
-    }
-    out = std::move(loaded.graphs);
-    maybe_prefetch();
+    disk_loads_.add();
+    out.clear();
+    out.reserve(records.size());
+    for (auto& rec : records) out.push_back(std::move(rec.graph));
     return true;
   }
   return false;

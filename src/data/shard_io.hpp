@@ -11,8 +11,10 @@
 // A shard is keyed by (config_hash, seed, shard_index): the hash covers every
 // knob that influences generation, so any configuration change invalidates
 // the cache automatically. Readers validate magic, version, key, and checksum
-// before yielding a single record; corrupt or truncated files are reported,
-// never trusted.
+// before yielding a single record, and bound the record count by the bytes
+// present before anything is allocated; corrupt, truncated or forged files
+// and paths that are not regular files are reported, never trusted.
+// ShardStream reads a list of such files back one shard at a time.
 #pragma once
 
 #include "gnn/circuit_graph.hpp"
@@ -20,8 +22,6 @@
 #include "obs/metrics.hpp"
 
 #include <cstdint>
-#include <future>
-#include <list>
 #include <string>
 #include <vector>
 
@@ -111,79 +111,32 @@ class ShardCache {
   std::uint64_t seed_;
 };
 
-/// ShardStream tuning knobs. Both default off so the stream stays a plain
-/// one-shard-at-a-time reader; BuildOptions carries a copy filled from the
-/// environment (DEEPGATE_SHARD_LRU / DEEPGATE_SHARD_READAHEAD) for callers
-/// that want the env-driven behavior.
-struct StreamOptions {
-  /// Bounded in-memory shard cache: keep up to this many decoded shards
-  /// resident (LRU eviction), so multi-epoch runs skip re-reading and
-  /// re-finalizing hot shards. 0 disables.
-  std::size_t lru_shards = 0;
-  /// Load shard N+1 on a background thread while shard N is being consumed.
-  bool readahead = false;
-
-  static StreamOptions from_env();
-};
-
 /// Iterate a list of shard files one shard at a time, so training can stream
 /// the dataset without ever materializing all graphs in memory. Implements
-/// the trainer's GraphStream interface; a shard that fails validation is
-/// skipped with a warning. Optionally keeps a bounded LRU of decoded shards
-/// and prefetches the next shard in the background (StreamOptions); the
-/// delivered sequence is identical whatever the knobs.
+/// the trainer's GraphStream interface; each next() reads and decodes one
+/// shard on the calling thread, and a shard that fails validation is
+/// skipped with a warning.
 ///
-/// Thread affinity (why this class carries no util::Mutex): all mutable
-/// state except disk_loads_ is owned by the single consumer thread driving
-/// next()/reset(). The only cross-thread edge is the read-ahead future —
-/// the background task touches nothing of the stream but the atomic
-/// disk_loads_ counter, and std::future::get() provides the happens-before
-/// for the Loaded payload. Sharing one ShardStream across consumer threads
-/// is out of contract.
+/// Thread affinity (why this class carries no util::Mutex): one consumer
+/// thread drives next()/reset() and owns all of the stream's state. Sharing
+/// one ShardStream across consumer threads is out of contract.
 class ShardStream final : public gnn::GraphStream {
  public:
-  /// The default options come from the environment, so existing call sites
-  /// honor DEEPGATE_SHARD_LRU / DEEPGATE_SHARD_READAHEAD without plumbing;
-  /// pass BuildOptions::stream (or an explicit StreamOptions) to override.
-  explicit ShardStream(std::vector<std::string> paths,
-                       StreamOptions opts = StreamOptions::from_env());
-  ~ShardStream() override;
+  explicit ShardStream(std::vector<std::string> paths);
 
   bool next(std::vector<gnn::CircuitGraph>& out) override;
   void reset() override;
 
   std::size_t num_shards() const { return paths_.size(); }
-  const StreamOptions& options() const { return opts_; }
 
-  /// Observability for tests/benches.
-  std::size_t lru_hits() const { return lru_hits_.value(); }
-  std::size_t prefetch_hits() const { return prefetch_hits_.value(); }
+  /// Shards read and decoded from disk so far (skipped shards excluded).
   std::size_t disk_loads() const { return disk_loads_.value(); }
 
  private:
-  struct Loaded {
-    bool ok = false;
-    std::vector<gnn::CircuitGraph> graphs;
-  };
-
-  Loaded load_shard(std::size_t index) const;
-  void drop_pending();
-  void maybe_prefetch();
-
   std::vector<std::string> paths_;
-  StreamOptions opts_;
   std::size_t cursor_ = 0;
 
-  // LRU over decoded shards, most recent first.
-  std::list<std::pair<std::size_t, std::vector<gnn::CircuitGraph>>> lru_;
-
-  // At most one in-flight background load.
-  std::future<Loaded> pending_;
-  std::size_t pending_index_ = 0;
-
   obs::Scope scope_;
-  obs::Counter& lru_hits_ = scope_.counter("data.shard_stream.lru_hits");
-  obs::Counter& prefetch_hits_ = scope_.counter("data.shard_stream.prefetch_hits");
   obs::Counter& disk_loads_ = scope_.counter("data.shard_stream.disk_loads");
 };
 

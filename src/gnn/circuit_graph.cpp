@@ -562,31 +562,6 @@ std::vector<float> member_column(const nn::Matrix& full, const GraphMember& m) {
   return out;
 }
 
-std::vector<std::pair<std::size_t, std::size_t>> plan_node_batches(
-    const std::vector<const CircuitGraph*>& graphs, std::size_t node_budget,
-    std::size_t max_graphs) {
-  std::vector<std::pair<std::size_t, std::size_t>> plan;
-  if (graphs.empty()) return plan;
-  const std::size_t cap = max_graphs == 0 ? 1 : max_graphs;
-  std::size_t begin = 0, nodes = 0;
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    const std::size_t n = static_cast<std::size_t>(graphs[i]->num_nodes);
-    const bool open = i > begin;
-    const bool incompatible = open && (graphs[i]->num_types != graphs[begin]->num_types ||
-                                       graphs[i]->pe_L != graphs[begin]->pe_L ||
-                                       graphs[i]->is_batch() || graphs[begin]->is_batch());
-    if (open && (incompatible || node_budget == 0 || nodes + n > node_budget ||
-                 i - begin >= cap)) {
-      plan.emplace_back(begin, i);
-      begin = i;
-      nodes = 0;
-    }
-    nodes += n;
-  }
-  plan.emplace_back(begin, graphs.size());
-  return plan;
-}
-
 std::vector<std::vector<std::size_t>> plan_node_batches_by_depth(
     const std::vector<const CircuitGraph*>& graphs, std::size_t node_budget,
     std::size_t max_graphs) {

@@ -187,26 +187,16 @@ nn::Matrix member_rows(const nn::Matrix& full, const GraphMember& m);
 /// Same for an N x 1 prediction, as the member's per-node probabilities.
 std::vector<float> member_column(const nn::Matrix& full, const GraphMember& m);
 
-/// Pack `graphs` (kept in order) into contiguous batches whose total node
-/// count stays within `node_budget` and whose member count stays within
-/// `max_graphs`. A single graph larger than the budget gets a batch of its
-/// own; node_budget == 0 disables merging (one graph per batch). Returns
-/// [begin, end) index ranges. Inference does not use it: this is the
-/// trainer's request-order splitter of an optimizer batch.
-std::vector<std::pair<std::size_t, std::size_t>> plan_node_batches(
-    const std::vector<const CircuitGraph*>& graphs, std::size_t node_budget,
-    std::size_t max_graphs);
-
-/// The one inference planner: gnn::execute and serve::Server group with it.
-/// Depth-aware packing: like plan_node_batches but free to reorder, grouping
+/// The one batch planner: gnn::execute and serve::Server group with it.
+/// Packs `graphs` into merge groups whose total node count stays within
+/// `node_budget` and whose member count stays within `max_graphs`, grouping
 /// graphs of similar level depth so a merged batch wastes fewer masked tail
 /// levels (a shallow member inside a deep batch sits idle for every level
-/// above its own). Returns groups of indices into `graphs` rather than
-/// contiguous ranges. Deterministic: indices are ordered by
-/// (num_types, pe_L) compatibility class, then depth, then index, and packed
-/// greedily under the same budget/cap rules (node_budget == 0 -> singleton
-/// groups; a lone over-budget graph gets a group of its own). Every index
-/// appears in exactly one group.
+/// above its own). Returns groups of indices into `graphs`. Deterministic:
+/// indices are ordered by (num_types, pe_L) compatibility class, then depth,
+/// then index, and packed greedily; node_budget == 0 gives singleton groups
+/// and a lone over-budget graph gets a group of its own. Every index appears
+/// in exactly one group.
 std::vector<std::vector<std::size_t>> plan_node_batches_by_depth(
     const std::vector<const CircuitGraph*>& graphs, std::size_t node_budget,
     std::size_t max_graphs);

@@ -6,7 +6,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 #include <numeric>
 
@@ -62,83 +61,6 @@ TrainResult train_sequential(Model& model, const std::vector<CircuitGraph>& trai
     if (cfg.verbose)
       util::log_info(model.name(), " epoch ", epoch + 1, "/", cfg.epochs, " L1=",
                      epoch_loss);
-  }
-  result.seconds = timer.seconds();
-  return result;
-}
-
-/// One merged optimizer batch: the batch's graphs become level-merged
-/// super-graphs (split only where num_types/pe_L are incompatible — the
-/// usual case is a single merge) and the loss is rebuilt per member from the
-/// merged predictions via differentiable row gathers, so the objective is
-/// identical to the graph-per-call paths: sum of per-graph mean L1, scaled
-/// by 1/batch_circuits. Because merged forwards are bit-exact per member,
-/// per-graph losses equal the sequential path's; only the backward
-/// accumulation order differs (float tolerance). Performs backward but not
-/// the optimizer step; returns the summed unscaled per-graph losses.
-double merged_batch_backward(const Model& model, const std::vector<const CircuitGraph*>& parts,
-                             int batch_circuits) {
-  // Budget/member caps off: split exclusively at incompatible boundaries.
-  const auto plan = plan_node_batches(parts, std::numeric_limits<std::size_t>::max(),
-                                      parts.size());
-  double total = 0.0;
-  nn::Tensor batch_loss;
-  for (const auto& [begin, end] : plan) {
-    const std::vector<const CircuitGraph*> group(parts.begin() + static_cast<std::ptrdiff_t>(begin),
-                                                 parts.begin() + static_cast<std::ptrdiff_t>(end));
-    const CircuitGraph merged = CircuitGraph::merge(group);
-    const nn::Tensor pred = model.forward_outputs(merged).prediction;
-    for (std::size_t m = 0; m < group.size(); ++m) {
-      const GraphMember& mem = merged.members[m];
-      std::vector<int> rows(static_cast<std::size_t>(mem.num_nodes));
-      std::iota(rows.begin(), rows.end(), mem.node_offset);
-      const nn::Tensor member_pred = nn::gather_rows(pred, std::move(rows));
-      const nn::Matrix target = nn::Matrix::from_vector(
-          mem.num_nodes, 1, std::vector<float>(group[m]->labels));
-      const nn::Tensor loss = nn::l1_loss(member_pred, target);
-      total += static_cast<double>(loss.item());
-      batch_loss = batch_loss.defined() ? nn::add(batch_loss, loss) : loss;
-    }
-  }
-  nn::scale(batch_loss, 1.0F / static_cast<float>(batch_circuits)).backward();
-  return total;
-}
-
-/// Merged-batch path: every optimizer batch goes through
-/// merged_batch_backward instead of per-graph forward/backward replicas.
-TrainResult train_merged(Model& model, const std::vector<CircuitGraph>& train_set,
-                         const TrainConfig& cfg) {
-  TrainResult result;
-  result.threads_used = cfg.threads > 0 ? cfg.threads : util::default_num_threads();
-  util::Timer timer;
-  nn::Adam opt(nn::param_tensors(model.named_params()), cfg.lr);
-  util::Rng rng(cfg.seed);
-
-  std::vector<int> order(train_set.size());
-  std::iota(order.begin(), order.end(), 0);
-
-  for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-    rng.shuffle(order);
-    double epoch_loss = 0.0;
-    for (std::size_t batch_start = 0; batch_start < order.size();
-         batch_start += static_cast<std::size_t>(cfg.batch_circuits)) {
-      const std::size_t batch_end = std::min(
-          order.size(), batch_start + static_cast<std::size_t>(cfg.batch_circuits));
-      std::vector<const CircuitGraph*> parts;
-      parts.reserve(batch_end - batch_start);
-      for (std::size_t k = batch_start; k < batch_end; ++k)
-        parts.push_back(&train_set[static_cast<std::size_t>(order[k])]);
-
-      opt.zero_grad();
-      epoch_loss += merged_batch_backward(model, parts, cfg.batch_circuits);
-      opt.clip_grad_norm(cfg.clip_norm);
-      opt.step();
-    }
-    epoch_loss /= static_cast<double>(train_set.size());
-    result.epoch_loss.push_back(epoch_loss);
-    if (cfg.verbose)
-      util::log_info(model.name(), " epoch ", epoch + 1, "/", cfg.epochs, " L1=",
-                     epoch_loss, " (merged batches)");
   }
   result.seconds = timer.seconds();
   return result;
@@ -231,7 +153,6 @@ TrainResult train(Model& model, const std::vector<CircuitGraph>& train_set,
   if (train_set.empty() || cfg_in.epochs <= 0) return TrainResult{};
   TrainConfig cfg = cfg_in;
   cfg.batch_circuits = std::max(1, cfg.batch_circuits);
-  if (cfg.merged_forward) return train_merged(model, train_set, cfg);
   const int requested = cfg.threads > 0 ? cfg.threads : util::default_num_threads();
   // More workers than circuits per batch would only clone idle replicas;
   // dropping them leaves the gradient reduction order of the active ones —
@@ -274,25 +195,6 @@ TrainResult train_streaming(Model& model, GraphStream& stream, const TrainConfig
         std::iota(order.begin(), order.end(), 0);
       }
       rng.shuffle(order);
-      if (cfg.merged_forward) {
-        // Same merged-batch steps as train_merged, within this chunk (steps
-        // never straddle a chunk boundary, like the per-graph path below).
-        for (std::size_t batch_start = 0; batch_start < order.size();
-             batch_start += static_cast<std::size_t>(cfg.batch_circuits)) {
-          const std::size_t batch_end = std::min(
-              order.size(), batch_start + static_cast<std::size_t>(cfg.batch_circuits));
-          std::vector<const CircuitGraph*> parts;
-          parts.reserve(batch_end - batch_start);
-          for (std::size_t k = batch_start; k < batch_end; ++k)
-            parts.push_back(&chunk[static_cast<std::size_t>(order[k])]);
-          opt.zero_grad();
-          epoch_loss += merged_batch_backward(model, parts, cfg.batch_circuits);
-          opt.clip_grad_norm(cfg.clip_norm);
-          opt.step();
-        }
-        total_graphs += chunk.size();
-        continue;
-      }
       int in_batch = 0;
       opt.zero_grad();
       for (std::size_t k = 0; k < order.size(); ++k) {

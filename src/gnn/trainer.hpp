@@ -2,12 +2,15 @@
 // (Sec. III-C/IV-B), with per-circuit gradient accumulation and global-norm
 // clipping for stability at the small batch sizes of the CPU reproduction.
 //
-// Data-parallel across the circuits of a batch: each pool worker runs
-// forward/backward on its own model replica (Model::clone) and the replica
-// gradients are summed into the master in fixed replica order before the
-// optimizer step, so a given worker count always produces the same result.
-// threads == 1 bypasses the replica machinery entirely and reproduces the
-// original sequential trainer bit-exactly.
+// Three loops, each forwarding one graph per call:
+//  - sequential (threads == 1): the reference trainer;
+//  - replica-parallel: each pool worker runs forward/backward on its own
+//    model replica (Model::clone) and the replica gradients are summed into
+//    the master in fixed replica order before the optimizer step, so a given
+//    worker count always produces the same result;
+//  - streaming (train_streaming): the sequential loop over chunks of a
+//    GraphStream; one chunk holding the whole set reproduces the sequential
+//    loop bit-exactly.
 #pragma once
 
 #include "gnn/model_common.hpp"
@@ -26,18 +29,6 @@ struct TrainConfig {
   std::uint64_t seed = 1;    ///< shuffling
   bool verbose = false;      ///< log per-epoch loss
   int threads = 0;           ///< data-parallel workers; 0 = DEEPGATE_THREADS
-  bool merged_forward = false;  ///< forward each optimizer batch as ONE
-                                ///< level-merged super-graph (CircuitGraph::
-                                ///< merge; batches mixing num_types/pe_L
-                                ///< split at the incompatible boundary)
-                                ///< instead of graph-per-worker replicas.
-                                ///< Honored by train() and train_streaming().
-                                ///< Same objective (per-graph mean L1,
-                                ///< batch-averaged); parallelism comes from
-                                ///< the kernels over the bigger batch.
-                                ///< Losses match the replica path to float
-                                ///< tolerance (backward accumulation order
-                                ///< differs).
 };
 
 struct TrainResult {

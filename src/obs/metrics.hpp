@@ -23,7 +23,7 @@
 //
 // Registered metrics live for the process lifetime; references returned by
 // counter()/gauge()/histogram() are stable forever. Names are dotted paths
-// ("serve.latency_seconds", "data.shard_stream.lru_hits"); the snapshot in
+// ("serve.latency_seconds", "data.shard_stream.disk_loads"); the snapshot in
 // obs/obs.hpp derives "<prefix>.hit_rate" gauges for any hits/misses pair.
 //
 // Knob: DEEPGATE_METRICS=on|off (default on; strict parse — unknown values
@@ -32,8 +32,7 @@
 // scope histograms included. Scope counters keep counting, because the
 // per-instance accessors report them: with metrics off the snapshot's
 // scope-backed counters (serve.requests.*, serve.windows.closed,
-// data.shard_stream.* and their hit rates) still advance instead of staying
-// frozen.
+// data.shard_stream.disk_loads) still advance instead of staying frozen.
 #pragma once
 
 #include <atomic>
@@ -195,7 +194,7 @@ class Registry {
 /// and answers its accessors from them:
 ///
 ///   obs::Scope scope_;  // declared first: it outlives the references
-///   obs::Counter& lru_hits_ = scope_.counter("data.shard_stream.lru_hits");
+///   obs::Counter& disk_loads_ = scope_.counter("data.shard_stream.disk_loads");
 ///
 /// obs::snapshot() reports each name as the registry's retained total plus
 /// every live scope; the destructor folds the scope into that total, exactly

@@ -28,8 +28,6 @@ void ensure_well_known_metrics() {
     counter("gnn.memo.misses");
     counter("data.shard_cache.hits");
     counter("data.shard_cache.misses");
-    counter("data.shard_stream.lru_hits");
-    counter("data.shard_stream.prefetch_hits");
     counter("data.shard_stream.disk_loads");
     counter("data.shard_io.read_bytes");
     counter("data.shard_io.write_bytes");

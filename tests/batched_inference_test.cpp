@@ -138,40 +138,6 @@ TEST(CircuitGraphMerge, EmptyAndSingle) {
   EXPECT_EQ(one.edges, graphs[0].edges);
 }
 
-TEST(PlanNodeBatches, RespectsBudgetAndCaps) {
-  const auto graphs = mixed_graphs();
-  std::vector<const CircuitGraph*> ptrs;
-  for (const auto& g : graphs) ptrs.push_back(&g);
-
-  // Budget 0: the pre-batching fallback, one graph per batch.
-  auto plan = gnn::plan_node_batches(ptrs, 0, 64);
-  EXPECT_EQ(plan.size(), ptrs.size());
-
-  // Huge budget: one batch covering everything.
-  plan = gnn::plan_node_batches(ptrs, 1u << 30, 64);
-  ASSERT_EQ(plan.size(), 1u);
-  EXPECT_EQ(plan[0], (std::pair<std::size_t, std::size_t>{0, ptrs.size()}));
-
-  // max_graphs = 2: ceil(N/2) batches.
-  plan = gnn::plan_node_batches(ptrs, 1u << 30, 2);
-  EXPECT_EQ(plan.size(), (ptrs.size() + 1) / 2);
-
-  // Tight budget: every batch within budget unless a lone graph exceeds it.
-  plan = gnn::plan_node_batches(ptrs, 40, 64);
-  std::size_t covered = 0;
-  for (const auto& [begin, end] : plan) {
-    ASSERT_LT(begin, end);
-    std::size_t nodes = 0;
-    for (std::size_t i = begin; i < end; ++i)
-      nodes += static_cast<std::size_t>(ptrs[i]->num_nodes);
-    if (end - begin > 1) {
-      EXPECT_LE(nodes, 40u);
-    }
-    covered += end - begin;
-  }
-  EXPECT_EQ(covered, ptrs.size());
-}
-
 bool bit_equal_matrix(const nn::Matrix& a, const nn::Matrix& b) {
   return a.same_shape(b) && std::equal(a.data(), a.data() + a.size(), b.data());
 }

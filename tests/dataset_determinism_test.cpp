@@ -112,9 +112,7 @@ TEST(DatasetDeterminism, ShardStreamReplaysTheDataset) {
   const Dataset ds = build_dataset(cfg, opts);
   ASSERT_FALSE(ds.shard_files.empty());
 
-  // BuildOptions carries the stream knobs for programmatic callers; the
-  // defaults (both off) keep this the plain one-shard-at-a-time reader.
-  ShardStream stream(ds.shard_files, opts.stream);
+  ShardStream stream(ds.shard_files);
   std::vector<gnn::CircuitGraph> streamed;
   std::vector<gnn::CircuitGraph> chunk;
   while (stream.next(chunk))

@@ -955,6 +955,10 @@ TEST(PlanNodeBatchesByDepth, GroupsSimilarDepthsDeterministically) {
   for (std::size_t i = 1; i < groups[0].size(); ++i)
     EXPECT_LE(ptrs[groups[0][i - 1]]->num_levels, ptrs[groups[0][i]]->num_levels);
 
+  // max_graphs = 2: ceil(N/2) groups.
+  groups = gnn::plan_node_batches_by_depth(ptrs, 1u << 30, 2);
+  EXPECT_EQ(groups.size(), (ptrs.size() + 1) / 2);
+
   // Tight budget: within budget unless a lone graph exceeds it; every index
   // covered exactly once; group depth ranges do not interleave.
   groups = gnn::plan_node_batches_by_depth(ptrs, 120, 64);

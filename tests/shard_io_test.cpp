@@ -3,6 +3,8 @@
 #include "aig/aig.hpp"
 #include "aig/gate_graph.hpp"
 #include "sim/probability.hpp"
+#include "util/bytes.hpp"
+#include "util/hash.hpp"
 
 #include <gtest/gtest.h>
 
@@ -195,6 +197,65 @@ TEST(ShardIo, MissingFileIsIoError) {
   EXPECT_EQ(reader.open("/nonexistent/definitely_missing.dgsh"), ShardError::kIo);
 }
 
+/// Rewrite the header's record count of the shard at `path` and re-seal the
+/// checksum, as anyone with write access to the cache directory could.
+void forge_record_count(const std::string& path, std::uint32_t num_records) {
+  auto bytes = read_file(path);
+  ASSERT_GE(bytes.size(), 40u);
+  std::vector<std::uint8_t> count;
+  util::put_u32(count, num_records);
+  std::copy(count.begin(), count.end(), bytes.begin() + 28);  // after hash, seed, index
+  const std::size_t payload_end = bytes.size() - 8;
+  std::vector<std::uint8_t> checksum;
+  util::put_u64(checksum, util::fnv1a_bytes(bytes.data() + 8, payload_end - 8));
+  std::copy(checksum.begin(), checksum.end(), bytes.begin() + static_cast<long>(payload_end));
+  write_file(path, bytes);
+}
+
+TEST(ShardIo, RejectsRecordCountThePayloadCannotHold) {
+  const fs::path dir = temp_dir();
+  const std::string path = (dir / "forged_count.dgsh").string();
+  // No records at all, then two real ones: either way the claimed count is
+  // far beyond what the payload holds at the minimum record size.
+  for (const auto& records : {std::vector<ShardRecord>{}, golden_records()}) {
+    ASSERT_TRUE(write_shard(path, 1, 1, 0, records));
+    forge_record_count(path, 0xFFFFFFFFu);
+    ShardReader reader;
+    EXPECT_EQ(reader.open(path), ShardError::kCorrupt);
+    ShardHeader header;
+    std::vector<ShardRecord> loaded;
+    ShardError err = ShardError::kNone;
+    EXPECT_NO_THROW(err = ShardReader::read_all(path, header, loaded));
+    EXPECT_EQ(err, ShardError::kCorrupt);
+    EXPECT_TRUE(loaded.empty());
+  }
+  // One more record than the two present still parses up to the payload end
+  // and is then rejected, never over-read.
+  ASSERT_TRUE(write_shard(path, 1, 1, 0, golden_records()));
+  forge_record_count(path, 3);
+  ShardHeader header;
+  std::vector<ShardRecord> loaded;
+  EXPECT_EQ(ShardReader::read_all(path, header, loaded), ShardError::kCorrupt);
+  fs::remove_all(dir);
+}
+
+TEST(ShardIo, DirectoryAtShardPathIsIoError) {
+  const fs::path dir = temp_dir();
+  const ShardCache cache(dir.string(), 1, 1);
+  fs::create_directories(cache.shard_path(0));
+  ShardReader reader;
+  EXPECT_EQ(reader.open(cache.shard_path(0)), ShardError::kIo);
+  ShardHeader header;
+  std::vector<ShardRecord> loaded;
+  ShardError err = ShardError::kNone;
+  EXPECT_NO_THROW(err = ShardReader::read_all(cache.shard_path(0), header, loaded));
+  EXPECT_EQ(err, ShardError::kIo);
+  // The cache treats it as a miss, so the dataset build regenerates.
+  std::vector<ShardRecord> out;
+  EXPECT_FALSE(cache.load(0, out));
+  fs::remove_all(dir);
+}
+
 TEST(ShardIo, EmptyShardRoundTrips) {
   const fs::path dir = temp_dir();
   const std::string path = (dir / "empty.dgsh").string();
@@ -250,7 +311,7 @@ TEST(ShardIoGolden, GoldenFileParsesToKnownContent) {
   expect_records_equal(golden_records(), loaded);
 }
 
-// -- ShardStream LRU + read-ahead ---------------------------------------------
+// -- ShardStream --------------------------------------------------------------
 
 /// Three distinct single-record shards; returns their paths.
 std::vector<std::string> make_shard_trio(const fs::path& dir) {
@@ -276,86 +337,32 @@ std::vector<std::vector<gnn::CircuitGraph>> drain_epochs(ShardStream& stream, in
   return chunks;
 }
 
-TEST(ShardStreamOptions, KnobsDoNotChangeTheSequence) {
-  const fs::path dir = temp_dir();
-  const auto paths = make_shard_trio(dir);
-
-  ShardStream plain(paths);
-  const auto baseline = drain_epochs(plain, 2);
-  ASSERT_EQ(baseline.size(), 6u);
-
-  for (const StreamOptions opts : {StreamOptions{2, false}, StreamOptions{0, true},
-                                   StreamOptions{2, true}, StreamOptions{8, true}}) {
-    ShardStream stream(paths, opts);
-    const auto chunks = drain_epochs(stream, 2);
-    ASSERT_EQ(chunks.size(), baseline.size());
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      ASSERT_EQ(chunks[c].size(), baseline[c].size());
-      for (std::size_t i = 0; i < chunks[c].size(); ++i)
-        EXPECT_TRUE(gnn::bit_equal(chunks[c][i], baseline[c][i]))
-            << "lru=" << opts.lru_shards << " ra=" << opts.readahead << " chunk " << c;
-    }
-  }
-}
-
-TEST(ShardStreamOptions, LruBoundsResidencyAndServesRepeats) {
-  const fs::path dir = temp_dir();
-  const auto paths = make_shard_trio(dir);
-
-  // Capacity >= shard count: epoch 2+ is served entirely from memory.
-  ShardStream cached(paths, StreamOptions{8, false});
-  drain_epochs(cached, 3);
-  EXPECT_EQ(cached.disk_loads(), 3u);
-  EXPECT_EQ(cached.lru_hits(), 6u);
-
-  // Capacity 1 with 3 shards cycling: every access evicts, never hits.
-  ShardStream tight(paths, StreamOptions{1, false});
-  drain_epochs(tight, 2);
-  EXPECT_EQ(tight.disk_loads(), 6u);
-  EXPECT_EQ(tight.lru_hits(), 0u);
-}
-
-TEST(ShardStreamOptions, ReadaheadPrefetchesAndSurvivesReset) {
-  const fs::path dir = temp_dir();
-  const auto paths = make_shard_trio(dir);
-
-  ShardStream stream(paths, StreamOptions{0, true});
-  const auto chunks = drain_epochs(stream, 2);
-  EXPECT_EQ(chunks.size(), 6u);
-  // Shard 0 of epoch 1 is a cold load (no prefetch had been scheduled);
-  // everything after can come off the prefetch thread. Exact counts depend
-  // on timing only in that a prefetch is always *taken* when scheduled for
-  // the right index — which the sequential cursor guarantees.
-  EXPECT_GE(stream.prefetch_hits(), 4u);
-  EXPECT_EQ(stream.disk_loads(), 6u);
-}
-
-TEST(ShardStreamOptions, ReadaheadSkipsCorruptShards) {
+TEST(ShardStream, ReplaysEpochsAndSkipsCorruptShards) {
   const fs::path dir = temp_dir();
   auto paths = make_shard_trio(dir);
-  // Corrupt the middle shard's payload.
+
+  // Every epoch reads each shard from disk and delivers the same sequence.
+  ShardStream stream(paths);
+  const auto chunks = drain_epochs(stream, 2);
+  ASSERT_EQ(chunks.size(), 6u);
+  for (std::size_t c = 0; c < 3; ++c) {
+    ASSERT_EQ(chunks[c + 3].size(), chunks[c].size());
+    for (std::size_t i = 0; i < chunks[c].size(); ++i)
+      EXPECT_TRUE(gnn::bit_equal(chunks[c + 3][i], chunks[c][i])) << "chunk " << c;
+  }
+  EXPECT_EQ(stream.disk_loads(), 6u);
+
+  // Corrupt the middle shard's payload: it is skipped with a warning.
   auto bytes = read_file(paths[1]);
   bytes[bytes.size() / 2] ^= 0xFF;
   write_file(paths[1], bytes);
-
-  ShardStream stream(paths, StreamOptions{2, true});
+  ShardStream skipping(paths);
   std::vector<gnn::CircuitGraph> chunk;
-  int chunks = 0;
-  while (stream.next(chunk)) ++chunks;
-  EXPECT_EQ(chunks, 2);  // the corrupt shard is skipped with a warning
-}
-
-TEST(ShardStreamOptions, FromEnvParsesKnobs) {
-  ::setenv("DEEPGATE_SHARD_LRU", "5", 1);
-  ::setenv("DEEPGATE_SHARD_READAHEAD", "1", 1);
-  const StreamOptions opts = StreamOptions::from_env();
-  EXPECT_EQ(opts.lru_shards, 5u);
-  EXPECT_TRUE(opts.readahead);
-  ::unsetenv("DEEPGATE_SHARD_LRU");
-  ::unsetenv("DEEPGATE_SHARD_READAHEAD");
-  const StreamOptions off = StreamOptions::from_env();
-  EXPECT_EQ(off.lru_shards, 0u);
-  EXPECT_FALSE(off.readahead);
+  int delivered = 0;
+  while (skipping.next(chunk)) ++delivered;
+  EXPECT_EQ(delivered, 2);
+  EXPECT_EQ(skipping.disk_loads(), 2u);
+  fs::remove_all(dir);
 }
 
 TEST(ShardIoGolden, WriterReproducesGoldenBytes) {

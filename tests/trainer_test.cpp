@@ -8,7 +8,6 @@
 #include "sim/probability.hpp"
 #include "synth/optimize.hpp"
 
-#include <cmath>
 
 #include <gtest/gtest.h>
 
@@ -102,75 +101,6 @@ TEST(Trainer, BatchAccumulationMatchesSmallBatches) {
     const auto result = train(*model, graphs, cfg);
     EXPECT_LT(result.epoch_loss.back(), result.epoch_loss.front()) << "batch=" << batch;
   }
-}
-
-TEST(Trainer, MergedForwardMatchesSequentialToTolerance) {
-  // The merged-batch path forwards each optimizer batch as one level-merged
-  // super-graph. The objective is identical and merged forwards are
-  // bit-exact per member, so per-epoch losses must track the sequential
-  // trainer closely (only backward accumulation order differs).
-  const auto graphs = tiny_training_set(6, 17);
-  TrainConfig cfg;
-  cfg.epochs = 4;
-  cfg.lr = 2e-3F;
-  cfg.seed = 3;
-  cfg.batch_circuits = 3;
-  cfg.threads = 1;
-
-  auto sequential = make_deepgate(tiny_config());
-  const auto r_seq = train(*sequential, graphs, cfg);
-
-  TrainConfig merged_cfg = cfg;
-  merged_cfg.merged_forward = true;
-  auto merged = make_deepgate(tiny_config());
-  const auto r_merged = train(*merged, graphs, merged_cfg);
-
-  ASSERT_EQ(r_merged.epoch_loss.size(), r_seq.epoch_loss.size());
-  for (std::size_t e = 0; e < r_seq.epoch_loss.size(); ++e)
-    EXPECT_NEAR(r_merged.epoch_loss[e], r_seq.epoch_loss[e],
-                5e-3 * (1.0 + std::abs(r_seq.epoch_loss[e])))
-        << "epoch " << e;
-  // And it actually trains.
-  EXPECT_LT(r_merged.epoch_loss.back(), r_merged.epoch_loss.front());
-}
-
-TEST(Trainer, MergedForwardWorksWhenStreaming) {
-  // train_streaming honors merged_forward too; with one chunk holding the
-  // whole set it reproduces train_merged exactly (same shuffles, same steps).
-  class OneChunkStream final : public GraphStream {
-   public:
-    explicit OneChunkStream(const std::vector<CircuitGraph>& graphs) : graphs_(graphs) {}
-    bool next(std::vector<CircuitGraph>& out) override {
-      if (done_) return false;
-      done_ = true;
-      out = graphs_;
-      return true;
-    }
-    void reset() override { done_ = false; }
-
-   private:
-    const std::vector<CircuitGraph>& graphs_;
-    bool done_ = false;
-  };
-
-  const auto graphs = tiny_training_set(4, 19);
-  TrainConfig cfg;
-  cfg.epochs = 2;
-  cfg.lr = 2e-3F;
-  cfg.seed = 5;
-  cfg.batch_circuits = 2;
-  cfg.merged_forward = true;
-
-  auto in_memory = make_deepgate(tiny_config());
-  const auto r_mem = train(*in_memory, graphs, cfg);
-
-  OneChunkStream stream(graphs);
-  auto streamed = make_deepgate(tiny_config());
-  const auto r_stream = train_streaming(*streamed, stream, cfg);
-
-  ASSERT_EQ(r_stream.epoch_loss.size(), r_mem.epoch_loss.size());
-  for (std::size_t e = 0; e < r_mem.epoch_loss.size(); ++e)
-    EXPECT_DOUBLE_EQ(r_stream.epoch_loss[e], r_mem.epoch_loss[e]) << "epoch " << e;
 }
 
 TEST(Trainer, BaselinesTrainToo) {
