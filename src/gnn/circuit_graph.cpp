@@ -4,8 +4,8 @@
 #include "util/bytes.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <map>
 #include <stdexcept>
 
 namespace dg::gnn {
@@ -15,8 +15,7 @@ namespace {
 /// all live on one level. `level_diff < 0` marks a normal edge (zero PE row).
 LevelBatch build_batch(const std::vector<std::array<int, 3>>& batch_edges,
                        const std::vector<int>& node_level, const std::vector<int>& node_pos,
-                       const std::vector<int>& dst_pos_in_level, int num_dst, int pe_L,
-                       bool with_pe) {
+                       int num_dst, int pe_L, bool with_pe) {
   LevelBatch batch;
   batch.num_edges = static_cast<int>(batch_edges.size());
   if (batch.num_edges == 0) return batch;
@@ -40,7 +39,7 @@ LevelBatch build_batch(const std::vector<std::array<int, 3>>& batch_edges,
     if (batch.groups.empty() || batch.groups.back().level != src_level)
       batch.groups.push_back({src_level, {}});
     batch.groups.back().pos.push_back(node_pos[static_cast<std::size_t>(src)]);
-    const int seg = dst_pos_in_level[static_cast<std::size_t>(dst)];
+    const int seg = node_pos[static_cast<std::size_t>(dst)];
     batch.seg.push_back(seg);
     deg[static_cast<std::size_t>(seg)] += 1.0F;
     if (with_pe && diff >= 0)
@@ -53,53 +52,6 @@ LevelBatch build_batch(const std::vector<std::array<int, 3>>& batch_edges,
   return batch;
 }
 
-/// Level layout (num_levels, nodes_at_level, level_order, node_pos) from the
-/// defining `level` array. Shared by finalize() and the delta rebuild.
-void rebuild_layout(CircuitGraph& g) {
-  g.num_levels = 0;
-  for (int l : g.level) g.num_levels = std::max(g.num_levels, l + 1);
-
-  g.nodes_at_level.assign(static_cast<std::size_t>(g.num_levels), {});
-  for (int v = 0; v < g.num_nodes; ++v)
-    g.nodes_at_level[static_cast<std::size_t>(g.level[static_cast<std::size_t>(v)])].push_back(v);
-
-  g.level_order.clear();
-  g.level_order.reserve(static_cast<std::size_t>(g.num_nodes));
-  g.node_pos.assign(static_cast<std::size_t>(g.num_nodes), 0);
-  for (const auto& nodes : g.nodes_at_level) {
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      g.node_pos[static_cast<std::size_t>(nodes[i])] = static_cast<int>(i);
-      g.level_order.push_back(nodes[i]);
-    }
-  }
-}
-
-/// Undirected GCN arrays + per-type node groups. Shared by finalize() and
-/// the delta rebuild.
-void rebuild_und_and_types(CircuitGraph& g) {
-  g.und_src.clear();
-  g.und_dst.clear();
-  g.und_src.reserve(g.edges.size() * 2);
-  g.und_dst.reserve(g.edges.size() * 2);
-  std::vector<float> deg(static_cast<std::size_t>(g.num_nodes), 0.0F);
-  for (const auto& [src, dst] : g.edges) {
-    g.und_src.push_back(src);
-    g.und_dst.push_back(dst);
-    g.und_src.push_back(dst);
-    g.und_dst.push_back(src);
-    deg[static_cast<std::size_t>(src)] += 1.0F;
-    deg[static_cast<std::size_t>(dst)] += 1.0F;
-  }
-  g.und_inv_deg.resize(static_cast<std::size_t>(g.num_nodes));
-  for (int v = 0; v < g.num_nodes; ++v)
-    g.und_inv_deg[static_cast<std::size_t>(v)] =
-        deg[static_cast<std::size_t>(v)] > 0.0F ? 1.0F / deg[static_cast<std::size_t>(v)] : 0.0F;
-
-  g.nodes_of_type.assign(static_cast<std::size_t>(g.num_types), {});
-  for (int v = 0; v < g.num_nodes; ++v)
-    g.nodes_of_type[static_cast<std::size_t>(g.type_id[static_cast<std::size_t>(v)])].push_back(v);
-}
-
 }  // namespace
 
 void CircuitGraph::finalize(int pe_L) {
@@ -107,7 +59,22 @@ void CircuitGraph::finalize(int pe_L) {
   assert(num_nodes == static_cast<int>(level.size()));
   this->pe_L = pe_L;
 
-  rebuild_layout(*this);
+  num_levels = 0;
+  for (int l : level) num_levels = std::max(num_levels, l + 1);
+
+  nodes_at_level.assign(static_cast<std::size_t>(num_levels), {});
+  for (int v = 0; v < num_nodes; ++v)
+    nodes_at_level[static_cast<std::size_t>(level[static_cast<std::size_t>(v)])].push_back(v);
+
+  level_order.clear();
+  level_order.reserve(static_cast<std::size_t>(num_nodes));
+  node_pos.assign(static_cast<std::size_t>(num_nodes), 0);
+  for (const auto& nodes : nodes_at_level) {
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      node_pos[static_cast<std::size_t>(nodes[i])] = static_cast<int>(i);
+      level_order.push_back(nodes[i]);
+    }
+  }
 
   // Bucket edges by destination level (forward) and source level (reverse).
   std::vector<std::vector<std::array<int, 3>>> fwd_edges(static_cast<std::size_t>(num_levels));
@@ -131,14 +98,14 @@ void CircuitGraph::finalize(int pe_L) {
   for (int L = 0; L < num_levels; ++L) {
     const int num_dst = static_cast<int>(nodes_at_level[static_cast<std::size_t>(L)].size());
     fwd[static_cast<std::size_t>(L)] =
-        build_batch(fwd_edges[static_cast<std::size_t>(L)], level, node_pos, node_pos, num_dst,
-                    pe_L, /*with_pe=*/false);
+        build_batch(fwd_edges[static_cast<std::size_t>(L)], level, node_pos, num_dst, pe_L,
+                    /*with_pe=*/false);
     fwd_skip[static_cast<std::size_t>(L)] =
-        build_batch(fwd_skip_edges[static_cast<std::size_t>(L)], level, node_pos, node_pos,
-                    num_dst, pe_L, /*with_pe=*/true);
+        build_batch(fwd_skip_edges[static_cast<std::size_t>(L)], level, node_pos, num_dst, pe_L,
+                    /*with_pe=*/true);
     rev[static_cast<std::size_t>(L)] =
-        build_batch(rev_edges[static_cast<std::size_t>(L)], level, node_pos, node_pos, num_dst,
-                    pe_L, /*with_pe=*/false);
+        build_batch(rev_edges[static_cast<std::size_t>(L)], level, node_pos, num_dst, pe_L,
+                    /*with_pe=*/false);
   }
 
   // Per-row update masks for batched graphs: a member whose own batch at a
@@ -167,7 +134,28 @@ void CircuitGraph::finalize(int pe_L) {
     }
   }
 
-  rebuild_und_and_types(*this);
+  und_src.clear();
+  und_dst.clear();
+  und_src.reserve(edges.size() * 2);
+  und_dst.reserve(edges.size() * 2);
+  std::vector<float> deg(static_cast<std::size_t>(num_nodes), 0.0F);
+  for (const auto& [src, dst] : edges) {
+    und_src.push_back(src);
+    und_dst.push_back(dst);
+    und_src.push_back(dst);
+    und_dst.push_back(src);
+    deg[static_cast<std::size_t>(src)] += 1.0F;
+    deg[static_cast<std::size_t>(dst)] += 1.0F;
+  }
+  und_inv_deg.resize(static_cast<std::size_t>(num_nodes));
+  for (int v = 0; v < num_nodes; ++v)
+    und_inv_deg[static_cast<std::size_t>(v)] =
+        deg[static_cast<std::size_t>(v)] > 0.0F ? 1.0F / deg[static_cast<std::size_t>(v)] : 0.0F;
+
+  nodes_of_type.assign(static_cast<std::size_t>(num_types), {});
+  for (int v = 0; v < num_nodes; ++v)
+    nodes_of_type[static_cast<std::size_t>(type_id[static_cast<std::size_t>(v)])].push_back(v);
+
   ++generation;
 }
 
@@ -187,97 +175,6 @@ void require_delta_ready(const CircuitGraph& g, const char* op) {
 void check_node_range(const CircuitGraph& g, int v, const char* op) {
   if (v < 0 || v >= g.num_nodes)
     throw std::invalid_argument(std::string(op) + ": node id out of range");
-}
-
-/// Incremental counterpart of finalize()'s derived-structure rebuild after a
-/// delta edit. `old_level`/`old_pos` are the pre-edit layout indexed by NEW
-/// node id (-1 entries for freshly inserted nodes); `changed` holds the
-/// nodes the op touched structurally (new ids). Re-derives the level layout
-/// in full (O(N)), then rebuilds LevelBatches only for *stale* levels: the
-/// old and new levels of every changed or moved node, plus the levels of
-/// their fanins and fanouts (a node is referenced by its (level, pos)
-/// coordinates in the batches of every level it feeds or is fed from) and of
-/// skip-edge destinations with a moved endpoint. Batches of other levels are
-/// untouched — bitwise identical to what a full finalize() would produce,
-/// because build_batch consumes edges of one level in the same canonical
-/// order either way.
-void rebuild_after_delta(CircuitGraph& g, const std::vector<int>& old_level,
-                         const std::vector<int>& old_pos, std::vector<int> changed,
-                         const std::vector<int>& extra_stale_levels) {
-  rebuild_layout(g);
-  const auto idx = [](int v) { return static_cast<std::size_t>(v); };
-
-  // Grow `changed` with every node whose (level, pos) coordinates moved.
-  std::vector<std::uint8_t> is_changed(idx(g.num_nodes), 0);
-  for (int v : changed) is_changed[idx(v)] = 1;
-  for (int v = 0; v < g.num_nodes; ++v) {
-    if (is_changed[idx(v)] != 0) continue;
-    if (old_level[idx(v)] != g.level[idx(v)] || old_pos[idx(v)] != g.node_pos[idx(v)]) {
-      is_changed[idx(v)] = 1;
-      changed.push_back(v);
-    }
-  }
-
-  std::vector<std::vector<int>> fanins(idx(g.num_nodes));
-  std::vector<std::vector<int>> fanouts(idx(g.num_nodes));
-  for (const auto& [src, dst] : g.edges) {
-    fanins[idx(dst)].push_back(src);
-    fanouts[idx(src)].push_back(dst);
-  }
-
-  std::vector<std::uint8_t> stale(idx(g.num_levels), 0);
-  const auto mark = [&](int l) {
-    if (l >= 0 && l < g.num_levels) stale[idx(l)] = 1;
-  };
-  for (int v : changed) {
-    mark(old_level[idx(v)]);
-    mark(g.level[idx(v)]);
-    for (int f : fanins[idx(v)]) mark(g.level[idx(f)]);
-    for (int u : fanouts[idx(v)]) mark(g.level[idx(u)]);
-  }
-  for (const auto& e : g.skip_edges)
-    if (is_changed[idx(e.src)] != 0 || is_changed[idx(e.dst)] != 0) {
-      mark(old_level[idx(e.dst)]);
-      mark(g.level[idx(e.dst)]);
-    }
-  for (int l : extra_stale_levels) mark(l);
-
-  g.fwd.resize(idx(g.num_levels));
-  g.fwd_skip.resize(idx(g.num_levels));
-  g.rev.resize(idx(g.num_levels));
-
-  // One bucketing pass over the canonical edge list, stale levels only —
-  // bucket content order matches finalize()'s full pass restricted to the
-  // same level.
-  std::vector<std::vector<std::array<int, 3>>> fwd_edges(idx(g.num_levels));
-  std::vector<std::vector<std::array<int, 3>>> fwd_skip_edges(idx(g.num_levels));
-  std::vector<std::vector<std::array<int, 3>>> rev_edges(idx(g.num_levels));
-  for (const auto& [src, dst] : g.edges) {
-    const int dl = g.level[idx(dst)];
-    const int sl = g.level[idx(src)];
-    if (stale[idx(dl)] != 0) {
-      fwd_edges[idx(dl)].push_back({src, dst, -1});
-      fwd_skip_edges[idx(dl)].push_back({src, dst, -1});
-    }
-    if (stale[idx(sl)] != 0) rev_edges[idx(sl)].push_back({dst, src, -1});
-  }
-  for (const auto& e : g.skip_edges) {
-    const int dl = g.level[idx(e.dst)];
-    if (stale[idx(dl)] != 0) fwd_skip_edges[idx(dl)].push_back({e.src, e.dst, e.level_diff});
-  }
-  for (int L = 0; L < g.num_levels; ++L) {
-    if (stale[idx(L)] == 0) continue;
-    const int num_dst = static_cast<int>(g.nodes_at_level[idx(L)].size());
-    g.fwd[idx(L)] = build_batch(fwd_edges[idx(L)], g.level, g.node_pos, g.node_pos, num_dst,
-                                g.pe_L, /*with_pe=*/false);
-    g.fwd_skip[idx(L)] = build_batch(fwd_skip_edges[idx(L)], g.level, g.node_pos, g.node_pos,
-                                     num_dst, g.pe_L, /*with_pe=*/true);
-    g.rev[idx(L)] = build_batch(rev_edges[idx(L)], g.level, g.node_pos, g.node_pos, num_dst,
-                                g.pe_L, /*with_pe=*/false);
-  }
-
-  rebuild_und_and_types(g);
-  ++g.generation;
 }
 
 }  // namespace
@@ -304,11 +201,6 @@ int CircuitGraph::delta_insert_node(int type, const std::vector<int>& fanins, fl
   int lv = 0;
   for (int f : fanins) lv = std::max(lv, level[static_cast<std::size_t>(f)] + 1);
 
-  std::vector<int> old_level = level;
-  old_level.push_back(-1);
-  std::vector<int> old_pos = node_pos;
-  old_pos.push_back(-1);
-
   ++num_nodes;
   type_id.push_back(type);
   level.push_back(lv);
@@ -317,7 +209,7 @@ int CircuitGraph::delta_insert_node(int type, const std::vector<int>& fanins, fl
   // list canonical (grouped by ascending dst).
   for (int f : fanins) edges.emplace_back(f, v);
 
-  rebuild_after_delta(*this, old_level, old_pos, {v}, {});
+  finalize(pe_L);
   return v;
 }
 
@@ -329,19 +221,6 @@ void CircuitGraph::delta_delete_node(int v) {
       throw std::invalid_argument("delta_delete_node: node still has fanouts");
 
   const auto remap = [v](int id) { return id > v ? id - 1 : id; };
-  const int old_lv = level[static_cast<std::size_t>(v)];
-
-  std::vector<int> changed;
-  for (const auto& [src, dst] : edges)
-    if (dst == v) changed.push_back(remap(src));
-  for (const auto& e : skip_edges)
-    if (e.src == v && e.dst != v) changed.push_back(remap(e.dst));
-
-  // Pre-edit layout in the compacted id space: drop v's entry.
-  std::vector<int> old_level = level;
-  old_level.erase(old_level.begin() + v);
-  std::vector<int> old_pos = node_pos;
-  old_pos.erase(old_pos.begin() + v);
 
   type_id.erase(type_id.begin() + v);
   level.erase(level.begin() + v);
@@ -359,7 +238,7 @@ void CircuitGraph::delta_delete_node(int v) {
   --num_nodes;
 
   // A fanout-free node feeds no one, so no other node's level can change.
-  rebuild_after_delta(*this, old_level, old_pos, std::move(changed), {old_lv});
+  finalize(pe_L);
 }
 
 void CircuitGraph::delta_rewire_node(int v, const std::vector<int>& new_fanins) {
@@ -393,17 +272,11 @@ void CircuitGraph::delta_rewire_node(int v, const std::vector<int>& new_fanins) 
       throw std::invalid_argument(
           "delta_rewire_node: fanin lies inside the node's fan-out cone (cycle)");
 
-  std::vector<int> changed = {v};
-  for (int f : fanins[idx(v)]) changed.push_back(f);
-  for (int f : new_fanins) changed.push_back(f);
   fanins[idx(v)] = new_fanins;
 
   edges.clear();
   for (int dst = 0; dst < num_nodes; ++dst)
     for (int f : fanins[idx(dst)]) edges.emplace_back(f, dst);
-
-  std::vector<int> old_level = level;
-  std::vector<int> old_pos = node_pos;
 
   // Re-levelize the cone in topological order (Kahn over cone-internal
   // edges); fanins outside the cone already carry final levels.
@@ -431,7 +304,6 @@ void CircuitGraph::delta_rewire_node(int v, const std::vector<int>& new_fanins) 
   for (auto e : skip_edges) {
     const int diff = level[idx(e.dst)] - level[idx(e.src)];
     if (diff != e.level_diff) {
-      changed.push_back(e.dst);
       if (diff < 1) continue;
       e.level_diff = diff;
     }
@@ -439,7 +311,7 @@ void CircuitGraph::delta_rewire_node(int v, const std::vector<int>& new_fanins) 
   }
   skip_edges = std::move(kept_skip);
 
-  rebuild_after_delta(*this, old_level, old_pos, std::move(changed), {});
+  finalize(pe_L);
 }
 
 CircuitGraph CircuitGraph::from_gate_graph(const aig::GateGraph& g,

@@ -126,12 +126,13 @@ struct CircuitGraph {
   // In-place structural edits on a finalized, non-batch graph. Each op keeps
   // the defining fields exactly as a from-scratch build would produce them
   // (edges stay grouped by destination in fanin order — the canonical order
-  // finalize() relies on for reproducible batch construction), re-levelizes
-  // only the fan-out cone of the edit, and rebuilds per-level batches only
-  // for levels whose membership, positions, or incident edges changed. All
-  // ops bump `generation`. They throw std::invalid_argument on merged
-  // batches, unfinalized graphs, out-of-range ids, or (for rewire) edits
-  // that would create a cycle.
+  // finalize() relies on for reproducible batch construction). A rewire
+  // re-levelizes only its fan-out cone; every op then re-derives the level
+  // layout and all batches with finalize(), which bumps `generation` once.
+  // Every check runs before the first mutation: the ops throw
+  // std::invalid_argument, leaving the graph and `generation` as they were,
+  // on merged batches, unfinalized graphs, out-of-range ids, or (for rewire)
+  // edits that would create a cycle.
 
   /// Append a node of `type` fed by `fanins` (existing ids; duplicates
   /// allowed, empty = new level-0 node). Returns the new node id

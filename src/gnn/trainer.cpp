@@ -28,6 +28,29 @@ double forward_backward(const Model& model, const CircuitGraph& g, int batch_cir
   return static_cast<double>(loss.item()) * batch_circuits;
 }
 
+/// One reshuffled pass over `graphs` in `order`: forward_backward per graph,
+/// and a clipped optimizer step every `batch_circuits` graphs and after the
+/// last one, so a step never straddles two passes. Each graph's unscaled loss
+/// is added to `loss` in visit order.
+void train_pass(const Model& model, const std::vector<CircuitGraph>& graphs,
+                std::vector<int>& order, util::Rng& rng, nn::Adam& opt, const TrainConfig& cfg,
+                double& loss) {
+  rng.shuffle(order);
+  int in_batch = 0;
+  opt.zero_grad();
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    loss += forward_backward(model, graphs[static_cast<std::size_t>(order[k])],
+                             cfg.batch_circuits);
+    ++in_batch;
+    if (in_batch == cfg.batch_circuits || k + 1 == order.size()) {
+      opt.clip_grad_norm(cfg.clip_norm);
+      opt.step();
+      opt.zero_grad();
+      in_batch = 0;
+    }
+  }
+}
+
 /// Sequential path — byte-for-byte the original single-threaded trainer.
 TrainResult train_sequential(Model& model, const std::vector<CircuitGraph>& train_set,
                              const TrainConfig& cfg) {
@@ -40,22 +63,8 @@ TrainResult train_sequential(Model& model, const std::vector<CircuitGraph>& trai
   std::iota(order.begin(), order.end(), 0);
 
   for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-    rng.shuffle(order);
     double epoch_loss = 0.0;
-    int in_batch = 0;
-    opt.zero_grad();
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      const CircuitGraph& g = train_set[static_cast<std::size_t>(order[k])];
-      epoch_loss += forward_backward(model, g, cfg.batch_circuits);
-      ++in_batch;
-      const bool last = (k + 1 == order.size());
-      if (in_batch == cfg.batch_circuits || last) {
-        opt.clip_grad_norm(cfg.clip_norm);
-        opt.step();
-        opt.zero_grad();
-        in_batch = 0;
-      }
-    }
+    train_pass(model, train_set, order, rng, opt, cfg, epoch_loss);
     epoch_loss /= static_cast<double>(train_set.size());
     result.epoch_loss.push_back(epoch_loss);
     if (cfg.verbose)
@@ -194,21 +203,8 @@ TrainResult train_streaming(Model& model, GraphStream& stream, const TrainConfig
         order.resize(chunk.size());
         std::iota(order.begin(), order.end(), 0);
       }
-      rng.shuffle(order);
-      int in_batch = 0;
-      opt.zero_grad();
-      for (std::size_t k = 0; k < order.size(); ++k) {
-        const CircuitGraph& g = chunk[static_cast<std::size_t>(order[k])];
-        epoch_loss += forward_backward(model, g, cfg.batch_circuits);
-        ++in_batch;
-        // Steps never straddle a chunk boundary: the tail batch closes here.
-        if (in_batch == cfg.batch_circuits || k + 1 == order.size()) {
-          opt.clip_grad_norm(cfg.clip_norm);
-          opt.step();
-          opt.zero_grad();
-          in_batch = 0;
-        }
-      }
+      // Steps never straddle a chunk boundary: the tail batch closes here.
+      train_pass(model, chunk, order, rng, opt, cfg, epoch_loss);
       total_graphs += chunk.size();
     }
     if (total_graphs == 0) return result;  // empty stream: no loss to report

@@ -158,41 +158,49 @@ std::optional<Netlist> read_bench(const std::string& text, std::string* error) {
     pending.push_back(std::move(pg));
   }
 
-  // Two-pass resolution so definitions can appear in any order: repeatedly
-  // emit gates whose fanins are all defined. A stuck iteration means a cycle
-  // or an undefined signal.
+  // Emit gates depth-first from each pending gate in file order: a gate goes
+  // out once its fanins have, so a file already in topological order
+  // (everything write_bench emits) keeps its gate ids, and any order resolves
+  // in time linear in the fanin count. The explicit stack keeps a deep chain
+  // off the call stack. Reaching an undefined signal or a gate still on the
+  // stack (a cycle) dooms the root, the first gate in file order that cannot
+  // be emitted.
   Netlist nl;
   std::unordered_map<std::string, int> id_of;
   for (const auto& n : input_names) id_of[n] = nl.add_input(n);
+  std::unordered_map<std::string, std::size_t> pending_of;
+  for (std::size_t i = 0; i < pending.size(); ++i) pending_of.emplace(pending[i].name, i);
 
-  std::vector<bool> emitted(pending.size(), false);
-  std::size_t remaining = pending.size();
-  while (remaining > 0) {
-    bool progress = false;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      if (emitted[i]) continue;
-      const auto& pg = pending[i];
-      bool ready = true;
-      for (const auto& fn : pg.fanin_names)
-        if (id_of.find(fn) == id_of.end()) {
-          ready = false;
-          break;
+  std::vector<bool> on_stack(pending.size(), false);
+  std::vector<std::pair<std::size_t, std::size_t>> stack;  ///< gate, next fanin to resolve
+  for (std::size_t root = 0; root < pending.size(); ++root) {
+    if (id_of.count(pending[root].name) != 0) continue;
+    stack.emplace_back(root, 0);
+    on_stack[root] = true;
+    while (!stack.empty()) {
+      const auto [i, next] = stack.back();
+      const PendingGate& pg = pending[i];
+      if (next < pg.fanin_names.size()) {
+        ++stack.back().second;
+        const std::string& fn = pg.fanin_names[next];
+        if (id_of.count(fn) != 0) continue;
+        const auto it = pending_of.find(fn);
+        if (it == pending_of.end() || on_stack[it->second]) {
+          set_error(error, at_line(pending[root].line,
+                                   "cyclic or undefined signal in netlist at '" +
+                                       pending[root].name + "'"));
+          return std::nullopt;
         }
-      if (!ready) continue;
+        stack.emplace_back(it->second, 0);
+        on_stack[it->second] = true;
+        continue;
+      }
       std::vector<int> fanins;
       fanins.reserve(pg.fanin_names.size());
       for (const auto& fn : pg.fanin_names) fanins.push_back(id_of[fn]);
       id_of[pg.name] = nl.add_gate(pg.type, std::move(fanins), pg.name);
-      emitted[i] = true;
-      --remaining;
-      progress = true;
-    }
-    if (!progress) {
-      const auto stuck = std::find(emitted.begin(), emitted.end(), false) - emitted.begin();
-      const PendingGate& pg = pending[static_cast<std::size_t>(stuck)];
-      set_error(error, at_line(pg.line, "cyclic or undefined signal in netlist at '" +
-                                            pg.name + "'"));
-      return std::nullopt;
+      on_stack[i] = false;
+      stack.pop_back();
     }
   }
 

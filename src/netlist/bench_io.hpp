@@ -16,10 +16,12 @@ namespace dg::netlist {
 std::string write_bench(const Netlist& nl);
 bool write_bench_file(const Netlist& nl, const std::string& path);
 
-/// Parse .bench text. Gate definitions may appear in any order (two-pass
-/// resolution). Unknown gate types, undefined or cyclic signals, a NOT/BUF
-/// without exactly one fanin and a signal defined twice (by INPUT or a gate)
-/// fail with a message in `error` that starts with the 1-based line number.
+/// Parse .bench text. Gate definitions may appear in any order (depth-first
+/// resolution, linear in the fanin count; a file in topological order keeps
+/// its gate order). Unknown gate types, undefined or cyclic signals, a
+/// NOT/BUF without exactly one fanin and a signal defined twice (by INPUT or
+/// a gate) fail with a message in `error` that starts with the 1-based line
+/// number.
 std::optional<Netlist> read_bench(const std::string& text, std::string* error = nullptr);
 std::optional<Netlist> read_bench_file(const std::string& path, std::string* error = nullptr);
 

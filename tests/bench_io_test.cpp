@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 namespace dg::netlist {
 namespace {
 
@@ -75,6 +77,10 @@ TEST(BenchIo, RoundTripPreservesSimulation) {
     ASSERT_TRUE(parsed.has_value()) << err;
     ASSERT_EQ(parsed->inputs().size(), original.inputs().size());
     ASSERT_EQ(parsed->outputs().size(), original.outputs().size());
+    // write_bench emits in topological order, so every gate keeps its id.
+    ASSERT_EQ(parsed->size(), original.size());
+    for (std::size_t i = 0; i < original.size(); ++i)
+      EXPECT_EQ(parsed->gate(static_cast<int>(i)).name, original.gate(static_cast<int>(i)).name);
 
     std::vector<std::uint64_t> patterns(original.inputs().size());
     for (auto& w : patterns) w = rng.next_u64();
@@ -145,6 +151,25 @@ TEST(BenchIo, ErrorsNameTheirLine) {
   EXPECT_EQ(err.rfind("line 2:", 0), 0u) << err;
   EXPECT_FALSE(read_bench("INPUT(a)\nx = AND(a, y)\ny = AND(a, x)\n", &err).has_value());
   EXPECT_EQ(err.rfind("line 2:", 0), 0u) << err;
+}
+
+// Definitions written last-first used to cost a rescan of every pending gate
+// per resolved one, O(N^2): this chain took about two minutes to parse.
+TEST(BenchIo, ReverseOrderedChainParsesInLinearTime) {
+  constexpr int kGates = 50000;
+  std::ostringstream os;
+  os << "INPUT(a)\nINPUT(b)\nOUTPUT(g" << kGates << ")\n";
+  for (int k = kGates; k > 1; --k) os << 'g' << k << " = AND(g" << k - 1 << ", b)\n";
+  os << "g1 = AND(a, b)\n";
+  const std::string text = os.str();
+  std::string err;
+  auto nl = read_bench(text, &err);
+  ASSERT_TRUE(nl.has_value()) << err;
+  ASSERT_EQ(nl->outputs().size(), 1U);
+  const Gate& out = nl->gate(nl->outputs()[0]);
+  EXPECT_EQ(out.name, "g50000");
+  EXPECT_EQ(out.type, GateType::kAnd);
+  EXPECT_EQ(nl->depth(), kGates);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Delta-update layer of CircuitGraph: every edit must leave the graph — both
 // the defining fields and every derived structure — exactly as a from-scratch
-// finalize() of the same fields would, while re-levelizing only the edit's
-// fan-out cone.
+// finalize() of the same fields would. A rewire re-levelizes only its fan-out
+// cone before the ops' closing finalize(); a rejected edit must leave the
+// graph and its generation exactly as they were.
 #include "gnn/circuit_graph.hpp"
 
 #include "aig/gate_graph.hpp"
@@ -135,9 +136,12 @@ TEST(IncrementalGraph, DeleteSinkMatchesRebuild) {
 
 TEST(IncrementalGraph, DeleteDrivenNodeThrows) {
   CircuitGraph g = diamond_graph();
+  const CircuitGraph before = g;
   EXPECT_THROW(g.delta_delete_node(0), std::invalid_argument);  // a PI drives ANDs
   EXPECT_THROW(g.delta_delete_node(-1), std::invalid_argument);
   EXPECT_THROW(g.delta_delete_node(g.num_nodes), std::invalid_argument);
+  EXPECT_TRUE(bit_equal(g, before));  // rejected edits leave the graph as it was
+  EXPECT_EQ(g.generation, before.generation);
 }
 
 TEST(IncrementalGraph, RewireMatchesRebuild) {
@@ -150,10 +154,13 @@ TEST(IncrementalGraph, RewireMatchesRebuild) {
 
 TEST(IncrementalGraph, RewireConeCycleThrows) {
   CircuitGraph g = diamond_graph();
+  const CircuitGraph before = g;
   // The output AND (5) is in node 3's fan-out cone; so is 3 itself.
   EXPECT_THROW(g.delta_rewire_node(3, {5}), std::invalid_argument);
   EXPECT_THROW(g.delta_rewire_node(3, {3}), std::invalid_argument);
   expect_matches_rebuild(g);  // failed edits must leave the graph untouched
+  EXPECT_TRUE(bit_equal(g, before));
+  EXPECT_EQ(g.generation, before.generation);
 }
 
 TEST(IncrementalGraph, RewireRecomputesSkipDiffAndDropsFlatEdges) {
@@ -187,16 +194,26 @@ TEST(IncrementalGraph, DeltaOpsRejectUnpreparedGraphs) {
   raw.type_id = {0, 0};
   raw.level = {0, 0};
   raw.labels = {0.5F, 0.5F};
+  const CircuitGraph raw_before = raw;
   EXPECT_THROW(raw.delta_insert_node(0, {}), std::invalid_argument);  // not finalized
+  EXPECT_TRUE(bit_equal(raw, raw_before));
+  EXPECT_EQ(raw.generation, raw_before.generation);
 
   const CircuitGraph a = diamond_graph();
   const CircuitGraph b = diamond_graph();
   CircuitGraph merged = CircuitGraph::merge({&a, &b});
+  const CircuitGraph merged_before = merged;
   EXPECT_THROW(merged.delta_insert_node(0, {}), std::invalid_argument);  // batch
+  EXPECT_TRUE(bit_equal(merged, merged_before));
+  EXPECT_EQ(merged.generation, merged_before.generation);
+
   CircuitGraph g = diamond_graph();
+  const CircuitGraph before = g;
   EXPECT_THROW(g.delta_insert_node(0, {42}), std::invalid_argument);  // bad fanin
   EXPECT_THROW(g.delta_insert_node(3, {}), std::invalid_argument);    // bad type
   EXPECT_THROW(g.delta_rewire_node(7, {}), std::invalid_argument);    // bad node
+  EXPECT_TRUE(bit_equal(g, before));
+  EXPECT_EQ(g.generation, before.generation);
 }
 
 /// Random graph with skip edges — broader shapes than the AIG pipeline emits.
