@@ -6,7 +6,8 @@
 //   DEEPGATE_THREADS    = <int>   (pool size used by sim/trainer/executor)
 //   DEEPGATE_BENCH_JSON = <path>  (machine-readable result file for benches
 //                                  that call write_json_report — currently
-//                                  micro_parallel; the --json CLI flag takes
+//                                  micro_parallel, micro_dataset and
+//                                  micro_serving; the --json CLI flag takes
 //                                  precedence)
 #pragma once
 

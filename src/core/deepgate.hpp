@@ -114,11 +114,12 @@ class Engine {
 
   /// Batched inference: ONE model forward over the level-merged disjoint
   /// union of `batch` (CircuitGraph::merge) yields every graph's
-  /// probabilities AND embeddings. Graphs that cannot share a merge
-  /// (different num_types/pe_L, or already-merged batches) split the request
-  /// into one forward per compatible run. Bit-exact with per-graph
-  /// predict_probabilities/embeddings. Throws std::invalid_argument on null
-  /// entries; an empty request and zero-node graphs yield empty results.
+  /// probabilities AND embeddings; an already-merged batch graph runs as a
+  /// forward of its own. Bit-exact with per-graph
+  /// predict_probabilities/embeddings. Throws std::invalid_argument, before
+  /// any forward runs, on null entries and on graphs whose num_types/pe_L
+  /// differ from the model's; an empty request and zero-node graphs yield
+  /// empty results.
   BatchInference infer_batch(const std::vector<const CircuitGraph*>& batch) const;
 
   /// Incremental inference over a mutating circuit (core/incremental_session

@@ -89,13 +89,6 @@ std::vector<Tensor> level_onehot(const CircuitGraph& g) {
   return x;
 }
 
-Tensor full_onehot(const CircuitGraph& g) {
-  nn::Matrix m(g.num_nodes, g.num_types);
-  for (int v = 0; v < g.num_nodes; ++v)
-    m.at(v, g.type_id[static_cast<std::size_t>(v)]) = 1.0F;
-  return nn::constant(std::move(m));
-}
-
 namespace {
 
 nn::Matrix padded_onehot_rows(const std::vector<int>& nodes, const CircuitGraph& g, int dim) {

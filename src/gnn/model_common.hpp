@@ -125,9 +125,6 @@ class Regressor {
 /// One-hot gate-type features for each level (B_L x num_types constants).
 std::vector<nn::Tensor> level_onehot(const CircuitGraph& g);
 
-/// One-hot features for the whole graph (N x num_types constant).
-nn::Tensor full_onehot(const CircuitGraph& g);
-
 /// Initial per-level hidden states: seeded-random N(0, 1/sqrt(d)) rows
 /// (DeepGate) or the one-hot features zero-padded to width d (baselines).
 std::vector<nn::Tensor> init_level_states(const CircuitGraph& g, int dim, bool random_init,

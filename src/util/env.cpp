@@ -38,20 +38,6 @@ long long env_int(const std::string& name, long long fallback) {
   return parsed;
 }
 
-double env_double(const std::string& name, double fallback) {
-  const char* v = std::getenv(name.c_str());
-  if (v == nullptr) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  // Same strict contract as env_int: a partially-consumed value is a typo,
-  // not a configuration.
-  if (end == v || *end != '\0') {
-    log_warn(name, "=\"", v, "\" is not a number; using fallback ", fallback);
-    return fallback;
-  }
-  return parsed;
-}
-
 bool knob_in_range(const std::string& name, long long value, long long lo, long long hi) {
   if (value >= lo && value <= hi) return true;
   log_warn(name, "=", value, " is outside [", lo, ", ", hi, "]; keeping the default");

@@ -54,11 +54,6 @@ std::uint64_t env_seed(std::uint64_t fallback = 1);
 /// integer; partially-numeric strings ("4x") warn and return `fallback`.
 long long env_int(const std::string& name, long long fallback);
 
-/// Generic floating-point env lookup with the same strict-parse contract as
-/// env_int: the whole value must parse ("0.5x" or "" warn and return
-/// `fallback`).
-double env_double(const std::string& name, double fallback);
-
 /// True when `value` lies in [lo, hi]; otherwise warns that knob `name`
 /// keeps its default and returns false. The one range check for integer
 /// knobs: `if (knob_in_range(name, v, lo, hi)) opt = v;`.

@@ -3,7 +3,8 @@
 // how requests happened to be batched; a free lane's window must close on an
 // empty queue when neither the budget nor the member cap is reached, and on
 // them when they are; try_submit must reject (not block) at capacity;
-// shutdown must leave no unfulfilled futures.
+// shutdown must leave no unfulfilled futures; a traced burst must link every
+// request to the forward span of the batch that served it.
 #include "serve/server.hpp"
 
 #include "core/deepgate.hpp"
@@ -12,6 +13,7 @@
 #include "nn/arena.hpp"
 #include "obs/obs.hpp"
 #include "sim/probability.hpp"
+#include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,8 @@
 #include <cstdlib>
 #include <future>
 #include <initializer_list>
+#include <set>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -762,14 +766,17 @@ TEST(ServeStats, HistogramCountsMatchBalanceCounters) {
 
 // Every counter of a request is recorded before its promise is fulfilled, so
 // stats() is exact right after get() — no shutdown, no waiting. Counters
-// count whatever the metrics switch; histograms obey it. The loop covers the
-// environment's mode (DEEPGATE_METRICS) and a forced-off pass.
+// count whatever the metrics switch; histograms obey it; served bits never
+// depend on it. The loop covers the environment's mode (DEEPGATE_METRICS)
+// and a forced-off pass.
 TEST(ServeStats, ExactAfterEveryGetWhateverTheMetricsSwitch) {
   const auto graphs = mixed_graphs();
   deepgate::Options options;
   options.model = tiny_config();
   const deepgate::Engine engine(options);
   const bool env_metrics = obs::metrics_enabled();
+  std::vector<std::vector<float>> want;
+  for (const auto& g : graphs) want.push_back(engine.predict_probabilities(g));
 
   for (const bool metrics : {env_metrics, false}) {
     obs::metrics_set_enabled(metrics);
@@ -780,7 +787,7 @@ TEST(ServeStats, ExactAfterEveryGetWhateverTheMetricsSwitch) {
     // One at a time: the k-th get() is already counted.
     std::uint64_t n = 0;
     for (const auto& g : graphs) {
-      server->submit({&g}).get();
+      EXPECT_EQ(server->submit({&g}).get().probabilities, want[n]) << "metrics " << metrics;
       ++n;
       const auto stats = server->stats();
       EXPECT_EQ(stats.served, n);
@@ -790,7 +797,8 @@ TEST(ServeStats, ExactAfterEveryGetWhateverTheMetricsSwitch) {
     std::vector<std::future<Response>> futures;
     for (int round = 0; round < 3; ++round)
       for (const auto& g : graphs) futures.push_back(server->submit({&g}));
-    for (auto& f : futures) f.get();
+    for (std::size_t k = 0; k < futures.size(); ++k)
+      EXPECT_EQ(futures[k].get().probabilities, want[k % want.size()]) << "metrics " << metrics;
     n += futures.size();
     const auto stats = server->stats();
     EXPECT_EQ(stats.served, n) << "metrics " << metrics;
@@ -847,6 +855,103 @@ TEST(ServeStats, SnapshotDeltasEqualSumOfServerStats) {
   EXPECT_EQ(served(after) - served(before), first.served + second.served);
   EXPECT_EQ(latency_count(after) - latency_count(before),
             first.latency_hist.count + second.latency_hist.count);
+}
+
+/// Forces the metrics and trace switches for one scope, restoring both.
+class ScopedObs {
+ public:
+  ScopedObs(bool metrics, bool trace)
+      : metrics_(obs::metrics_enabled()), trace_(obs::trace_enabled()) {
+    obs::metrics_set_enabled(metrics);
+    obs::trace_set_enabled(trace);
+  }
+  ~ScopedObs() {
+    obs::metrics_set_enabled(metrics_);
+    obs::trace_set_enabled(trace_);
+  }
+  ScopedObs(const ScopedObs&) = delete;
+  ScopedObs& operator=(const ScopedObs&) = delete;
+
+ private:
+  bool metrics_;
+  bool trace_;
+};
+
+// While a server is live, the process snapshot carries its lane-utilization
+// callback gauge, the derived memo hit rate and the global pool's
+// utilization. snapshot() never creates the pool, so the test does.
+TEST(ServeStats, LiveSnapshotCarriesLaneMemoAndPoolGauges) {
+  const ScopedObs obs_on(/*metrics=*/true, /*trace=*/obs::trace_enabled());
+  util::global_pool();
+  const auto graphs = mixed_graphs();
+  deepgate::Options options;
+  options.model = tiny_config();
+  const deepgate::Engine engine(options);
+  ServerOptions sopts;
+  sopts.lanes = 2;
+  auto server = deepgate::serve::start(engine, sopts);
+  server->submit({&graphs[0]}).get();
+
+  const obs::Snapshot snap = obs::snapshot();
+  const auto has_gauge = [&](const char* name) {
+    return std::any_of(snap.gauges.begin(), snap.gauges.end(),
+                       [&](const auto& gauge) { return gauge.first == name; });
+  };
+  EXPECT_TRUE(has_gauge("serve.lanes.utilization"));
+  EXPECT_TRUE(has_gauge("gnn.memo.hit_rate"));
+  EXPECT_TRUE(has_gauge("util.pool.utilization"));
+}
+
+// -- Tracing -------------------------------------------------------------------
+
+// A traced burst on two lanes: every request has one admission and one
+// fulfill span, each fulfill links (ref) to the forward span of the batch
+// that served it, and no event was overwritten — the ring must hold the whole
+// burst for the check to mean anything. The export goes to a fixed file in
+// the working directory (the build directory under ctest), which CI parses
+// as JSON.
+TEST(ServeTrace, EveryRequestLinksToItsForwardSpan) {
+  const auto graphs = mixed_graphs();
+  deepgate::Options options;
+  options.model = tiny_config();
+  const deepgate::Engine engine(options);
+
+  const ScopedObs trace_on(/*metrics=*/obs::metrics_enabled(), /*trace=*/true);
+  obs::trace_clear();
+  const std::uint64_t dropped_before = obs::trace_sink_stats().dropped;
+  ServerOptions sopts;
+  sopts.lanes = 2;
+  auto server = deepgate::serve::start(engine, sopts);
+  std::vector<std::future<Response>> futures;
+  for (int round = 0; round < 3; ++round)
+    for (const auto& g : graphs) futures.push_back(server->submit({&g}));
+  for (std::size_t k = 0; k < futures.size(); ++k)
+    EXPECT_EQ(futures[k].get().probabilities,
+              engine.predict_probabilities(graphs[k % graphs.size()]))
+        << "request " << k;
+  // A fulfill span closes after its promise is set: join the lanes first.
+  server->shutdown();
+
+  ASSERT_EQ(obs::trace_sink_stats().dropped, dropped_before) << "ring overwrote the burst";
+  std::size_t admissions = 0;
+  std::size_t window_closes = 0;
+  std::set<std::uint64_t> forward_ids;
+  std::vector<std::uint64_t> fulfill_refs;
+  for (const obs::TraceEvent& e : obs::trace_events()) {
+    const std::string_view name = e.name;
+    if (name == "serve.admission") ++admissions;
+    else if (name == "serve.fulfill") fulfill_refs.push_back(e.ref);
+    else if (name == "serve.forward") forward_ids.insert(e.id);
+    else if (name == "serve.window_close") ++window_closes;
+  }
+  EXPECT_EQ(admissions, futures.size());
+  EXPECT_EQ(fulfill_refs.size(), futures.size());
+  EXPECT_GE(window_closes, 1u);
+  for (const std::uint64_t ref : fulfill_refs) {
+    EXPECT_NE(ref, 0u);
+    EXPECT_EQ(forward_ids.count(ref), 1u) << "fulfill ref " << ref;
+  }
+  EXPECT_TRUE(obs::dump_trace("TRACE_serve_test.json"));
 }
 
 // -- Env knobs -----------------------------------------------------------------

@@ -130,27 +130,6 @@ TEST(Env, IntRejectsPartiallyConsumedValues) {
   EXPECT_EQ(env_int("DEEPGATE_TEST_INT", 9), 9);
 }
 
-TEST(Env, DoubleRejectsPartiallyConsumedValues) {
-  ::setenv("DEEPGATE_TEST_DBL", "0.5", 1);
-  EXPECT_EQ(env_double("DEEPGATE_TEST_DBL", -1.0), 0.5);
-  ::setenv("DEEPGATE_TEST_DBL", "-2.25", 1);
-  EXPECT_EQ(env_double("DEEPGATE_TEST_DBL", -1.0), -2.25);
-  // Scientific notation is a legal double, unlike for env_int.
-  ::setenv("DEEPGATE_TEST_DBL", "1e3", 1);
-  EXPECT_EQ(env_double("DEEPGATE_TEST_DBL", -1.0), 1000.0);
-  // Trailing garbage must not silently become the numeric prefix.
-  ::setenv("DEEPGATE_TEST_DBL", "0.5x", 1);
-  EXPECT_EQ(env_double("DEEPGATE_TEST_DBL", -1.0), -1.0);
-  ::setenv("DEEPGATE_TEST_DBL", "1.2.3", 1);
-  EXPECT_EQ(env_double("DEEPGATE_TEST_DBL", -1.0), -1.0);
-  ::setenv("DEEPGATE_TEST_DBL", "", 1);
-  EXPECT_EQ(env_double("DEEPGATE_TEST_DBL", 7.5), 7.5);
-  ::setenv("DEEPGATE_TEST_DBL", "nope", 1);
-  EXPECT_EQ(env_double("DEEPGATE_TEST_DBL", 7.5), 7.5);
-  ::unsetenv("DEEPGATE_TEST_DBL");
-  EXPECT_EQ(env_double("DEEPGATE_TEST_DBL", 9.75), 9.75);
-}
-
 TEST(Env, EpochOverride) {
   ::unsetenv("DEEPGATE_EPOCHS");
   EXPECT_EQ(env_epochs(12), 12);

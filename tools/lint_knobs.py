@@ -5,7 +5,7 @@ Rules (each violation prints one `rule: file:line: message` line; exit 1):
 
   knobs-raw-getenv     Every DEEPGATE_* env read in src/, bench/, tests/ and
                        examples/ must go through the strict util::env_int /
-                       env_double / env_str parsers. Raw std::getenv of a
+                       env_str parsers. Raw std::getenv of a
                        DEEPGATE_* name is allowed only in src/util/env.cpp,
                        where those parsers live.
 
@@ -46,7 +46,7 @@ DOCUMENTED_SCOPE = ("src", "bench")  # dirs whose knob reads must be in README
 
 # A knob read: a DEEPGATE_* string literal handed to a strict parser (or to
 # getenv inside the one sanctioned file).
-READ_RE = re.compile(r'\benv_(?:int|double|str|epochs|seed)\s*\(\s*"(DEEPGATE_[A-Z0-9_]+)"')
+READ_RE = re.compile(r'\benv_(?:int|str|epochs|seed)\s*\(\s*"(DEEPGATE_[A-Z0-9_]+)"')
 GETENV_RE = re.compile(r'\bgetenv\s*\(\s*"(DEEPGATE_[A-Z0-9_]+)"')
 # README tokens: any DEEPGATE_* identifier appearing in the docs.
 DOC_TOKEN_RE = re.compile(r"\b(DEEPGATE_[A-Z0-9]+(?:_[A-Z0-9]+)*)\b")
@@ -126,7 +126,7 @@ def main() -> int:
                 if rel_posix not in RAW_GETENV_ALLOWED:
                     violations.append(
                         f"knobs-raw-getenv: {rel}:{lineno}: raw std::getenv(\"{m.group(1)}\") — "
-                        "use util::env_int/env_double/env_str (strict parsing, one audit point)")
+                        "use util::env_int/env_str (strict parsing, one audit point)")
 
     readme = root / "README.md"
     doc_tokens = {}
