@@ -24,7 +24,7 @@ Var Aig::add_input(std::string name) {
   fanin0_.push_back(0);
   fanin1_.push_back(0);
   inputs_.push_back(v);
-  if (name.empty()) name = "i" + std::to_string(inputs_.size() - 1);
+  if (name.empty()) name = std::string("i").append(std::to_string(inputs_.size() - 1));
   input_names_.push_back(std::move(name));
   return v;
 }
@@ -58,7 +58,7 @@ Lit Aig::add_and_raw(Lit a, Lit b) {
 int Aig::add_output(Lit l, std::string name) {
   assert(lit_var(l) < type_.size());
   outputs_.push_back(l);
-  if (name.empty()) name = "o" + std::to_string(outputs_.size() - 1);
+  if (name.empty()) name = std::string("o").append(std::to_string(outputs_.size() - 1));
   output_names_.push_back(std::move(name));
   return static_cast<int>(outputs_.size()) - 1;
 }

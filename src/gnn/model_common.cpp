@@ -2,12 +2,15 @@
 
 #include "nn/ops.hpp"
 #include "obs/metrics.hpp"
+#include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cmath>
 #include <map>
 #include <stdexcept>
+#include <thread>
 
 namespace dg::gnn {
 
@@ -263,64 +266,269 @@ DirectedLayer::DirectedLayer(const ModelConfig& cfg, bool reversed, util::Rng& r
       agg_(make_aggregator(cfg.agg, cfg.dim, 2 * cfg.pe_L, rng)),
       gru_(refeed_ ? cfg.dim + cfg.num_types : cfg.dim, cfg.dim, rng) {}
 
-void DirectedLayer::run(const CircuitGraph& g, std::vector<Tensor>& states,
-                        const std::vector<Tensor>& queries,
-                        const std::vector<Tensor>& x_lvl, Scratch* scratch) const {
-  const bool memo = scratch != nullptr && !nn::grad_enabled();
-  if (memo && scratch->pe_term.size() != static_cast<std::size_t>(g.num_levels)) {
-    scratch->pe_term.assign(static_cast<std::size_t>(g.num_levels), Tensor());
-    scratch->pe_valid.assign(static_cast<std::size_t>(g.num_levels), 0);
-    scratch->inv_deg.assign(static_cast<std::size_t>(g.num_levels), Tensor());
-  }
-  const auto process_level = [&](int L) {
-    const LevelBatch& batch = batch_at(g, L);
-    if (batch.empty()) return;
-    const std::size_t lvl = static_cast<std::size_t>(L);
-    const int num_dst = static_cast<int>(g.nodes_at_level[lvl].size());
-    const Tensor h_src = gather_batch_sources(states, batch);
-    Tensor pe_term;
-    if (memo && scratch->pe_valid[lvl] != 0) {
-      pe_term = scratch->pe_term[lvl];
-    } else if (batch.pe.rows() > 0) {
-      pe_term = agg_->project_pe(nn::constant(batch.pe));
-      if (memo) {
-        scratch->pe_term[lvl] = pe_term;
-        scratch->pe_valid[lvl] = 1;
-      }
-    } else if (memo) {
-      scratch->pe_valid[lvl] = 1;  // no skip edges at this level: stays undefined
-    }
-    Tensor inv_deg;
-    if (memo && scratch->inv_deg[lvl].defined()) {
-      inv_deg = scratch->inv_deg[lvl];
-    } else {
-      inv_deg = nn::constant(
-          nn::Matrix::from_vector(num_dst, 1, std::vector<float>(batch.inv_deg)));
-      if (memo) scratch->inv_deg[lvl] = inv_deg;
-    }
-    const Tensor m = agg_->forward(h_src, queries[static_cast<std::size_t>(L)], batch.seg,
-                                   num_dst, inv_deg, pe_term);
-    const Tensor input = refeed_ ? nn::concat_cols(m, x_lvl[static_cast<std::size_t>(L)]) : m;
-    const Tensor updated = gru_.forward(input, states[static_cast<std::size_t>(L)]);
-    if (!batch.masked()) {
-      states[static_cast<std::size_t>(L)] = updated;
-      return;
-    }
-    // Batched graph with members that skip this level when alone: keep their
-    // rows' previous states via an exact row select (bitwise, no blending).
-    std::vector<int> pick(static_cast<std::size_t>(num_dst));
-    for (int r = 0; r < num_dst; ++r)
-      pick[static_cast<std::size_t>(r)] =
-          batch.update_rows[static_cast<std::size_t>(r)] != 0 ? r : num_dst + r;
-    states[static_cast<std::size_t>(L)] = nn::gather_rows(
-        nn::concat_rows({updated, states[static_cast<std::size_t>(L)]}), std::move(pick));
+void DirectedLayer::sweep_levels(const CircuitGraph& g, std::vector<int>& out) const {
+  out.clear();
+  const auto keep = [&](int L) {
+    if (!batch_at(g, L).empty()) out.push_back(L);
   };
-
   if (!reversed_) {
-    for (int L = 1; L < g.num_levels; ++L) process_level(L);
+    for (int L = 1; L < g.num_levels; ++L) keep(L);
   } else {
-    for (int L = g.num_levels - 2; L >= 0; --L) process_level(L);
+    for (int L = g.num_levels - 2; L >= 0; --L) keep(L);
   }
+}
+
+Tensor DirectedLayer::aggregate(const CircuitGraph& g, int L, const std::vector<Tensor>& states,
+                                const std::vector<Tensor>& queries, Scratch* scratch) const {
+  const LevelBatch& batch = batch_at(g, L);
+  const std::size_t lvl = static_cast<std::size_t>(L);
+  const int num_dst = static_cast<int>(g.nodes_at_level[lvl].size());
+  const Tensor h_src = gather_batch_sources(states, batch);
+  Tensor pe_term;
+  if (scratch != nullptr && scratch->pe_valid[lvl] != 0) {
+    pe_term = scratch->pe_term[lvl];
+  } else if (batch.pe.rows() > 0) {
+    pe_term = agg_->project_pe(nn::constant(batch.pe));
+    if (scratch != nullptr) {
+      scratch->pe_term[lvl] = pe_term;
+      scratch->pe_valid[lvl] = 1;
+    }
+  } else if (scratch != nullptr) {
+    scratch->pe_valid[lvl] = 1;  // no skip edges at this level: stays undefined
+  }
+  Tensor inv_deg;
+  if (scratch != nullptr && scratch->inv_deg[lvl].defined()) {
+    inv_deg = scratch->inv_deg[lvl];
+  } else {
+    inv_deg =
+        nn::constant(nn::Matrix::from_vector(num_dst, 1, std::vector<float>(batch.inv_deg)));
+    if (scratch != nullptr) scratch->inv_deg[lvl] = inv_deg;
+  }
+  return agg_->forward(h_src, queries[lvl], batch.seg, num_dst, inv_deg, pe_term);
+}
+
+namespace {
+
+/// Store level L's GRU output. In a batched graph some members skip this
+/// level when alone; their rows keep the previous states through an exact
+/// row select (bitwise, no blending).
+void commit_level(std::vector<Tensor>& states, int L, const LevelBatch& batch,
+                  const Tensor& updated) {
+  Tensor& state = states[static_cast<std::size_t>(L)];
+  if (!batch.masked()) {
+    state = updated;
+    return;
+  }
+  const int num_dst = state.rows();
+  std::vector<int> pick(static_cast<std::size_t>(num_dst));
+  for (int r = 0; r < num_dst; ++r)
+    pick[static_cast<std::size_t>(r)] =
+        batch.update_rows[static_cast<std::size_t>(r)] != 0 ? r : num_dst + r;
+  state = nn::gather_rows(nn::concat_rows({updated, state}), std::move(pick));
+}
+
+/// Helper slots in the product ring: how many levels the helper may run
+/// ahead of the levels the driver has finished.
+constexpr int kProductSlots = 3;
+
+/// One step of the helper's wait for a free slot. The waits last about one
+/// level step, so the thread stays on its core with a pause hint and
+/// yields only every 64th step, in case the driver lost its core.
+void spin_pause(unsigned& spins) {
+  if (++spins % 64 == 0) {
+    std::this_thread::yield();
+    return;
+  }
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+}  // namespace
+
+void DirectedLayer::run_taped(const CircuitGraph& g, std::vector<Tensor>& states,
+                              const std::vector<Tensor>& queries,
+                              const std::vector<Tensor>& x_lvl) const {
+  std::vector<int> levels;
+  sweep_levels(g, levels);
+  for (const int L : levels) {
+    const std::size_t lvl = static_cast<std::size_t>(L);
+    const Tensor m = aggregate(g, L, states, queries, nullptr);
+    const Tensor input = refeed_ ? nn::concat_cols(m, x_lvl[lvl]) : m;
+    commit_level(states, L, batch_at(g, L), gru_.forward(input, states[lvl]));
+  }
+}
+
+struct DirectedLayer::SweepBuffers {
+  SweepBuffers(const CircuitGraph& g, int dim)
+      : helper_slots(util::global_pool().runs_inline() ? 0 : kProductSlots) {
+    types.reserve(static_cast<std::size_t>(g.num_nodes));
+    level_start.reserve(g.nodes_at_level.size());
+    std::size_t widest = 0;
+    for (const std::vector<int>& nodes : g.nodes_at_level) {
+      level_start.push_back(static_cast<int>(types.size()));
+      for (const int v : nodes) types.push_back(g.type_id[static_cast<std::size_t>(v)]);
+      widest = std::max(widest, nodes.size());
+    }
+    slot_floats = 3 * widest * static_cast<std::size_t>(dim);
+    // Not zero-filled: hidden_products writes each product from zero, and
+    // only the rows a level uses are ever touched.
+    slots = nn::detail::arena_acquire_floats(static_cast<std::size_t>(1 + helper_slots) *
+                                             slot_floats);
+    levels.reserve(g.nodes_at_level.size());
+  }
+  ~SweepBuffers() { nn::detail::arena_release(slots); }
+  SweepBuffers(const SweepBuffers&) = delete;
+  SweepBuffers& operator=(const SweepBuffers&) = delete;
+
+  /// Where the driver computes the products it does not take from the
+  /// helper. Only the driver touches it.
+  float* driver_slot() const { return slots; }
+  /// Where the helper writes the products of the i-th level of a sweep. It
+  /// claims only levels fewer than helper_slots ahead of the driver's, so
+  /// it never writes a slot the driver is reading.
+  float* helper_slot(int i) const {
+    return slots + static_cast<std::size_t>(1 + i % helper_slots) * slot_floats;
+  }
+
+  std::vector<int> types;        ///< gate type of each level row, level by level
+  std::vector<int> level_start;  ///< index in `types` of each level's first row
+  std::vector<int> levels;       ///< the current sweep's levels, in sweep order
+  const int helper_slots;        ///< kProductSlots, or 0 when sweeps run inline
+  float* slots = nullptr;        ///< (1 + helper_slots) x 3 x widest level x dim
+  std::size_t slot_floats = 0;
+};
+
+namespace {
+
+/// One no-grad sweep over n levels, shared between its driver (the calling
+/// thread, which runs every level step in order) and at most one helper
+/// (another pool lane, which computes hidden-side products ahead). Indices
+/// count levels in sweep order. The helper claims an index by moving
+/// `next_` past it; the driver never waits for it, and computes the
+/// products itself when the helper has not published them yet, so a helper
+/// that lost its core delays nothing but its own wasted work.
+/// `products(i, out)` writes index i's products to `out`; `step(i,
+/// products)` runs level step i from them.
+template <class Products, class Step>
+class SharedSweep {
+ public:
+  SharedSweep(int n, const DirectedLayer::SweepBuffers& buffers, const Products& products,
+              const Step& step)
+      : n_(n), buffers_(buffers), products_(products), step_(step) {
+    for (std::atomic<int>& s : ready_) s.store(-1, std::memory_order_relaxed);
+  }
+
+  /// The sweep as one two-chunk fan-out on the global pool. Roles go by
+  /// thread, not chunk index: the calling thread drives on its first chunk
+  /// and returns on a second; a chunk on another thread helps unless a
+  /// helper already runs. With no second lane (one-lane pool, nested in a
+  /// pool chunk, InlineParallelGuard) the caller runs both chunks: it drives
+  /// and claims every level itself. If both chunks land on other threads,
+  /// the helper stops at a full ring and the caller drives once run_chunks
+  /// returns.
+  void run() {
+    const std::thread::id caller = std::this_thread::get_id();
+    util::global_pool().run_chunks(2, [this, caller](int /*chunk*/) {
+      if (std::this_thread::get_id() == caller) {
+        if (!driven_) drive();
+      } else if (foreign_.fetch_add(1, std::memory_order_acq_rel) == 0) {
+        help();
+      }
+    });
+    if (!driven_) drive();
+  }
+
+ private:
+  /// Level by level: take the helper's products if they are published,
+  /// else compute them; then run the step and free the helper's slot.
+  void drive() {
+    driven_ = true;
+    // Set on every exit, an exception included: a helper waiting on a full
+    // ring would otherwise spin forever and run_chunks never return.
+    struct Stop {
+      std::atomic<bool>& flag;
+      ~Stop() { flag.store(true, std::memory_order_release); }
+    } stop_on_exit{stop_};
+    for (int i = 0; i < n_; ++i) {
+      int expected = i;
+      const bool helper_claimed =
+          !next_.compare_exchange_strong(expected, i + 1, std::memory_order_acq_rel);
+      if (helper_claimed &&
+          ready_[i % kProductSlots].load(std::memory_order_acquire) == i) {
+        step_(i, buffers_.helper_slot(i));
+      } else {
+        products_(i, buffers_.driver_slot());
+        step_(i, buffers_.driver_slot());
+      }
+      done_.store(i + 1, std::memory_order_release);
+    }
+  }
+
+  /// Claim levels in order, fewer than helper_slots ahead of the levels the
+  /// driver has finished, until none is left or the driver has stopped or
+  /// cannot run inside the fan-out.
+  void help() {
+    const int ahead = buffers_.helper_slots;
+    unsigned spins = 0;
+    for (;;) {
+      int i = next_.load(std::memory_order_acquire);
+      if (i >= n_ || ahead == 0 || stop_.load(std::memory_order_acquire)) return;
+      if (i >= done_.load(std::memory_order_acquire) + ahead) {
+        if (foreign_.load(std::memory_order_acquire) > 1) return;
+        spin_pause(spins);
+        continue;
+      }
+      if (!next_.compare_exchange_weak(i, i + 1, std::memory_order_acq_rel)) continue;
+      products_(i, buffers_.helper_slot(i));
+      ready_[i % kProductSlots].store(i, std::memory_order_release);
+    }
+  }
+
+  const int n_;
+  const DirectedLayer::SweepBuffers& buffers_;
+  const Products& products_;
+  const Step& step_;
+  bool driven_ = false;            ///< calling thread only
+  std::atomic<int> next_{0};       ///< first unclaimed index
+  std::atomic<int> done_{0};       ///< indices the driver has finished
+  std::atomic<int> foreign_{0};    ///< chunks entered by other threads
+  std::atomic<bool> stop_{false};  ///< the driver has returned or thrown
+  std::atomic<int> ready_[kProductSlots];  ///< index whose helper products fill each slot
+};
+
+}  // namespace
+
+void DirectedLayer::run_no_grad(const CircuitGraph& g, std::vector<Tensor>& states,
+                                const std::vector<Tensor>& queries, Scratch& scratch,
+                                SweepBuffers& buffers) const {
+  if (scratch.pe_term.size() != static_cast<std::size_t>(g.num_levels)) {
+    scratch.pe_term.assign(static_cast<std::size_t>(g.num_levels), Tensor());
+    scratch.pe_valid.assign(static_cast<std::size_t>(g.num_levels), 0);
+    scratch.inv_deg.assign(static_cast<std::size_t>(g.num_levels), Tensor());
+  }
+  const std::vector<int>& levels = buffers.levels;
+  sweep_levels(g, buffers.levels);
+  if (levels.empty()) return;
+  const auto level = [&](int i) { return levels[static_cast<std::size_t>(i)]; };
+  // A level's state changes only when the sweep reaches it, so the state
+  // its step reads is its state at sweep start, queries[L]. The products
+  // read that copy: the driver never writes it, and it keeps the matrix
+  // alive while a late helper still reads it after the step replaced
+  // states[L].
+  const auto products = [&](int i, float* out) {
+    gru_.hidden_products(queries[static_cast<std::size_t>(level(i))].value(), out);
+  };
+  const auto step = [&](int i, const float* products) {
+    const int L = level(i);
+    const std::size_t lvl = static_cast<std::size_t>(L);
+    const Tensor m = aggregate(g, L, states, queries, &scratch);
+    const int* onehot = refeed_ ? buffers.types.data() + buffers.level_start[lvl] : nullptr;
+    commit_level(states, L, batch_at(g, L),
+                 nn::constant(gru_.step_no_grad(m.value(), onehot, states[lvl].value(),
+                                                products)));
+  };
+  SharedSweep(static_cast<int>(levels.size()), buffers, products, step).run();
 }
 
 void DirectedLayer::collect(nn::NamedParams& out, const std::string& prefix) const {
@@ -333,11 +541,19 @@ ForwardOutputs run_layered_forward(const CircuitGraph& g,
                                    const Regressor& regressor, const ModelConfig& cfg) {
   count_full_forward();
   std::vector<Tensor> states = init_level_states(g, cfg.dim, cfg.random_h0, cfg.seed);
-  const std::vector<Tensor> x_lvl = level_onehot(g);
-  std::map<const DirectedLayer*, DirectedLayer::Scratch> scratch;
-  for (const DirectedLayer* layer : sweeps) {
-    const std::vector<Tensor> queries = states;
-    layer->run(g, states, queries, x_lvl, &scratch[layer]);
+  if (nn::grad_enabled()) {
+    const std::vector<Tensor> x_lvl = level_onehot(g);
+    for (const DirectedLayer* layer : sweeps) {
+      const std::vector<Tensor> queries = states;
+      layer->run_taped(g, states, queries, x_lvl);
+    }
+  } else {
+    DirectedLayer::SweepBuffers buffers(g, cfg.dim);
+    std::map<const DirectedLayer*, DirectedLayer::Scratch> scratch;
+    for (const DirectedLayer* layer : sweeps) {
+      const std::vector<Tensor> queries = states;
+      layer->run_no_grad(g, states, queries, scratch[layer], buffers);
+    }
   }
   const Tensor h = full_from_levels(states, g);
   return {regressor.forward(h, g), h};

@@ -146,25 +146,40 @@ class DirectedLayer {
  public:
   DirectedLayer(const ModelConfig& cfg, bool reversed, util::Rng& rng);
 
-  /// Per-graph memo reused across repeated run() calls on the SAME graph —
-  /// the recurrent models' T sweeps. Caches level constants that cannot
-  /// change between sweeps: the aggregator's pe projection (the encodings of
-  /// Eq. (7) are pure graph structure) and the inv_deg constant. Consulted
-  /// only on the no-grad path; when gradients are recorded every sweep tapes
-  /// its own nodes, keeping training bitwise-untouched.
+  /// Per-graph memo reused across the no-grad sweeps of one layer on the
+  /// SAME graph (the recurrent models' T sweeps). Caches level constants
+  /// that cannot change between sweeps: the aggregator's pe projection (the
+  /// encodings of Eq. (7) are pure graph structure) and the inv_deg
+  /// constant. The taped path never uses it: every sweep tapes its own
+  /// nodes, keeping training bitwise-untouched.
   struct Scratch {
     std::vector<nn::Tensor> pe_term;      ///< project_pe output per level
     std::vector<unsigned char> pe_valid;  ///< pe_term[L] computed (may be undefined)
     std::vector<nn::Tensor> inv_deg;      ///< constant per level
   };
 
-  /// `states` is updated level by level; `queries` supplies h^{t-1} for the
+  /// Storage every no-grad sweep of one forward shares, whatever its layer
+  /// (defined in model_common.cpp): the gate type of each level row, which
+  /// the refed one-hot folds into, and the ring of hidden-side GRU product
+  /// slots.
+  struct SweepBuffers;
+
+  /// One sweep with gradients recorded. `states` is updated level by level;
+  /// `queries`, a copy of `states` at sweep start, supplies h^{t-1} for the
   /// attention aggregator; `x_lvl` supplies the refed gate-type features.
-  /// `scratch`, when given, must be used with one graph only and carries the
-  /// per-level constants across sweeps.
-  void run(const CircuitGraph& g, std::vector<nn::Tensor>& states,
-           const std::vector<nn::Tensor>& queries, const std::vector<nn::Tensor>& x_lvl,
-           Scratch* scratch = nullptr) const;
+  void run_taped(const CircuitGraph& g, std::vector<nn::Tensor>& states,
+                 const std::vector<nn::Tensor>& queries,
+                 const std::vector<nn::Tensor>& x_lvl) const;
+
+  /// The same sweep under NoGradGuard, bitwise equal. The calling thread
+  /// drives the levels in order; one idle pool lane, if there is one,
+  /// computes the hidden-side GRU products of the levels ahead from
+  /// `queries` (a level's state is its sweep-start state until the sweep
+  /// reaches it). `scratch` must be used with this layer and one graph
+  /// only; `buffers` with one graph only.
+  void run_no_grad(const CircuitGraph& g, std::vector<nn::Tensor>& states,
+                   const std::vector<nn::Tensor>& queries, Scratch& scratch,
+                   SweepBuffers& buffers) const;
 
   void collect(nn::NamedParams& out, const std::string& prefix) const;
 
@@ -175,6 +190,14 @@ class DirectedLayer {
            : use_skip_ ? g.fwd_skip[static_cast<std::size_t>(L)]
                        : g.fwd[static_cast<std::size_t>(L)];
   }
+
+  /// The levels this layer updates, in sweep order: those whose batch has
+  /// edges (a level without edges keeps its states).
+  void sweep_levels(const CircuitGraph& g, std::vector<int>& out) const;
+
+  /// Aggregated messages into level L (the taped path passes no scratch).
+  nn::Tensor aggregate(const CircuitGraph& g, int L, const std::vector<nn::Tensor>& states,
+                       const std::vector<nn::Tensor>& queries, Scratch* scratch) const;
 
   bool reversed_;
   bool use_skip_;

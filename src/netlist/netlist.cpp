@@ -21,7 +21,7 @@ const char* gate_type_name(GateType t) {
 }
 
 int Netlist::add_input(std::string name) {
-  if (name.empty()) name = "I" + std::to_string(inputs_.size());
+  if (name.empty()) name = std::string("I").append(std::to_string(inputs_.size()));
   gates_.push_back(Gate{GateType::kInput, {}, std::move(name)});
   inputs_.push_back(static_cast<int>(gates_.size()) - 1);
   return inputs_.back();
@@ -36,7 +36,7 @@ int Netlist::add_gate(GateType type, std::vector<int> fanins, std::string name) 
     (void)f;
   }
   if ((type == GateType::kNot || type == GateType::kBuf)) assert(fanins.size() == 1);
-  if (name.empty()) name = "G" + std::to_string(self);
+  if (name.empty()) name = std::string("G").append(std::to_string(self));
   gates_.push_back(Gate{type, std::move(fanins), std::move(name)});
   return self;
 }

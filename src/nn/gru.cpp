@@ -1,9 +1,11 @@
 #include "nn/gru.hpp"
 
 #include "nn/init.hpp"
-#include "nn/kernels.hpp"
 #include "nn/simd/backend.hpp"
 #include "nn/simd/dispatch.hpp"
+
+#include <algorithm>
+#include <cassert>
 
 namespace dg::nn {
 
@@ -37,19 +39,44 @@ Tensor GruCell::forward(const Tensor& x, const Tensor& h) const {
 }
 
 // The taped composition above, op for op, with every intermediate folded
-// into three buffers. Each matmul starts from a zeroed buffer like
-// kern::matmul does, and each elementwise step is the same backend call on
-// the same operands in the same order, only written in place, so the
-// result is bitwise the taped one on every backend.
+// into three buffers plus the hidden-side products. Each matmul starts from
+// a zeroed buffer like kern::matmul does, and each elementwise step is the
+// same backend call on the same operands in the same order, only written
+// in place, so the result is bitwise the taped one on every backend.
 Matrix GruCell::forward_no_grad(const Matrix& x, const Matrix& h) const {
+  Matrix products(3 * h.rows(), hidden_);
+  hidden_products(h, products.data());
+  return step_no_grad(x, nullptr, h, products.data());
+}
+
+void GruCell::hidden_products(const Matrix& h, float* out) const {
+  assert(h.cols() == hidden_);
   const kern::KernelBackend& be = kern::backend();
+  for (const Tensor* u : {&uz_, &ur_, &un_}) {
+    std::fill_n(out, h.size(), 0.0F);
+    be.matmul_rows(out, h.data(), u->value().data(), 0, h.rows(), hidden_, hidden_);
+    out += h.size();
+  }
+}
+
+Matrix GruCell::step_no_grad(const Matrix& x, const int* onehot, const Matrix& h,
+                             const float* products) const {
   const int rows = h.rows();
+  const bool fold = x.cols() < input_;
+  assert(x.cols() <= input_ && (!fold || onehot != nullptr || rows == 0));
+  const kern::KernelBackend& be = kern::backend();
   const std::size_t size = h.size();
   const std::size_t cols = static_cast<std::size_t>(hidden_);
-  // buf = a * w, from zero.
-  auto product = [](Matrix& buf, const Matrix& a, const Tensor& w) {
+  const float* hz = products;
+  const float* hr = products + size;
+  const float* hn = products + 2 * size;
+  // buf = x * w from zero; a one-hot tail adds its weight row last.
+  auto product = [&](Matrix& buf, const Tensor& w) {
     buf.fill(0.0F);
-    kern::matmul_acc(buf, a, w.value());
+    be.matmul_rows(buf.data(), x.data(), w.value().data(), 0, rows, x.cols(), hidden_);
+    if (!fold) return;
+    for (int r = 0; r < rows; ++r)
+      be.add_n(buf.row_ptr(r), buf.row_ptr(r), w.value().row_ptr(x.cols() + onehot[r]), cols);
   };
   // buf = buf + bias, row by row (kern::add_rowvec).
   auto add_bias = [&](Matrix& buf, const Tensor& bias) {
@@ -61,25 +88,22 @@ Matrix GruCell::forward_no_grad(const Matrix& x, const Matrix& h) const {
   Matrix t(rows, hidden_);
 
   // z = sigmoid(x Wz + h Uz + bz)
-  product(z, x, wz_);
-  product(t, h, uz_);
-  be.add_n(z.data(), z.data(), t.data(), size);
+  product(z, wz_);
+  be.add_n(z.data(), z.data(), hz, size);
   add_bias(z, bz_);
   be.sigmoid_n(z.data(), z.data(), size);
 
   // r = sigmoid(x Wr + h Ur + br)
-  product(r, x, wr_);
-  product(t, h, ur_);
-  be.add_n(r.data(), r.data(), t.data(), size);
+  product(r, wr_);
+  be.add_n(r.data(), r.data(), hr, size);
   add_bias(r, br_);
   be.sigmoid_n(r.data(), r.data(), size);
 
   // n = tanh(x Wn + r o (h Un) + bn); r's buffer takes x Wn once r o (h Un)
   // has consumed r, and then holds n.
-  product(t, h, un_);
-  be.mul_n(t.data(), r.data(), t.data(), size);
+  be.mul_n(t.data(), r.data(), hn, size);
   Matrix& n = r;
-  product(n, x, wn_);
+  product(n, wn_);
   be.add_n(n.data(), n.data(), t.data(), size);
   add_bias(n, bn_);
   be.tanh_n(n.data(), n.data(), size);

@@ -11,12 +11,17 @@
 // Two paths compute the same bits. Under gradient recording, forward() is
 // the taped composition of nn ops (the grad path, and the oracle the no-grad
 // path is tested against in tests/gru_test.cpp). Under NoGradGuard it runs
-// the fused step: the six matmuls write into three work buffers, one of
-// which becomes the output, and each gate's add, bias add, sigmoid/tanh and
-// blend runs in place through the active kernel backend in exactly the
-// taped order. A level step then costs three buffers and one tape node
-// instead of twenty of each, which is most of its overhead on the thin
-// levels (a few rows) that dominate a forward.
+// the fused step in two calls: hidden_products() writes the three
+// hidden-side products h Uz, h Ur and h Un, and step_no_grad() does the
+// rest. The split lets a caller compute a level's hidden-side products
+// ahead of time on another thread, since they read only h (gnn/
+// model_common.cpp does this on an idle pool lane). The step writes its
+// input-side matmuls into three work buffers, one of which becomes the
+// output, and runs each gate's add, bias add, sigmoid/tanh and blend in
+// place through the active kernel backend in exactly the taped order. A
+// level step then costs three buffers and one tape node instead of twenty
+// of each, which is most of its overhead on the thin levels (a few rows)
+// that dominate a forward.
 #pragma once
 
 #include "nn/module.hpp"
@@ -33,6 +38,22 @@ class GruCell {
   /// x: N x input, h: N x hidden -> new hidden N x hidden. Fused when
   /// gradients are off (see above); bitwise equal either way.
   Tensor forward(const Tensor& x, const Tensor& h) const;
+
+  /// First half of the fused step: h Uz, h Ur and h Un, each N x hidden and
+  /// written from zero, back to back into `out` (3 * N * hidden floats).
+  /// Allocates nothing and touches no thread-local state, so any thread may
+  /// run it.
+  void hidden_products(const Matrix& h, float* out) const;
+
+  /// Second half: the new hidden state from `products` =
+  /// hidden_products(h). `x` holds the first x.cols() input columns. When
+  /// that is fewer than input_size(), row r's remaining columns are a
+  /// one-hot with its 1 at column x.cols() + onehot[r] (`onehot` is unread
+  /// otherwise). The one-hot is folded in as an add of the matching weight
+  /// row after the x product, which is bitwise the full product: the
+  /// zero-skipping k-order matmul skips the zeros and adds 1 * w last.
+  Matrix step_no_grad(const Matrix& x, const int* onehot, const Matrix& h,
+                      const float* products) const;
 
   void collect(NamedParams& out, const std::string& prefix) const;
 

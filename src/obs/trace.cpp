@@ -182,7 +182,8 @@ std::string micros(std::int64_t ns) {
       ns < 0 ? 0 - static_cast<std::uint64_t>(ns) : static_cast<std::uint64_t>(ns);
   char frac[4];
   std::snprintf(frac, sizeof(frac), "%03u", static_cast<unsigned>(mag % 1000));
-  return (ns < 0 ? "-" : "") + std::to_string(mag / 1000) + "." + frac;
+  std::string out(ns < 0 ? "-" : "");
+  return out.append(std::to_string(mag / 1000)).append(".").append(frac);
 }
 
 }  // namespace

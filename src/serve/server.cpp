@@ -206,6 +206,10 @@ Stats Server::stats() const {
 // -- Worker lanes -------------------------------------------------------------
 
 void Server::lane_loop(int lanes) {
+  // A serve lane already owns a core, so the sweeps of its forwards run
+  // inline instead of borrowing a pool lane: unguarded, the lanes would
+  // serialize on the pool's submit lock for a whole sweep.
+  const dg::util::InlineParallelGuard inline_sweeps;
   // Lane-owned replica: identical parameters, private mutable state.
   const std::unique_ptr<dg::gnn::Model> model = engine_.clone_model();
   const WindowLimits limits{options_.node_budget, options_.max_graphs,

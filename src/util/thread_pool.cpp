@@ -159,9 +159,11 @@ ThreadPool::~ThreadPool() {
   delete stats_;
 }
 
+bool ThreadPool::runs_inline() const { return impl_ == nullptr || t_in_parallel_region; }
+
 void ThreadPool::run_chunks(int num_chunks, const std::function<void(int)>& fn) {
   if (num_chunks <= 0) return;
-  if (impl_ == nullptr || num_chunks == 1 || t_in_parallel_region) {
+  if (num_chunks == 1 || runs_inline()) {
     for (int c = 0; c < num_chunks; ++c) fn(c);
     // Inline execution is the nested/serial fast path: count the chunks on
     // lane 0 but skip the clock reads that full accounting would cost.

@@ -9,9 +9,14 @@
 // count; float reductions (trainer replicas) are deterministic for a fixed
 // chunk count.
 //
-// The callers are coarse-grained: gnn::execute, the simulator, the trainer
-// and the dataset builder. The nn kernels never reach the pool; they run on
-// the thread that calls them (nn/kernels.hpp).
+// The callers are coarse-grained: gnn::execute, the simulator, the trainer,
+// the dataset builder, and each no-grad sweep of a model forward
+// (gnn/model_common.cpp). A sweep makes one two-chunk fan-out: the calling
+// thread drives the levels while a second lane, if one is idle, computes
+// the levels' hidden-side GRU products ahead of it. Forwards that already
+// run inside a pool chunk or on a serve lane (InlineParallelGuard) run
+// both chunks inline. The nn kernels never reach the pool; they run on the
+// thread that calls them (nn/kernels.hpp).
 //
 // The pool size is controlled by the DEEPGATE_THREADS environment variable
 // (default: hardware concurrency). A single-thread pool never spawns workers
@@ -47,6 +52,11 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   int num_threads() const { return num_threads_; }
+
+  /// True when a run_chunks call from this thread would run every chunk
+  /// inline on it: a one-lane pool, or a thread already inside a pool
+  /// chunk or an InlineParallelGuard.
+  bool runs_inline() const;
 
   /// Run fn(chunk) for chunk in [0, num_chunks) across the pool and block
   /// until every chunk finished. Chunks are claimed dynamically; the caller

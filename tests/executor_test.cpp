@@ -1,15 +1,20 @@
 // gnn::execute: groups from the depth planner, claimed longest first, with
 // results bitwise equal to per-graph inference at any thread count and node
-// budget; and the bounded DEEPGATE_SERVE_* knobs ServeOptions reads.
+// budget; the caller-thread forward's helper lane, bitwise equal to the
+// inline sweep; and the bounded DEEPGATE_SERVE_* knobs ServeOptions reads.
 #include "core/deepgate.hpp"
 #include "data/dataset.hpp"
 #include "data/generators_large.hpp"
+#include "gnn/models.hpp"
+#include "nn/arena.hpp"
+#include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -253,6 +258,89 @@ TEST(ExecuteEquivalence, PooledEvaluateOnTable3MatchesSerialEq8) {
   opts.threads = 2;
   const double pooled = gnn::evaluate(engine.model(), designs, opts);
   EXPECT_EQ(std::memcmp(&pooled, &serial, sizeof pooled), 0) << pooled << " vs " << serial;
+}
+
+// -- The helper lane of a caller-thread forward --------------------------------
+
+/// Every member's probabilities and embedding after one no-grad forward of
+/// `parts` (merged when several) on the calling thread.
+std::vector<std::vector<float>> forward_members(const gnn::Model& model,
+                                                const std::vector<const CircuitGraph*>& parts) {
+  const nn::NoGradGuard no_grad;
+  gnn::Batch batch = gnn::Batch::merge(parts);
+  batch.forward(model);
+  std::vector<std::vector<float>> out;
+  for (std::size_t m = 0; m < parts.size(); ++m) {
+    out.push_back(batch.prediction(m));
+    const nn::Matrix emb = batch.embedding(m);
+    out.emplace_back(emb.data(), emb.data() + emb.size());
+  }
+  return out;
+}
+
+bool bit_equal_members(const std::vector<std::vector<float>>& a,
+                       const std::vector<std::vector<float>>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (a[i].size() != b[i].size() ||
+        (!a[i].empty() && std::memcmp(a[i].data(), b[i].data(), a[i].size() * sizeof(float)) != 0))
+      return false;
+  return true;
+}
+
+// A caller-thread forward hands each sweep's hidden-side GRU products to an
+// idle pool lane. The result must be the bits of the same forward run
+// inline (InlineParallelGuard) and on a one-lane pool, for every
+// DirectedLayer family, with the arena on and off, on a merged batch whose
+// shallow members leave masked rows, at 2 and 4 lanes.
+TEST(SweepHelper, PooledForwardBitwiseEqualsInlineAndOneLane) {
+  const CircuitGraph deep = deepgate::prepare(data::gen_multiplier(4), 500, 21);
+  const CircuitGraph shallow = deepgate::prepare(data::gen_squarer(3), 500, 22);
+  const std::vector<std::vector<const CircuitGraph*>> inputs = {{&deep}, {&shallow, &deep}};
+  const CircuitGraph merged = CircuitGraph::merge(inputs[1]);
+  bool masked = false;
+  for (const gnn::LevelBatch& b : merged.rev) masked = masked || b.masked();
+  ASSERT_TRUE(masked) << "the merged batch must exercise the masked row select";
+
+  const std::vector<gnn::ModelSpec> specs = {
+      {gnn::ModelFamily::kDagConv, gnn::AggKind::kConvSum, false},
+      {gnn::ModelFamily::kDagRec, gnn::AggKind::kAttention, false},
+      {gnn::ModelFamily::kDeepGate, gnn::AggKind::kAttention, false},
+      {gnn::ModelFamily::kDeepGate, gnn::AggKind::kAttention, true},
+  };
+  gnn::ModelConfig cfg = tiny_config();
+  cfg.iterations = 2;
+  const bool arena_was = nn::arena_enabled();
+  std::uint64_t worker_chunks = 0;
+  for (const gnn::ModelSpec& spec : specs) {
+    const std::unique_ptr<gnn::Model> model = gnn::make_model(spec, cfg);
+    for (const bool arena_on : {true, false}) {
+      nn::arena_set_enabled(arena_on);
+      for (const auto& parts : inputs) {
+        util::set_global_threads(1);
+        const auto one_lane = forward_members(*model, parts);
+        for (const int lanes : {2, 4}) {
+          util::set_global_threads(lanes);
+          const std::string where = gnn::model_spec_label(spec) + (arena_on ? " arena" : " heap") +
+                                    " members " + std::to_string(parts.size()) + " lanes " +
+                                    std::to_string(lanes);
+          const auto pooled = forward_members(*model, parts);
+          std::vector<std::vector<float>> inline_run;
+          {
+            const util::InlineParallelGuard inline_only;
+            inline_run = forward_members(*model, parts);
+          }
+          EXPECT_TRUE(bit_equal_members(pooled, inline_run)) << where << ": pooled vs inline";
+          EXPECT_TRUE(bit_equal_members(pooled, one_lane)) << where << ": pooled vs one lane";
+          const std::vector<util::PoolLaneStats> stats = util::global_pool().lane_stats();
+          for (std::size_t lane = 1; lane < stats.size(); ++lane) worker_chunks += stats[lane].chunks;
+        }
+      }
+    }
+  }
+  nn::arena_set_enabled(arena_was);
+  util::set_global_threads(1);
+  EXPECT_GT(worker_chunks, 0U) << "no sweep ever reached a worker lane";
 }
 
 // -- Env knobs -----------------------------------------------------------------

@@ -1,7 +1,8 @@
 // The fused no-grad GRU step (ctest label: kernels). GruCell::forward under
-// NoGradGuard must equal the taped composition it replaces, bit for bit, on
-// every runnable backend with the arena on and off — the taped path (run
-// with gradients recording) is the oracle. A structural guard keeps the
+// NoGradGuard, and its two halves hidden_products + step_no_grad, must equal
+// the taped composition they replace, bit for bit, on every runnable
+// backend with the arena on and off — the taped path (run with gradients
+// recording) is the oracle. A structural guard keeps the
 // fused step from drifting back to the op chain's per-op buffers.
 #include "nn/arena.hpp"
 #include "nn/gru.hpp"
@@ -113,6 +114,46 @@ TEST(GruFused, BitwiseEqualToTapedCompositionEverywhere) {
   }
 }
 
+// The two halves a sweep calls separately (the hidden-side products may be
+// computed ahead on another thread) equal the taped composition too: with
+// the whole input given, and with the input's one-hot tail folded in as a
+// weight-row add (DeepGate's refed gate type).
+TEST(GruFused, HiddenProductsThenStepEqualTapedComposition) {
+  const int hidden = 64;
+  const int types = 3;
+  util::Rng rng(5);
+  GruCell gru(hidden + types, hidden, rng);
+  randomize_biases(gru, rng);
+  for (const int rows : {0, 1, 5, 8, 33}) {
+    const Matrix m = salted(rows, hidden, rng);
+    const Matrix h = salted(rows, hidden, rng);
+    std::vector<int> onehot(static_cast<std::size_t>(rows));
+    Matrix x(rows, hidden + types);
+    for (int r = 0; r < rows; ++r) {
+      onehot[static_cast<std::size_t>(r)] = static_cast<int>(rng.next_below(types));
+      std::memcpy(x.row_ptr(r), m.row_ptr(r), hidden * sizeof(float));
+      x.at(r, hidden + onehot[static_cast<std::size_t>(r)]) = 1.0F;
+    }
+    for (const kern::SimdLevel level : runnable_levels()) {
+      const ScopedLevel scoped_level(level);
+      const std::string tag =
+          std::string(kern::simd::level_name(level)) + " rows=" + std::to_string(rows);
+      const Matrix want = taped_forward(gru, x, h);
+      std::vector<float> products(3 * h.size());
+      gru.hidden_products(h, products.data());
+      const Matrix whole = gru.step_no_grad(x, nullptr, h, products.data());
+      const Matrix folded = gru.step_no_grad(m, onehot.data(), h, products.data());
+      ASSERT_TRUE(whole.same_shape(want)) << tag;
+      ASSERT_TRUE(folded.same_shape(want)) << tag;
+      if (want.size() == 0) continue;
+      EXPECT_EQ(0, std::memcmp(whole.data(), want.data(), want.size() * sizeof(float)))
+          << tag << ": whole input";
+      EXPECT_EQ(0, std::memcmp(folded.data(), want.data(), want.size() * sizeof(float)))
+          << tag << ": folded one-hot";
+    }
+  }
+}
+
 // Saturated gates (sigmoid at 0/1, tanh at +-1) and large pre-activations
 // take the same path through the backend's maps in both compositions.
 TEST(GruFused, SaturatedGatesMatchTapedComposition) {
@@ -135,7 +176,8 @@ TEST(GruFused, SaturatedGatesMatchTapedComposition) {
 }
 
 // The op chain acquires a buffer and a tape node per op (~20 or more per
-// call); the fused step takes three work buffers and the result's tape node.
+// call); the fused step takes three work buffers, one for the hidden-side
+// products and the result's tape node.
 TEST(GruFused, NoGradStepMakesAtMostFiveArenaAcquisitions) {
   const ScopedArena scoped_arena(true);
   util::Rng rng(11);

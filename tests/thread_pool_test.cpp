@@ -1,6 +1,6 @@
 // Thread pool: lifecycle, chunk coverage, exception propagation, nested
-// submission, caller-thread forwards staying off the pool, and the
-// end-to-end determinism contracts of the parallel execution layer
+// submission, the exact fan-out of caller-thread and serve-lane forwards,
+// and the end-to-end determinism contracts of the parallel execution layer
 // (bit-identical simulation at every thread count; training losses matching
 // across worker counts to float tolerance).
 #include "util/thread_pool.hpp"
@@ -10,6 +10,7 @@
 #include "data/generators_large.hpp"
 #include "nn/init.hpp"
 #include "nn/kernels.hpp"
+#include "serve/server.hpp"
 #include "sim/probability.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <future>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -97,6 +99,19 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
   EXPECT_EQ(off_thread.load(), 0);
+
+  // runs_inline() answers for the calling thread: inside a chunk, under an
+  // InlineParallelGuard and on a one-lane pool, but not outside on 4 lanes.
+  EXPECT_FALSE(pool.runs_inline());
+  std::atomic<int> inline_chunks{0};
+  pool.run_chunks(4, [&](int) { inline_chunks += pool.runs_inline() ? 1 : 0; });
+  EXPECT_EQ(inline_chunks.load(), 4);
+  {
+    const util::InlineParallelGuard guard;
+    EXPECT_TRUE(pool.runs_inline());
+  }
+  EXPECT_FALSE(pool.runs_inline());
+  EXPECT_TRUE(util::ThreadPool(1).runs_inline());
 }
 
 TEST(ThreadPool, EmptyAndTinyRanges) {
@@ -115,17 +130,37 @@ TEST(ThreadPool, EmptyAndTinyRanges) {
   EXPECT_EQ(hits.load(), 1);
 }
 
-// Kernels run on the thread that calls them: a forward issued from the
-// caller thread, on a circuit with levels of 10 or more nodes (enough rows
-// for a row-blocked split of the GRU matmuls at 2 lanes), must leave every
-// lane's chunk counter untouched.
-TEST(ThreadPool, CallerThreadForwardsNeverReachThePool) {
+std::uint64_t total_chunks(const std::vector<util::PoolLaneStats>& lanes) {
+  std::uint64_t sum = 0;
+  for (const util::PoolLaneStats& lane : lanes) sum += lane.chunks;
+  return sum;
+}
+
+/// Every forward and reversed sweep of `g` updates at least one level: each
+/// level above 0 has a fanin, and each level below the top has a fanout.
+bool every_sweep_updates(const gnn::CircuitGraph& g) {
+  if (g.num_levels < 2) return false;
+  for (int L = 0; L < g.num_levels; ++L) {
+    const auto lvl = static_cast<std::size_t>(L);
+    if (L > 0 && g.fwd[lvl].empty()) return false;
+    if (L < g.num_levels - 1 && g.rev[lvl].empty()) return false;
+  }
+  return true;
+}
+
+// A caller-thread forward fans out once per sweep that updates a level:
+// two chunks, one driving the sweep and one computing the hidden-side GRU
+// products ahead of it (gnn/model_common.cpp). A DeepGate forward runs 2T
+// sweeps, so on two lanes it adds exactly 2 x 2T chunks over all lanes,
+// for predict_probabilities and for an incremental query alike, and no
+// kernel fans out on its own.
+TEST(ThreadPool, CallerThreadForwardsFanOutTwoChunksPerSweep) {
   util::set_global_threads(2);
   deepgate::Engine engine;
   const gnn::CircuitGraph g = deepgate::prepare(data::gen_arbiter(8, 3), 2048, 5);
-  std::size_t widest = 0;
-  for (const auto& level : g.nodes_at_level) widest = std::max(widest, level.size());
-  ASSERT_GE(widest, 10U);
+  ASSERT_TRUE(every_sweep_updates(g));
+  const std::uint64_t per_forward =
+      2 * 2 * static_cast<std::uint64_t>(engine.model().config().iterations);
   deepgate::IncrementalSession session(engine, g);
 
   // A level-1 two-input gate, rewired onto two other primary inputs: the
@@ -145,17 +180,52 @@ TEST(ThreadPool, CallerThreadForwardsNeverReachThePool) {
   }
   ASSERT_EQ(rewired.size(), 2U);
 
-  const std::vector<util::PoolLaneStats> before = util::global_pool().lane_stats();
+  std::uint64_t before = total_chunks(util::global_pool().lane_stats());
   EXPECT_EQ(engine.predict_probabilities(g).size(), static_cast<std::size_t>(g.num_nodes));
+  std::uint64_t after = total_chunks(util::global_pool().lane_stats());
+  EXPECT_EQ(after - before, per_forward) << "predict_probabilities";
+
   engine.predict_incremental(session);  // first query: full forward
   session.rewire_node(v, rewired);
+  ASSERT_TRUE(every_sweep_updates(session.graph()));
+  before = total_chunks(util::global_pool().lane_stats());
   engine.predict_incremental(session);
+  after = total_chunks(util::global_pool().lane_stats());
   EXPECT_FALSE(session.last_stats().memo_hit);
+  EXPECT_EQ(after - before, per_forward) << "incremental query";
+  util::set_global_threads(1);
+}
+
+// Serve lanes run their sweeps inline (Server::lane_loop holds an
+// InlineParallelGuard): the two chunks of every sweep count on lane 0, the
+// inline lane, and the pool's worker lanes never run one.
+TEST(ThreadPool, ServeLaneForwardsLeaveWorkerLanesIdle) {
+  util::set_global_threads(2);
+  const deepgate::Engine engine;
+  std::vector<gnn::CircuitGraph> graphs;
+  for (int i = 0; i < 4; ++i)
+    graphs.push_back(deepgate::prepare(data::gen_arbiter(4 + i, 2), 512, 7 + i));
+  for (const gnn::CircuitGraph& g : graphs) ASSERT_TRUE(every_sweep_updates(g));
+  const std::uint64_t per_forward =
+      2 * 2 * static_cast<std::uint64_t>(engine.model().config().iterations);
+
+  deepgate::serve::ServerOptions sopts;
+  sopts.lanes = 2;
+  sopts.node_budget = 0;  // one graph per forward
+  auto server = deepgate::serve::start(engine, sopts);
+  const std::vector<util::PoolLaneStats> before = util::global_pool().lane_stats();
+  const std::uint64_t forwards_before = gnn::forward_counters().full;
+  std::vector<std::future<deepgate::serve::Response>> futures;
+  for (const gnn::CircuitGraph& g : graphs) futures.push_back(server->submit({&g}));
+  for (auto& f : futures) EXPECT_FALSE(f.get().probabilities.empty());
+  server->shutdown();
+  const std::uint64_t forwards = gnn::forward_counters().full - forwards_before;
   const std::vector<util::PoolLaneStats> after = util::global_pool().lane_stats();
 
-  ASSERT_EQ(before.size(), after.size());
-  for (std::size_t lane = 0; lane < before.size(); ++lane)
-    EXPECT_EQ(after[lane].chunks, before[lane].chunks) << "lane " << lane;
+  EXPECT_EQ(forwards, graphs.size());
+  ASSERT_EQ(after.size(), 2U);
+  EXPECT_EQ(after[0].chunks - before[0].chunks, forwards * per_forward);
+  EXPECT_EQ(after[1].chunks, before[1].chunks) << "a serve-lane sweep reached a worker lane";
   util::set_global_threads(1);
 }
 
