@@ -48,6 +48,20 @@ void BM_ProbabilityEstimation(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbabilityEstimation)->Arg(1024)->Arg(16384)->Arg(100000);
 
+// The GNN's training labels at the paper's 100k patterns, on the gate graph
+// of the Table III multiplier (small scale) as data::graph_from_aig builds it.
+void BM_GateGraphProbabilities(benchmark::State& state) {
+  const aig::GateGraph g = aig::to_gate_graph(synth::optimize(data::gen_multiplier(32)));
+  constexpr std::size_t kPatterns = 100000;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::gate_graph_probabilities(g, kPatterns, 7));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kPatterns));
+  state.counters["nodes"] = static_cast<double>(g.size());
+}
+BENCHMARK(BM_GateGraphProbabilities)->Unit(benchmark::kMillisecond);
+
 void BM_AigConstruction(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(data::gen_multiplier(static_cast<int>(state.range(0))));

@@ -22,10 +22,13 @@ int main() {
   util::TextTable table({"Benchmark", "#Subcircuits", "#Node", "#Level"});
   std::size_t total = 0, min_n = SIZE_MAX, max_n = 0;
   int min_l = INT_MAX, max_l = 0;
+  const auto range = [](auto lo, auto hi) {
+    return std::string("[").append(std::to_string(lo)).append("-").append(std::to_string(hi))
+        .append("]");
+  };
   for (const auto& s : stats) {
-    table.add_row({s.family, std::to_string(s.count),
-                   "[" + std::to_string(s.min_nodes) + "-" + std::to_string(s.max_nodes) + "]",
-                   "[" + std::to_string(s.min_level) + "-" + std::to_string(s.max_level) + "]"});
+    table.add_row({s.family, std::to_string(s.count), range(s.min_nodes, s.max_nodes),
+                   range(s.min_level, s.max_level)});
     total += s.count;
     min_n = std::min(min_n, s.min_nodes);
     max_n = std::max(max_n, s.max_nodes);

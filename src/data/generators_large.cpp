@@ -161,8 +161,10 @@ aig::Aig gen_multiplier(int bits) {
   Aig a;
   const std::size_t n = static_cast<std::size_t>(bits);
   std::vector<Lit> x(n), y(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = make_lit(a.add_input("x" + std::to_string(i)), false);
-  for (std::size_t i = 0; i < n; ++i) y[i] = make_lit(a.add_input("y" + std::to_string(i)), false);
+  for (std::size_t i = 0; i < n; ++i)
+    x[i] = make_lit(a.add_input(std::string("x").append(std::to_string(i))), false);
+  for (std::size_t i = 0; i < n; ++i)
+    y[i] = make_lit(a.add_input(std::string("y").append(std::to_string(i))), false);
 
   // Classic array multiplier: accumulate shifted partial-product rows.
   std::vector<Lit> acc;
@@ -177,7 +179,7 @@ aig::Aig gen_multiplier(int bits) {
   }
   for (std::size_t i = 1; i < acc.size(); ++i) result.push_back(acc[i]);
   for (std::size_t i = 0; i < result.size(); ++i)
-    a.add_output(result[i], "p" + std::to_string(i));
+    a.add_output(result[i], std::string("p").append(std::to_string(i)));
   return a;
 }
 
@@ -188,7 +190,8 @@ aig::Aig gen_squarer(int bits) {
   Aig a;
   const std::size_t n = static_cast<std::size_t>(bits);
   std::vector<Lit> x(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = make_lit(a.add_input("x" + std::to_string(i)), false);
+  for (std::size_t i = 0; i < n; ++i)
+    x[i] = make_lit(a.add_input(std::string("x").append(std::to_string(i))), false);
 
   std::vector<Lit> acc;
   for (std::size_t i = 0; i < n; ++i) acc.push_back(a.add_and(x[i], x[0]));
@@ -273,7 +276,7 @@ aig::Aig gen_processor_slice(int width, int num_units, std::uint64_t seed) {
 
     // Flags: zero / parity / msb.
     std::vector<Lit> nz = unit_out;
-    a.add_output(lit_not(a.make_or_n(nz)), "z" + std::to_string(u));
+    a.add_output(lit_not(a.make_or_n(nz)), std::string("z").append(std::to_string(u)));
     Lit parity = unit_out[0];
     for (std::size_t i = 1; i < w; ++i) parity = a.make_xor(parity, unit_out[i]);
     a.add_output(parity, "par" + std::to_string(u));

@@ -259,7 +259,8 @@ netlist::Netlist gen_iwls_like(util::Rng& rng) {
   const auto sel = b.inputs(sel_bits, "sel");
   std::vector<std::vector<int>> data(static_cast<std::size_t>(words));
   for (int wgt = 0; wgt < words; ++wgt)
-    data[static_cast<std::size_t>(wgt)] = b.inputs(data_bits, "d" + std::to_string(wgt));
+    data[static_cast<std::size_t>(wgt)] =
+        b.inputs(data_bits, std::string("d").append(std::to_string(wgt)));
 
   // Decoder fanning out into per-line enables (huge fanout stem -> heavy
   // reconvergence downstream).

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <chrono>
 #include <cmath>
 #include <map>
 #include <stdexcept>
@@ -467,18 +468,35 @@ class SharedSweep {
 
   /// Claim levels in order, fewer than helper_slots ahead of the levels the
   /// driver has finished, until none is left or the driver has stopped or
-  /// cannot run inside the fan-out.
+  /// cannot run inside the fan-out. Time spent spinning on a full ring is
+  /// reported to the pool as a wait, so the lane's busy time counts only
+  /// the products it computes.
   void help() {
+    using Clock = std::chrono::steady_clock;
     const int ahead = buffers_.helper_slots;
     unsigned spins = 0;
+    bool waiting = false;
+    Clock::time_point wait_start{};
+    const auto end_wait = [&] {
+      if (!waiting) return;
+      waiting = false;
+      const auto ns =
+          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - wait_start);
+      util::report_chunk_wait(static_cast<std::uint64_t>(std::max<std::int64_t>(0, ns.count())));
+    };
     for (;;) {
       int i = next_.load(std::memory_order_acquire);
-      if (i >= n_ || ahead == 0 || stop_.load(std::memory_order_acquire)) return;
+      if (i >= n_ || ahead == 0 || stop_.load(std::memory_order_acquire)) return end_wait();
       if (i >= done_.load(std::memory_order_acquire) + ahead) {
-        if (foreign_.load(std::memory_order_acquire) > 1) return;
+        if (foreign_.load(std::memory_order_acquire) > 1) return end_wait();
+        if (!waiting) {
+          waiting = true;
+          wait_start = Clock::now();
+        }
         spin_pause(spins);
         continue;
       }
+      end_wait();
       if (!next_.compare_exchange_weak(i, i + 1, std::memory_order_acq_rel)) continue;
       products_(i, buffers_.helper_slot(i));
       ready_[i % kProductSlots].store(i, std::memory_order_release);

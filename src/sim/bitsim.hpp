@@ -1,6 +1,11 @@
 // 64-way bit-parallel logic simulation over the three circuit forms (AIG,
-// explicit gate graph, generic netlist). One call evaluates 64 patterns; the
-// probability estimators in probability.hpp drive these in blocks.
+// explicit gate graph, generic netlist). One call evaluates 64 patterns, one
+// word per node. These per-word functions are the reference oracle of the
+// probability estimators (probability.hpp): those run a blocked driver that
+// simulates 8 consecutive 64-pattern words per node per pass and counts ones
+// with the CPU's popcount instruction where it has one (sim/popcount.hpp),
+// and every estimate must equal one call here per 64-pattern block, bit for
+// bit (tests/probability_test.cpp).
 #pragma once
 
 #include "aig/aig.hpp"

@@ -12,12 +12,6 @@ constexpr std::uint64_t kStripe[6] = {
 
 }  // namespace
 
-std::vector<std::uint64_t> random_pattern_word(std::size_t num_inputs, util::Rng& rng) {
-  std::vector<std::uint64_t> words(num_inputs);
-  for (auto& w : words) w = rng.next_u64();
-  return words;
-}
-
 std::uint64_t exhaustive_word(std::size_t input_idx, std::uint64_t block_idx) {
   if (input_idx < 6) return kStripe[input_idx];
   const std::uint64_t bit = (block_idx >> (input_idx - 6)) & 1ULL;

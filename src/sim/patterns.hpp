@@ -1,17 +1,12 @@
-// Input-pattern generation for bit-parallel simulation. A "word" carries 64
+// Input patterns for bit-parallel simulation. A "word" carries 64
 // simulation patterns; exhaustive blocks enumerate all assignments of up to
-// 6 + 58 inputs with the standard striping trick.
+// 6 + 58 inputs with the standard striping trick. Random words come straight
+// from util::Rng (probability.hpp gives their order).
 #pragma once
 
-#include "util/rng.hpp"
-
 #include <cstdint>
-#include <vector>
 
 namespace dg::sim {
-
-/// One random 64-pattern word per input.
-std::vector<std::uint64_t> random_pattern_word(std::size_t num_inputs, util::Rng& rng);
 
 /// Word for input `input_idx` within exhaustive block `block_idx`, where all
 /// 2^num_inputs assignments are laid out as consecutive bits across blocks.

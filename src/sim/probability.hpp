@@ -2,6 +2,13 @@
 // (Sec. III-B): the probability of each node being logic '1' under uniform
 // random inputs, estimated with up to 100k random patterns (or computed
 // exactly by exhaustive enumeration on small-input circuits).
+//
+// Every estimator counts ones in integers, so its result is bit-identical at
+// every DEEPGATE_THREADS value and on either popcount path, and equal to one
+// bitsim.hpp simulate_* call per 64-pattern block. Monte-Carlo input words
+// are drawn block-major from one util::Rng(seed): block 0's word for every
+// input in input order, then block 1's, and so on; the last block counts
+// only its num_patterns % 64 valid lanes when that is nonzero.
 #pragma once
 
 #include "aig/aig.hpp"

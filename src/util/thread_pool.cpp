@@ -26,6 +26,9 @@ namespace {
 // inline instead of re-entering the pool: the outer level already owns the
 // hardware, and inline execution keeps chunk results identical.
 thread_local bool t_in_parallel_region = false;
+// Waits reported by the chunks this thread drains (report_chunk_wait),
+// reset when a drain starts.
+thread_local std::uint64_t t_chunk_wait_ns = 0;
 
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0,
                          std::chrono::steady_clock::time_point t1) {
@@ -109,6 +112,7 @@ struct ThreadPool::Impl {
     const auto busy_start = std::chrono::steady_clock::now();
     std::uint64_t executed = 0;
     t_in_parallel_region = true;
+    t_chunk_wait_ns = 0;
     for (;;) {
       const int c = next_chunk.fetch_add(1, std::memory_order_relaxed);
       if (c >= num_chunks) break;
@@ -126,10 +130,14 @@ struct ThreadPool::Impl {
     const std::uint64_t fair = static_cast<std::uint64_t>(fair_share);
     if (executed > fair)
       counters.steals.fetch_add(executed - fair, std::memory_order_relaxed);
-    counters.busy_ns.fetch_add(elapsed_ns(busy_start, std::chrono::steady_clock::now()),
-                               std::memory_order_relaxed);
+    const std::uint64_t elapsed = elapsed_ns(busy_start, std::chrono::steady_clock::now());
+    const std::uint64_t waited = std::min(t_chunk_wait_ns, elapsed);
+    counters.busy_ns.fetch_add(elapsed - waited, std::memory_order_relaxed);
+    counters.idle_ns.fetch_add(waited, std::memory_order_relaxed);
   }
 };
+
+void report_chunk_wait(std::uint64_t ns) { t_chunk_wait_ns += ns; }
 
 InlineParallelGuard::InlineParallelGuard() : prev_(t_in_parallel_region) {
   t_in_parallel_region = true;

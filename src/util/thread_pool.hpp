@@ -37,8 +37,8 @@ namespace dg::util {
 struct PoolLaneStats {
   std::uint64_t chunks = 0;   ///< chunks executed by this lane
   std::uint64_t steals = 0;   ///< chunks executed beyond the lane's fair share
-  std::uint64_t busy_ns = 0;  ///< time spent draining chunk queues
-  std::uint64_t idle_ns = 0;  ///< workers: time parked waiting for a job
+  std::uint64_t busy_ns = 0;  ///< time spent draining chunk queues, less reported waits
+  std::uint64_t idle_ns = 0;  ///< workers parked waiting for a job, plus reported waits
 };
 
 class ThreadPool {
@@ -115,6 +115,13 @@ void set_global_threads(int num_threads);
 /// creates the pool — observers (obs::snapshot) must not change which code
 /// paths have run.
 ThreadPool* global_pool_if_created();
+
+/// Book `ns` of the chunk running on this thread as a wait, not work: the
+/// lane that drains it counts that time as idle instead of busy. For chunks
+/// that spin until another lane catches up (the sweep helper's ring waits
+/// in gnn/model_common.cpp). A wait reported outside a chunk the pool
+/// drains is dropped, as inline chunks are not timed either.
+void report_chunk_wait(std::uint64_t ns);
 
 /// Fixed chunk boundary: start of chunk c when [0, n) is split into C chunks.
 inline std::int64_t chunk_begin(std::int64_t n, int num_chunks, int c) {

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <future>
 #include <stdexcept>
@@ -227,6 +228,37 @@ TEST(ThreadPool, ServeLaneForwardsLeaveWorkerLanesIdle) {
   EXPECT_EQ(after[0].chunks - before[0].chunks, forwards * per_forward);
   EXPECT_EQ(after[1].chunks, before[1].chunks) << "a serve-lane sweep reached a worker lane";
   util::set_global_threads(1);
+}
+
+// A chunk that reports a wait (report_chunk_wait, as the sweep helper does
+// for its ring waits) has that much taken off its lane's busy time and
+// booked as idle time instead.
+TEST(ThreadPool, ReportedChunkWaitsCountAsIdleNotBusy) {
+  using Clock = std::chrono::steady_clock;
+  constexpr std::uint64_t kKeptNs = 5'000'000;  // each chunk keeps 5 ms as work
+  constexpr std::uint64_t kSlackNs = 10'000'000;
+  util::ThreadPool pool(2);
+  std::atomic<std::uint64_t> reported{0};
+  const std::vector<util::PoolLaneStats> before = pool.lane_stats();
+  pool.run_chunks(2, [&](int) {
+    const Clock::time_point t0 = Clock::now();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const auto elapsed = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count());
+    util::report_chunk_wait(elapsed - kKeptNs);
+    reported += elapsed - kKeptNs;
+  });
+  const std::vector<util::PoolLaneStats> after = pool.lane_stats();
+  std::uint64_t busy = 0;
+  std::uint64_t idle = 0;
+  for (std::size_t l = 0; l < after.size(); ++l) {
+    busy += after[l].busy_ns - before[l].busy_ns;
+    idle += after[l].idle_ns - before[l].idle_ns;
+  }
+  EXPECT_GE(reported.load(), 2 * 15'000'000ULL);
+  EXPECT_GE(busy, 2 * kKeptNs);
+  EXPECT_LT(busy, 2 * kKeptNs + kSlackNs) << "reported waits still counted as busy";
+  EXPECT_GE(idle, reported.load());
 }
 
 TEST(ParallelDeterminism, SimulationBitIdenticalAcrossThreadCounts) {
