@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
   options.model = ctx.model;
   const deepgate::Engine engine(options);
 
-  const gnn::ServeOptions bopts = gnn::ServeOptions::from_env();
+  const gnn::ServeOptions bopts{};
 
   util::TextTable table({"mode", "threads", "budget", "seconds", "graphs/s", "nodes/s",
                          "speedup"});

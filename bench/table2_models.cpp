@@ -28,7 +28,7 @@ int main() {
   // level-merged super-graphs fanned across the pool. Merged forwards are
   // bit-exact per member, so the reported error is identical to the old
   // one-graph-per-call loop — just served faster.
-  const gnn::EvalOptions eval_opts = gnn::EvalOptions::from_env();
+  const gnn::ServeOptions eval_opts{};
   std::printf("evaluation: batched (budget %zu nodes/forward)\n\n", eval_opts.node_budget);
 
   struct Row {

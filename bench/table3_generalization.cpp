@@ -35,7 +35,7 @@ int main() {
 
   // Held-out evaluation is served batched (node-budgeted merged forwards,
   // pool fan-out); bit-exact with the per-graph loop it replaces.
-  const gnn::EvalOptions eval_opts = gnn::EvalOptions::from_env();
+  const gnn::ServeOptions eval_opts{};
   std::printf("held-out sub-circuit error: DeepSet %.4f, DeepGate %.4f (batched eval, "
               "budget %zu)\n\n",
               gnn::evaluate(*deepset, test_set, eval_opts),

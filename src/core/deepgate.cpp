@@ -1,12 +1,8 @@
 #include "core/deepgate.hpp"
 
-#include "aig/gate_graph.hpp"
-#include "util/log.hpp"
 #include "netlist/to_aig.hpp"
 #include "nn/serialize.hpp"
-#include "sim/probability.hpp"
-#include "synth/optimize.hpp"
-#include "synth/sweep.hpp"
+#include "util/log.hpp"
 
 #include <limits>
 
@@ -17,14 +13,7 @@ CircuitGraph prepare(const dg::netlist::Netlist& nl, std::size_t patterns, std::
 }
 
 CircuitGraph prepare(const dg::aig::Aig& aig, std::size_t patterns, std::uint64_t seed) {
-  dg::aig::Aig optimized = dg::synth::optimize(aig);
-  // Optimization can prove outputs constant (e.g. bit 1 of a squarer); the
-  // gate graph has no constant node, so those outputs must be dropped first —
-  // same guard the dataset pipeline applies.
-  if (optimized.uses_constants()) optimized = dg::synth::drop_constant_outputs(optimized);
-  const dg::aig::GateGraph g = dg::aig::to_gate_graph(optimized);
-  const auto labels = dg::sim::gate_graph_probabilities(g, patterns, seed);
-  return CircuitGraph::from_gate_graph(g, labels);
+  return dg::data::graph_from_aig(aig, patterns, seed);
 }
 
 dg::data::Dataset prepare_dataset(const DatasetOptions& options) {
@@ -53,9 +42,7 @@ dg::gnn::TrainResult Engine::train(dg::gnn::GraphStream& stream, const TrainConf
 double Engine::evaluate(const std::vector<CircuitGraph>& test_set,
                         int iterations_override) const {
   if (iterations_override > 0) effective_iterations(iterations_override);  // log-once
-  dg::gnn::EvalOptions opts = dg::gnn::EvalOptions::from_env();
-  opts.iterations_override = iterations_override;
-  return dg::gnn::evaluate(*model_, test_set, opts);
+  return dg::gnn::evaluate(*model_, test_set, {}, iterations_override);
 }
 
 namespace {
@@ -106,8 +93,7 @@ std::unique_ptr<dg::gnn::Model> Engine::clone_model() const { return model_->clo
 
 int Engine::effective_iterations(int requested) const {
   const int effective = model_->effective_iterations(requested);
-  if (requested > 0 && effective != requested && !iterations_warned_) {
-    iterations_warned_ = true;
+  if (requested > 0 && effective != requested && !iterations_warned_.exchange(true)) {
     dg::util::log_warn(model_->name(), ": inference iteration override T=", requested,
                        " ignored by non-recurrent model; runs fixed ", effective,
                        " layer(s)");

@@ -26,6 +26,7 @@
 #include "netlist/netlist.hpp"
 #include "obs/obs.hpp"
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,7 +57,8 @@ struct Options {
 /// for the per-node probabilities, detect reconvergences.
 CircuitGraph prepare(const dg::netlist::Netlist& nl, std::size_t patterns, std::uint64_t seed);
 
-/// Same for circuits already in AIG form.
+/// Same for circuits already in AIG form: data::graph_from_aig, the one
+/// pipeline the Table III designs run through too.
 CircuitGraph prepare(const dg::aig::Aig& aig, std::size_t patterns, std::uint64_t seed);
 
 /// Table I-style training corpus preparation: sharded across the thread pool
@@ -97,10 +99,10 @@ class Engine {
   dg::gnn::TrainResult train(dg::gnn::GraphStream& stream, const TrainConfig& cfg);
 
   /// Avg prediction error, Eq. (8), on the batched executor: the set is
-  /// packed into node-budgeted merged super-graphs fanned across the thread
-  /// pool (gnn::EvalOptions::from_env — DEEPGATE_SERVE_BUDGET, 0 = per-graph
-  /// fallback, which still parallelizes). Per-graph errors are reduced in
-  /// test-set order, so the result is deterministic at any DEEPGATE_THREADS.
+  /// packed into merged super-graphs of at most the default
+  /// gnn::ServeOptions node budget and member cap, fanned across the thread
+  /// pool. Per-graph errors are reduced in test-set order, so the result is
+  /// deterministic at any DEEPGATE_THREADS.
   /// `iterations_override` > 0 forces the inference T; if the model is
   /// non-recurrent and ignores it, the effective count is logged once.
   double evaluate(const std::vector<CircuitGraph>& test_set,
@@ -156,7 +158,9 @@ class Engine {
  private:
   Options options_;
   std::unique_ptr<dg::gnn::Model> model_;
-  mutable bool iterations_warned_ = false;  ///< log-once latch (effective_iterations)
+  /// Log-once latch of effective_iterations; atomic because concurrent
+  /// const calls (evaluate from several threads) may all try to set it.
+  mutable std::atomic<bool> iterations_warned_{false};
 };
 
 }  // namespace deepgate

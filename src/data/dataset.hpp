@@ -97,7 +97,9 @@ struct PairedDataset {
 PairedDataset build_paired_dataset(const std::string& family, std::size_t count,
                                    std::size_t sim_patterns, std::uint64_t seed, int pe_L = 8);
 
-/// Labels + graph for a single large design (Table III evaluation).
+/// Labels + graph for one AIG (Table III designs, deepgate::prepare):
+/// optimize, drop the outputs optimization proved constant (the gate graph
+/// has no constant node), expand to a gate graph, simulate, build the graph.
 gnn::CircuitGraph graph_from_aig(const aig::Aig& aig, std::size_t sim_patterns,
                                  std::uint64_t seed, int pe_L = 8);
 

@@ -1,7 +1,6 @@
 #include "gnn/executor.hpp"
 
 #include "nn/arena.hpp"
-#include "util/env.hpp"
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
@@ -9,19 +8,6 @@
 #include <stdexcept>
 
 namespace dg::gnn {
-
-ServeOptions ServeOptions::from_env() {
-  ServeOptions opts;
-  const long long budget =
-      util::env_int("DEEPGATE_SERVE_BUDGET", static_cast<long long>(opts.node_budget));
-  if (util::knob_in_range("DEEPGATE_SERVE_BUDGET", budget, 0, kMaxNodeBudget))
-    opts.node_budget = static_cast<std::size_t>(budget);
-  const long long max_graphs =
-      util::env_int("DEEPGATE_SERVE_MAX_GRAPHS", static_cast<long long>(opts.max_graphs));
-  if (util::knob_in_range("DEEPGATE_SERVE_MAX_GRAPHS", max_graphs, 1, kMaxGraphs))
-    opts.max_graphs = static_cast<std::size_t>(max_graphs);
-  return opts;
-}
 
 Batch Batch::merge(const std::vector<const CircuitGraph*>& parts) {
   Batch batch;

@@ -22,7 +22,6 @@
 
 #include "gnn/model_common.hpp"
 
-#include <climits>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -30,8 +29,9 @@
 
 namespace dg::gnn {
 
-/// Batched-serving knobs shared by every executor caller — the defaults live
-/// in exactly one place.
+/// Batching options of one executor call. The defaults live here, in exactly
+/// one place; a caller that wants another packing (Engine's single-merge
+/// calls, tests) sets the fields.
 struct ServeOptions {
   std::size_t node_budget = 8192;///< nodes per merged super-graph; 0 = one
                                  ///< graph per forward (pre-batching fallback)
@@ -39,15 +39,6 @@ struct ServeOptions {
   int threads = 0;               ///< max pool lanes claiming groups
                                  ///< (longest first, off a shared counter);
                                  ///< 0 = DEEPGATE_THREADS, 1 = serial
-
-  /// Upper bounds of the from_env() knobs.
-  static constexpr long long kMaxNodeBudget = INT_MAX;
-  static constexpr long long kMaxGraphs = 1LL << 20;
-
-  /// node_budget from DEEPGATE_SERVE_BUDGET (0..kMaxNodeBudget), max_graphs
-  /// from DEEPGATE_SERVE_MAX_GRAPHS (1..kMaxGraphs) when set. A value out of
-  /// range warns and keeps the default.
-  static ServeOptions from_env();
 };
 
 /// One merge group on its way through a forward.

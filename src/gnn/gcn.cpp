@@ -24,7 +24,7 @@ class GcnModel final : public Model {
 
   ForwardOutputs forward_outputs(const CircuitGraph& g, int /*iterations*/) const override {
     count_full_forward();
-    Tensor h = init_full_state(g, cfg_.dim, /*random_init=*/false, cfg_.seed);
+    Tensor h = init_full_state(g, cfg_.dim);
     const Tensor inv_deg = nn::constant(
         nn::Matrix::from_vector(g.num_nodes, 1, std::vector<float>(g.und_inv_deg)));
     Tensor pe;  // undefined: GCN has no skip-edge attributes

@@ -5,12 +5,6 @@
 
 namespace dg::gnn {
 
-EvalOptions EvalOptions::from_env() {
-  EvalOptions opts;
-  static_cast<ServeOptions&>(opts) = ServeOptions::from_env();
-  return opts;
-}
-
 double avg_prediction_error(const std::vector<float>& labels, const nn::Matrix& pred) {
   double total = 0.0;
   for (std::size_t v = 0; v < labels.size(); ++v)
@@ -19,19 +13,16 @@ double avg_prediction_error(const std::vector<float>& labels, const nn::Matrix& 
   return labels.empty() ? 0.0 : total / static_cast<double>(labels.size());
 }
 
-namespace {
-
-/// Per-circuit Eq. (8) errors, batched + pooled. One errors[i] per graph,
-/// filled by whichever worker runs graph i's batch; a later reduction in
-/// index order is therefore scheduling-independent.
-std::vector<double> per_circuit_errors(const Model& model,
-                                       const std::vector<CircuitGraph>& test_set,
-                                       const EvalOptions& opts) {
+/// One errors[i] per graph, filled by whichever worker runs graph i's batch;
+/// a later reduction in index order is therefore scheduling-independent.
+std::vector<double> evaluate_per_circuit(const Model& model,
+                                         const std::vector<CircuitGraph>& test_set,
+                                         const ServeOptions& opts, int iterations) {
   std::vector<double> errors(test_set.size(), 0.0);
   std::vector<const CircuitGraph*> ptrs;
   ptrs.reserve(test_set.size());
   for (const auto& g : test_set) ptrs.push_back(&g);
-  execute(model, ptrs, opts, opts.iterations_override,
+  execute(model, ptrs, opts, iterations,
           [&](std::size_t i, const Batch& batch, std::size_t member) {
             std::vector<float> pred = batch.prediction(member);
             const int n = static_cast<int>(pred.size());
@@ -41,11 +32,9 @@ std::vector<double> per_circuit_errors(const Model& model,
   return errors;
 }
 
-}  // namespace
-
 double evaluate(const Model& model, const std::vector<CircuitGraph>& test_set,
-                const EvalOptions& opts) {
-  const std::vector<double> errors = per_circuit_errors(model, test_set, opts);
+                const ServeOptions& opts, int iterations) {
+  const std::vector<double> errors = evaluate_per_circuit(model, test_set, opts, iterations);
   // Fixed-order reduction (test-set order): deterministic at any thread count.
   double total = 0.0;
   std::size_t nodes = 0;
@@ -54,27 +43,6 @@ double evaluate(const Model& model, const std::vector<CircuitGraph>& test_set,
     nodes += static_cast<std::size_t>(test_set[i].num_nodes);
   }
   return nodes == 0 ? 0.0 : total / static_cast<double>(nodes);
-}
-
-double evaluate(const Model& model, const std::vector<CircuitGraph>& test_set,
-                int iterations_override) {
-  EvalOptions opts = EvalOptions::from_env();
-  opts.iterations_override = iterations_override;
-  return evaluate(model, test_set, opts);
-}
-
-std::vector<double> evaluate_per_circuit(const Model& model,
-                                         const std::vector<CircuitGraph>& test_set,
-                                         const EvalOptions& opts) {
-  return per_circuit_errors(model, test_set, opts);
-}
-
-std::vector<double> evaluate_per_circuit(const Model& model,
-                                         const std::vector<CircuitGraph>& test_set,
-                                         int iterations_override) {
-  EvalOptions opts = EvalOptions::from_env();
-  opts.iterations_override = iterations_override;
-  return evaluate_per_circuit(model, test_set, opts);
 }
 
 }  // namespace dg::gnn

@@ -18,33 +18,19 @@
 
 namespace dg::gnn {
 
-struct EvalOptions : ServeOptions {
-  int iterations_override = 0;   ///< > 0 forces the inference T (recurrent
-                                 ///< models; stacked models ignore it — see
-                                 ///< Model::effective_iterations)
-
-  static EvalOptions from_env();
-};
-
 /// Eq. (8) over one circuit with an explicit prediction vector.
 double avg_prediction_error(const std::vector<float>& labels, const nn::Matrix& pred);
 
 /// Eq. (8) over a whole set: sum |y - y_hat| / total node count. Runs under
-/// NoGradGuard. `iterations_override` > 0 forces the inference T.
+/// NoGradGuard, packed and pooled as `opts` says. `iterations` > 0 forces
+/// the inference T (recurrent models; stacked models ignore it — see
+/// Model::effective_iterations).
 double evaluate(const Model& model, const std::vector<CircuitGraph>& test_set,
-                int iterations_override = 0);
+                const ServeOptions& opts = {}, int iterations = 0);
 
-/// Full-control variant (batch node budget, worker count).
-double evaluate(const Model& model, const std::vector<CircuitGraph>& test_set,
-                const EvalOptions& opts);
-
-/// Per-circuit errors (same order as `test_set`).
+/// Per-circuit errors (same order as `test_set`), same arguments.
 std::vector<double> evaluate_per_circuit(const Model& model,
                                          const std::vector<CircuitGraph>& test_set,
-                                         int iterations_override = 0);
-
-std::vector<double> evaluate_per_circuit(const Model& model,
-                                         const std::vector<CircuitGraph>& test_set,
-                                         const EvalOptions& opts);
+                                         const ServeOptions& opts = {}, int iterations = 0);
 
 }  // namespace dg::gnn

@@ -109,8 +109,7 @@ constexpr std::uint64_t kH0SeedMix = 0xd1f7a2b3c4e5f607ULL;
 /// stream. Counter-based rather than one sequential stream per graph on
 /// purpose: a member of a merged batch replays exactly the cells it draws
 /// alone (batched_random_level_rows), so the h0 values never depend on what
-/// else shares the forward. `level` -1 is the whole-graph
-/// (init_full_state) stream. util::Rng applies its own SplitMix64 pass on
+/// else shares the forward. util::Rng applies its own SplitMix64 pass on
 /// top of the returned value.
 std::uint64_t h0_row_seed(std::uint64_t seed, int level, int row) {
   std::uint64_t z = seed ^ kH0SeedMix;
@@ -213,20 +212,7 @@ std::vector<Tensor> init_level_states(const CircuitGraph& g, int dim, bool rando
   return states;
 }
 
-Tensor init_full_state(const CircuitGraph& g, int dim, bool random_init, std::uint64_t seed) {
-  if (random_init) {
-    if (g.is_batch()) {
-      // Member node ids are contiguous, so each member's h0 block lands on
-      // rows [node_offset, node_offset + num_nodes) — replayed per member
-      // from its own (level -1, member-local row) cells.
-      nn::Matrix m(g.num_nodes, dim);
-      for (const GraphMember& mem : g.members)
-        for (int r = 0; r < mem.num_nodes; ++r)
-          fill_h0_row(m.row_ptr(mem.node_offset + r), dim, h0_row_seed(seed, -1, r));
-      return nn::constant(std::move(m));
-    }
-    return nn::constant(random_level_rows(-1, g.num_nodes, dim, seed));
-  }
+Tensor init_full_state(const CircuitGraph& g, int dim) {
   nn::Matrix m(g.num_nodes, dim);
   for (int v = 0; v < g.num_nodes; ++v)
     m.at(v, g.type_id[static_cast<std::size_t>(v)]) = 1.0F;

@@ -130,8 +130,9 @@ std::vector<nn::Tensor> level_onehot(const CircuitGraph& g);
 std::vector<nn::Tensor> init_level_states(const CircuitGraph& g, int dim, bool random_init,
                                           std::uint64_t seed);
 
-/// Same for whole-graph models.
-nn::Tensor init_full_state(const CircuitGraph& g, int dim, bool random_init, std::uint64_t seed);
+/// Initial whole-graph state (N x d) of the whole-graph models (GCN): the
+/// one-hot features zero-padded to width d.
+nn::Tensor init_full_state(const CircuitGraph& g, int dim);
 
 /// Stitch per-level states back into node order (N x d).
 nn::Tensor full_from_levels(const std::vector<nn::Tensor>& states, const CircuitGraph& g);

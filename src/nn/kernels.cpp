@@ -138,12 +138,6 @@ Matrix tanh_m(const Matrix& a) {
   return c;
 }
 
-Matrix exp_m(const Matrix& a) {
-  Matrix c(a.rows(), a.cols());
-  backend().exp_n(c.data(), a.data(), a.size());
-  return c;
-}
-
 Matrix relu(const Matrix& a) {
   Matrix c(a.rows(), a.cols());
   backend().relu_n(c.data(), a.data(), a.size());

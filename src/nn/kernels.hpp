@@ -62,9 +62,6 @@ void axpy(Matrix& a, float alpha, const Matrix& b);
 Matrix sigmoid(const Matrix& a);
 Matrix tanh_m(const Matrix& a);
 Matrix relu(const Matrix& a);
-/// Elementwise exp. Scalar/generic are libm bitwise; avx2 uses the shared
-/// polynomial exp (same tested bound and position-invariance as sigmoid).
-Matrix exp_m(const Matrix& a);
 
 /// Column vector (Nx1) with the sum of each row.
 Matrix row_sum(const Matrix& a);

@@ -66,7 +66,7 @@ const KernelBackend& scalar_backend();
 const KernelBackend& generic_backend();
 
 /// AVX2 intrinsics backend; nullptr when this build has no AVX2 TU
-/// (non-x86-64 target or DEEPGATE_SIMD_AVX2=OFF). Callers must additionally
+/// (non-x86-64 target). Callers must additionally
 /// check CPU support at runtime before installing it (see dispatch.cpp).
 const KernelBackend* avx2_backend();
 

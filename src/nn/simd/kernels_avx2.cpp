@@ -342,7 +342,7 @@ const KernelBackend* avx2_backend() {
 
 }  // namespace dg::nn::kern
 
-#else  // !DG_SIMD_AVX2_TU: non-x86-64 target or DEEPGATE_SIMD_AVX2=OFF.
+#else  // !DG_SIMD_AVX2_TU: non-x86-64 target.
 
 namespace dg::nn::kern {
 const KernelBackend* avx2_backend() { return nullptr; }

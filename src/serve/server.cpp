@@ -40,17 +40,10 @@ const char* submit_status_name(SubmitStatus status) {
 
 ServerOptions ServerOptions::from_env() {
   ServerOptions opts;
-  const dg::gnn::ServeOptions base = dg::gnn::ServeOptions::from_env();
-  opts.node_budget = base.node_budget;
-  opts.max_graphs = base.max_graphs;
   // Lanes share DEEPGATE_THREADS' cap (util::kMaxThreads).
   const long long lanes = dg::util::env_int("DEEPGATE_SERVE_LANES", opts.lanes);
   if (dg::util::knob_in_range("DEEPGATE_SERVE_LANES", lanes, 0, dg::util::kMaxThreads))
     opts.lanes = static_cast<int>(lanes);
-  const long long cap = dg::util::env_int("DEEPGATE_SERVE_QUEUE_CAP",
-                                          static_cast<long long>(opts.queue_capacity));
-  if (dg::util::knob_in_range("DEEPGATE_SERVE_QUEUE_CAP", cap, 1, kMaxQueueCapacity))
-    opts.queue_capacity = static_cast<std::size_t>(cap);
   return opts;
 }
 

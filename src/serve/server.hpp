@@ -2,7 +2,7 @@
 // front end the ROADMAP calls the "true serving loop".
 //
 //   deepgate::Engine engine(options);
-//   auto server = deepgate::serve::start(engine);        // knobs from env
+//   auto server = deepgate::serve::start(engine);        // lanes from env
 //   std::future<serve::Response> f = server->submit({&graph});
 //   const std::vector<float>& probs = f.get().probabilities;
 //
@@ -106,13 +106,8 @@ struct ServerOptions {
   std::size_t max_graphs = 64;       ///< ... or this many member graphs
   int lanes = 0;                     ///< worker lanes (model replicas); 0 = DEEPGATE_THREADS
 
-  /// Largest DEEPGATE_SERVE_QUEUE_CAP accepted.
-  static constexpr long long kMaxQueueCapacity = 1LL << 20;
-
-  /// Env knobs: DEEPGATE_SERVE_BUDGET / DEEPGATE_SERVE_MAX_GRAPHS (shared
-  /// with gnn::ServeOptions), DEEPGATE_SERVE_LANES (0..512),
-  /// DEEPGATE_SERVE_QUEUE_CAP (1..kMaxQueueCapacity).
-  /// An out-of-range lane count or queue capacity warns and keeps the default.
+  /// The defaults above, with `lanes` from DEEPGATE_SERVE_LANES (0..512)
+  /// when set. An out-of-range lane count warns and keeps the default.
   static ServerOptions from_env();
 };
 

@@ -1,5 +1,5 @@
-// Environment-variable knobs shared by the benchmark harnesses so every
-// bench binary can be scaled without recompiling:
+// Every DEEPGATE_* environment knob the library and its bench binaries read
+// (README.md documents the same set; tools/lint_knobs.py checks it):
 //
 //   DEEPGATE_SCALE   = tiny | small | paper  (default small)
 //   DEEPGATE_EPOCHS  = <int>                 (override epoch count)
@@ -10,6 +10,9 @@
 //                                             default hardware concurrency,
 //                                             1 = serial; kernels never use
 //                                             it — util/thread_pool.hpp)
+//   DEEPGATE_SERVE_LANES = <int>             (serve::Server worker lanes in
+//                                             [0, 512]; default 0 =
+//                                             DEEPGATE_THREADS — serve/server.hpp)
 //   DEEPGATE_BENCH_JSON = <path>             (bench harness JSON output)
 //   DEEPGATE_DATA_DIR = <path>               (on-disk dataset shard cache;
 //                                             unset = caching disabled)

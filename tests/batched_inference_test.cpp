@@ -340,11 +340,11 @@ TEST(BatchedEvaluate, MatchesPerGraphFallbackAndIsDeterministic) {
   options.model = tiny_config();
   const deepgate::Engine engine(options);
 
-  gnn::EvalOptions batched;
+  gnn::ServeOptions batched;
   batched.node_budget = 48;
-  gnn::EvalOptions fallback;
+  gnn::ServeOptions fallback;
   fallback.node_budget = 0;  // pre-batching path, still pooled
-  gnn::EvalOptions serial = fallback;
+  gnn::ServeOptions serial = fallback;
   serial.threads = 1;
 
   const double e_batched = gnn::evaluate(engine.model(), graphs, batched);
@@ -366,10 +366,10 @@ TEST(BatchedEvaluate, RepeatedEvaluateIsBitIdentical) {
   options.model = tiny_config();
   const deepgate::Engine engine(options);
 
-  gnn::EvalOptions opts;
+  gnn::ServeOptions opts;
   opts.node_budget = 2048;  // multi-member groups
 
-  const double default_budget = gnn::evaluate(engine.model(), graphs, gnn::EvalOptions{});
+  const double default_budget = gnn::evaluate(engine.model(), graphs, gnn::ServeOptions{});
   const double first = gnn::evaluate(engine.model(), graphs, opts);
   const double second = gnn::evaluate(engine.model(), graphs, opts);
   EXPECT_EQ(first, second);

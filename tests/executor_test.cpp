@@ -12,11 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace dg {
@@ -90,25 +90,6 @@ int group_depth(const std::vector<const CircuitGraph*>& ptrs,
   for (const std::size_t i : group) depth = std::max(depth, ptrs[i]->num_levels);
   return depth;
 }
-
-/// Sets an environment variable for one scope, restoring the previous value.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (old_.empty()) ::unsetenv(name_);
-    else ::setenv(name_, old_.c_str(), 1);
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::string old_;
-};
 
 // -- Claim order ---------------------------------------------------------------
 
@@ -254,7 +235,7 @@ TEST(ExecuteEquivalence, PooledEvaluateOnTable3MatchesSerialEq8) {
   }
   const double serial = total / static_cast<double>(nodes);
 
-  gnn::EvalOptions opts;
+  gnn::ServeOptions opts;
   opts.threads = 2;
   const double pooled = gnn::evaluate(engine.model(), designs, opts);
   EXPECT_EQ(std::memcmp(&pooled, &serial, sizeof pooled), 0) << pooled << " vs " << serial;
@@ -343,33 +324,34 @@ TEST(SweepHelper, PooledForwardBitwiseEqualsInlineAndOneLane) {
   EXPECT_GT(worker_chunks, 0U) << "no sweep ever reached a worker lane";
 }
 
-// -- Env knobs -----------------------------------------------------------------
+// -- Concurrent evaluate --------------------------------------------------------
 
-// DEEPGATE_SERVE_BUDGET used to drop negatives silently and take any huge
-// value, and DEEPGATE_SERVE_MAX_GRAPHS dropped 0 and negatives. Out-of-range
-// values now warn and keep the default; the range ends apply.
-TEST(ServeOptionsEnv, FromEnvBoundsBudgetAndMaxGraphs) {
-  const gnn::ServeOptions defaults;
-  for (const char* bad : {"-1", "2147483648", "10000000000000000"}) {
-    const ScopedEnv env("DEEPGATE_SERVE_BUDGET", bad);
-    EXPECT_EQ(gnn::ServeOptions::from_env().node_budget, defaults.node_budget) << bad;
-  }
-  for (const char* bad : {"0", "-2", "1048577"}) {
-    const ScopedEnv env("DEEPGATE_SERVE_MAX_GRAPHS", bad);
-    EXPECT_EQ(gnn::ServeOptions::from_env().max_graphs, defaults.max_graphs) << bad;
-  }
-  {
-    const ScopedEnv budget("DEEPGATE_SERVE_BUDGET", "0");
-    const ScopedEnv max_graphs("DEEPGATE_SERVE_MAX_GRAPHS", "1");
-    const gnn::ServeOptions low = gnn::ServeOptions::from_env();
-    EXPECT_EQ(low.node_budget, 0u);
-    EXPECT_EQ(low.max_graphs, 1u);
-  }
-  const ScopedEnv budget("DEEPGATE_SERVE_BUDGET", "2147483647");
-  const ScopedEnv max_graphs("DEEPGATE_SERVE_MAX_GRAPHS", "1048576");
-  const gnn::ServeOptions high = gnn::ServeOptions::from_env();
-  EXPECT_EQ(high.node_budget, static_cast<std::size_t>(gnn::ServeOptions::kMaxNodeBudget));
-  EXPECT_EQ(high.max_graphs, static_cast<std::size_t>(gnn::ServeOptions::kMaxGraphs));
+// Engine::evaluate is const and may run on several threads at once. A
+// DAG-ConvGNN runs its fixed layer count whatever T is asked for, so T = 3
+// on a 2-layer model takes the log-once warning path on both threads; the
+// latch it sets must not race (run under -DDEEPGATE_SANITIZE_THREAD=ON).
+TEST(EngineEvaluate, ConcurrentIgnoredIterationOverrideIsRaceFree) {
+  std::vector<CircuitGraph> graphs;
+  graphs.push_back(deepgate::prepare(data::gen_multiplier(3), 500, 1));
+  graphs.push_back(deepgate::prepare(data::gen_squarer(4), 500, 2));
+
+  deepgate::Options options;
+  options.model = tiny_config();
+  options.model.iterations = 2;
+  options.spec.family = gnn::ModelFamily::kDagConv;
+  options.spec.agg = gnn::AggKind::kConvSum;
+  options.spec.use_skip = false;
+  const deepgate::Engine engine(options);
+  ASSERT_EQ(engine.model().effective_iterations(3), 2);
+
+  double errors[2] = {0.0, 0.0};
+  std::vector<std::thread> threads;
+  for (double& err : errors) threads.emplace_back([&] { err = engine.evaluate(graphs, 3); });
+  for (std::thread& t : threads) t.join();
+
+  const double expected = engine.evaluate(graphs);
+  for (const double err : errors)
+    EXPECT_EQ(std::memcmp(&err, &expected, sizeof err), 0) << err << " vs " << expected;
 }
 
 }  // namespace

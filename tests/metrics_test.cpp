@@ -73,8 +73,8 @@ TEST(Metrics, IterationOverridePlumbing) {
   cfg.dim = 8;
   cfg.iterations = 6;
   auto model = make_deepgate(cfg);
-  const double e1 = evaluate(*model, {g}, /*iterations_override=*/1);
-  const double e6 = evaluate(*model, {g}, /*iterations_override=*/6);
+  const double e1 = evaluate(*model, {g}, {}, /*iterations=*/1);
+  const double e6 = evaluate(*model, {g}, {}, /*iterations=*/6);
   const double e_default = evaluate(*model, {g});
   EXPECT_NEAR(e6, e_default, 1e-9);
   EXPECT_NE(e1, e6);
