@@ -17,6 +17,15 @@ const char* agg_kind_name(AggKind k) {
   return "?";
 }
 
+nn::Matrix Aggregator::forward_no_grad(nn::Matrix h_src, const float* /*h_query*/,
+                                       const std::vector<int>& seg, int num_dst,
+                                       const std::vector<float>& inv_deg,
+                                       const float* /*pe_term*/) const {
+  const Tensor inv = nn::constant(nn::Matrix::from_vector(num_dst, 1, inv_deg));
+  Tensor m = forward(nn::constant(std::move(h_src)), Tensor(), seg, num_dst, inv, Tensor());
+  return std::move(m.mutable_value());
+}
+
 namespace {
 
 /// m = mean over incoming edges of (W h_u).
@@ -92,37 +101,21 @@ class AttentionAggregator final : public Aggregator {
   Tensor forward(const Tensor& h_src, const Tensor& h_query, const std::vector<int>& seg,
                  int num_dst, const Tensor& /*inv_deg*/, const Tensor& pe_term) const override {
     const bool has_pe = pe_term.defined() && pe_term.rows() > 0;
-    if (!nn::grad_enabled()) {
-      // Fused inference path. Bitwise-identical to the op composition below:
-      // matvec == matmul at n == 1, the scalar bias add is the same single
-      // addition add_rowvec performs at out_features == 1, the combine loop
-      // keeps the (q + key) + pe association of the two adds, and the fused
-      // scatter keeps scale-then-add rounding per row in ascending order.
-      const nn::Matrix& hq = h_query.value();
-      nn::Matrix q = nn::kern::matvec(hq, query_.weight().value());  // B x 1
-      if (query_.has_bias()) {
-        const float b0 = query_.bias().value().at(0, 0);
-        for (int i = 0; i < q.rows(); ++i) q.data()[i] += b0;
-      }
-      const nn::Matrix key = nn::kern::matvec(h_src.value(), key_.weight().value());
-      const int num_edges = static_cast<int>(seg.size());
-      nn::Matrix scores(num_edges, 1);
-      const float* pv = has_pe ? pe_term.value().data() : nullptr;
-      for (int i = 0; i < num_edges; ++i) {
-        float v = q.data()[seg[i]] + key.data()[i];
-        if (pv != nullptr) v += pv[i];
-        scores.data()[i] = v;
-      }
-      const nn::Matrix alpha = nn::kern::softmax_segments(scores, seg, num_dst);
-      return nn::constant(
-          nn::kern::scale_rows_scatter_add(h_src.value(), alpha, seg, num_dst));
-    }
+    if (!nn::grad_enabled())
+      return nn::constant(fused(h_src.value(), h_query.value().data(), seg, num_dst,
+                                has_pe ? pe_term.value().data() : nullptr));
     const Tensor q = query_.forward(h_query);       // B x 1
     const Tensor q_edges = nn::gather_rows(q, seg);  // E x 1
     Tensor scores = nn::add(q_edges, key_.forward(h_src));
     if (has_pe) scores = nn::add(scores, pe_term);
     const Tensor alpha = nn::softmax_segments(scores, seg, num_dst);
     return nn::scatter_add_rows(nn::scale_rows(h_src, alpha), seg, num_dst);
+  }
+
+  nn::Matrix forward_no_grad(nn::Matrix h_src, const float* h_query, const std::vector<int>& seg,
+                             int num_dst, const std::vector<float>& /*inv_deg*/,
+                             const float* pe_term) const override {
+    return fused(h_src, h_query, seg, num_dst, pe_term);
   }
 
   Tensor project_pe(const Tensor& pe) const override {
@@ -137,6 +130,31 @@ class AttentionAggregator final : public Aggregator {
   }
 
  private:
+  /// The inference path, bitwise-identical to the op composition of
+  /// forward(): matvec == matmul at n == 1, the scalar bias add is the same
+  /// single addition add_rowvec performs at out_features == 1, the combine
+  /// loop keeps the (q + key) + pe association of the two adds, and the
+  /// fused scatter keeps scale-then-add rounding per row in ascending order.
+  /// The query rows are read where they live (row stride d).
+  nn::Matrix fused(const nn::Matrix& h_src, const float* h_query, const std::vector<int>& seg,
+                   int num_dst, const float* pe_term) const {
+    nn::Matrix q = nn::kern::matvec(h_query, num_dst, query_.weight().value());  // B x 1
+    if (query_.has_bias()) {
+      const float b0 = query_.bias().value().at(0, 0);
+      for (int i = 0; i < q.rows(); ++i) q.data()[i] += b0;
+    }
+    const nn::Matrix key = nn::kern::matvec(h_src, key_.weight().value());
+    const int num_edges = static_cast<int>(seg.size());
+    nn::Matrix scores(num_edges, 1);
+    for (int i = 0; i < num_edges; ++i) {
+      float v = q.data()[seg[i]] + key.data()[i];
+      if (pe_term != nullptr) v += pe_term[i];
+      scores.data()[i] = v;
+    }
+    const nn::Matrix alpha = nn::kern::softmax_segments(scores, seg, num_dst);
+    return nn::kern::scale_rows_scatter_add(h_src, alpha, seg, num_dst);
+  }
+
   nn::Linear query_, key_, pe_;
 };
 

@@ -36,6 +36,18 @@ class Aggregator {
                              const std::vector<int>& seg, int num_dst,
                              const nn::Tensor& inv_deg, const nn::Tensor& pe_term) const = 0;
 
+  /// The same messages with gradients off, bitwise equal to forward():
+  /// `h_src` holds the gathered E x d source rows, `h_query` points at the
+  /// B destination rows of the sweep-start states (row stride d), read in
+  /// place, `inv_deg` holds the per-destination 1 / indegree and `pe_term`
+  /// the E project_pe() values (nullptr when forward() would get an
+  /// undefined term). The default runs forward() and suits every
+  /// aggregator that reads neither the query nor pe.
+  virtual nn::Matrix forward_no_grad(nn::Matrix h_src, const float* h_query,
+                                     const std::vector<int>& seg, int num_dst,
+                                     const std::vector<float>& inv_deg,
+                                     const float* pe_term) const;
+
   /// Project per-edge positional encodings (E x 2L) into the per-edge score
   /// contribution forward() consumes (E x 1). Hoisted out of forward() so
   /// recurrent models can compute it once per graph instead of once per

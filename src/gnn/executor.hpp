@@ -52,7 +52,7 @@ class Batch {
   static Batch merge(const std::vector<const CircuitGraph*>& parts);
 
   /// The forward step: ONE model forward over the group, inside an
-  /// nn::ArenaScope so level states and scratch recycle call to call. The
+  /// nn::ArenaScope so its small per-level buffers recycle call to call. The
   /// caller holds the nn::NoGradGuard. `iterations` as in
   /// Model::forward_outputs.
   void forward(const Model& model, int iterations = 0);

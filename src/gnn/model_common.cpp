@@ -9,6 +9,7 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <stdexcept>
 #include <thread>
@@ -95,22 +96,15 @@ std::vector<Tensor> level_onehot(const CircuitGraph& g) {
 
 namespace {
 
-nn::Matrix padded_onehot_rows(const std::vector<int>& nodes, const CircuitGraph& g, int dim) {
-  nn::Matrix m(static_cast<int>(nodes.size()), dim);
-  for (std::size_t i = 0; i < nodes.size(); ++i)
-    m.at(static_cast<int>(i), g.type_id[static_cast<std::size_t>(nodes[i])]) = 1.0F;
-  return m;
-}
-
 constexpr std::uint64_t kH0SeedMix = 0xd1f7a2b3c4e5f607ULL;
 
 /// Seed of the h0 row at (level, row): a SplitMix64-style finalizer over the
 /// model seed and the cell coordinates, so every row owns an independent
 /// stream. Counter-based rather than one sequential stream per graph on
 /// purpose: a member of a merged batch replays exactly the cells it draws
-/// alone (batched_random_level_rows), so the h0 values never depend on what
-/// else shares the forward. util::Rng applies its own SplitMix64 pass on
-/// top of the returned value.
+/// alone (write_h0), so the h0 values never depend on what else shares the
+/// forward. util::Rng applies its own SplitMix64 pass on top of the
+/// returned value.
 std::uint64_t h0_row_seed(std::uint64_t seed, int level, int row) {
   std::uint64_t z = seed ^ kH0SeedMix;
   z += 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(level) + 2);
@@ -137,76 +131,66 @@ void fill_h0_row(float* dst, int dim, std::uint64_t row_seed) {
   for (int c = 0; c < dim; ++c) dst[c] = stddev * rng.next_normal();
 }
 
-nn::Matrix random_level_rows(int level, int rows, int dim, std::uint64_t seed) {
-  nn::Matrix m(rows, dim);
-  for (int r = 0; r < rows; ++r) fill_h0_row(m.row_ptr(r), dim, h0_row_seed(seed, level, r));
-  return m;
+/// Row of each level's first node in a level-ordered N-row table.
+std::vector<int> level_offsets(const CircuitGraph& g) {
+  std::vector<int> start;
+  start.reserve(g.nodes_at_level.size());
+  int acc = 0;
+  for (const std::vector<int>& nodes : g.nodes_at_level) {
+    start.push_back(acc);
+    acc += static_cast<int>(nodes.size());
+  }
+  return start;
 }
 
-/// Per (member, level) contiguous row block within the merged level tensors.
-/// nodes_at_level is sorted by node id and member id ranges are contiguous,
-/// so member m's rows of level L are always one block.
-struct MemberLevelRows {
-  std::vector<int> start;  // [member * num_levels + level]
-  std::vector<int> count;
-};
-
-MemberLevelRows member_level_rows(const CircuitGraph& g) {
-  MemberLevelRows rows;
-  const std::size_t cells = g.members.size() * static_cast<std::size_t>(g.num_levels);
-  rows.start.assign(cells, 0);
-  rows.count.assign(cells, 0);
+/// Initial states of every node into the level-ordered N x dim table at
+/// `rows` (level L's rows start at row level_start[L]): seeded-random rows
+/// or the one-hot features zero-padded to width dim. In a batched graph
+/// each member's rows replay the member's own per-(level, row) cells — the
+/// exact values the member draws alone — so merged inference is bit-exact
+/// with every member running solo. Member m's rows of level L are one
+/// block, because nodes_at_level is sorted by node id and member id ranges
+/// are contiguous.
+void write_h0(const CircuitGraph& g, int dim, bool random_init, std::uint64_t seed,
+              const std::vector<int>& level_start, float* rows) {
+  const std::size_t d = static_cast<std::size_t>(dim);
+  std::fill_n(rows, static_cast<std::size_t>(g.num_nodes) * d, 0.0F);
+  const auto row = [&](int L, int r) {
+    return rows + static_cast<std::size_t>(level_start[static_cast<std::size_t>(L)] + r) * d;
+  };
   for (int L = 0; L < g.num_levels; ++L) {
-    const std::vector<int> member_of_row = g.member_of_level_rows(L);
-    for (std::size_t i = 0; i < member_of_row.size(); ++i) {
-      const std::size_t cell =
-          static_cast<std::size_t>(member_of_row[i]) * static_cast<std::size_t>(g.num_levels) +
-          static_cast<std::size_t>(L);
-      if (rows.count[cell] == 0) rows.start[cell] = static_cast<int>(i);
-      ++rows.count[cell];
+    const std::vector<int>& nodes = g.nodes_at_level[static_cast<std::size_t>(L)];
+    if (!random_init) {
+      for (std::size_t i = 0; i < nodes.size(); ++i)
+        row(L, static_cast<int>(i))[g.type_id[static_cast<std::size_t>(nodes[i])]] = 1.0F;
+    } else if (!g.is_batch()) {
+      for (int r = 0; r < static_cast<int>(nodes.size()); ++r)
+        fill_h0_row(row(L, r), dim, h0_row_seed(seed, L, r));
+    } else {
+      const std::vector<int> member_of_row = g.member_of_level_rows(L);
+      int member_row = 0;
+      for (std::size_t i = 0; i < member_of_row.size(); ++i) {
+        member_row = i > 0 && member_of_row[i] == member_of_row[i - 1] ? member_row + 1 : 0;
+        fill_h0_row(row(L, static_cast<int>(i)), dim, h0_row_seed(seed, L, member_row));
+      }
     }
   }
-  return rows;
-}
-
-/// Random h0 for a batched graph: each member's rows replay the member's own
-/// per-(level, row) cells — the exact values init_level_states draws for the
-/// member alone — scattered into the merged level tensors, so merged
-/// inference is bit-exact with every member running solo.
-std::vector<nn::Matrix> batched_random_level_rows(const CircuitGraph& g, int dim,
-                                                  std::uint64_t seed) {
-  std::vector<nn::Matrix> mats;
-  mats.reserve(static_cast<std::size_t>(g.num_levels));
-  for (const auto& nodes : g.nodes_at_level)
-    mats.emplace_back(static_cast<int>(nodes.size()), dim);  // zero-initialized
-  const MemberLevelRows rows = member_level_rows(g);
-  for (std::size_t m = 0; m < g.members.size(); ++m) {
-    for (int L = 0; L < g.members[m].num_levels; ++L) {
-      const std::size_t cell =
-          m * static_cast<std::size_t>(g.num_levels) + static_cast<std::size_t>(L);
-      for (int r = 0; r < rows.count[cell]; ++r)
-        fill_h0_row(mats[static_cast<std::size_t>(L)].row_ptr(rows.start[cell] + r), dim,
-                    h0_row_seed(seed, L, r));
-    }
-  }
-  return mats;
 }
 
 }  // namespace
 
 std::vector<Tensor> init_level_states(const CircuitGraph& g, int dim, bool random_init,
                                       std::uint64_t seed) {
+  const std::vector<int> level_start = level_offsets(g);
+  nn::Matrix table(g.num_nodes, dim);
+  write_h0(g, dim, random_init, seed, level_start, table.data());
   std::vector<Tensor> states;
   states.reserve(static_cast<std::size_t>(g.num_levels));
-  if (random_init && g.is_batch()) {
-    for (nn::Matrix& m : batched_random_level_rows(g, dim, seed))
-      states.push_back(nn::constant(std::move(m)));
-    return states;
-  }
   for (int L = 0; L < g.num_levels; ++L) {
-    const auto& nodes = g.nodes_at_level[static_cast<std::size_t>(L)];
-    nn::Matrix m = random_init ? random_level_rows(L, static_cast<int>(nodes.size()), dim, seed)
-                               : padded_onehot_rows(nodes, g, dim);
+    nn::Matrix m(static_cast<int>(g.nodes_at_level[static_cast<std::size_t>(L)].size()), dim);
+    if (m.size() != 0)
+      std::memcpy(m.data(), table.row_ptr(level_start[static_cast<std::size_t>(L)]),
+                  m.size() * sizeof(float));
     states.push_back(nn::constant(std::move(m)));
   }
   return states;
@@ -220,22 +204,12 @@ Tensor init_full_state(const CircuitGraph& g, int dim) {
 }
 
 Tensor full_from_levels(const std::vector<Tensor>& states, const CircuitGraph& g) {
-  const Tensor stacked = nn::concat_rows(states);  // rows in level order
-  return nn::gather_rows(stacked, [&] {
-    // permutation: node v sits at row offset(level) + node_pos[v]
-    std::vector<int> row_of_node(static_cast<std::size_t>(g.num_nodes));
-    std::vector<int> offset(static_cast<std::size_t>(g.num_levels), 0);
-    int acc = 0;
-    for (int l = 0; l < g.num_levels; ++l) {
-      offset[static_cast<std::size_t>(l)] = acc;
-      acc += static_cast<int>(g.nodes_at_level[static_cast<std::size_t>(l)].size());
-    }
-    for (int v = 0; v < g.num_nodes; ++v)
-      row_of_node[static_cast<std::size_t>(v)] =
-          offset[static_cast<std::size_t>(g.level[static_cast<std::size_t>(v)])] +
-          g.node_pos[static_cast<std::size_t>(v)];
-    return row_of_node;
-  }());
+  // Node v sits at row level_start[level[v]] + node_pos[v] of the stack.
+  const std::vector<int> level_start = level_offsets(g);
+  std::vector<int> row_of_node(static_cast<std::size_t>(g.num_nodes));
+  for (std::size_t v = 0; v < row_of_node.size(); ++v)
+    row_of_node[v] = level_start[static_cast<std::size_t>(g.level[v])] + g.node_pos[v];
+  return nn::gather_rows(nn::concat_rows(states), row_of_node);
 }
 
 Tensor gather_batch_sources(const std::vector<Tensor>& states, const LevelBatch& batch) {
@@ -266,39 +240,22 @@ void DirectedLayer::sweep_levels(const CircuitGraph& g, std::vector<int>& out) c
 }
 
 Tensor DirectedLayer::aggregate(const CircuitGraph& g, int L, const std::vector<Tensor>& states,
-                                const std::vector<Tensor>& queries, Scratch* scratch) const {
+                                const std::vector<Tensor>& queries) const {
   const LevelBatch& batch = batch_at(g, L);
   const std::size_t lvl = static_cast<std::size_t>(L);
   const int num_dst = static_cast<int>(g.nodes_at_level[lvl].size());
-  const Tensor h_src = gather_batch_sources(states, batch);
-  Tensor pe_term;
-  if (scratch != nullptr && scratch->pe_valid[lvl] != 0) {
-    pe_term = scratch->pe_term[lvl];
-  } else if (batch.pe.rows() > 0) {
-    pe_term = agg_->project_pe(nn::constant(batch.pe));
-    if (scratch != nullptr) {
-      scratch->pe_term[lvl] = pe_term;
-      scratch->pe_valid[lvl] = 1;
-    }
-  } else if (scratch != nullptr) {
-    scratch->pe_valid[lvl] = 1;  // no skip edges at this level: stays undefined
-  }
-  Tensor inv_deg;
-  if (scratch != nullptr && scratch->inv_deg[lvl].defined()) {
-    inv_deg = scratch->inv_deg[lvl];
-  } else {
-    inv_deg =
-        nn::constant(nn::Matrix::from_vector(num_dst, 1, std::vector<float>(batch.inv_deg)));
-    if (scratch != nullptr) scratch->inv_deg[lvl] = inv_deg;
-  }
-  return agg_->forward(h_src, queries[lvl], batch.seg, num_dst, inv_deg, pe_term);
+  const Tensor pe_term = batch.pe.rows() > 0 ? agg_->project_pe(nn::constant(batch.pe)) : Tensor();
+  const Tensor inv_deg =
+      nn::constant(nn::Matrix::from_vector(num_dst, 1, std::vector<float>(batch.inv_deg)));
+  return agg_->forward(gather_batch_sources(states, batch), queries[lvl], batch.seg, num_dst,
+                       inv_deg, pe_term);
 }
 
 namespace {
 
-/// Store level L's GRU output. In a batched graph some members skip this
-/// level when alone; their rows keep the previous states through an exact
-/// row select (bitwise, no blending).
+/// Store level L's GRU output on the taped path. In a batched graph some
+/// members skip this level when alone; their rows keep the previous states
+/// through an exact row select (bitwise, no blending).
 void commit_level(std::vector<Tensor>& states, int L, const LevelBatch& batch,
                   const Tensor& updated) {
   Tensor& state = states[static_cast<std::size_t>(L)];
@@ -340,33 +297,60 @@ void DirectedLayer::run_taped(const CircuitGraph& g, std::vector<Tensor>& states
   sweep_levels(g, levels);
   for (const int L : levels) {
     const std::size_t lvl = static_cast<std::size_t>(L);
-    const Tensor m = aggregate(g, L, states, queries, nullptr);
+    const Tensor m = aggregate(g, L, states, queries);
     const Tensor input = refeed_ ? nn::concat_cols(m, x_lvl[lvl]) : m;
     commit_level(states, L, batch_at(g, L), gru_.forward(input, states[lvl]));
   }
 }
 
 struct DirectedLayer::SweepBuffers {
-  SweepBuffers(const CircuitGraph& g, int dim)
-      : helper_slots(util::global_pool().runs_inline() ? 0 : kProductSlots) {
+  SweepBuffers(const CircuitGraph& g, const ModelConfig& cfg)
+      : level_start(level_offsets(g)),
+        dim(cfg.dim),
+        helper_slots(util::global_pool().runs_inline() ? 0 : kProductSlots) {
     types.reserve(static_cast<std::size_t>(g.num_nodes));
-    level_start.reserve(g.nodes_at_level.size());
     std::size_t widest = 0;
     for (const std::vector<int>& nodes : g.nodes_at_level) {
-      level_start.push_back(static_cast<int>(types.size()));
       for (const int v : nodes) types.push_back(g.type_id[static_cast<std::size_t>(v)]);
       widest = std::max(widest, nodes.size());
     }
+    table_floats = static_cast<std::size_t>(g.num_nodes) * static_cast<std::size_t>(dim);
     slot_floats = 3 * widest * static_cast<std::size_t>(dim);
-    // Not zero-filled: hidden_products writes each product from zero, and
-    // only the rows a level uses are ever touched.
-    slots = nn::detail::arena_acquire_floats(static_cast<std::size_t>(1 + helper_slots) *
-                                             slot_floats);
+    // One buffer: the state slab, the sweep-start slab when a helper may
+    // read it, the driver's work area and the product ring. Not
+    // zero-filled: write_h0 writes the whole slab, each sweep copies it
+    // whole into the sweep-start slab, and the GRU writes every product and
+    // work float it reads.
+    const std::size_t starts = helper_slots > 0 ? table_floats : 0;
+    storage = nn::detail::arena_acquire_floats(
+        table_floats + starts + (2 + static_cast<std::size_t>(helper_slots)) * slot_floats);
+    state = storage;
+    start = state + starts;
+    work = start + table_floats;
+    slots = work + slot_floats;
+    write_h0(g, dim, cfg.random_h0, cfg.seed, level_start, state);
     levels.reserve(g.nodes_at_level.size());
   }
-  ~SweepBuffers() { nn::detail::arena_release(slots); }
+  ~SweepBuffers() { nn::detail::arena_release(storage); }
   SweepBuffers(const SweepBuffers&) = delete;
   SweepBuffers& operator=(const SweepBuffers&) = delete;
+
+  /// Level L's first row in the state slab; its rows follow densely.
+  float* rows(int L) const {
+    return state + static_cast<std::size_t>(level_start[static_cast<std::size_t>(L)]) *
+                       static_cast<std::size_t>(dim);
+  }
+  /// Level L's first row in the slab the sweep's hidden-side products read.
+  const float* start_rows(int L) const { return start + (rows(L) - state); }
+
+  /// Called before each sweep. A helper computes a level's products while
+  /// the driver may already be writing that level's rows, so with a helper
+  /// the products read a copy of the slab taken here, which the driver
+  /// never writes. Inline, they read the slab itself: a level's rows hold
+  /// its sweep-start states until the sweep's step for it writes them.
+  void begin_sweep() const {
+    if (helper_slots > 0) std::memcpy(start, state, table_floats * sizeof(float));
+  }
 
   /// Where the driver computes the products it does not take from the
   /// helper. Only the driver touches it.
@@ -378,11 +362,17 @@ struct DirectedLayer::SweepBuffers {
     return slots + static_cast<std::size_t>(1 + i % helper_slots) * slot_floats;
   }
 
-  std::vector<int> types;        ///< gate type of each level row, level by level
-  std::vector<int> level_start;  ///< index in `types` of each level's first row
-  std::vector<int> levels;       ///< the current sweep's levels, in sweep order
-  const int helper_slots;        ///< kProductSlots, or 0 when sweeps run inline
-  float* slots = nullptr;        ///< (1 + helper_slots) x 3 x widest level x dim
+  std::vector<int> types;              ///< gate type of each slab row
+  const std::vector<int> level_start;  ///< slab row of each level's first node
+  std::vector<int> levels;             ///< the current sweep's levels, in sweep order
+  const int dim;
+  const int helper_slots;  ///< kProductSlots, or 0 when sweeps run inline
+  float* storage = nullptr;
+  float* state = nullptr;  ///< N x dim level states, level by level
+  float* start = nullptr;  ///< their sweep-start copy (== state when inline)
+  float* work = nullptr;   ///< the driver's GRU work area: 3 x widest level x dim
+  float* slots = nullptr;  ///< (1 + helper_slots) x 3 x widest level x dim
+  std::size_t table_floats = 0;
   std::size_t slot_floats = 0;
 };
 
@@ -503,34 +493,66 @@ class SharedSweep {
 
 }  // namespace
 
-void DirectedLayer::run_no_grad(const CircuitGraph& g, std::vector<Tensor>& states,
-                                const std::vector<Tensor>& queries, Scratch& scratch,
+nn::Matrix DirectedLayer::aggregate_no_grad(const CircuitGraph& g, int L,
+                                            const SweepBuffers& buffers,
+                                            const Scratch& scratch) const {
+  const LevelBatch& batch = batch_at(g, L);
+  const std::size_t lvl = static_cast<std::size_t>(L);
+  const std::size_t row_bytes = static_cast<std::size_t>(buffers.dim) * sizeof(float);
+  nn::Matrix h_src(batch.num_edges, buffers.dim);
+  int e = 0;
+  for (const LevelBatch::SrcGroup& group : batch.groups) {
+    const float* base = buffers.rows(group.level);
+    for (const int pos : group.pos)
+      std::memcpy(h_src.row_ptr(e++), base + static_cast<std::size_t>(pos) * buffers.dim,
+                  row_bytes);
+  }
+  assert(e == batch.num_edges);
+  const bool has_pe = scratch.pe_at[lvl + 1] > scratch.pe_at[lvl];
+  return agg_->forward_no_grad(std::move(h_src), buffers.rows(L), batch.seg,
+                               static_cast<int>(g.nodes_at_level[lvl].size()), batch.inv_deg,
+                               has_pe ? scratch.pe_term.data() + scratch.pe_at[lvl] : nullptr);
+}
+
+void DirectedLayer::run_no_grad(const CircuitGraph& g, Scratch& scratch,
                                 SweepBuffers& buffers) const {
-  if (scratch.pe_term.size() != static_cast<std::size_t>(g.num_levels)) {
-    scratch.pe_term.assign(static_cast<std::size_t>(g.num_levels), Tensor());
-    scratch.pe_valid.assign(static_cast<std::size_t>(g.num_levels), 0);
-    scratch.inv_deg.assign(static_cast<std::size_t>(g.num_levels), Tensor());
+  if (scratch.pe_at.empty()) {
+    // Every level's projection, once per forward; a level without skip
+    // edges gets an empty run.
+    for (int L = 0; L < g.num_levels; ++L) {
+      scratch.pe_at.push_back(scratch.pe_term.size());
+      const nn::Matrix& pe = batch_at(g, L).pe;
+      if (pe.rows() == 0) continue;
+      const Tensor term = agg_->project_pe(nn::constant(pe));
+      if (term.defined())
+        scratch.pe_term.insert(scratch.pe_term.end(), term.value().data(),
+                               term.value().data() + term.value().size());
+    }
+    scratch.pe_at.push_back(scratch.pe_term.size());
   }
   const std::vector<int>& levels = buffers.levels;
   sweep_levels(g, buffers.levels);
   if (levels.empty()) return;
+  buffers.begin_sweep();
   const auto level = [&](int i) { return levels[static_cast<std::size_t>(i)]; };
-  // A level's state changes only when the sweep reaches it, so the state
-  // its step reads is its state at sweep start, queries[L]. The products
-  // read that copy: the driver never writes it, and it keeps the matrix
-  // alive while a late helper still reads it after the step replaced
-  // states[L].
-  const auto products = [&](int i, float* out) {
-    gru_.hidden_products(queries[static_cast<std::size_t>(level(i))].value(), out);
+  const auto level_rows = [&](int L) {
+    return static_cast<int>(g.nodes_at_level[static_cast<std::size_t>(L)].size());
   };
+  const auto products = [&](int i, float* out) {
+    const int L = level(i);
+    gru_.hidden_products(buffers.start_rows(L), level_rows(L), out);
+  };
+  // The step reads level L's sweep-start rows (attention query, GRU h) and
+  // then writes the updated rows over them, all in the slab.
   const auto step = [&](int i, const float* products) {
     const int L = level(i);
-    const std::size_t lvl = static_cast<std::size_t>(L);
-    const Tensor m = aggregate(g, L, states, queries, &scratch);
-    const int* onehot = refeed_ ? buffers.types.data() + buffers.level_start[lvl] : nullptr;
-    commit_level(states, L, batch_at(g, L),
-                 nn::constant(gru_.step_no_grad(m.value(), onehot, states[lvl].value(),
-                                                products)));
+    const nn::Matrix m = aggregate_no_grad(g, L, buffers, scratch);
+    const int* onehot =
+        refeed_ ? buffers.types.data() + buffers.level_start[static_cast<std::size_t>(L)] : nullptr;
+    const LevelBatch& batch = batch_at(g, L);
+    float* h = buffers.rows(L);
+    gru_.step_no_grad(m, onehot, h, products, buffers.work,
+                      batch.masked() ? batch.update_rows.data() : nullptr, h);
   };
   SharedSweep(static_cast<int>(levels.size()), buffers, products, step).run();
 }
@@ -544,22 +566,29 @@ ForwardOutputs run_layered_forward(const CircuitGraph& g,
                                    const std::vector<const DirectedLayer*>& sweeps,
                                    const Regressor& regressor, const ModelConfig& cfg) {
   count_full_forward();
-  std::vector<Tensor> states = init_level_states(g, cfg.dim, cfg.random_h0, cfg.seed);
+  Tensor h;
   if (nn::grad_enabled()) {
+    std::vector<Tensor> states = init_level_states(g, cfg.dim, cfg.random_h0, cfg.seed);
     const std::vector<Tensor> x_lvl = level_onehot(g);
     for (const DirectedLayer* layer : sweeps) {
       const std::vector<Tensor> queries = states;
       layer->run_taped(g, states, queries, x_lvl);
     }
+    h = full_from_levels(states, g);
   } else {
-    DirectedLayer::SweepBuffers buffers(g, cfg.dim);
+    DirectedLayer::SweepBuffers buffers(g, cfg);
     std::map<const DirectedLayer*, DirectedLayer::Scratch> scratch;
-    for (const DirectedLayer* layer : sweeps) {
-      const std::vector<Tensor> queries = states;
-      layer->run_no_grad(g, states, queries, scratch[layer], buffers);
-    }
+    for (const DirectedLayer* layer : sweeps) layer->run_no_grad(g, scratch[layer], buffers);
+    // The embedding in node order: one row gather from the slab.
+    nn::Matrix full(g.num_nodes, cfg.dim);
+    for (int v = 0; v < g.num_nodes; ++v)
+      std::memcpy(full.row_ptr(v),
+                  buffers.rows(g.level[static_cast<std::size_t>(v)]) +
+                      static_cast<std::size_t>(g.node_pos[static_cast<std::size_t>(v)]) *
+                          static_cast<std::size_t>(cfg.dim),
+                  static_cast<std::size_t>(cfg.dim) * sizeof(float));
+    h = nn::constant(std::move(full));
   }
-  const Tensor h = full_from_levels(states, g);
   return {regressor.forward(h, g), h};
 }
 

@@ -125,8 +125,10 @@ class Regressor {
 /// One-hot gate-type features for each level (B_L x num_types constants).
 std::vector<nn::Tensor> level_onehot(const CircuitGraph& g);
 
-/// Initial per-level hidden states: seeded-random N(0, 1/sqrt(d)) rows
-/// (DeepGate) or the one-hot features zero-padded to width d (baselines).
+/// Initial per-level hidden states of the taped forward: seeded-random
+/// N(0, 1/sqrt(d)) rows (DeepGate) or the one-hot features zero-padded to
+/// width d (baselines). The no-grad forward writes the same rows straight
+/// into its state slab.
 std::vector<nn::Tensor> init_level_states(const CircuitGraph& g, int dim, bool random_init,
                                           std::uint64_t seed);
 
@@ -148,21 +150,25 @@ class DirectedLayer {
   DirectedLayer(const ModelConfig& cfg, bool reversed, util::Rng& rng);
 
   /// Per-graph memo reused across the no-grad sweeps of one layer on the
-  /// SAME graph (the recurrent models' T sweeps). Caches level constants
-  /// that cannot change between sweeps: the aggregator's pe projection (the
-  /// encodings of Eq. (7) are pure graph structure) and the inv_deg
-  /// constant. The taped path never uses it: every sweep tapes its own
+  /// SAME graph (the recurrent models' T sweeps). Caches the one level
+  /// constant that cannot change between sweeps and costs a matmul: the
+  /// aggregator's pe projection (the encodings of Eq. (7) are pure graph
+  /// structure), every level's in one array, so a forward holds no buffer
+  /// per level. The taped path never uses it: every sweep tapes its own
   /// nodes, keeping training bitwise-untouched.
   struct Scratch {
-    std::vector<nn::Tensor> pe_term;      ///< project_pe output per level
-    std::vector<unsigned char> pe_valid;  ///< pe_term[L] computed (may be undefined)
-    std::vector<nn::Tensor> inv_deg;      ///< constant per level
+    std::vector<float> pe_term;     ///< project_pe output of every level, in level order
+    std::vector<std::size_t> pe_at; ///< level L's run is [pe_at[L], pe_at[L + 1]); empty
+                                    ///< until the layer's first sweep
   };
 
   /// Storage every no-grad sweep of one forward shares, whatever its layer
-  /// (defined in model_common.cpp): the gate type of each level row, which
-  /// the refed one-hot folds into, and the ring of hidden-side GRU product
-  /// slots.
+  /// (defined in model_common.cpp), allocated once per forward: the level
+  /// states as one level-ordered N x d slab, which every level step reads
+  /// and updates in place; a sweep-start copy of it only when a helper
+  /// lane computes products ahead; the gate type of each slab row, which
+  /// the refed one-hot folds into; the driver's GRU work area and the ring
+  /// of hidden-side GRU product slots. No level step allocates a state.
   struct SweepBuffers;
 
   /// One sweep with gradients recorded. `states` is updated level by level;
@@ -172,15 +178,16 @@ class DirectedLayer {
                  const std::vector<nn::Tensor>& queries,
                  const std::vector<nn::Tensor>& x_lvl) const;
 
-  /// The same sweep under NoGradGuard, bitwise equal. The calling thread
-  /// drives the levels in order; one idle pool lane, if there is one,
-  /// computes the hidden-side GRU products of the levels ahead from
-  /// `queries` (a level's state is its sweep-start state until the sweep
-  /// reaches it). `scratch` must be used with this layer and one graph
-  /// only; `buffers` with one graph only.
-  void run_no_grad(const CircuitGraph& g, std::vector<nn::Tensor>& states,
-                   const std::vector<nn::Tensor>& queries, Scratch& scratch,
-                   SweepBuffers& buffers) const;
+  /// The same sweep under NoGradGuard, bitwise equal, on the states in
+  /// `buffers`' slab. The calling thread drives the levels in order; each
+  /// level step gathers its sources from the slab, reads its own rows as
+  /// the attention query and GRU state, and writes the GRU output over
+  /// them (only the update_rows of a masked level). One idle pool lane, if
+  /// there is one, computes the hidden-side GRU products of the levels
+  /// ahead from the sweep-start copy (a level's state is its sweep-start
+  /// state until the sweep reaches it). `scratch` must be used with this
+  /// layer and one graph only; `buffers` with one graph only.
+  void run_no_grad(const CircuitGraph& g, Scratch& scratch, SweepBuffers& buffers) const;
 
   void collect(nn::NamedParams& out, const std::string& prefix) const;
 
@@ -196,9 +203,14 @@ class DirectedLayer {
   /// edges (a level without edges keeps its states).
   void sweep_levels(const CircuitGraph& g, std::vector<int>& out) const;
 
-  /// Aggregated messages into level L (the taped path passes no scratch).
+  /// Aggregated messages into level L, taped.
   nn::Tensor aggregate(const CircuitGraph& g, int L, const std::vector<nn::Tensor>& states,
-                       const std::vector<nn::Tensor>& queries, Scratch* scratch) const;
+                       const std::vector<nn::Tensor>& queries) const;
+
+  /// The same messages with gradients off: sources gathered from the slab
+  /// in one pass, the query read in place.
+  nn::Matrix aggregate_no_grad(const CircuitGraph& g, int L, const SweepBuffers& buffers,
+                               const Scratch& scratch) const;
 
   bool reversed_;
   bool use_skip_;

@@ -14,9 +14,14 @@
 namespace dg::nn {
 namespace {
 
-// Smallest bucket 32 bytes (index 5); index b holds capacity 1 << b.
+// Smallest bucket 32 bytes (index 5); index b holds capacity 1 << b. The
+// largest bucket holds requests just under kArenaLargeBytes; anything at or above
+// it is a plain heap allocation (see arena.hpp), so no request can index
+// past the last bucket.
 constexpr int kMinBucket = 5;
-constexpr int kNumBuckets = 44;
+constexpr int kNumBuckets = 19;
+static_assert(kArenaLargeBytes == std::size_t{1} << (kNumBuckets - 1),
+              "the largest bucket must hold every pooled request");
 
 struct Header {
   Arena* owner;       // nullptr = plain heap allocation
@@ -164,7 +169,7 @@ namespace detail {
 void* arena_acquire(std::size_t bytes) {
   if (bytes == 0) return nullptr;
   Arena* a = g_active;
-  if (a != nullptr) {
+  if (a != nullptr && bytes < kArenaLargeBytes) {
     const int bucket = bucket_for(bytes);
     if (void* p = a->try_pop(bucket)) {
       g_reuses.fetch_add(1, std::memory_order_relaxed);

@@ -39,81 +39,92 @@ Tensor GruCell::forward(const Tensor& x, const Tensor& h) const {
 }
 
 // The taped composition above, op for op, with every intermediate folded
-// into three buffers plus the hidden-side products. Each matmul starts from
-// a zeroed buffer like kern::matmul does, and each elementwise step is the
-// same backend call on the same operands in the same order, only written
-// in place, so the result is bitwise the taped one on every backend.
+// into three work buffers plus the hidden-side products. Each matmul starts
+// from a zeroed buffer like kern::matmul does, and each elementwise step is
+// the same backend call on the same operands in the same order, only
+// written in place, so the result is bitwise the taped one on every backend.
 Matrix GruCell::forward_no_grad(const Matrix& x, const Matrix& h) const {
-  Matrix products(3 * h.rows(), hidden_);
-  hidden_products(h, products.data());
-  return step_no_grad(x, nullptr, h, products.data());
+  Matrix scratch(6 * h.rows(), hidden_);  // products, then the step's work
+  Matrix out(h.rows(), hidden_);
+  hidden_products(h.data(), h.rows(), scratch.data());
+  step_no_grad(x, nullptr, h.data(), scratch.data(), scratch.data() + 3 * h.size(), nullptr,
+               out.data());
+  return out;
 }
 
-void GruCell::hidden_products(const Matrix& h, float* out) const {
-  assert(h.cols() == hidden_);
+void GruCell::hidden_products(const float* h, int rows, float* out) const {
   const kern::KernelBackend& be = kern::backend();
+  const std::size_t size = static_cast<std::size_t>(rows) * static_cast<std::size_t>(hidden_);
   for (const Tensor* u : {&uz_, &ur_, &un_}) {
-    std::fill_n(out, h.size(), 0.0F);
-    be.matmul_rows(out, h.data(), u->value().data(), 0, h.rows(), hidden_, hidden_);
-    out += h.size();
+    std::fill_n(out, size, 0.0F);
+    be.matmul_rows(out, h, u->value().data(), 0, rows, hidden_, hidden_);
+    out += size;
   }
 }
 
-Matrix GruCell::step_no_grad(const Matrix& x, const int* onehot, const Matrix& h,
-                             const float* products) const {
-  const int rows = h.rows();
+void GruCell::step_no_grad(const Matrix& x, const int* onehot, const float* h,
+                           const float* products, float* work,
+                           const std::uint8_t* update_rows, float* out) const {
+  const int rows = x.rows();
   const bool fold = x.cols() < input_;
   assert(x.cols() <= input_ && (!fold || onehot != nullptr || rows == 0));
   const kern::KernelBackend& be = kern::backend();
-  const std::size_t size = h.size();
   const std::size_t cols = static_cast<std::size_t>(hidden_);
+  const std::size_t size = static_cast<std::size_t>(rows) * cols;
   const float* hz = products;
   const float* hr = products + size;
   const float* hn = products + 2 * size;
   // buf = x * w from zero; a one-hot tail adds its weight row last.
-  auto product = [&](Matrix& buf, const Tensor& w) {
-    buf.fill(0.0F);
-    be.matmul_rows(buf.data(), x.data(), w.value().data(), 0, rows, x.cols(), hidden_);
+  auto product = [&](float* buf, const Tensor& w) {
+    std::fill_n(buf, size, 0.0F);
+    be.matmul_rows(buf, x.data(), w.value().data(), 0, rows, x.cols(), hidden_);
     if (!fold) return;
     for (int r = 0; r < rows; ++r)
-      be.add_n(buf.row_ptr(r), buf.row_ptr(r), w.value().row_ptr(x.cols() + onehot[r]), cols);
+      be.add_n(buf + r * cols, buf + r * cols, w.value().row_ptr(x.cols() + onehot[r]), cols);
   };
   // buf = buf + bias, row by row (kern::add_rowvec).
-  auto add_bias = [&](Matrix& buf, const Tensor& bias) {
+  auto add_bias = [&](float* buf, const Tensor& bias) {
     const float* b = bias.value().data();
-    for (int r = 0; r < rows; ++r) be.add_n(buf.row_ptr(r), buf.row_ptr(r), b, cols);
+    for (int r = 0; r < rows; ++r) be.add_n(buf + r * cols, buf + r * cols, b, cols);
   };
-  Matrix z(rows, hidden_);
-  Matrix r(rows, hidden_);
-  Matrix t(rows, hidden_);
+  float* z = work;
+  float* r = work + size;
+  float* t = work + 2 * size;
 
   // z = sigmoid(x Wz + h Uz + bz)
   product(z, wz_);
-  be.add_n(z.data(), z.data(), hz, size);
+  be.add_n(z, z, hz, size);
   add_bias(z, bz_);
-  be.sigmoid_n(z.data(), z.data(), size);
+  be.sigmoid_n(z, z, size);
 
   // r = sigmoid(x Wr + h Ur + br)
   product(r, wr_);
-  be.add_n(r.data(), r.data(), hr, size);
+  be.add_n(r, r, hr, size);
   add_bias(r, br_);
-  be.sigmoid_n(r.data(), r.data(), size);
+  be.sigmoid_n(r, r, size);
 
   // n = tanh(x Wn + r o (h Un) + bn); r's buffer takes x Wn once r o (h Un)
   // has consumed r, and then holds n.
-  be.mul_n(t.data(), r.data(), hn, size);
-  Matrix& n = r;
+  be.mul_n(t, r, hn, size);
+  float* n = r;
   product(n, wn_);
-  be.add_n(n.data(), n.data(), t.data(), size);
+  be.add_n(n, n, t, size);
   add_bias(n, bn_);
-  be.tanh_n(n.data(), n.data(), size);
+  be.tanh_n(n, n, size);
 
-  // h' = (n - z o n) + z o h
-  be.mul_n(t.data(), z.data(), n.data(), size);
-  be.sub_n(t.data(), n.data(), t.data(), size);
-  be.mul_n(z.data(), z.data(), h.data(), size);
-  be.add_n(t.data(), t.data(), z.data(), size);
-  return t;
+  // h' = (n - z o n) + z o h; z o h is the last read of h, the sum the only
+  // write to out.
+  be.mul_n(t, z, n, size);
+  be.sub_n(t, n, t, size);
+  be.mul_n(z, z, h, size);
+  if (update_rows == nullptr) {
+    be.add_n(out, t, z, size);
+    return;
+  }
+  for (int i = 0; i < rows; ++i) {
+    const std::size_t at = static_cast<std::size_t>(i) * cols;
+    if (update_rows[i] != 0) be.add_n(out + at, t + at, z + at, cols);
+  }
 }
 
 void GruCell::collect(NamedParams& out, const std::string& prefix) const {

@@ -65,9 +65,14 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b) {
 }
 
 Matrix matvec(const Matrix& a, const Matrix& w) {
-  assert(a.cols() == w.rows() && w.cols() == 1);
-  Matrix c(a.rows(), 1);
-  backend().matvec_rows(c.data(), a.data(), w.data(), 0, a.rows(), a.cols());
+  assert(a.cols() == w.rows());
+  return matvec(a.data(), a.rows(), w);
+}
+
+Matrix matvec(const float* a, int rows, const Matrix& w) {
+  assert(w.cols() == 1);
+  Matrix c(rows, 1);
+  backend().matvec_rows(c.data(), a, w.data(), 0, rows, w.rows());
   return c;
 }
 

@@ -44,6 +44,9 @@ void matmul_acc(Matrix& c, const Matrix& a, const Matrix& b);
 /// across rows — the j-blocked matmuls have nothing to vectorize at n == 1.
 /// Serves the attention aggregator's thin Ex1 score projections.
 Matrix matvec(const Matrix& a, const Matrix& w);
+/// The same over `rows` rows read where they live: row i of A is the
+/// w.rows() floats at a + i * w.rows().
+Matrix matvec(const float* a, int rows, const Matrix& w);
 
 Matrix add(const Matrix& a, const Matrix& b);
 Matrix sub(const Matrix& a, const Matrix& b);

@@ -43,6 +43,7 @@
 #pragma once
 
 #include "gnn/circuit_graph.hpp"
+#include "gnn/executor.hpp"
 #include "nn/matrix.hpp"
 #include "obs/metrics.hpp"
 #include "serve/policy.hpp"
@@ -102,8 +103,11 @@ const char* submit_status_name(SubmitStatus status);
 
 struct ServerOptions {
   std::size_t queue_capacity = 256;  ///< admission queue bound (backpressure point)
-  std::size_t node_budget = 8192;    ///< close a window at this many nodes
-  std::size_t max_graphs = 64;       ///< ... or this many member graphs
+  /// Close a window at this many nodes, or this many member graphs. The
+  /// defaults are gnn::ServeOptions', so the serving loop packs like
+  /// Engine::evaluate / gnn::execute.
+  std::size_t node_budget = dg::gnn::ServeOptions{}.node_budget;
+  std::size_t max_graphs = dg::gnn::ServeOptions{}.max_graphs;
   int lanes = 0;                     ///< worker lanes (model replicas); 0 = DEEPGATE_THREADS
 
   /// The defaults above, with `lanes` from DEEPGATE_SERVE_LANES (0..512)

@@ -186,7 +186,7 @@ template <class Form, class Fill>
 /// a buffer that the caller's heap can reuse after the call.
 template <class Form, class MakeFill>
 std::vector<double> estimate(const Form& form, std::uint64_t groups, std::uint64_t total,
-                             const MakeFill& make_fill) {
+                             const MakeFill& make_fill, detail::CountDriver driver) {
   const std::size_t n = form.size();
   util::ThreadPool& pool = util::global_pool();
   const int chunks = static_cast<int>(
@@ -200,7 +200,7 @@ std::vector<double> estimate(const Form& form, std::uint64_t groups, std::uint64
         std::uint64_t* chunk_words = words.data() + static_cast<std::size_t>(chunk) * n * kWords;
         std::uint64_t* chunk_ones = ones.data() + static_cast<std::size_t>(chunk) * n;
 #if defined(__x86_64__) || defined(__i386__)
-        if (detail::has_hardware_popcount())
+        if (driver == detail::CountDriver::kNative && detail::has_hardware_popcount())
           return count_groups_popcnt(form, fill, g0, g1, chunk_words, chunk_ones);
 #endif
         count_groups<PortableCount>(form, fill, g0, g1, chunk_words, chunk_ones);
@@ -215,7 +215,8 @@ std::vector<double> estimate(const Form& form, std::uint64_t groups, std::uint64
 }
 
 template <class Form>
-std::vector<double> monte_carlo(const Form& form, std::size_t num_patterns, std::uint64_t seed) {
+std::vector<double> monte_carlo(const Form& form, std::size_t num_patterns, std::uint64_t seed,
+                                detail::CountDriver driver) {
   const std::size_t n = form.size();
   if (num_patterns == 0) return std::vector<double>(n, 0.0);
   const std::vector<std::size_t> inputs = form.inputs();
@@ -235,11 +236,11 @@ std::vector<double> monte_carlo(const Form& form, std::size_t num_patterns, std:
       }
     };
   };
-  return estimate(form, groups, num_patterns, make_fill);
+  return estimate(form, groups, num_patterns, make_fill, driver);
 }
 
 template <class Form>
-std::vector<double> exhaustive(const Form& form) {
+std::vector<double> exhaustive(const Form& form, detail::CountDriver driver) {
   const std::vector<std::size_t> inputs = form.inputs();
   const std::size_t num_inputs = inputs.size();
   if (num_inputs > 24)
@@ -255,32 +256,59 @@ std::vector<double> exhaustive(const Form& form) {
     for (std::size_t k = 0; k < kWords; ++k)
       mask[k] = grp * kWords + k < blocks ? block_mask : 0ULL;
   };
-  return estimate(form, groups, total, [&](std::uint64_t) { return fill; });
+  return estimate(form, groups, total, [&](std::uint64_t) { return fill; }, driver);
 }
 
 }  // namespace
 
+namespace detail {
+
+std::vector<double> aig_probabilities(const aig::Aig& aig, std::size_t num_patterns,
+                                      std::uint64_t seed, CountDriver driver) {
+  return monte_carlo(AigForm{aig}, num_patterns, seed, driver);
+}
+
+std::vector<double> gate_graph_probabilities(const aig::GateGraph& g, std::size_t num_patterns,
+                                             std::uint64_t seed, CountDriver driver) {
+  return monte_carlo(GateGraphForm{g}, num_patterns, seed, driver);
+}
+
+std::vector<double> netlist_probabilities(const netlist::Netlist& nl, std::size_t num_patterns,
+                                          std::uint64_t seed, CountDriver driver) {
+  return monte_carlo(NetlistForm{nl}, num_patterns, seed, driver);
+}
+
+std::vector<double> exact_aig_probabilities(const aig::Aig& aig, CountDriver driver) {
+  return exhaustive(AigForm{aig}, driver);
+}
+
+std::vector<double> exact_gate_graph_probabilities(const aig::GateGraph& g, CountDriver driver) {
+  return exhaustive(GateGraphForm{g}, driver);
+}
+
+}  // namespace detail
+
 std::vector<double> aig_probabilities(const aig::Aig& aig, std::size_t num_patterns,
                                       std::uint64_t seed) {
-  return monte_carlo(AigForm{aig}, num_patterns, seed);
+  return detail::aig_probabilities(aig, num_patterns, seed, detail::CountDriver::kNative);
 }
 
 std::vector<double> gate_graph_probabilities(const aig::GateGraph& g, std::size_t num_patterns,
                                              std::uint64_t seed) {
-  return monte_carlo(GateGraphForm{g}, num_patterns, seed);
+  return detail::gate_graph_probabilities(g, num_patterns, seed, detail::CountDriver::kNative);
 }
 
 std::vector<double> netlist_probabilities(const netlist::Netlist& nl, std::size_t num_patterns,
                                           std::uint64_t seed) {
-  return monte_carlo(NetlistForm{nl}, num_patterns, seed);
+  return detail::netlist_probabilities(nl, num_patterns, seed, detail::CountDriver::kNative);
 }
 
 std::vector<double> exact_aig_probabilities(const aig::Aig& aig) {
-  return exhaustive(AigForm{aig});
+  return detail::exact_aig_probabilities(aig, detail::CountDriver::kNative);
 }
 
 std::vector<double> exact_gate_graph_probabilities(const aig::GateGraph& g) {
-  return exhaustive(GateGraphForm{g});
+  return detail::exact_gate_graph_probabilities(g, detail::CountDriver::kNative);
 }
 
 }  // namespace dg::sim

@@ -39,4 +39,25 @@ std::vector<double> exact_aig_probabilities(const aig::Aig& aig);
 /// Exact probability per gate-graph node, same input bound.
 std::vector<double> exact_gate_graph_probabilities(const aig::GateGraph& g);
 
+namespace detail {
+
+/// Which instantiation of the blocked counting core an estimator runs.
+/// kNative is what the estimators above run: the target("popcnt") one
+/// where CPUID reports POPCNT, else the portable one. kPortable is the
+/// std::popcount one on any CPU. A test seam, so that x86 test hosts also
+/// run the driver that only CPUs without POPCNT select; nothing outside
+/// the tests picks it.
+enum class CountDriver { kNative, kPortable };
+
+std::vector<double> aig_probabilities(const aig::Aig& aig, std::size_t num_patterns,
+                                      std::uint64_t seed, CountDriver driver);
+std::vector<double> gate_graph_probabilities(const aig::GateGraph& g, std::size_t num_patterns,
+                                             std::uint64_t seed, CountDriver driver);
+std::vector<double> netlist_probabilities(const netlist::Netlist& nl, std::size_t num_patterns,
+                                          std::uint64_t seed, CountDriver driver);
+std::vector<double> exact_aig_probabilities(const aig::Aig& aig, CountDriver driver);
+std::vector<double> exact_gate_graph_probabilities(const aig::GateGraph& g, CountDriver driver);
+
+}  // namespace detail
+
 }  // namespace dg::sim

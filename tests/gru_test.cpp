@@ -117,7 +117,8 @@ TEST(GruFused, BitwiseEqualToTapedCompositionEverywhere) {
 // The two halves a sweep calls separately (the hidden-side products may be
 // computed ahead on another thread) equal the taped composition too: with
 // the whole input given, and with the input's one-hot tail folded in as a
-// weight-row add (DeepGate's refed gate type).
+// weight-row add (DeepGate's refed gate type), written over h in place,
+// and with a row mask that leaves the masked rows' h as it was.
 TEST(GruFused, HiddenProductsThenStepEqualTapedComposition) {
   const int hidden = 64;
   const int types = 3;
@@ -140,16 +141,32 @@ TEST(GruFused, HiddenProductsThenStepEqualTapedComposition) {
           std::string(kern::simd::level_name(level)) + " rows=" + std::to_string(rows);
       const Matrix want = taped_forward(gru, x, h);
       std::vector<float> products(3 * h.size());
-      gru.hidden_products(h, products.data());
-      const Matrix whole = gru.step_no_grad(x, nullptr, h, products.data());
-      const Matrix folded = gru.step_no_grad(m, onehot.data(), h, products.data());
+      std::vector<float> work(3 * h.size());
+      gru.hidden_products(h.data(), rows, products.data());
+      Matrix whole(rows, hidden);
+      gru.step_no_grad(x, nullptr, h.data(), products.data(), work.data(), nullptr, whole.data());
+      // In place, as a sweep updates its state slab: out is h.
+      Matrix folded = h;
+      gru.step_no_grad(m, onehot.data(), folded.data(), products.data(), work.data(), nullptr,
+                       folded.data());
+      // Masked, as a merged batch's level: rows with a 0 keep h.
+      std::vector<std::uint8_t> update(static_cast<std::size_t>(rows));
+      for (int r = 0; r < rows; ++r) update[static_cast<std::size_t>(r)] = r % 2 == 0 ? 1 : 0;
+      Matrix masked = h;
+      gru.step_no_grad(m, onehot.data(), masked.data(), products.data(), work.data(),
+                       update.data(), masked.data());
       ASSERT_TRUE(whole.same_shape(want)) << tag;
       ASSERT_TRUE(folded.same_shape(want)) << tag;
       if (want.size() == 0) continue;
       EXPECT_EQ(0, std::memcmp(whole.data(), want.data(), want.size() * sizeof(float)))
           << tag << ": whole input";
       EXPECT_EQ(0, std::memcmp(folded.data(), want.data(), want.size() * sizeof(float)))
-          << tag << ": folded one-hot";
+          << tag << ": folded one-hot, in place";
+      for (int r = 0; r < rows; ++r) {
+        const float* expect = update[static_cast<std::size_t>(r)] != 0 ? want.row_ptr(r) : h.row_ptr(r);
+        EXPECT_EQ(0, std::memcmp(masked.row_ptr(r), expect, hidden * sizeof(float)))
+            << tag << ": masked row " << r;
+      }
     }
   }
 }
@@ -176,8 +193,8 @@ TEST(GruFused, SaturatedGatesMatchTapedComposition) {
 }
 
 // The op chain acquires a buffer and a tape node per op (~20 or more per
-// call); the fused step takes three work buffers, one for the hidden-side
-// products and the result's tape node.
+// call); the fused forward takes one scratch buffer (the hidden-side
+// products and the step's work), the result and the result's tape node.
 TEST(GruFused, NoGradStepMakesAtMostFiveArenaAcquisitions) {
   const ScopedArena scoped_arena(true);
   util::Rng rng(11);

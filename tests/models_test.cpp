@@ -1,11 +1,13 @@
 #include "gnn/models.hpp"
 
 #include "aig/gate_graph.hpp"
+#include "nn/arena.hpp"
 #include "nn/gradcheck.hpp"
 #include "nn/ops.hpp"
 #include "sim/probability.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -26,6 +28,23 @@ CircuitGraph small_graph() {
   a.add_output(lit_not(n1));
   const GateGraph g = to_gate_graph(a);
   return CircuitGraph::from_gate_graph(g, sim::exact_gate_graph_probabilities(g));
+}
+
+/// A five-level AND chain: merged with small_graph(), its extra levels make
+/// the shallow member's rows skip levels (masked level batches).
+CircuitGraph chain_graph() {
+  Aig a;
+  Lit acc = make_lit(a.add_input(), false);
+  for (int i = 0; i < 5; ++i) acc = a.add_and(acc, make_lit(a.add_input(), i % 2 == 0));
+  a.add_output(acc);
+  const GateGraph g = to_gate_graph(a);
+  return CircuitGraph::from_gate_graph(g, sim::exact_gate_graph_probabilities(g));
+}
+
+bool bit_equal_values(const nn::Tensor& a, const nn::Tensor& b) {
+  const nn::Matrix& x = a.value();
+  const nn::Matrix& y = b.value();
+  return x.same_shape(y) && std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
 }
 
 ModelConfig tiny_config() {
@@ -91,6 +110,31 @@ TEST_P(ModelSweep, LossGradientReachesMostParameters) {
     with_grad += t.has_grad();
   }
   EXPECT_EQ(with_grad, total) << GetParam().label;
+}
+
+// The no-grad forward (fused attention, fused GRU step, level states in one
+// slab) is bitwise the taped forward that training records, for every
+// family, on a solo graph and on a merged batch with masked levels.
+TEST_P(ModelSweep, NoGradForwardIsBitwiseTheTapedForward) {
+  const CircuitGraph g = small_graph();
+  const CircuitGraph chain = chain_graph();
+  const CircuitGraph merged = CircuitGraph::merge({&g, &chain});
+  bool masked = false;
+  for (const LevelBatch& b : merged.rev) masked = masked || b.masked();
+  ASSERT_TRUE(masked);
+  auto model = make_model(GetParam().spec, tiny_config());
+  for (const CircuitGraph* graph : {&g, &merged}) {
+    const ForwardOutputs taped = model->forward_outputs(*graph);
+    ForwardOutputs fused;
+    {
+      const nn::NoGradGuard no_grad;
+      const nn::ArenaScope arena;
+      fused = model->forward_outputs(*graph);
+    }
+    const char* what = graph == &g ? "solo" : "merged";
+    EXPECT_TRUE(bit_equal_values(fused.prediction, taped.prediction)) << what;
+    EXPECT_TRUE(bit_equal_values(fused.embedding, taped.embedding)) << what;
+  }
 }
 
 TEST_P(ModelSweep, EmbeddingsHaveConfiguredWidth) {

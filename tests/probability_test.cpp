@@ -305,6 +305,41 @@ TEST(ProbabilityBitwise, ExhaustiveEqualsPerBlockReference) {
   });
 }
 
+// The portable counting driver runs only on CPUs without POPCNT, so it is
+// run here through the detail:: seam on every host and held bitwise to the
+// native driver (the POPCNT one where the CPU has it) on all three circuit
+// forms, Monte-Carlo and exhaustive.
+TEST(ProbabilityBitwise, PortableDriverEqualsNative) {
+  using detail::CountDriver;
+  // No inputs, fewer than one 64-pattern block, one block, several groups.
+  constexpr std::size_t kInputCounts[] = {0, 3, 6, 12};
+  util::Rng rng(24);
+  const Aig a = netlist::to_aig(data::gen_opencores_like(rng));
+  const GateGraph g = to_gate_graph(a);
+  const netlist::Netlist mixed = random_netlist(25);
+  at_each_thread_count([&] {
+    for (const std::size_t patterns : kPatternCounts) {
+      SCOPED_TRACE(testing::Message() << patterns << " patterns");
+      const std::uint64_t seed = 2000 + patterns;
+      EXPECT_EQ(detail::aig_probabilities(a, patterns, seed, CountDriver::kPortable),
+                detail::aig_probabilities(a, patterns, seed, CountDriver::kNative));
+      EXPECT_EQ(detail::gate_graph_probabilities(g, patterns, seed, CountDriver::kPortable),
+                detail::gate_graph_probabilities(g, patterns, seed, CountDriver::kNative));
+      EXPECT_EQ(detail::netlist_probabilities(mixed, patterns, seed, CountDriver::kPortable),
+                detail::netlist_probabilities(mixed, patterns, seed, CountDriver::kNative));
+    }
+    for (const std::size_t inputs : kInputCounts) {
+      SCOPED_TRACE(testing::Message() << inputs << " inputs");
+      const Aig small = random_aig(inputs, 400 + inputs);
+      const GateGraph sg = to_gate_graph(small);
+      EXPECT_EQ(detail::exact_aig_probabilities(small, CountDriver::kPortable),
+                detail::exact_aig_probabilities(small, CountDriver::kNative));
+      EXPECT_EQ(detail::exact_gate_graph_probabilities(sg, CountDriver::kPortable),
+                detail::exact_gate_graph_probabilities(sg, CountDriver::kNative));
+    }
+  });
+}
+
 TEST(ProbabilityBitwise, HardwarePopcountMatchesPortable) {
 #if defined(__x86_64__) || defined(__i386__)
   if (!detail::has_hardware_popcount()) GTEST_SKIP() << "this CPU has no POPCNT";

@@ -975,6 +975,16 @@ class ScopedEnv {
   std::string old_;
 };
 
+// The serving loop packs windows like Engine::evaluate / gnn::execute packs
+// merge groups: ServerOptions takes its batching defaults from
+// gnn::ServeOptions instead of repeating them.
+TEST(ServerOptions, BatchingDefaultsAreServeOptions) {
+  const ServerOptions server;
+  const gnn::ServeOptions execute;
+  EXPECT_EQ(server.node_budget, execute.node_budget);
+  EXPECT_EQ(server.max_graphs, execute.max_graphs);
+}
+
 // DEEPGATE_SERVE_LANES used to be narrowed to int with no cap. Out-of-range
 // values now warn and keep the default; in-range ones apply, and a server
 // built from from_env() serves.
