@@ -90,12 +90,16 @@ class Engine {
  public:
   explicit Engine(const Options& options = Options());
 
-  /// Train on prepared graphs; returns per-epoch training loss.
+  /// Train on prepared graphs; returns per-epoch training loss. Each batch
+  /// is split across cfg.threads model replicas (0 = DEEPGATE_THREADS, at
+  /// most cfg.batch_circuits); see gnn/trainer.hpp.
   dg::gnn::TrainResult train(const std::vector<CircuitGraph>& train_set,
                              const TrainConfig& cfg);
 
   /// Train from a shard stream (e.g. dg::data::ShardStream over the files in
   /// Dataset::shard_files) without materializing the whole set in memory.
+  /// The same loop and worker count as the vector overload: it honors
+  /// cfg.threads, and a one-chunk stream trains bit-exactly like it.
   dg::gnn::TrainResult train(dg::gnn::GraphStream& stream, const TrainConfig& cfg);
 
   /// Avg prediction error, Eq. (8), on the batched executor: the set is

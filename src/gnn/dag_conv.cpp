@@ -13,6 +13,7 @@ class DagConvModel final : public Model {
     cfg_.use_skip = false;
     cfg_.refeed_input = false;  // h0 = x padded, per the pre-DeepGate designs
     cfg_.random_h0 = false;
+    require_one_hot_fits(cfg_);
     util::Rng rng(cfg_.seed);
     for (int l = 0; l < cfg_.iterations; ++l)
       layers_.emplace_back(cfg_, /*reversed=*/false, rng);

@@ -12,6 +12,7 @@ class RecurrentDagModel final : public Model {
  public:
   RecurrentDagModel(const ModelConfig& cfg_in, const char* display_name)
       : Model(cfg_in), name_(display_name) {
+    if (!cfg_.random_h0) require_one_hot_fits(cfg_);
     util::Rng rng(cfg_.seed);
     fwd_ = std::make_unique<DirectedLayer>(cfg_, /*reversed=*/false, rng);
     if (cfg_.reverse) rev_ = std::make_unique<DirectedLayer>(cfg_, /*reversed=*/true, rng);

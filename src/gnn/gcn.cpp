@@ -14,6 +14,7 @@ using nn::Tensor;
 class GcnModel final : public Model {
  public:
   explicit GcnModel(const ModelConfig& cfg) : Model(cfg) {
+    require_one_hot_fits(cfg);
     util::Rng rng(cfg.seed);
     for (int l = 0; l < cfg.iterations; ++l) {
       aggs_.push_back(make_aggregator(cfg.agg, cfg.dim, 2 * cfg.pe_L, rng));

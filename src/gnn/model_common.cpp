@@ -51,6 +51,13 @@ void check_compatible(const ModelConfig& cfg, const CircuitGraph& g) {
   require("pe_L", g.pe_L, cfg.pe_L);
 }
 
+void require_one_hot_fits(const ModelConfig& cfg) {
+  if (cfg.dim < cfg.num_types)
+    throw std::invalid_argument("model dim = " + std::to_string(cfg.dim) +
+                                " is smaller than num_types = " + std::to_string(cfg.num_types) +
+                                ": the one-hot initial state needs dim >= num_types");
+}
+
 void copy_params(const Model& src, Model& dst) {
   const nn::NamedParams from = src.named_params();
   nn::NamedParams to = dst.named_params();

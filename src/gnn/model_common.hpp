@@ -97,6 +97,13 @@ class Model {
 /// submit/try_submit, IncrementalSession) calls it before any kernel runs.
 void check_compatible(const ModelConfig& cfg, const CircuitGraph& g);
 
+/// Throws std::invalid_argument naming both values when cfg.dim <
+/// cfg.num_types. The one-hot initial state (init_level_states with
+/// random_init off, init_full_state) pads the gate-type one-hot to width
+/// dim, so it needs dim >= num_types; each family whose h0 is that one-hot
+/// calls this at construction.
+void require_one_hot_fits(const ModelConfig& cfg);
+
 /// Copy every parameter value of `src` into `dst`. Both models must have the
 /// same architecture (named_params aligned index by index).
 void copy_params(const Model& src, Model& dst);

@@ -6,6 +6,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <numeric>
 
@@ -28,60 +29,22 @@ double forward_backward(const Model& model, const CircuitGraph& g, int batch_cir
   return static_cast<double>(loss.item()) * batch_circuits;
 }
 
-/// One reshuffled pass over `graphs` in `order`: forward_backward per graph,
-/// and a clipped optimizer step every `batch_circuits` graphs and after the
-/// last one, so a step never straddles two passes. Each graph's unscaled loss
-/// is added to `loss` in visit order.
-void train_pass(const Model& model, const std::vector<CircuitGraph>& graphs,
-                std::vector<int>& order, util::Rng& rng, nn::Adam& opt, const TrainConfig& cfg,
-                double& loss) {
-  rng.shuffle(order);
-  int in_batch = 0;
-  opt.zero_grad();
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    loss += forward_backward(model, graphs[static_cast<std::size_t>(order[k])],
-                             cfg.batch_circuits);
-    ++in_batch;
-    if (in_batch == cfg.batch_circuits || k + 1 == order.size()) {
-      opt.clip_grad_norm(cfg.clip_norm);
-      opt.step();
-      opt.zero_grad();
-      in_batch = 0;
-    }
-  }
+/// TrainConfig::threads resolved (0 = DEEPGATE_THREADS) and capped at
+/// batch_circuits (at least 1): a batch never has work for more replicas.
+int resolve_workers(const TrainConfig& cfg) {
+  const int requested = cfg.threads > 0 ? cfg.threads : util::default_num_threads();
+  return std::max(1, std::min(requested, cfg.batch_circuits));
 }
 
-/// Sequential path — byte-for-byte the original single-threaded trainer.
-TrainResult train_sequential(Model& model, const std::vector<CircuitGraph>& train_set,
-                             const TrainConfig& cfg) {
-  TrainResult result;
-  util::Timer timer;
-  nn::Adam opt(nn::param_tensors(model.named_params()), cfg.lr);
-  util::Rng rng(cfg.seed);
-
-  std::vector<int> order(train_set.size());
-  std::iota(order.begin(), order.end(), 0);
-
-  for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-    double epoch_loss = 0.0;
-    train_pass(model, train_set, order, rng, opt, cfg, epoch_loss);
-    epoch_loss /= static_cast<double>(train_set.size());
-    result.epoch_loss.push_back(epoch_loss);
-    if (cfg.verbose)
-      util::log_info(model.name(), " epoch ", epoch + 1, "/", cfg.epochs, " L1=",
-                     epoch_loss);
-  }
-  result.seconds = timer.seconds();
-  return result;
-}
-
-/// Data-parallel path: the batch's circuits are split into `workers`
-/// contiguous slices; worker w accumulates gradients on replica w. After the
-/// barrier the replica gradients are reduced into the master in replica
-/// order — a fixed reduction order, so results depend on the worker count
-/// but never on thread scheduling.
-TrainResult train_parallel(Model& model, const std::vector<CircuitGraph>& train_set,
-                           const TrainConfig& cfg, int workers) {
+/// The training loop (see trainer.hpp). Each epoch calls `rewind`, then
+/// trains on every chunk `next_chunk` returns until it returns nullptr.
+/// Each chunk keeps its own visit order across epochs, reshuffled per pass.
+/// Batch slices are util::parallel_for_chunked's fixed chunks, so slice w
+/// always runs on replica w.
+TrainResult train_chunks(Model& model, TrainConfig cfg, int workers,
+                         const std::function<void()>& rewind,
+                         const std::function<const std::vector<CircuitGraph>*()>& next_chunk) {
+  cfg.batch_circuits = std::max(1, cfg.batch_circuits);
   TrainResult result;
   result.threads_used = workers;
   util::Timer timer;
@@ -89,67 +52,77 @@ TrainResult train_parallel(Model& model, const std::vector<CircuitGraph>& train_
   nn::NamedParams master_named = model.named_params();
   nn::Adam opt(nn::param_tensors(master_named), cfg.lr);
   util::Rng rng(cfg.seed);
+  opt.zero_grad();
 
-  std::vector<std::unique_ptr<Model>> replicas;
-  std::vector<nn::NamedParams> replica_named;
-  replicas.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    replicas.push_back(model.clone());
-    replica_named.push_back(replicas.back()->named_params());
+  std::vector<const Model*> replicas{&model};
+  std::vector<std::unique_ptr<Model>> clones;
+  std::vector<nn::NamedParams> clone_named;
+  for (int w = 1; w < workers; ++w) {
+    clones.push_back(model.clone());
+    clone_named.push_back(clones.back()->named_params());
+    replicas.push_back(clones.back().get());
   }
 
   util::ThreadPool& pool = util::global_pool();
-
-  std::vector<int> order(train_set.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::vector<double> graph_loss(train_set.size(), 0.0);
+  const std::size_t batch = static_cast<std::size_t>(cfg.batch_circuits);
+  std::vector<double> graph_loss(batch, 0.0);
+  std::vector<std::vector<int>> chunk_orders;
 
   for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-    rng.shuffle(order);
+    rewind();
     double epoch_loss = 0.0;
-    opt.zero_grad();
-    for (std::size_t batch_start = 0; batch_start < order.size();
-         batch_start += static_cast<std::size_t>(cfg.batch_circuits)) {
-      const std::size_t batch_end = std::min(
-          order.size(), batch_start + static_cast<std::size_t>(cfg.batch_circuits));
-      const std::int64_t batch_len =
-          static_cast<std::int64_t>(batch_end - batch_start);
-
-      // Each replica starts the batch with the master's current weights.
-      for (int w = 0; w < workers; ++w)
-        copy_params(master_named, replica_named[static_cast<std::size_t>(w)]);
-
-      util::parallel_for_chunked(
-          pool, batch_len, workers, [&](int w, std::int64_t lo, std::int64_t hi) {
-            for (std::int64_t j = lo; j < hi; ++j) {
-              const std::size_t k = batch_start + static_cast<std::size_t>(j);
-              const CircuitGraph& g = train_set[static_cast<std::size_t>(order[k])];
-              graph_loss[k] = forward_backward(*replicas[w], g, cfg.batch_circuits);
-            }
-          });
-
-      // Deterministic reduction: replica 0, then 1, ... into the master.
-      for (int w = 0; w < workers; ++w) {
-        for (std::size_t i = 0; i < master_named.size(); ++i) {
-          nn::Tensor& rp = replica_named[static_cast<std::size_t>(w)][i].second;
-          if (!rp.has_grad()) continue;
-          master_named[i].second.node()->accum_grad(rp.grad());
-          rp.zero_grad();
-        }
+    std::size_t total_graphs = 0;
+    std::size_t chunk_index = 0;
+    while (const std::vector<CircuitGraph>* chunk = next_chunk()) {
+      if (chunk_index >= chunk_orders.size()) chunk_orders.resize(chunk_index + 1);
+      std::vector<int>& order = chunk_orders[chunk_index++];
+      if (order.size() != chunk->size()) {
+        order.resize(chunk->size());
+        std::iota(order.begin(), order.end(), 0);
       }
+      rng.shuffle(order);
+      total_graphs += chunk->size();
 
-      // Summed in batch order, matching the sequential loop's accumulation.
-      for (std::size_t k = batch_start; k < batch_end; ++k) epoch_loss += graph_loss[k];
+      // Steps never straddle a chunk boundary: the tail batch closes here.
+      for (std::size_t start = 0; start < order.size(); start += batch) {
+        const std::size_t len = std::min(batch, order.size() - start);
+        for (nn::NamedParams& named : clone_named) copy_params(master_named, named);
 
-      opt.clip_grad_norm(cfg.clip_norm);
-      opt.step();
-      opt.zero_grad();
+        util::parallel_for_chunked(
+            pool, static_cast<std::int64_t>(len), workers,
+            [&](int w, std::int64_t lo, std::int64_t hi) {
+              for (std::int64_t j = lo; j < hi; ++j) {
+                const std::size_t k = start + static_cast<std::size_t>(j);
+                graph_loss[static_cast<std::size_t>(j)] = forward_backward(
+                    *replicas[static_cast<std::size_t>(w)],
+                    (*chunk)[static_cast<std::size_t>(order[k])], cfg.batch_circuits);
+              }
+            });
+
+        // The master already holds slice 0's gradients; add replicas
+        // 1, 2, ... in order.
+        for (nn::NamedParams& named : clone_named) {
+          for (std::size_t i = 0; i < master_named.size(); ++i) {
+            nn::Tensor& rp = named[i].second;
+            if (!rp.has_grad()) continue;
+            master_named[i].second.node()->accum_grad(rp.grad());
+            rp.zero_grad();
+          }
+        }
+        // Summed in visit order, whatever the worker count.
+        for (std::size_t j = 0; j < len; ++j) epoch_loss += graph_loss[j];
+
+        opt.clip_grad_norm(cfg.clip_norm);
+        opt.step();
+        opt.zero_grad();
+      }
     }
-    epoch_loss /= static_cast<double>(train_set.size());
+    if (total_graphs == 0) return result;  // empty stream: no loss to report
+    epoch_loss /= static_cast<double>(total_graphs);
     result.epoch_loss.push_back(epoch_loss);
     if (cfg.verbose)
-      util::log_info(model.name(), " epoch ", epoch + 1, "/", cfg.epochs, " L1=",
-                     epoch_loss, " (", workers, " workers)");
+      util::log_info(model.name(), " epoch ", epoch + 1, "/", cfg.epochs, " L1=", epoch_loss,
+                     " (", total_graphs, " graphs, ", workers, " workers)");
   }
   result.seconds = timer.seconds();
   return result;
@@ -158,64 +131,28 @@ TrainResult train_parallel(Model& model, const std::vector<CircuitGraph>& train_
 }  // namespace
 
 TrainResult train(Model& model, const std::vector<CircuitGraph>& train_set,
-                  const TrainConfig& cfg_in) {
-  if (train_set.empty() || cfg_in.epochs <= 0) return TrainResult{};
-  TrainConfig cfg = cfg_in;
-  cfg.batch_circuits = std::max(1, cfg.batch_circuits);
-  const int requested = cfg.threads > 0 ? cfg.threads : util::default_num_threads();
-  // More workers than circuits per batch would only clone idle replicas;
-  // dropping them leaves the gradient reduction order of the active ones —
-  // and therefore the result — unchanged.
-  const int workers = static_cast<int>(std::min<std::size_t>(
-      std::min<std::size_t>(static_cast<std::size_t>(std::max(1, requested)),
-                            static_cast<std::size_t>(cfg.batch_circuits)),
-      train_set.size()));
-  if (workers == 1) return train_sequential(model, train_set, cfg);
-  return train_parallel(model, train_set, cfg, workers);
+                  const TrainConfig& cfg) {
+  if (train_set.empty() || cfg.epochs <= 0) return TrainResult{};
+  // Past one worker per graph the extra replicas only idle: every nonempty
+  // slice already holds a single graph, in the same order.
+  const int workers = static_cast<int>(
+      std::min<std::size_t>(static_cast<std::size_t>(resolve_workers(cfg)), train_set.size()));
+  bool served = false;
+  return train_chunks(
+      model, cfg, workers, [&] { served = false; },
+      [&]() -> const std::vector<CircuitGraph>* {
+        if (served) return nullptr;
+        served = true;
+        return &train_set;
+      });
 }
 
-TrainResult train_streaming(Model& model, GraphStream& stream, const TrainConfig& cfg_in) {
-  TrainResult result;
-  if (cfg_in.epochs <= 0) return result;
-  TrainConfig cfg = cfg_in;
-  cfg.batch_circuits = std::max(1, cfg.batch_circuits);
-
-  util::Timer timer;
-  nn::Adam opt(nn::param_tensors(model.named_params()), cfg.lr);
-  util::Rng rng(cfg.seed);
-
-  // Per-chunk visit orders persist across epochs (reshuffled, like the
-  // sequential trainer's single order vector), so a one-chunk stream
-  // reproduces train()'s sequential path bit-exactly in every epoch.
-  std::vector<std::vector<int>> chunk_orders;
-
-  for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-    stream.reset();
-    double epoch_loss = 0.0;
-    std::size_t total_graphs = 0;
-    std::size_t chunk_index = 0;
-    std::vector<CircuitGraph> chunk;
-    while (stream.next(chunk)) {
-      if (chunk_index >= chunk_orders.size()) chunk_orders.resize(chunk_index + 1);
-      std::vector<int>& order = chunk_orders[chunk_index];
-      ++chunk_index;
-      if (order.size() != chunk.size()) {
-        order.resize(chunk.size());
-        std::iota(order.begin(), order.end(), 0);
-      }
-      // Steps never straddle a chunk boundary: the tail batch closes here.
-      train_pass(model, chunk, order, rng, opt, cfg, epoch_loss);
-      total_graphs += chunk.size();
-    }
-    if (total_graphs == 0) return result;  // empty stream: no loss to report
-    epoch_loss /= static_cast<double>(total_graphs);
-    result.epoch_loss.push_back(epoch_loss);
-    if (cfg.verbose)
-      util::log_info(model.name(), " epoch ", epoch + 1, "/", cfg.epochs, " L1=",
-                     epoch_loss, " (streamed ", total_graphs, " graphs)");
-  }
-  result.seconds = timer.seconds();
-  return result;
+TrainResult train_streaming(Model& model, GraphStream& stream, const TrainConfig& cfg) {
+  if (cfg.epochs <= 0) return TrainResult{};
+  std::vector<CircuitGraph> chunk;
+  return train_chunks(
+      model, cfg, resolve_workers(cfg), [&] { stream.reset(); },
+      [&]() -> const std::vector<CircuitGraph>* { return stream.next(chunk) ? &chunk : nullptr; });
 }
 
 }  // namespace dg::gnn

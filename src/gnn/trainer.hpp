@@ -2,15 +2,14 @@
 // (Sec. III-C/IV-B), with per-circuit gradient accumulation and global-norm
 // clipping for stability at the small batch sizes of the CPU reproduction.
 //
-// Three loops, each forwarding one graph per call:
-//  - sequential (threads == 1): the reference trainer;
-//  - replica-parallel: each pool worker runs forward/backward on its own
-//    model replica (Model::clone) and the replica gradients are summed into
-//    the master in fixed replica order before the optimizer step, so a given
-//    worker count always produces the same result;
-//  - streaming (train_streaming): the sequential loop over chunks of a
-//    GraphStream; one chunk holding the whole set reproduces the sequential
-//    loop bit-exactly.
+// One loop serves train() and train_streaming(): epochs -> chunks ->
+// batches of batch_circuits, one graph per forward. train() is that loop
+// over its vector as a single chunk. A batch is split into W contiguous
+// slices, one per worker; replica 0 is the model itself and replicas
+// 1..W-1 are Model::clone()s that take the master's weights at each batch.
+// The replica gradients are added into the master in replica order before
+// the optimizer step, so a given worker count always produces the same
+// result, and W = 1 is the plain sequential loop on the calling thread.
 #pragma once
 
 #include "gnn/model_common.hpp"
@@ -28,7 +27,8 @@ struct TrainConfig {
   float clip_norm = 5.0F;    ///< global-norm gradient clip (0 = off)
   std::uint64_t seed = 1;    ///< shuffling
   bool verbose = false;      ///< log per-epoch loss
-  int threads = 0;           ///< data-parallel workers; 0 = DEEPGATE_THREADS
+  int threads = 0;           ///< data-parallel workers; 0 = DEEPGATE_THREADS;
+                             ///< at most batch_circuits are used
 };
 
 struct TrainResult {
@@ -55,8 +55,9 @@ class GraphStream {
 
 /// Streamed variant of train(): each epoch rewinds the stream and consumes
 /// it chunk by chunk, shuffling within each chunk. Optimizer steps never
-/// straddle a chunk boundary. With a single chunk containing the whole
-/// dataset this reproduces the sequential train() path bit-exactly.
+/// straddle a chunk boundary. Workers are picked as train() picks them, so
+/// a single chunk holding the whole dataset reproduces train() bit-exactly
+/// at any `threads`.
 TrainResult train_streaming(Model& model, GraphStream& stream, const TrainConfig& cfg);
 
 }  // namespace dg::gnn

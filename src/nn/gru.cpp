@@ -29,7 +29,6 @@ GruCell::GruCell(int input_size, int hidden_size, util::Rng& rng)
 }
 
 Tensor GruCell::forward(const Tensor& x, const Tensor& h) const {
-  if (!grad_enabled()) return constant(forward_no_grad(x.value(), h.value()));
   const Tensor z = sigmoid(add_rowvec(add(matmul(x, wz_), matmul(h, uz_)), bz_));
   const Tensor r = sigmoid(add_rowvec(add(matmul(x, wr_), matmul(h, ur_)), br_));
   const Tensor n = tanh_t(add_rowvec(add(matmul(x, wn_), mul(r, matmul(h, un_))), bn_));
@@ -38,20 +37,12 @@ Tensor GruCell::forward(const Tensor& x, const Tensor& h) const {
   return add(sub(n, mul(z, n)), mul(z, h));
 }
 
-// The taped composition above, op for op, with every intermediate folded
-// into three work buffers plus the hidden-side products. Each matmul starts
-// from a zeroed buffer like kern::matmul does, and each elementwise step is
-// the same backend call on the same operands in the same order, only
-// written in place, so the result is bitwise the taped one on every backend.
-Matrix GruCell::forward_no_grad(const Matrix& x, const Matrix& h) const {
-  Matrix scratch(6 * h.rows(), hidden_);  // products, then the step's work
-  Matrix out(h.rows(), hidden_);
-  hidden_products(h.data(), h.rows(), scratch.data());
-  step_no_grad(x, nullptr, h.data(), scratch.data(), scratch.data() + 3 * h.size(), nullptr,
-               out.data());
-  return out;
-}
-
+// hidden_products + step_no_grad are the taped composition above, op for
+// op, with every intermediate folded into three work buffers plus the
+// hidden-side products. Each matmul starts from a zeroed buffer like
+// kern::matmul does, and each elementwise step is the same backend call on
+// the same operands in the same order, only written in place, so the result
+// is bitwise the taped one on every backend.
 void GruCell::hidden_products(const float* h, int rows, float* out) const {
   const kern::KernelBackend& be = kern::backend();
   const std::size_t size = static_cast<std::size_t>(rows) * static_cast<std::size_t>(hidden_);

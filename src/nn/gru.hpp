@@ -8,21 +8,20 @@
 // All rows of a topological level are processed as one batch (N x I inputs,
 // N x H states).
 //
-// Two paths compute the same bits. Under gradient recording, forward() is
-// the taped composition of nn ops (the grad path, and the oracle the no-grad
-// path is tested against in tests/gru_test.cpp). Under NoGradGuard it runs
-// the fused step in two calls: hidden_products() writes the three
-// hidden-side products h Uz, h Ur and h Un, and step_no_grad() does the
-// rest. The split lets a caller compute a level's hidden-side products
-// ahead of time on another thread, since they read only h (gnn/
-// model_common.cpp does this on an idle pool lane). Both halves read h and
-// write through raw row pointers, so a level's rows of a state table are
-// updated in place. The step writes its input-side matmuls into three work
-// buffers the caller provides and runs each gate's add, bias add,
-// sigmoid/tanh and blend in place through the active kernel backend in
-// exactly the taped order, writing h' last. A level step then allocates
-// nothing instead of twenty buffers and tape nodes, which is most of its
-// overhead on the thin levels (a few rows) that dominate a forward.
+// Two paths compute the same bits. forward() is the taped composition of nn
+// ops: the grad path, and the oracle the no-grad path is tested against in
+// tests/gru_test.cpp. The no-grad path is the fused step in two calls:
+// hidden_products() writes the three hidden-side products h Uz, h Ur and
+// h Un, and step_no_grad() does the rest. The split lets a caller compute a
+// level's hidden-side products ahead of time on another thread, since they
+// read only h (gnn/model_common.cpp does this on an idle pool lane). Both
+// halves read h and write through raw row pointers, so a level's rows of a
+// state table are updated in place. The step writes its input-side matmuls
+// into three work buffers the caller provides and runs each gate's add,
+// bias add, sigmoid/tanh and blend in place through the active kernel
+// backend in exactly the taped order, writing h' last. A level step then
+// allocates nothing instead of twenty buffers and tape nodes, which is most
+// of its overhead on the thin levels (a few rows) that dominate a forward.
 #pragma once
 
 #include "nn/module.hpp"
@@ -38,8 +37,9 @@ class GruCell {
   GruCell() = default;
   GruCell(int input_size, int hidden_size, util::Rng& rng);
 
-  /// x: N x input, h: N x hidden -> new hidden N x hidden. Fused when
-  /// gradients are off (see above); bitwise equal either way.
+  /// x: N x input, h: N x hidden -> new hidden N x hidden, as taped nn ops.
+  /// Under NoGradGuard it runs the same ops untaped; the no-grad forward
+  /// calls hidden_products + step_no_grad instead (see above).
   Tensor forward(const Tensor& x, const Tensor& h) const;
 
   /// First half of the fused step: h Uz, h Ur and h Un for the `rows` x
@@ -68,8 +68,6 @@ class GruCell {
   int hidden_size() const { return hidden_; }
 
  private:
-  Matrix forward_no_grad(const Matrix& x, const Matrix& h) const;
-
   int input_ = 0;
   int hidden_ = 0;
   Tensor wz_, uz_, bz_;

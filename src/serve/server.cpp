@@ -3,7 +3,6 @@
 #include "core/deepgate.hpp"
 #include "gnn/executor.hpp"
 #include "obs/trace.hpp"
-#include "util/env.hpp"
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
@@ -36,15 +35,6 @@ const char* submit_status_name(SubmitStatus status) {
     case SubmitStatus::kInvalid: return "invalid";
   }
   return "?";
-}
-
-ServerOptions ServerOptions::from_env() {
-  ServerOptions opts;
-  // Lanes share DEEPGATE_THREADS' cap (util::kMaxThreads).
-  const long long lanes = dg::util::env_int("DEEPGATE_SERVE_LANES", opts.lanes);
-  if (dg::util::knob_in_range("DEEPGATE_SERVE_LANES", lanes, 0, dg::util::kMaxThreads))
-    opts.lanes = static_cast<int>(lanes);
-  return opts;
 }
 
 Server::Server(const Engine& engine, const ServerOptions& options)

@@ -2,7 +2,7 @@
 // front end the ROADMAP calls the "true serving loop".
 //
 //   deepgate::Engine engine(options);
-//   auto server = deepgate::serve::start(engine);        // lanes from env
+//   auto server = deepgate::serve::start(engine);        // DEEPGATE_THREADS lanes
 //   std::future<serve::Response> f = server->submit({&graph});
 //   const std::vector<float>& probs = f.get().probabilities;
 //
@@ -109,10 +109,6 @@ struct ServerOptions {
   std::size_t node_budget = dg::gnn::ServeOptions{}.node_budget;
   std::size_t max_graphs = dg::gnn::ServeOptions{}.max_graphs;
   int lanes = 0;                     ///< worker lanes (model replicas); 0 = DEEPGATE_THREADS
-
-  /// The defaults above, with `lanes` from DEEPGATE_SERVE_LANES (0..512)
-  /// when set. An out-of-range lane count warns and keeps the default.
-  static ServerOptions from_env();
 };
 
 /// A read-only view of one server's counts (its obs::Scope for the serve.*
@@ -167,7 +163,7 @@ class Server {
   /// Spins up `lanes` worker threads immediately. The engine must outlive
   /// the server; its model parameters are cloned per lane at startup, so
   /// concurrent training on the engine will NOT be picked up.
-  explicit Server(const Engine& engine, const ServerOptions& options = ServerOptions::from_env());
+  explicit Server(const Engine& engine, const ServerOptions& options = ServerOptions{});
   ~Server();  ///< shutdown(/*drain=*/true)
 
   Server(const Server&) = delete;
@@ -298,7 +294,7 @@ class ServeError : public std::runtime_error {
 /// Facade entry point: spin up the serving loop over `engine`.
 ///   auto server = deepgate::serve::start(engine);
 std::unique_ptr<Server> start(const Engine& engine,
-                              const ServerOptions& options = ServerOptions::from_env());
+                              const ServerOptions& options = ServerOptions{});
 
 }  // namespace serve
 }  // namespace deepgate

@@ -6,13 +6,12 @@
 //   DEEPGATE_SEED    = <uint64>              (default 1)
 //   DEEPGATE_THREADS = <int>                 (pool size in [1, 512] for
 //                                             gnn::execute, simulation,
-//                                             training and dataset builds;
+//                                             training, dataset builds and
+//                                             the default serve::Server
+//                                             lane count;
 //                                             default hardware concurrency,
 //                                             1 = serial; kernels never use
 //                                             it — util/thread_pool.hpp)
-//   DEEPGATE_SERVE_LANES = <int>             (serve::Server worker lanes in
-//                                             [0, 512]; default 0 =
-//                                             DEEPGATE_THREADS — serve/server.hpp)
 //   DEEPGATE_BENCH_JSON = <path>             (bench harness JSON output)
 //   DEEPGATE_DATA_DIR = <path>               (on-disk dataset shard cache;
 //                                             unset = caching disabled)

@@ -96,7 +96,7 @@ class InlineParallelGuard {
   bool prev_;
 };
 
-/// Largest accepted DEEPGATE_THREADS (and DEEPGATE_SERVE_LANES) value.
+/// Largest accepted DEEPGATE_THREADS value.
 constexpr int kMaxThreads = 512;
 
 /// Resolved DEEPGATE_THREADS: the env value if set and in [1, kMaxThreads],

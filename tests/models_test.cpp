@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -241,20 +243,25 @@ TEST(Models, SeedControlsInitialization) {
   EXPECT_GT(diff, 1e-6F);
 }
 
-TEST(Models, RawNetlistGraphSupported) {
-  // 9-type graphs (Table IV w/o transformation) must run through every
-  // family without shape errors.
+/// A 9-type netlist graph (Table IV w/o transformation) whose last gate is
+/// a BUF, the highest type id.
+CircuitGraph raw_netlist_graph() {
   netlist::Netlist nl;
   const int a = nl.add_input();
   const int b = nl.add_input();
   const int x = nl.add_gate(netlist::GateType::kXor, {a, b});
   const int n = nl.add_gate(netlist::GateType::kNand, {a, x});
-  nl.mark_output(n);
+  nl.mark_output(nl.add_gate(netlist::GateType::kBuf, {n}));
   const auto labels = sim::netlist_probabilities(nl, 5000, 1);
-  const CircuitGraph g = CircuitGraph::from_netlist(nl, labels);
+  return CircuitGraph::from_netlist(nl, labels);
+}
 
+TEST(Models, RawNetlistGraphSupported) {
+  // 9-type graphs must run through every family without shape errors.
+  const CircuitGraph g = raw_netlist_graph();
   ModelConfig cfg = tiny_config();
   cfg.num_types = 9;
+  cfg.dim = 12;  // the one-hot h0 of the baselines needs dim >= num_types
   nn::NoGradGuard no_grad;
   for (auto family : {ModelFamily::kGcn, ModelFamily::kDagConv, ModelFamily::kDagRec,
                       ModelFamily::kDeepGate}) {
@@ -263,6 +270,35 @@ TEST(Models, RawNetlistGraphSupported) {
     const auto pred = make_model(spec, cfg)->forward_outputs(g).prediction;
     EXPECT_EQ(pred.rows(), g.num_nodes);
   }
+}
+
+TEST(Models, OneHotInitialStateNarrowerThanTypesIsRejected) {
+  // h0 = the gate-type one-hot padded to width dim cannot hold a type id
+  // >= dim: construction must refuse the config instead of writing past
+  // each state row.
+  ModelConfig cfg = tiny_config();
+  cfg.num_types = 9;
+  cfg.dim = 8;
+  for (auto family : {ModelFamily::kGcn, ModelFamily::kDagConv, ModelFamily::kDagRec}) {
+    try {
+      make_model(ModelSpec{family, AggKind::kConvSum, false}, cfg);
+      ADD_FAILURE() << model_family_name(family) << " accepted dim 8 < num_types 9";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("dim = 8"), std::string::npos) << what;
+      EXPECT_NE(what.find("num_types = 9"), std::string::npos) << what;
+    }
+  }
+  ModelConfig custom = cfg;
+  custom.random_h0 = false;
+  EXPECT_THROW(make_recurrent_custom(custom), std::invalid_argument);
+
+  // A random h0 has no one-hot to fit: DeepGate runs at dim < num_types.
+  const CircuitGraph g = raw_netlist_graph();
+  custom.random_h0 = true;
+  nn::NoGradGuard no_grad;
+  for (const auto& model : {make_deepgate(cfg), make_recurrent_custom(custom)})
+    EXPECT_EQ(model->forward_outputs(g).prediction.rows(), g.num_nodes) << model->name();
 }
 
 }  // namespace

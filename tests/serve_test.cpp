@@ -954,26 +954,7 @@ TEST(ServeTrace, EveryRequestLinksToItsForwardSpan) {
   EXPECT_TRUE(obs::dump_trace("TRACE_serve_test.json"));
 }
 
-// -- Env knobs -----------------------------------------------------------------
-
-/// Sets an environment variable for one scope, restoring the previous value.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (old_.empty()) ::unsetenv(name_);
-    else ::setenv(name_, old_.c_str(), 1);
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::string old_;
-};
+// -- Options -------------------------------------------------------------------
 
 // The serving loop packs windows like Engine::evaluate / gnn::execute packs
 // merge groups: ServerOptions takes its batching defaults from
@@ -983,33 +964,6 @@ TEST(ServerOptions, BatchingDefaultsAreServeOptions) {
   const gnn::ServeOptions execute;
   EXPECT_EQ(server.node_budget, execute.node_budget);
   EXPECT_EQ(server.max_graphs, execute.max_graphs);
-}
-
-// DEEPGATE_SERVE_LANES used to be narrowed to int with no cap. Out-of-range
-// values now warn and keep the default; in-range ones apply, and a server
-// built from from_env() serves.
-TEST(ServerOptions, FromEnvBoundsLanes) {
-  const ServerOptions defaults;
-  for (const char* bad : {"513", "-1", "4294967297"}) {
-    const ScopedEnv env("DEEPGATE_SERVE_LANES", bad);
-    EXPECT_EQ(ServerOptions::from_env().lanes, defaults.lanes) << bad;
-  }
-  {
-    const ScopedEnv env("DEEPGATE_SERVE_LANES", "512");
-    EXPECT_EQ(ServerOptions::from_env().lanes, 512);
-  }
-  const ScopedEnv lanes("DEEPGATE_SERVE_LANES", "2");
-  const ServerOptions sopts = ServerOptions::from_env();
-  EXPECT_EQ(sopts.lanes, 2);
-
-  deepgate::Options options;
-  options.model = tiny_config();
-  const deepgate::Engine engine(options);
-  const auto graphs = mixed_graphs();
-  auto server = deepgate::serve::start(engine, sopts);
-  auto f = server->submit({&graphs[0]});
-  server->shutdown();
-  EXPECT_EQ(f.get().probabilities, engine.predict_probabilities(graphs[0]));
 }
 
 // Identical full windows, round after round, serve the same bits as direct
