@@ -4,13 +4,20 @@
 #include "nn/arena.hpp"
 #include "nn/gradcheck.hpp"
 #include "nn/ops.hpp"
+#include "nn/simd/dispatch.hpp"
 #include "sim/probability.hpp"
+#include "util/hash.hpp"
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <set>
 #include <stdexcept>
 #include <string>
+
+#if defined(__GLIBC__)
+#include <gnu/libc-version.h>
+#endif
 
 #include <gtest/gtest.h>
 
@@ -61,7 +68,32 @@ ModelConfig tiny_config() {
 struct SpecCase {
   ModelSpec spec;
   const char* label;
+  std::uint64_t forward_digest;   ///< ForwardDigestIsPinned's value
+  std::uint64_t gradient_digest;  ///< GradientDigestIsPinned's value
 };
+
+std::string hex(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "0x%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+class ScopedLevel {
+ public:
+  explicit ScopedLevel(nn::kern::SimdLevel level) : prev_(nn::kern::simd::set_level(level)) {}
+  ~ScopedLevel() { nn::kern::simd::set_level(prev_); }
+
+ private:
+  nn::kern::SimdLevel prev_;
+};
+
+const char* libc_version() {
+#if defined(__GLIBC__)
+  return gnu_get_libc_version();
+#else
+  return "not glibc";
+#endif
+}
 
 class ModelSweep : public ::testing::TestWithParam<SpecCase> {};
 
@@ -139,6 +171,73 @@ TEST_P(ModelSweep, NoGradForwardIsBitwiseTheTapedForward) {
   }
 }
 
+/// Fold a matrix's float bits into `h`, element by element.
+void fold_bits(util::Fnv1a& h, const nn::Matrix& m) {
+  std::uint32_t bits = 0;
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    std::memcpy(&bits, m.data() + i, sizeof(bits));
+    h.u32(bits);
+  }
+}
+
+// The relative contracts (no-grad == taped, merged == solo) pass for any
+// change that moves every path together. These two pin absolute bits, on a
+// graph with skip edges and on a merged batch with masked levels. Both run
+// on the scalar kernels; the sigmoid and tanh still go through libm's
+// expf/tanhf, so another libm may give other digests.
+
+// FNV-1a over the prediction and embedding of the taped and the no-grad
+// forward.
+TEST_P(ModelSweep, ForwardDigestIsPinned) {
+  const ScopedLevel scalar(nn::kern::SimdLevel::kScalar);
+  const CircuitGraph g = small_graph();
+  ASSERT_FALSE(g.skip_edges.empty());
+  const CircuitGraph chain = chain_graph();
+  const CircuitGraph merged = CircuitGraph::merge({&g, &chain});
+  auto model = make_model(GetParam().spec, tiny_config());
+  util::Fnv1a h;
+  for (const CircuitGraph* graph : {&g, &merged}) {
+    const ForwardOutputs taped = model->forward_outputs(*graph);
+    ForwardOutputs fused;
+    {
+      const nn::NoGradGuard no_grad;
+      fused = model->forward_outputs(*graph);
+    }
+    for (const ForwardOutputs& out : {taped, fused}) {
+      fold_bits(h, out.prediction.value());
+      fold_bits(h, out.embedding.value());
+    }
+  }
+  EXPECT_EQ(hex(h.digest()), hex(GetParam().forward_digest))
+      << GetParam().label << " on the "
+      << nn::kern::simd::level_name(nn::kern::simd::active()) << " backend, libc "
+      << libc_version();
+}
+
+// FNV-1a over every parameter gradient of the L1 loss, accumulated over
+// both graphs: the training side of the same pin.
+TEST_P(ModelSweep, GradientDigestIsPinned) {
+  const ScopedLevel scalar(nn::kern::SimdLevel::kScalar);
+  const CircuitGraph g = small_graph();
+  const CircuitGraph chain = chain_graph();
+  const CircuitGraph merged = CircuitGraph::merge({&g, &chain});
+  auto model = make_model(GetParam().spec, tiny_config());
+  for (const CircuitGraph* graph : {&g, &merged}) {
+    const nn::Matrix target =
+        nn::Matrix::from_vector(graph->num_nodes, 1, std::vector<float>(graph->labels));
+    nn::l1_loss(model->forward_outputs(*graph).prediction, target).backward();
+  }
+  util::Fnv1a h;
+  for (const auto& [name, t] : model->named_params()) {
+    h.str(name).u8(t.has_grad() ? 1 : 0);
+    if (t.has_grad()) fold_bits(h, t.grad());
+  }
+  EXPECT_EQ(hex(h.digest()), hex(GetParam().gradient_digest))
+      << GetParam().label << " on the "
+      << nn::kern::simd::level_name(nn::kern::simd::active()) << " backend, libc "
+      << libc_version();
+}
+
 TEST_P(ModelSweep, EmbeddingsHaveConfiguredWidth) {
   const CircuitGraph g = small_graph();
   auto model = make_model(GetParam().spec, tiny_config());
@@ -151,14 +250,22 @@ TEST_P(ModelSweep, EmbeddingsHaveConfiguredWidth) {
 INSTANTIATE_TEST_SUITE_P(
     AllFamilies, ModelSweep,
     ::testing::Values(
-        SpecCase{{ModelFamily::kGcn, AggKind::kConvSum, false}, "gcn-convsum"},
-        SpecCase{{ModelFamily::kGcn, AggKind::kAttention, false}, "gcn-attn"},
-        SpecCase{{ModelFamily::kDagConv, AggKind::kDeepSet, false}, "conv-deepset"},
-        SpecCase{{ModelFamily::kDagConv, AggKind::kGatedSum, false}, "conv-gated"},
-        SpecCase{{ModelFamily::kDagRec, AggKind::kConvSum, false}, "rec-convsum"},
-        SpecCase{{ModelFamily::kDagRec, AggKind::kDeepSet, false}, "rec-deepset"},
-        SpecCase{{ModelFamily::kDeepGate, AggKind::kAttention, false}, "deepgate-nosc"},
-        SpecCase{{ModelFamily::kDeepGate, AggKind::kAttention, true}, "deepgate-sc"}),
+        SpecCase{{ModelFamily::kGcn, AggKind::kConvSum, false}, "gcn-convsum",
+                 0xc6494f4a574960c1ULL, 0x2503a0b6a632c7f0ULL},
+        SpecCase{{ModelFamily::kGcn, AggKind::kAttention, false}, "gcn-attn",
+                 0x53262837a5eed495ULL, 0x38ef20304d603e44ULL},
+        SpecCase{{ModelFamily::kDagConv, AggKind::kDeepSet, false}, "conv-deepset",
+                 0x7e302deaa344f635ULL, 0xb191d1a7565b2cdeULL},
+        SpecCase{{ModelFamily::kDagConv, AggKind::kGatedSum, false}, "conv-gated",
+                 0x90d9ab9e3b8027e1ULL, 0x1a6f8631cb942508ULL},
+        SpecCase{{ModelFamily::kDagRec, AggKind::kConvSum, false}, "rec-convsum",
+                 0xbfd9281e968af279ULL, 0x9e86de655a4bf92bULL},
+        SpecCase{{ModelFamily::kDagRec, AggKind::kDeepSet, false}, "rec-deepset",
+                 0x0c179e16ca9361bdULL, 0xa9762f683cff5f95ULL},
+        SpecCase{{ModelFamily::kDeepGate, AggKind::kAttention, false}, "deepgate-nosc",
+                 0x40e26500c295fb25ULL, 0x3a86cdc73127c614ULL},
+        SpecCase{{ModelFamily::kDeepGate, AggKind::kAttention, true}, "deepgate-sc",
+                 0x748fd5a2e67e00f9ULL, 0x00bdb4ee655bb474ULL}),
     [](const ::testing::TestParamInfo<SpecCase>& info) {
       std::string label = info.param.label;
       for (auto& c : label)
