@@ -19,14 +19,23 @@ const char* agg_kind_name(AggKind k) {
 
 nn::Matrix Aggregator::forward_no_grad(nn::Matrix h_src, const float* /*h_query*/,
                                        const std::vector<int>& seg, int num_dst,
-                                       const std::vector<float>& inv_deg,
-                                       const float* /*pe_term*/) const {
-  const Tensor inv = nn::constant(nn::Matrix::from_vector(num_dst, 1, inv_deg));
-  Tensor m = forward(nn::constant(std::move(h_src)), Tensor(), seg, num_dst, inv, Tensor());
+                                       const nn::Matrix& pe) const {
+  Tensor m = forward(nn::constant(std::move(h_src)), Tensor(), seg, num_dst, pe);
   return std::move(m.mutable_value());
 }
 
 namespace {
+
+/// B x 1 constant of 1 / (edges into each destination), 0 for a destination
+/// without edges: the mean normalization of Conv. Sum and DeepSet. Counts
+/// are exact in float, so the quotients are the correctly rounded 1 / n.
+Tensor inverse_counts(const std::vector<int>& seg, int num_dst) {
+  nn::Matrix inv(num_dst, 1);
+  float* v = inv.data();
+  for (const int d : seg) v[d] += 1.0F;
+  for (int i = 0; i < num_dst; ++i) v[i] = v[i] > 0.0F ? 1.0F / v[i] : 0.0F;
+  return nn::constant(std::move(inv));
+}
 
 /// m = mean over incoming edges of (W h_u).
 class ConvSumAggregator final : public Aggregator {
@@ -34,10 +43,10 @@ class ConvSumAggregator final : public Aggregator {
   ConvSumAggregator(int dim, util::Rng& rng) : lin_(dim, dim, rng) {}
 
   Tensor forward(const Tensor& h_src, const Tensor& /*h_query*/, const std::vector<int>& seg,
-                 int num_dst, const Tensor& inv_deg, const Tensor& /*pe*/) const override {
+                 int num_dst, const nn::Matrix& /*pe*/) const override {
     const Tensor msgs = lin_.forward(h_src);
     const Tensor summed = nn::scatter_add_rows(msgs, seg, num_dst);
-    return nn::scale_rows(summed, inv_deg);
+    return nn::scale_rows(summed, inverse_counts(seg, num_dst));
   }
 
   void collect(nn::NamedParams& out, const std::string& prefix) const override {
@@ -54,9 +63,10 @@ class DeepSetAggregator final : public Aggregator {
   DeepSetAggregator(int dim, util::Rng& rng) : pre_(dim, dim, rng), post_(dim, dim, rng) {}
 
   Tensor forward(const Tensor& h_src, const Tensor& /*h_query*/, const std::vector<int>& seg,
-                 int num_dst, const Tensor& inv_deg, const Tensor& /*pe*/) const override {
+                 int num_dst, const nn::Matrix& /*pe*/) const override {
     const Tensor elem = nn::relu(pre_.forward(h_src));
-    const Tensor pooled = nn::scale_rows(nn::scatter_add_rows(elem, seg, num_dst), inv_deg);
+    const Tensor pooled =
+        nn::scale_rows(nn::scatter_add_rows(elem, seg, num_dst), inverse_counts(seg, num_dst));
     return post_.forward(pooled);
   }
 
@@ -75,7 +85,7 @@ class GatedSumAggregator final : public Aggregator {
   GatedSumAggregator(int dim, util::Rng& rng) : gate_(dim, dim, rng), map_(dim, dim, rng) {}
 
   Tensor forward(const Tensor& h_src, const Tensor& /*h_query*/, const std::vector<int>& seg,
-                 int num_dst, const Tensor& /*inv_deg*/, const Tensor& /*pe*/) const override {
+                 int num_dst, const nn::Matrix& /*pe*/) const override {
     const Tensor gated = nn::mul(nn::sigmoid(gate_.forward(h_src)), map_.forward(h_src));
     return nn::scatter_add_rows(gated, seg, num_dst);
   }
@@ -99,28 +109,20 @@ class AttentionAggregator final : public Aggregator {
         pe_(pe_dim, 1, rng, /*bias=*/false) {}
 
   Tensor forward(const Tensor& h_src, const Tensor& h_query, const std::vector<int>& seg,
-                 int num_dst, const Tensor& /*inv_deg*/, const Tensor& pe_term) const override {
-    const bool has_pe = pe_term.defined() && pe_term.rows() > 0;
+                 int num_dst, const nn::Matrix& pe) const override {
     if (!nn::grad_enabled())
-      return nn::constant(fused(h_src.value(), h_query.value().data(), seg, num_dst,
-                                has_pe ? pe_term.value().data() : nullptr));
+      return nn::constant(fused(h_src.value(), h_query.value().data(), seg, num_dst, pe));
     const Tensor q = query_.forward(h_query);       // B x 1
     const Tensor q_edges = nn::gather_rows(q, seg);  // E x 1
     Tensor scores = nn::add(q_edges, key_.forward(h_src));
-    if (has_pe) scores = nn::add(scores, pe_term);
+    if (pe.rows() > 0) scores = nn::add(scores, pe_.forward(nn::constant(pe)));
     const Tensor alpha = nn::softmax_segments(scores, seg, num_dst);
     return nn::scatter_add_rows(nn::scale_rows(h_src, alpha), seg, num_dst);
   }
 
   nn::Matrix forward_no_grad(nn::Matrix h_src, const float* h_query, const std::vector<int>& seg,
-                             int num_dst, const std::vector<float>& /*inv_deg*/,
-                             const float* pe_term) const override {
-    return fused(h_src, h_query, seg, num_dst, pe_term);
-  }
-
-  Tensor project_pe(const Tensor& pe) const override {
-    if (!pe.defined() || pe.rows() == 0) return {};
-    return pe_.forward(pe);
+                             int num_dst, const nn::Matrix& pe) const override {
+    return fused(h_src, h_query, seg, num_dst, pe);
   }
 
   void collect(nn::NamedParams& out, const std::string& prefix) const override {
@@ -135,9 +137,10 @@ class AttentionAggregator final : public Aggregator {
   /// single addition add_rowvec performs at out_features == 1, the combine
   /// loop keeps the (q + key) + pe association of the two adds, and the
   /// fused scatter keeps scale-then-add rounding per row in ascending order.
-  /// The query rows are read where they live (row stride d).
+  /// The query rows are read where they live (row stride d); the pe term is
+  /// projected into the score column before the combine loop overwrites it.
   nn::Matrix fused(const nn::Matrix& h_src, const float* h_query, const std::vector<int>& seg,
-                   int num_dst, const float* pe_term) const {
+                   int num_dst, const nn::Matrix& pe) const {
     nn::Matrix q = nn::kern::matvec(h_query, num_dst, query_.weight().value());  // B x 1
     if (query_.has_bias()) {
       const float b0 = query_.bias().value().at(0, 0);
@@ -146,9 +149,11 @@ class AttentionAggregator final : public Aggregator {
     const nn::Matrix key = nn::kern::matvec(h_src, key_.weight().value());
     const int num_edges = static_cast<int>(seg.size());
     nn::Matrix scores(num_edges, 1);
+    const bool has_pe = pe.rows() > 0;
+    if (has_pe) nn::kern::matvec(pe.data(), num_edges, pe_.weight().value(), scores.data());
     for (int i = 0; i < num_edges; ++i) {
       float v = q.data()[seg[i]] + key.data()[i];
-      if (pe_term != nullptr) v += pe_term[i];
+      if (has_pe) v += scores.data()[i];
       scores.data()[i] = v;
     }
     const nn::Matrix alpha = nn::kern::softmax_segments(scores, seg, num_dst);

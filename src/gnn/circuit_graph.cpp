@@ -15,7 +15,7 @@ namespace {
 /// all live on one level. `level_diff < 0` marks a normal edge (zero PE row).
 LevelBatch build_batch(const std::vector<std::array<int, 3>>& batch_edges,
                        const std::vector<int>& node_level, const std::vector<int>& node_pos,
-                       int num_dst, int pe_L, bool with_pe) {
+                       int pe_L, bool with_pe) {
   LevelBatch batch;
   batch.num_edges = static_cast<int>(batch_edges.size());
   if (batch.num_edges == 0) return batch;
@@ -31,7 +31,6 @@ LevelBatch build_batch(const std::vector<std::array<int, 3>>& batch_edges,
 
   if (with_pe) batch.pe = nn::Matrix::zeros(batch.num_edges, 2 * pe_L);
   batch.seg.reserve(batch_edges.size());
-  std::vector<float> deg(static_cast<std::size_t>(num_dst), 0.0F);
   for (std::size_t k = 0; k < order.size(); ++k) {
     const auto& e = batch_edges[static_cast<std::size_t>(order[k])];
     const int src = e[0], dst = e[1], diff = e[2];
@@ -39,16 +38,10 @@ LevelBatch build_batch(const std::vector<std::array<int, 3>>& batch_edges,
     if (batch.groups.empty() || batch.groups.back().level != src_level)
       batch.groups.push_back({src_level, {}});
     batch.groups.back().pos.push_back(node_pos[static_cast<std::size_t>(src)]);
-    const int seg = node_pos[static_cast<std::size_t>(dst)];
-    batch.seg.push_back(seg);
-    deg[static_cast<std::size_t>(seg)] += 1.0F;
+    batch.seg.push_back(node_pos[static_cast<std::size_t>(dst)]);
     if (with_pe && diff >= 0)
       write_positional_encoding(batch.pe, static_cast<int>(k), diff, pe_L);
   }
-  batch.inv_deg.resize(static_cast<std::size_t>(num_dst), 0.0F);
-  for (int i = 0; i < num_dst; ++i)
-    batch.inv_deg[static_cast<std::size_t>(i)] =
-        deg[static_cast<std::size_t>(i)] > 0.0F ? 1.0F / deg[static_cast<std::size_t>(i)] : 0.0F;
   return batch;
 }
 
@@ -66,15 +59,10 @@ void CircuitGraph::finalize(int pe_L) {
   for (int v = 0; v < num_nodes; ++v)
     nodes_at_level[static_cast<std::size_t>(level[static_cast<std::size_t>(v)])].push_back(v);
 
-  level_order.clear();
-  level_order.reserve(static_cast<std::size_t>(num_nodes));
   node_pos.assign(static_cast<std::size_t>(num_nodes), 0);
-  for (const auto& nodes : nodes_at_level) {
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
+  for (const auto& nodes : nodes_at_level)
+    for (std::size_t i = 0; i < nodes.size(); ++i)
       node_pos[static_cast<std::size_t>(nodes[i])] = static_cast<int>(i);
-      level_order.push_back(nodes[i]);
-    }
-  }
 
   // Bucket edges by destination level (forward) and source level (reverse).
   std::vector<std::vector<std::array<int, 3>>> fwd_edges(static_cast<std::size_t>(num_levels));
@@ -95,17 +83,10 @@ void CircuitGraph::finalize(int pe_L) {
   fwd.assign(static_cast<std::size_t>(num_levels), {});
   fwd_skip.assign(static_cast<std::size_t>(num_levels), {});
   rev.assign(static_cast<std::size_t>(num_levels), {});
-  for (int L = 0; L < num_levels; ++L) {
-    const int num_dst = static_cast<int>(nodes_at_level[static_cast<std::size_t>(L)].size());
-    fwd[static_cast<std::size_t>(L)] =
-        build_batch(fwd_edges[static_cast<std::size_t>(L)], level, node_pos, num_dst, pe_L,
-                    /*with_pe=*/false);
-    fwd_skip[static_cast<std::size_t>(L)] =
-        build_batch(fwd_skip_edges[static_cast<std::size_t>(L)], level, node_pos, num_dst, pe_L,
-                    /*with_pe=*/true);
-    rev[static_cast<std::size_t>(L)] =
-        build_batch(rev_edges[static_cast<std::size_t>(L)], level, node_pos, num_dst, pe_L,
-                    /*with_pe=*/false);
+  for (std::size_t L = 0; L < static_cast<std::size_t>(num_levels); ++L) {
+    fwd[L] = build_batch(fwd_edges[L], level, node_pos, pe_L, /*with_pe=*/false);
+    fwd_skip[L] = build_batch(fwd_skip_edges[L], level, node_pos, pe_L, /*with_pe=*/true);
+    rev[L] = build_batch(rev_edges[L], level, node_pos, pe_L, /*with_pe=*/false);
   }
 
   // Per-row update masks for batched graphs: a member whose own batch at a
@@ -133,24 +114,6 @@ void CircuitGraph::finalize(int pe_L) {
       apply_mask(rev[static_cast<std::size_t>(L)]);
     }
   }
-
-  und_src.clear();
-  und_dst.clear();
-  und_src.reserve(edges.size() * 2);
-  und_dst.reserve(edges.size() * 2);
-  std::vector<float> deg(static_cast<std::size_t>(num_nodes), 0.0F);
-  for (const auto& [src, dst] : edges) {
-    und_src.push_back(src);
-    und_dst.push_back(dst);
-    und_src.push_back(dst);
-    und_dst.push_back(src);
-    deg[static_cast<std::size_t>(src)] += 1.0F;
-    deg[static_cast<std::size_t>(dst)] += 1.0F;
-  }
-  und_inv_deg.resize(static_cast<std::size_t>(num_nodes));
-  for (int v = 0; v < num_nodes; ++v)
-    und_inv_deg[static_cast<std::size_t>(v)] =
-        deg[static_cast<std::size_t>(v)] > 0.0F ? 1.0F / deg[static_cast<std::size_t>(v)] : 0.0F;
 
   nodes_of_type.assign(static_cast<std::size_t>(num_types), {});
   for (int v = 0; v < num_nodes; ++v)
@@ -404,7 +367,7 @@ CircuitGraph CircuitGraph::merge(const std::vector<const CircuitGraph*>& parts) 
   // makes merged forwards bit-exact per member.
   int offset = 0;
   for (const CircuitGraph* p : parts) {
-    out.members.push_back({offset, p->num_nodes, p->num_levels});
+    out.members.push_back({offset, p->num_nodes});
     out.type_id.insert(out.type_id.end(), p->type_id.begin(), p->type_id.end());
     out.level.insert(out.level.end(), p->level.begin(), p->level.end());
     out.labels.insert(out.labels.end(), p->labels.begin(), p->labels.end());
@@ -504,7 +467,9 @@ bool CircuitGraph::deserialize(const std::uint8_t* data, std::size_t size, std::
   cg.num_nodes = r.i32();
   cg.num_types = r.i32();
   const int pe_L = r.i32();
-  if (!r.ok() || cg.num_nodes < 0 || cg.num_types <= 0 || pe_L <= 0 || pe_L > 64) return false;
+  if (!r.ok() || cg.num_nodes < 0 || cg.num_types <= 0 || cg.num_types > kMaxNumTypes ||
+      pe_L <= 0 || pe_L > kMaxPeL)
+    return false;
   // Each node costs at least 8 stored bytes; reject counts the buffer cannot
   // possibly hold before any allocation happens.
   if (static_cast<std::size_t>(cg.num_nodes) > r.remaining() / 8) return false;

@@ -28,7 +28,6 @@ struct LevelBatch {
   std::vector<SrcGroup> groups;
   std::vector<int> seg;      ///< per edge: dst position within the level (0..B-1)
   nn::Matrix pe;             ///< per-edge positional encoding rows; empty if none
-  std::vector<float> inv_deg;///< per dst node: 1 / indegree (for mean aggregators)
   int num_edges = 0;
 
   /// Batched graphs only (else empty = update every row): per dst row, 1 if
@@ -45,16 +44,19 @@ struct LevelBatch {
 /// One member of a level-merged super-graph built by CircuitGraph::merge().
 /// Node ids [node_offset, node_offset + num_nodes) of the merged graph are
 /// the member's nodes in their original order — the scatter map that splits
-/// merged per-node outputs back out per graph. num_levels is the member's
-/// own depth, needed to replay its h0 random stream exactly (see
-/// init_level_states).
+/// merged per-node outputs back out per graph.
 struct GraphMember {
   int node_offset = 0;
   int num_nodes = 0;
-  int num_levels = 0;
 };
 
 struct CircuitGraph {
+  /// Largest num_types and pe_L deserialize() accepts. The builders produce
+  /// 3 (AIG) or 9 (raw netlist) types; finalize() allocates per type and
+  /// per encoding column, so a stored value must not size those freely.
+  static constexpr int kMaxNumTypes = 64;
+  static constexpr int kMaxPeL = 64;
+
   int num_nodes = 0;
   int num_types = 3;
   int num_levels = 0;
@@ -79,7 +81,6 @@ struct CircuitGraph {
 
   // Level layout.
   std::vector<std::vector<int>> nodes_at_level;
-  std::vector<int> level_order;  ///< nodes concatenated level by level
   std::vector<int> node_pos;     ///< node -> row within its level tensor
 
   // Per-level batches. fwd[L] feeds level L from predecessors (L >= 1);
@@ -89,14 +90,14 @@ struct CircuitGraph {
   std::vector<LevelBatch> fwd_skip;
   std::vector<LevelBatch> rev;
 
-  // Whole-graph undirected arrays for GCN-style models.
-  std::vector<int> und_src, und_dst;
-  std::vector<float> und_inv_deg;  ///< per node
-
   // Node indices grouped by type (for the per-type regressor heads).
   std::vector<std::vector<int>> nodes_of_type;
 
-  /// Compute all derived structures. `pe_L` is the L of Eq. (7) (encoding
+  /// Compute the derived structures every DAG model reads: the level
+  /// layout, the level batches with their Eq. (7) encodings, the masks of a
+  /// batch and the per-type node lists. Quantities one model alone reads
+  /// live with that model (GCN's undirected edges, the means' edge counts,
+  /// the attention's pe projection). `pe_L` is the L of Eq. (7) (encoding
   /// width 2L). Must be called after type_id/level/edges/skip_edges are set.
   void finalize(int pe_L = 8);
 
@@ -172,7 +173,8 @@ struct CircuitGraph {
 
   /// Parse one graph starting at `offset` (advanced past it on success) and
   /// finalize it. Returns false — leaving `g` unspecified — on truncation or
-  /// any structural violation (ids out of range, bad levels, label count).
+  /// any structural violation (ids out of range, bad levels, label count,
+  /// num_types above kMaxNumTypes, pe_L above kMaxPeL).
   static bool deserialize(const std::uint8_t* data, std::size_t size, std::size_t& offset,
                           CircuitGraph& g);
 };

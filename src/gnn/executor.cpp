@@ -29,7 +29,7 @@ void Batch::forward(const Model& model, int iterations) {
 }
 
 GraphMember Batch::member(std::size_t i) const {
-  return merged_ ? merged_->members[i] : GraphMember{0, graph_->num_nodes, graph_->num_levels};
+  return merged_ ? merged_->members[i] : GraphMember{0, graph_->num_nodes};
 }
 
 std::vector<float> Batch::prediction(std::size_t i) const {

@@ -25,13 +25,19 @@ class GcnModel final : public Model {
 
   ForwardOutputs forward_outputs(const CircuitGraph& g, int /*iterations*/) const override {
     count_full_forward();
+    // Eq. (1)'s neighborhoods: every edge in both directions, in edge order.
+    std::vector<int> und_src, und_dst;
+    und_src.reserve(2 * g.edges.size());
+    und_dst.reserve(2 * g.edges.size());
+    for (const auto& [src, dst] : g.edges) {
+      und_src.insert(und_src.end(), {src, dst});
+      und_dst.insert(und_dst.end(), {dst, src});
+    }
+    const nn::Matrix no_pe;  // GCN has no skip-edge attributes
     Tensor h = init_full_state(g, cfg_.dim);
-    const Tensor inv_deg = nn::constant(
-        nn::Matrix::from_vector(g.num_nodes, 1, std::vector<float>(g.und_inv_deg)));
-    Tensor pe;  // undefined: GCN has no skip-edge attributes
     for (std::size_t l = 0; l < aggs_.size(); ++l) {
-      const Tensor h_src = nn::gather_rows(h, g.und_src);
-      const Tensor m = aggs_[l]->forward(h_src, h, g.und_dst, g.num_nodes, inv_deg, pe);
+      const Tensor h_src = nn::gather_rows(h, und_src);
+      const Tensor m = aggs_[l]->forward(h_src, h, und_dst, g.num_nodes, no_pe);
       h = nn::relu(combines_[l].forward(nn::concat_cols(h, m)));
     }
     return {regressor_.forward(h, g), h};

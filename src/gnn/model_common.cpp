@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <map>
 #include <stdexcept>
 #include <thread>
 
@@ -250,12 +249,8 @@ Tensor DirectedLayer::aggregate(const CircuitGraph& g, int L, const std::vector<
                                 const std::vector<Tensor>& queries) const {
   const LevelBatch& batch = batch_at(g, L);
   const std::size_t lvl = static_cast<std::size_t>(L);
-  const int num_dst = static_cast<int>(g.nodes_at_level[lvl].size());
-  const Tensor pe_term = batch.pe.rows() > 0 ? agg_->project_pe(nn::constant(batch.pe)) : Tensor();
-  const Tensor inv_deg =
-      nn::constant(nn::Matrix::from_vector(num_dst, 1, std::vector<float>(batch.inv_deg)));
-  return agg_->forward(gather_batch_sources(states, batch), queries[lvl], batch.seg, num_dst,
-                       inv_deg, pe_term);
+  return agg_->forward(gather_batch_sources(states, batch), queries[lvl], batch.seg,
+                       static_cast<int>(g.nodes_at_level[lvl].size()), batch.pe);
 }
 
 namespace {
@@ -501,8 +496,7 @@ class SharedSweep {
 }  // namespace
 
 nn::Matrix DirectedLayer::aggregate_no_grad(const CircuitGraph& g, int L,
-                                            const SweepBuffers& buffers,
-                                            const Scratch& scratch) const {
+                                            const SweepBuffers& buffers) const {
   const LevelBatch& batch = batch_at(g, L);
   const std::size_t lvl = static_cast<std::size_t>(L);
   const std::size_t row_bytes = static_cast<std::size_t>(buffers.dim) * sizeof(float);
@@ -515,28 +509,11 @@ nn::Matrix DirectedLayer::aggregate_no_grad(const CircuitGraph& g, int L,
                   row_bytes);
   }
   assert(e == batch.num_edges);
-  const bool has_pe = scratch.pe_at[lvl + 1] > scratch.pe_at[lvl];
   return agg_->forward_no_grad(std::move(h_src), buffers.rows(L), batch.seg,
-                               static_cast<int>(g.nodes_at_level[lvl].size()), batch.inv_deg,
-                               has_pe ? scratch.pe_term.data() + scratch.pe_at[lvl] : nullptr);
+                               static_cast<int>(g.nodes_at_level[lvl].size()), batch.pe);
 }
 
-void DirectedLayer::run_no_grad(const CircuitGraph& g, Scratch& scratch,
-                                SweepBuffers& buffers) const {
-  if (scratch.pe_at.empty()) {
-    // Every level's projection, once per forward; a level without skip
-    // edges gets an empty run.
-    for (int L = 0; L < g.num_levels; ++L) {
-      scratch.pe_at.push_back(scratch.pe_term.size());
-      const nn::Matrix& pe = batch_at(g, L).pe;
-      if (pe.rows() == 0) continue;
-      const Tensor term = agg_->project_pe(nn::constant(pe));
-      if (term.defined())
-        scratch.pe_term.insert(scratch.pe_term.end(), term.value().data(),
-                               term.value().data() + term.value().size());
-    }
-    scratch.pe_at.push_back(scratch.pe_term.size());
-  }
+void DirectedLayer::run_no_grad(const CircuitGraph& g, SweepBuffers& buffers) const {
   const std::vector<int>& levels = buffers.levels;
   sweep_levels(g, buffers.levels);
   if (levels.empty()) return;
@@ -553,7 +530,7 @@ void DirectedLayer::run_no_grad(const CircuitGraph& g, Scratch& scratch,
   // then writes the updated rows over them, all in the slab.
   const auto step = [&](int i, const float* products) {
     const int L = level(i);
-    const nn::Matrix m = aggregate_no_grad(g, L, buffers, scratch);
+    const nn::Matrix m = aggregate_no_grad(g, L, buffers);
     const int* onehot =
         refeed_ ? buffers.types.data() + buffers.level_start[static_cast<std::size_t>(L)] : nullptr;
     const LevelBatch& batch = batch_at(g, L);
@@ -584,8 +561,7 @@ ForwardOutputs run_layered_forward(const CircuitGraph& g,
     h = full_from_levels(states, g);
   } else {
     DirectedLayer::SweepBuffers buffers(g, cfg);
-    std::map<const DirectedLayer*, DirectedLayer::Scratch> scratch;
-    for (const DirectedLayer* layer : sweeps) layer->run_no_grad(g, scratch[layer], buffers);
+    for (const DirectedLayer* layer : sweeps) layer->run_no_grad(g, buffers);
     // The embedding in node order: one row gather from the slab.
     nn::Matrix full(g.num_nodes, cfg.dim);
     for (int v = 0; v < g.num_nodes; ++v)

@@ -156,19 +156,6 @@ class DirectedLayer {
  public:
   DirectedLayer(const ModelConfig& cfg, bool reversed, util::Rng& rng);
 
-  /// Per-graph memo reused across the no-grad sweeps of one layer on the
-  /// SAME graph (the recurrent models' T sweeps). Caches the one level
-  /// constant that cannot change between sweeps and costs a matmul: the
-  /// aggregator's pe projection (the encodings of Eq. (7) are pure graph
-  /// structure), every level's in one array, so a forward holds no buffer
-  /// per level. The taped path never uses it: every sweep tapes its own
-  /// nodes, keeping training bitwise-untouched.
-  struct Scratch {
-    std::vector<float> pe_term;     ///< project_pe output of every level, in level order
-    std::vector<std::size_t> pe_at; ///< level L's run is [pe_at[L], pe_at[L + 1]); empty
-                                    ///< until the layer's first sweep
-  };
-
   /// Storage every no-grad sweep of one forward shares, whatever its layer
   /// (defined in model_common.cpp), allocated once per forward: the level
   /// states as one level-ordered N x d slab, which every level step reads
@@ -192,9 +179,9 @@ class DirectedLayer {
   /// them (only the update_rows of a masked level). One idle pool lane, if
   /// there is one, computes the hidden-side GRU products of the levels
   /// ahead from the sweep-start copy (a level's state is its sweep-start
-  /// state until the sweep reaches it). `scratch` must be used with this
-  /// layer and one graph only; `buffers` with one graph only.
-  void run_no_grad(const CircuitGraph& g, Scratch& scratch, SweepBuffers& buffers) const;
+  /// state until the sweep reaches it). `buffers` must be used with one
+  /// graph only.
+  void run_no_grad(const CircuitGraph& g, SweepBuffers& buffers) const;
 
   void collect(nn::NamedParams& out, const std::string& prefix) const;
 
@@ -216,8 +203,7 @@ class DirectedLayer {
 
   /// The same messages with gradients off: sources gathered from the slab
   /// in one pass, the query read in place.
-  nn::Matrix aggregate_no_grad(const CircuitGraph& g, int L, const SweepBuffers& buffers,
-                               const Scratch& scratch) const;
+  nn::Matrix aggregate_no_grad(const CircuitGraph& g, int L, const SweepBuffers& buffers) const;
 
   bool reversed_;
   bool use_skip_;

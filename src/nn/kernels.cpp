@@ -70,10 +70,14 @@ Matrix matvec(const Matrix& a, const Matrix& w) {
 }
 
 Matrix matvec(const float* a, int rows, const Matrix& w) {
-  assert(w.cols() == 1);
   Matrix c(rows, 1);
-  backend().matvec_rows(c.data(), a, w.data(), 0, rows, w.rows());
+  matvec(a, rows, w, c.data());
   return c;
+}
+
+void matvec(const float* a, int rows, const Matrix& w, float* c) {
+  assert(w.cols() == 1);
+  backend().matvec_rows(c, a, w.data(), 0, rows, w.rows());
 }
 
 Matrix add(const Matrix& a, const Matrix& b) {

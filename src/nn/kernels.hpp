@@ -47,6 +47,9 @@ Matrix matvec(const Matrix& a, const Matrix& w);
 /// The same over `rows` rows read where they live: row i of A is the
 /// w.rows() floats at a + i * w.rows().
 Matrix matvec(const float* a, int rows, const Matrix& w);
+/// The same product added into the `rows` floats at `c`: on zeros, bitwise
+/// what the overloads above return, without allocating.
+void matvec(const float* a, int rows, const Matrix& w, float* c);
 
 Matrix add(const Matrix& a, const Matrix& b);
 Matrix sub(const Matrix& a, const Matrix& b);

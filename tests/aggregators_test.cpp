@@ -18,20 +18,19 @@ struct AggFixture {
   int num_edges = 5;
   int num_dst = 2;
   std::vector<int> seg{0, 0, 1, 1, 1};
-  Tensor h_src, h_query, inv_deg, pe;
+  Tensor h_src, h_query;
+  nn::Matrix pe;
 
   explicit AggFixture(std::uint64_t seed) {
     util::Rng rng(seed);
     h_src = Tensor::leaf(nn::normal(num_edges, d, 0.5F, rng), true);
     h_query = Tensor::leaf(nn::normal(num_dst, d, 0.5F, rng), true);
-    inv_deg = nn::constant(nn::Matrix::from_vector(num_dst, 1, {0.5F, 1.0F / 3.0F}));
-    pe = nn::constant(nn::normal(num_edges, 16, 0.5F, rng));
+    pe = nn::normal(num_edges, 16, 0.5F, rng);
   }
 
-  /// Runs `agg` over the fixture the way the models do: the raw E x 16 pe is
-  /// first projected to the E x 1 score term forward() consumes.
+  /// Runs `agg` over the fixture with its raw E x 16 encodings.
   Tensor forward(const Aggregator& agg) const {
-    return agg.forward(h_src, h_query, seg, num_dst, inv_deg, agg.project_pe(pe));
+    return agg.forward(h_src, h_query, seg, num_dst, pe);
   }
 };
 
@@ -80,8 +79,7 @@ TEST(Attention, WeightsSumToOnePerDestination) {
   for (int e = 0; e < f.num_edges; ++e)
     for (int c = 0; c < f.d; ++c) same.at(e, c) = static_cast<float>(c) + 1.0F;
   const Tensor h_same = nn::constant(same);
-  Tensor undef_pe;
-  const Tensor m = agg->forward(h_same, f.h_query, f.seg, f.num_dst, f.inv_deg, undef_pe);
+  const Tensor m = agg->forward(h_same, f.h_query, f.seg, f.num_dst, nn::Matrix());
   for (int r = 0; r < f.num_dst; ++r)
     for (int c = 0; c < f.d; ++c) EXPECT_NEAR(m.value().at(r, c), c + 1.0F, 1e-5F);
 }
@@ -98,10 +96,8 @@ TEST(Attention, PeChangesScores) {
   AggFixture f(10);
   util::Rng rng(11);
   auto agg = make_aggregator(AggKind::kAttention, f.d, 16, rng);
-  Tensor undef;
   const Tensor with_pe = f.forward(*agg);
-  const Tensor without_pe =
-      agg->forward(f.h_src, f.h_query, f.seg, f.num_dst, f.inv_deg, undef);
+  const Tensor without_pe = agg->forward(f.h_src, f.h_query, f.seg, f.num_dst, nn::Matrix());
   float diff = 0.0F;
   for (std::size_t i = 0; i < with_pe.value().size(); ++i)
     diff += std::abs(with_pe.value().data()[i] - without_pe.value().data()[i]);
@@ -124,12 +120,12 @@ TEST(ConvSum, MeanNormalization) {
       t.mutable_value().fill(0.0F);
     }
   }
-  Tensor undef;
-  const Tensor m = agg->forward(f.h_src, f.h_query, f.seg, f.num_dst, f.inv_deg, undef);
-  // destination 0 averages edges 0,1
+  const Tensor m = f.forward(*agg);
+  // destination 0 averages edges 0,1; destination 1 edges 2,3,4
+  const nn::Matrix& h = f.h_src.value();
   for (int c = 0; c < f.d; ++c) {
-    const float expect = 0.5F * (f.h_src.value().at(0, c) + f.h_src.value().at(1, c));
-    EXPECT_NEAR(m.value().at(0, c), expect, 1e-5F);
+    EXPECT_NEAR(m.value().at(0, c), 0.5F * (h.at(0, c) + h.at(1, c)), 1e-5F);
+    EXPECT_NEAR(m.value().at(1, c), (h.at(2, c) + h.at(3, c) + h.at(4, c)) / 3.0F, 1e-5F);
   }
 }
 
@@ -140,12 +136,11 @@ TEST(GatedSum, GateModulatesMagnitude) {
   auto agg = make_aggregator(AggKind::kGatedSum, f.d, 16, rng);
   nn::NamedParams params;
   agg->collect(params, "agg");
-  Tensor undef;
-  const Tensor before = agg->forward(f.h_src, f.h_query, f.seg, f.num_dst, f.inv_deg, undef);
+  const Tensor before = f.forward(*agg);
   for (auto& [name, t] : params) {
     if (name.find("gate.b") != std::string::npos) t.mutable_value().fill(-50.0F);
   }
-  const Tensor after = agg->forward(f.h_src, f.h_query, f.seg, f.num_dst, f.inv_deg, undef);
+  const Tensor after = f.forward(*agg);
   double mag_before = 0.0, mag_after = 0.0;
   for (std::size_t i = 0; i < before.value().size(); ++i) {
     mag_before += std::abs(before.value().data()[i]);

@@ -26,10 +26,10 @@ using gnn::CircuitGraph;
 // the forward's work area and the state slab, so it acquires none.
 constexpr std::size_t kBuffersPerLevelStep = 8;
 
-// Buffers one forward acquires per level on a layer's first sweep: a
-// skip-edge level's encodings are copied into a constant and projected,
-// two buffers and their two tape nodes.
-constexpr std::size_t kBuffersPerLevel = 4;
+// Buffers one forward acquires per level outside its level steps: none.
+// The attention aggregator projects a level's skip-edge encodings into the
+// score column of the level step, so no projection outlives the step.
+constexpr std::size_t kBuffersPerLevel = 0;
 
 // Buffers one forward acquires once: the sweep buffers, the embedding and
 // its tape node, and per gate type the regressor's gather, MLP layers and

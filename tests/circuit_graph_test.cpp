@@ -56,12 +56,10 @@ TEST(CircuitGraph, LevelLayoutConsistent) {
     }
   }
   EXPECT_EQ(static_cast<int>(seen.size()), g.num_nodes);
-  // level_order/node_pos are mutually consistent.
-  for (int L = 0, idx = 0; L < g.num_levels; ++L) {
-    for (int v : g.nodes_at_level[static_cast<std::size_t>(L)]) {
-      EXPECT_EQ(g.level_order[static_cast<std::size_t>(idx)], v);
-      ++idx;
-    }
+  // node_pos indexes each node's row within its level.
+  for (std::size_t v = 0; v < static_cast<std::size_t>(g.num_nodes); ++v) {
+    const auto& nodes = g.nodes_at_level[static_cast<std::size_t>(g.level[v])];
+    EXPECT_EQ(nodes[static_cast<std::size_t>(g.node_pos[v])], static_cast<int>(v));
   }
 }
 
@@ -103,15 +101,12 @@ TEST(CircuitGraph, SourceGroupsAreBelowDstLevelInForward) {
   }
 }
 
-TEST(CircuitGraph, InvDegMatchesIndegree) {
+TEST(CircuitGraph, SegmentsCountIndegree) {
   const CircuitGraph g = diamond_graph();
-  // Level-2 node (the top AND) has 2 fanins in fwd, but 4 edges in fwd_skip
-  // counting... no: skip adds 1 edge -> 3.
-  const auto& top_batch = g.fwd[2];
-  ASSERT_EQ(top_batch.inv_deg.size(), 1U);
-  EXPECT_FLOAT_EQ(top_batch.inv_deg[0], 0.5F);
-  const auto& top_skip = g.fwd_skip[2];
-  EXPECT_FLOAT_EQ(top_skip.inv_deg[0], 1.0F / 3.0F);
+  // The level-2 node (the top AND) has 2 fanins in fwd, and the skip edge
+  // makes 3 in fwd_skip: the counts the mean aggregators divide by.
+  EXPECT_EQ(g.fwd[2].seg, (std::vector<int>{0, 0}));
+  EXPECT_EQ(g.fwd_skip[2].seg, (std::vector<int>{0, 0, 0}));
 }
 
 TEST(CircuitGraph, PeRowsOnlyForSkipEdges) {
@@ -125,12 +120,6 @@ TEST(CircuitGraph, PeRowsOnlyForSkipEdges) {
     nonzero_rows += mag > 1e-6F;
   }
   EXPECT_EQ(nonzero_rows, 1);
-}
-
-TEST(CircuitGraph, UndirectedArraysDoubleEdges) {
-  const CircuitGraph g = diamond_graph();
-  EXPECT_EQ(g.und_src.size(), 2 * g.edges.size());
-  EXPECT_EQ(g.und_dst.size(), 2 * g.edges.size());
 }
 
 TEST(CircuitGraph, NodesOfTypePartition) {
