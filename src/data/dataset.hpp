@@ -42,11 +42,9 @@ struct DatasetConfig {
 /// IWLS 1281 / Opencores 1155 at kPaper; scaled down for kSmall/kTiny).
 DatasetConfig default_dataset_config(util::BenchScale scale, std::uint64_t seed = 1);
 
-using SampleInfo = GraphInfo;  ///< legacy name; see shard_io.hpp
-
 struct Dataset {
   std::vector<gnn::CircuitGraph> graphs;
-  std::vector<SampleInfo> info;  ///< parallel to graphs
+  std::vector<GraphInfo> info;  ///< parallel to graphs; see shard_io.hpp
 
   /// Shard files backing this dataset (empty when the cache is disabled).
   /// In shard order, so ShardStream over them yields `graphs` exactly.

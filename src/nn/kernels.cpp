@@ -29,12 +29,6 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void matmul_acc(Matrix& c, const Matrix& a, const Matrix& b) {
-  assert(a.cols() == b.rows());
-  assert(c.rows() == a.rows() && c.cols() == b.cols());
-  backend().matmul_rows(c.data(), a.data(), b.data(), 0, a.rows(), a.cols(), b.cols());
-}
-
 // Every output element keeps the serial p-ascending accumulation order.
 Matrix matmul_tn(const Matrix& a, const Matrix& b) {
   assert(a.rows() == b.rows());
@@ -130,11 +124,6 @@ void acc(Matrix& a, const Matrix& b) {
   backend().acc_n(a.data(), b.data(), a.size());
 }
 
-void axpy(Matrix& a, float alpha, const Matrix& b) {
-  assert(a.same_shape(b));
-  backend().axpy_n(a.data(), alpha, b.data(), a.size());
-}
-
 Matrix sigmoid(const Matrix& a) {
   Matrix c(a.rows(), a.cols());
   backend().sigmoid_n(c.data(), a.data(), a.size());
@@ -150,17 +139,6 @@ Matrix tanh_m(const Matrix& a) {
 Matrix relu(const Matrix& a) {
   Matrix c(a.rows(), a.cols());
   backend().relu_n(c.data(), a.data(), a.size());
-  return c;
-}
-
-Matrix row_sum(const Matrix& a) {
-  Matrix c(a.rows(), 1);
-  for (int r = 0; r < a.rows(); ++r) {
-    const float* arow = a.row_ptr(r);
-    float acc_v = 0.0F;
-    for (int j = 0; j < a.cols(); ++j) acc_v += arow[j];
-    c.at(r, 0) = acc_v;
-  }
   return c;
 }
 

@@ -29,14 +29,12 @@ namespace dg::nn::kern {
 /// even +0.0. Observable consequences, guaranteed across all backends:
 /// the sign of a -0.0 accumulator survives a zero A-element, and Inf/NaN in
 /// a B row multiplied only by zeros never reaches C. Applies to matmul,
-/// matmul_acc, and matmul_tn.
+/// matmul_tn and matvec.
 Matrix matmul(const Matrix& a, const Matrix& b);
 /// C = A^T * B  (A: KxM used as MxK).
 Matrix matmul_tn(const Matrix& a, const Matrix& b);
 /// C = A * B^T.
 Matrix matmul_nt(const Matrix& a, const Matrix& b);
-/// C += A * B (accumulating variant for gradient fan-in).
-void matmul_acc(Matrix& c, const Matrix& a, const Matrix& b);
 
 /// out (Nx1) = A (NxK) * w (Kx1): the n == 1 matmul special case, bitwise
 /// identical to matmul(a, w) on every backend (same zero-skip, same
@@ -62,15 +60,11 @@ Matrix scale_rows(const Matrix& a, const Matrix& s);
 
 /// In-place accumulate: a += b (shapes must match).
 void acc(Matrix& a, const Matrix& b);
-/// In-place axpy: a += alpha * b.
-void axpy(Matrix& a, float alpha, const Matrix& b);
 
 Matrix sigmoid(const Matrix& a);
 Matrix tanh_m(const Matrix& a);
 Matrix relu(const Matrix& a);
 
-/// Column vector (Nx1) with the sum of each row.
-Matrix row_sum(const Matrix& a);
 /// Row vector (1xC) with the sum of each column.
 Matrix col_sum(const Matrix& a);
 float sum_all(const Matrix& a);

@@ -135,11 +135,10 @@ void HistogramSnapshot::merge(const HistogramSnapshot& other) {
 
 struct Registry::Impl {
   mutable util::Mutex mu;
-  // The maps are guarded; the Counter/Gauge/Histogram objects they own are
+  // The maps are guarded; the Counter/Histogram objects they own are
   // internally atomic and may be used lock-free once handed out (the
   // registry never erases them, so references stay stable for the process).
   std::map<std::string, std::unique_ptr<Counter>> counters DG_GUARDED_BY(mu);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges DG_GUARDED_BY(mu);
   std::map<std::string, std::unique_ptr<Histogram>> histograms DG_GUARDED_BY(mu);
   struct Callback {
     std::function<double()> fn;
@@ -169,14 +168,6 @@ Counter& Registry::counter(const std::string& name) {
   util::MutexLock lock(im.mu);
   auto& slot = im.counters[name];
   if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-Gauge& Registry::gauge(const std::string& name) {
-  Impl& im = impl();
-  util::MutexLock lock(im.mu);
-  auto& slot = im.gauges[name];
-  if (!slot) slot = std::make_unique<Gauge>();
   return *slot;
 }
 
@@ -222,8 +213,6 @@ void Registry::visit(
         total += it->second->value();
     on_counter(name, total);
   }
-  for (const auto& [name, g] : im.gauges)
-    on_gauge(name, static_cast<double>(g->value()));
   // Callbacks must not call back into the registry (the lock is held); they
   // read their owner's atomics. A throwing callback yields no sample — a
   // snapshot must never take down the process it observes.
@@ -287,7 +276,6 @@ Histogram& Scope::histogram(const std::string& name, const HistogramOptions& opt
 }
 
 Counter& counter(const std::string& name) { return registry().counter(name); }
-Gauge& gauge(const std::string& name) { return registry().gauge(name); }
 Histogram& histogram(const std::string& name, const HistogramOptions& opts) {
   return registry().histogram(name, opts);
 }

@@ -1,5 +1,6 @@
-// Process-wide metrics registry: named atomic counters, gauges, and
-// fixed-bucket log-spaced histograms — the measurement substrate shared by
+// Process-wide metrics registry: named atomic counters, pull-style gauges
+// (callbacks evaluated at snapshot time), and fixed-bucket log-spaced
+// histograms — the measurement substrate shared by
 // every subsystem (serve lanes, merge/shard caches, arena, incremental memo,
 // thread pool) — plus per-owner scopes.
 //
@@ -22,13 +23,13 @@
 //    DEEPGATE_METRICS=on or off (asserted in tests/obs_test.cpp).
 //
 // Registered metrics live for the process lifetime; references returned by
-// counter()/gauge()/histogram() are stable forever. Names are dotted paths
+// counter()/histogram() are stable forever. Names are dotted paths
 // ("serve.latency_seconds", "data.shard_stream.disk_loads"); the snapshot in
 // obs/obs.hpp derives "<prefix>.hit_rate" gauges for any hits/misses pair.
 //
 // Knob: DEEPGATE_METRICS=on|off (default on; strict parse — unknown values
 // warn and keep the default), or metrics_set_enabled() for tests/benches.
-// Off drops every registry counter/gauge add and every histogram record,
+// Off drops every registry counter add and every histogram record,
 // scope histograms included. Scope counters keep counting, because the
 // per-instance accessors report them: with metrics off the snapshot's
 // scope-backed counters (serve.requests.*, serve.windows.closed,
@@ -45,7 +46,7 @@
 namespace dg::obs {
 
 /// Master recording switch (DEEPGATE_METRICS, default on). When off every
-/// add/set/record is a dropped branch; registration and snapshots still work.
+/// add/record is a dropped branch; registration and snapshots still work.
 bool metrics_enabled();
 void metrics_set_enabled(bool on);
 
@@ -66,21 +67,6 @@ class Counter {
  private:
   std::atomic<std::uint64_t> v_{0};
   bool always_on_ = false;
-};
-
-/// Last-writer-wins instantaneous value.
-class Gauge {
- public:
-  void set(std::int64_t v) {
-    if (metrics_enabled()) v_.store(v, std::memory_order_relaxed);
-  }
-  void add(std::int64_t n) {
-    if (metrics_enabled()) v_.fetch_add(n, std::memory_order_relaxed);
-  }
-  std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> v_{0};
 };
 
 /// Log-spaced bucket layout: `buckets_per_decade` bounds per power of ten
@@ -162,10 +148,9 @@ class Histogram {
 class Registry {
  public:
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name, const HistogramOptions& opts = HistogramOptions());
 
-  /// Pull-style gauge: `fn` is evaluated at snapshot time (for values owned
+  /// Pull-style gauge, the registry's only kind: `fn` is evaluated at snapshot time (for values owned
   /// by a subsystem the obs layer cannot poll directly, e.g. the arena
   /// counters, or a live server's lane utilization). Returns a token;
   /// remove_callback removes only if the token still matches, so a later
@@ -220,7 +205,6 @@ Registry& registry();
 
 /// Convenience: registry().counter(name) etc.
 Counter& counter(const std::string& name);
-Gauge& gauge(const std::string& name);
 Histogram& histogram(const std::string& name, const HistogramOptions& opts = HistogramOptions());
 
 }  // namespace dg::obs

@@ -1,6 +1,5 @@
 #include "util/table.hpp"
 
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 
@@ -56,22 +55,6 @@ std::string fmt_kilo(std::size_t n) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(1) << static_cast<double>(n) / 1000.0 << "K";
   return os.str();
-}
-
-bool write_csv(const std::string& path, const std::vector<std::string>& header,
-               const std::vector<std::vector<std::string>>& rows) {
-  std::ofstream out(path);
-  if (!out) return false;
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (i) out << ',';
-      out << cells[i];
-    }
-    out << '\n';
-  };
-  emit(header);
-  for (const auto& row : rows) emit(row);
-  return static_cast<bool>(out);
 }
 
 }  // namespace dg::util

@@ -32,8 +32,4 @@ std::string fmt_fixed(double v, int digits);
 /// Format like the paper's "23.7K" node counts.
 std::string fmt_kilo(std::size_t n);
 
-/// Write rows as CSV to `path`. Returns false on I/O failure.
-bool write_csv(const std::string& path, const std::vector<std::string>& header,
-               const std::vector<std::vector<std::string>>& rows);
-
 }  // namespace dg::util

@@ -85,14 +85,11 @@ TEST(KernelDispatch, MatmulFamilyBitwiseAcrossLevels) {
     const Matrix a = salted(s.m, s.k, rng, 17);
     const Matrix b = normal(s.k, s.n, 1.0F, rng);
     const Matrix at = normal(s.k, s.m, 1.0F, rng);  // matmul_tn's first operand
-    const Matrix c0 = normal(s.m, s.n, 1.0F, rng);  // matmul_acc start state
 
-    Matrix want, want_acc, want_tn;
+    Matrix want, want_tn;
     {
       ScopedLevel scalar(SimdLevel::kScalar);
       want = matmul(a, b);
-      want_acc = c0;
-      matmul_acc(want_acc, a, b);
       want_tn = matmul_tn(at, b);
     }
     for (SimdLevel l : levels) {
@@ -100,9 +97,6 @@ TEST(KernelDispatch, MatmulFamilyBitwiseAcrossLevels) {
       const std::string tag = std::string(simd::level_name(l)) + " " + std::to_string(s.m) +
                               "x" + std::to_string(s.k) + "x" + std::to_string(s.n);
       expect_bitwise(matmul(a, b), want, "matmul " + tag);
-      Matrix acc = c0;
-      matmul_acc(acc, a, b);
-      expect_bitwise(acc, want_acc, "matmul_acc " + tag);
       expect_bitwise(matmul_tn(at, b), want_tn, "matmul_tn " + tag);
     }
   }
@@ -117,8 +111,9 @@ TEST(KernelDispatch, ElementwiseBitwiseAcrossLevels) {
     const Matrix rowv = normal(1, n, 1.0F, rng);
     const Matrix colv = normal(3, 1, 1.0F, rng);
     const std::vector<int> idx = {2, 0, 0, 1};
+    const std::vector<int> dst = {2, 0, 0};  // a's rows into 3 rows
 
-    Matrix w_add, w_sub, w_mul, w_scale, w_relu, w_rowvec, w_rows, w_acc, w_axpy;
+    Matrix w_add, w_sub, w_mul, w_scale, w_relu, w_rowvec, w_rows, w_acc, w_scaled_scatter;
     Matrix w_gather, w_scatter, w_concat, w_slice, w_colsum;
     {
       ScopedLevel scalar(SimdLevel::kScalar);
@@ -131,8 +126,9 @@ TEST(KernelDispatch, ElementwiseBitwiseAcrossLevels) {
       w_rows = scale_rows(a, colv);
       w_acc = a;
       acc(w_acc, b);
-      w_axpy = a;
-      axpy(w_axpy, -0.3F, b);
+      w_scaled_scatter = scale_rows_scatter_add(a, colv, dst, 3);
+      expect_bitwise(w_scaled_scatter, scatter_add_rows(w_rows, dst, 3),
+                     "scale_rows_scatter_add vs its composition n=" + std::to_string(n));
       w_gather = gather_rows(a, idx);
       w_scatter = scatter_add_rows(w_gather, idx, 3);
       w_concat = concat_cols(a, b);
@@ -152,9 +148,8 @@ TEST(KernelDispatch, ElementwiseBitwiseAcrossLevels) {
       Matrix t = a;
       acc(t, b);
       expect_bitwise(t, w_acc, "acc " + tag);
-      t = a;
-      axpy(t, -0.3F, b);
-      expect_bitwise(t, w_axpy, "axpy " + tag);
+      expect_bitwise(scale_rows_scatter_add(a, colv, dst, 3), w_scaled_scatter,
+                     "scale_rows_scatter_add " + tag);
       expect_bitwise(gather_rows(a, idx), w_gather, "gather_rows " + tag);
       expect_bitwise(scatter_add_rows(w_gather, idx, 3), w_scatter, "scatter_add_rows " + tag);
       expect_bitwise(concat_cols(a, b), w_concat, "concat_cols " + tag);
@@ -203,13 +198,13 @@ TEST(KernelDispatch, ZeroSkipOracleProperty) {
     }
 
     // A -0.0 accumulator survives skipped contributions with its sign.
-    Matrix acc0(2, 9);
-    for (std::size_t i = 0; i < acc0.size(); ++i) acc0.data()[i] = -0.0F;
-    Matrix acc_res = acc0;
-    matmul_acc(acc_res, a, b);
     for (int j = 0; j < 9; ++j) {
-      EXPECT_EQ(0.0F, acc_res.at(0, j)) << tag;
-      EXPECT_TRUE(std::signbit(acc_res.at(0, j)))
+      Matrix w(3, 1);
+      for (int p = 0; p < 3; ++p) w.at(p, 0) = b.at(p, j);
+      float acc_res[2] = {-0.0F, -0.0F};
+      matvec(a.data(), 2, w, acc_res);
+      EXPECT_EQ(0.0F, acc_res[0]) << tag;
+      EXPECT_TRUE(std::signbit(acc_res[0]))
           << tag << ": zero-skip must not add +0.0 to a -0.0 accumulator";
     }
   }
@@ -288,7 +283,7 @@ TEST(KernelDispatch, MatvecSweepBitwiseWithSpecialValues) {
         ScopedLevel scalar(SimdLevel::kScalar);
         want = matvec(a, w);
         want_acc = c0;
-        matmul_acc(want_acc, a, w);
+        matvec(a.data(), rows, w, want_acc.data());
       }
       for (SimdLevel l : runnable_levels()) {
         ScopedLevel level(l);
@@ -297,8 +292,8 @@ TEST(KernelDispatch, MatvecSweepBitwiseWithSpecialValues) {
         expect_bitwise(matvec(a, w), want, "matvec " + tag);
         expect_bitwise(matmul(a, w), want, "matmul n=1 " + tag);
         Matrix acc = c0;
-        matmul_acc(acc, a, w);
-        expect_bitwise(acc, want_acc, "matmul_acc n=1 " + tag);
+        matvec(a.data(), rows, w, acc.data());
+        expect_bitwise(acc, want_acc, "matvec into " + tag);
       }
     }
   }
@@ -316,23 +311,16 @@ TEST(KernelDispatch, MatmulColumnSweepBitwiseWithSpecialValues) {
             plant_specials(a, static_cast<std::uint64_t>(n * 977 + m * 31 + k));
         Matrix b = normal(k, n, 1.0F, rng);
         poison_dead_rows(b, dead);
-        Matrix c0 = normal(m, n, 1.0F, rng);
-        for (int j = 0; j < n; j += 5) c0.at(0, j) = -0.0F;
-        Matrix want, want_acc;
+        Matrix want;
         {
           ScopedLevel scalar(SimdLevel::kScalar);
           want = matmul(a, b);
-          want_acc = c0;
-          matmul_acc(want_acc, a, b);
         }
         for (SimdLevel l : runnable_levels()) {
           ScopedLevel level(l);
           const std::string tag = std::string(simd::level_name(l)) + " " + std::to_string(m) +
                                   "x" + std::to_string(k) + "x" + std::to_string(n);
           expect_bitwise(matmul(a, b), want, "matmul " + tag);
-          Matrix acc = c0;
-          matmul_acc(acc, a, b);
-          expect_bitwise(acc, want_acc, "matmul_acc " + tag);
         }
       }
     }

@@ -51,14 +51,6 @@ TEST(Kernels, MatmulTransposedVariantsAgree) {
   expect_eq(matmul_nt(x, c), matmul(x, ct));
 }
 
-TEST(Kernels, MatmulAccAccumulates) {
-  const Matrix a = mk(1, 2, {1, 1});
-  const Matrix b = mk(2, 1, {2, 3});
-  Matrix c = mk(1, 1, {10});
-  matmul_acc(c, a, b);
-  EXPECT_FLOAT_EQ(c.at(0, 0), 15.0F);
-}
-
 TEST(Kernels, ElementwiseOps) {
   const Matrix a = mk(1, 3, {1, -2, 3});
   const Matrix b = mk(1, 3, {4, 5, -6});
@@ -94,7 +86,6 @@ TEST(Kernels, Activations) {
 
 TEST(Kernels, Reductions) {
   const Matrix a = mk(2, 3, {1, 2, 3, 4, 5, 6});
-  expect_eq(row_sum(a), mk(2, 1, {6, 15}));
   expect_eq(col_sum(a), mk(1, 3, {5, 7, 9}));
   EXPECT_FLOAT_EQ(sum_all(a), 21.0F);
 }

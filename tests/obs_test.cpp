@@ -170,23 +170,18 @@ TEST_F(ObsTest, MergeIsBitIdenticalAcrossShardPartitions) {
   EXPECT_EQ(merged.count, ref.count);
 }
 
-// -- Counter / gauge / enable switch -------------------------------------------
+// -- Counter / enable switch ---------------------------------------------------
 
 TEST_F(ObsTest, MetricsDisabledDropsRecordingsBitwise) {
   Counter c;
-  Gauge g;
   Histogram h(size_buckets());
   c.add(3);
-  g.set(11);
   h.record(5.0);
   metrics_set_enabled(false);
   c.add(100);
-  g.set(-7);
-  g.add(1);
   h.record(5.0);
   metrics_set_enabled(true);
   EXPECT_EQ(c.value(), 3u);
-  EXPECT_EQ(g.value(), 11);
   EXPECT_EQ(h.count(), 1u);
 }
 
