@@ -8,8 +8,6 @@
 // h_src (E x d) are current-source states, h_query (B x d) are the previous
 // states of the B destinations (attention only), seg maps each edge to its
 // destination, and pe carries per-edge positional encodings for skip edges.
-// Each aggregator derives what it alone reads from these: the means' edge
-// counts from seg, the attention's pe score term from pe.
 #pragma once
 
 #include "nn/linear.hpp"

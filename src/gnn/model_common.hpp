@@ -197,7 +197,8 @@ class DirectedLayer {
   /// edges (a level without edges keeps its states).
   void sweep_levels(const CircuitGraph& g, std::vector<int>& out) const;
 
-  /// Aggregated messages into level L, taped.
+  /// Aggregated messages into level L, taped. The aggregator gets the
+  /// batch's seg and raw encodings and derives what it reads from them.
   nn::Tensor aggregate(const CircuitGraph& g, int L, const std::vector<nn::Tensor>& states,
                        const std::vector<nn::Tensor>& queries) const;
 

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <ostream>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -71,6 +72,9 @@ struct SpecCase {
   std::uint64_t forward_digest;   ///< ForwardDigestIsPinned's value
   std::uint64_t gradient_digest;  ///< GradientDigestIsPinned's value
 };
+
+/// Test names and failure lines show the label, not the struct's bytes.
+void PrintTo(const SpecCase& c, std::ostream* os) { *os << c.label; }
 
 std::string hex(std::uint64_t v) {
   char buf[19];
