@@ -1,6 +1,7 @@
 #include "gnn/models.hpp"
 
 #include "aig/gate_graph.hpp"
+#include "gnn/posenc.hpp"
 #include "nn/arena.hpp"
 #include "nn/gradcheck.hpp"
 #include "nn/ops.hpp"
@@ -290,6 +291,55 @@ TEST(DeepGate, SkipConnectionChangesPrediction) {
   for (int v = 0; v < g.num_nodes; ++v)
     diff += std::abs(p_with.value().at(v, 0) - p_without.value().at(v, 0));
   EXPECT_GT(diff, 1e-6F);
+}
+
+/// A 70-gate AND chain whose input x also feeds the top AND: x reconverges
+/// there, one skip edge whose level difference exceeds kMaxPosencDistance.
+CircuitGraph long_skip_graph() {
+  Aig a;
+  const Lit x = make_lit(a.add_input(), false);
+  Lit acc = x;
+  for (int i = 0; i < 70; ++i) acc = a.add_and(acc, make_lit(a.add_input(), false));
+  a.add_output(a.add_and(acc, x));
+  const GateGraph g = to_gate_graph(a);
+  return CircuitGraph::from_gate_graph(g, sim::gate_graph_probabilities(g, 1024, 1));
+}
+
+// The Eq. (7) distance clamp through a whole forward: the no-grad forward is
+// bitwise the taped one, and on the scalar kernels an FNV-1a digest pins the
+// prediction, the embedding and every parameter gradient of the L1 loss.
+TEST(DeepGate, ClampedSkipDistanceIsPinned) {
+  const CircuitGraph g = long_skip_graph();
+  ASSERT_EQ(g.skip_edges.size(), 1U);
+  ASSERT_GT(g.skip_edges[0].level_diff, kMaxPosencDistance);
+  const ModelSpec spec{ModelFamily::kDeepGate, AggKind::kAttention, true};
+  {
+    auto model = make_model(spec, tiny_config());
+    const ForwardOutputs taped = model->forward_outputs(g);
+    ForwardOutputs fused;
+    {
+      const nn::NoGradGuard no_grad;
+      const nn::ArenaScope arena;
+      fused = model->forward_outputs(g);
+    }
+    EXPECT_TRUE(bit_equal_values(fused.prediction, taped.prediction));
+    EXPECT_TRUE(bit_equal_values(fused.embedding, taped.embedding));
+  }
+  const ScopedLevel scalar(nn::kern::SimdLevel::kScalar);
+  auto model = make_model(spec, tiny_config());
+  const ForwardOutputs out = model->forward_outputs(g);
+  const nn::Matrix target = nn::Matrix::from_vector(g.num_nodes, 1, std::vector<float>(g.labels));
+  nn::l1_loss(out.prediction, target).backward();
+  util::Fnv1a h;
+  fold_bits(h, out.prediction.value());
+  fold_bits(h, out.embedding.value());
+  for (const auto& [name, t] : model->named_params()) {
+    h.str(name).u8(t.has_grad() ? 1 : 0);
+    if (t.has_grad()) fold_bits(h, t.grad());
+  }
+  EXPECT_EQ(hex(h.digest()), hex(0xf94b9107a6a6a9deULL))
+      << "on the " << nn::kern::simd::level_name(nn::kern::simd::active()) << " backend, libc "
+      << libc_version();
 }
 
 TEST(DeepGate, IterationOverrideChangesResult) {
