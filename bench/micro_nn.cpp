@@ -97,10 +97,9 @@ void BM_AttentionAggregate(benchmark::State& state) {
   const nn::Tensor h_query = nn::constant(nn::normal(dst, 64, 1.0F, rng));
   std::vector<int> seg(static_cast<std::size_t>(edges));
   for (int e = 0; e < edges; ++e) seg[static_cast<std::size_t>(e)] = e % dst;
-  const nn::Matrix pe;  // no skip edges
   nn::NoGradGuard no_grad;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(agg->forward(h_src, h_query, seg, dst, pe));
+    benchmark::DoNotOptimize(agg->forward(h_src, h_query, seg, dst, nullptr));  // no skip edges
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * edges);
 }

@@ -1,7 +1,10 @@
 #include "gnn/aggregators.hpp"
 
+#include "gnn/posenc.hpp"
 #include "nn/kernels.hpp"
 #include "nn/ops.hpp"
+
+#include <algorithm>
 
 namespace dg::gnn {
 
@@ -19,8 +22,8 @@ const char* agg_kind_name(AggKind k) {
 
 nn::Matrix Aggregator::forward_no_grad(nn::Matrix h_src, const float* /*h_query*/,
                                        const std::vector<int>& seg, int num_dst,
-                                       const nn::Matrix& pe) const {
-  Tensor m = forward(nn::constant(std::move(h_src)), Tensor(), seg, num_dst, pe);
+                                       const std::vector<SkipSlot>* skips) const {
+  Tensor m = forward(nn::constant(std::move(h_src)), Tensor(), seg, num_dst, skips);
   return std::move(m.mutable_value());
 }
 
@@ -43,7 +46,7 @@ class ConvSumAggregator final : public Aggregator {
   ConvSumAggregator(int dim, util::Rng& rng) : lin_(dim, dim, rng) {}
 
   Tensor forward(const Tensor& h_src, const Tensor& /*h_query*/, const std::vector<int>& seg,
-                 int num_dst, const nn::Matrix& /*pe*/) const override {
+                 int num_dst, const std::vector<SkipSlot>* /*skips*/) const override {
     const Tensor msgs = lin_.forward(h_src);
     const Tensor summed = nn::scatter_add_rows(msgs, seg, num_dst);
     return nn::scale_rows(summed, inverse_counts(seg, num_dst));
@@ -63,7 +66,7 @@ class DeepSetAggregator final : public Aggregator {
   DeepSetAggregator(int dim, util::Rng& rng) : pre_(dim, dim, rng), post_(dim, dim, rng) {}
 
   Tensor forward(const Tensor& h_src, const Tensor& /*h_query*/, const std::vector<int>& seg,
-                 int num_dst, const nn::Matrix& /*pe*/) const override {
+                 int num_dst, const std::vector<SkipSlot>* /*skips*/) const override {
     const Tensor elem = nn::relu(pre_.forward(h_src));
     const Tensor pooled =
         nn::scale_rows(nn::scatter_add_rows(elem, seg, num_dst), inverse_counts(seg, num_dst));
@@ -85,7 +88,7 @@ class GatedSumAggregator final : public Aggregator {
   GatedSumAggregator(int dim, util::Rng& rng) : gate_(dim, dim, rng), map_(dim, dim, rng) {}
 
   Tensor forward(const Tensor& h_src, const Tensor& /*h_query*/, const std::vector<int>& seg,
-                 int num_dst, const nn::Matrix& /*pe*/) const override {
+                 int num_dst, const std::vector<SkipSlot>* /*skips*/) const override {
     const Tensor gated = nn::mul(nn::sigmoid(gate_.forward(h_src)), map_.forward(h_src));
     return nn::scatter_add_rows(gated, seg, num_dst);
   }
@@ -106,23 +109,32 @@ class AttentionAggregator final : public Aggregator {
  public:
   AttentionAggregator(int dim, int pe_dim, util::Rng& rng)
       : query_(dim, 1, rng), key_(dim, 1, rng, /*bias=*/false),
-        pe_(pe_dim, 1, rng, /*bias=*/false) {}
+        pe_(pe_dim, 1, rng, /*bias=*/false), table_(kMaxPosencDistance + 1, pe_dim) {
+    for (int d = 0; d <= kMaxPosencDistance; ++d)
+      write_positional_encoding(table_, d, d, pe_dim / 2);
+  }
 
   Tensor forward(const Tensor& h_src, const Tensor& h_query, const std::vector<int>& seg,
-                 int num_dst, const nn::Matrix& pe) const override {
+                 int num_dst, const std::vector<SkipSlot>* skips) const override {
     if (!nn::grad_enabled())
-      return nn::constant(fused(h_src.value(), h_query.value().data(), seg, num_dst, pe));
+      return nn::constant(fused(h_src.value(), h_query.value().data(), seg, num_dst, skips));
     const Tensor q = query_.forward(h_query);       // B x 1
     const Tensor q_edges = nn::gather_rows(q, seg);  // E x 1
     Tensor scores = nn::add(q_edges, key_.forward(h_src));
-    if (pe.rows() > 0) scores = nn::add(scores, pe_.forward(nn::constant(pe)));
+    if (skips != nullptr) {
+      // The E x 2L encodings: each skip edge's table row, zeros elsewhere.
+      nn::Matrix pe(static_cast<int>(seg.size()), table_.cols());
+      for (const SkipSlot& s : *skips)
+        std::copy_n(encoding(s.level_diff), table_.cols(), pe.row_ptr(s.edge));
+      scores = nn::add(scores, pe_.forward(nn::constant(std::move(pe))));
+    }
     const Tensor alpha = nn::softmax_segments(scores, seg, num_dst);
     return nn::scatter_add_rows(nn::scale_rows(h_src, alpha), seg, num_dst);
   }
 
   nn::Matrix forward_no_grad(nn::Matrix h_src, const float* h_query, const std::vector<int>& seg,
-                             int num_dst, const nn::Matrix& pe) const override {
-    return fused(h_src, h_query, seg, num_dst, pe);
+                             int num_dst, const std::vector<SkipSlot>* skips) const override {
+    return fused(h_src, h_query, seg, num_dst, skips);
   }
 
   void collect(nn::NamedParams& out, const std::string& prefix) const override {
@@ -137,10 +149,13 @@ class AttentionAggregator final : public Aggregator {
   /// single addition add_rowvec performs at out_features == 1, the combine
   /// loop keeps the (q + key) + pe association of the two adds, and the
   /// fused scatter keeps scale-then-add rounding per row in ascending order.
-  /// The query rows are read where they live (row stride d); the pe term is
-  /// projected into the score column before the combine loop overwrites it.
+  /// The query rows are read where they live (row stride d). The pe term is
+  /// projected into the zeroed score column before the combine loop
+  /// overwrites it, one skip edge's table row at a time: matvec computes
+  /// each row on its own and leaves a zero row's +0.0, so the column is
+  /// bitwise the taped E x 2L product.
   nn::Matrix fused(const nn::Matrix& h_src, const float* h_query, const std::vector<int>& seg,
-                   int num_dst, const nn::Matrix& pe) const {
+                   int num_dst, const std::vector<SkipSlot>* skips) const {
     nn::Matrix q = nn::kern::matvec(h_query, num_dst, query_.weight().value());  // B x 1
     if (query_.has_bias()) {
       const float b0 = query_.bias().value().at(0, 0);
@@ -149,18 +164,26 @@ class AttentionAggregator final : public Aggregator {
     const nn::Matrix key = nn::kern::matvec(h_src, key_.weight().value());
     const int num_edges = static_cast<int>(seg.size());
     nn::Matrix scores(num_edges, 1);
-    const bool has_pe = pe.rows() > 0;
-    if (has_pe) nn::kern::matvec(pe.data(), num_edges, pe_.weight().value(), scores.data());
+    if (skips != nullptr)
+      for (const SkipSlot& s : *skips)
+        nn::kern::matvec(encoding(s.level_diff), 1, pe_.weight().value(), scores.data() + s.edge);
     for (int i = 0; i < num_edges; ++i) {
       float v = q.data()[seg[i]] + key.data()[i];
-      if (has_pe) v += scores.data()[i];
+      if (skips != nullptr) v += scores.data()[i];
       scores.data()[i] = v;
     }
     const nn::Matrix alpha = nn::kern::softmax_segments(scores, seg, num_dst);
     return nn::kern::scale_rows_scatter_add(h_src, alpha, seg, num_dst);
   }
 
+  /// gamma(D) of a skip edge: its table row, the distance clamped as
+  /// write_positional_encoding clamps it.
+  const float* encoding(int level_diff) const {
+    return table_.row_ptr(std::clamp(level_diff, 0, kMaxPosencDistance));
+  }
+
   nn::Linear query_, key_, pe_;
+  nn::Matrix table_;  ///< row D = gamma(D), D = 0 .. kMaxPosencDistance
 };
 
 }  // namespace

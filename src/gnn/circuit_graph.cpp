@@ -1,6 +1,5 @@
 #include "gnn/circuit_graph.hpp"
 
-#include "gnn/posenc.hpp"
 #include "util/bytes.hpp"
 
 #include <algorithm>
@@ -12,10 +11,10 @@ namespace dg::gnn {
 namespace {
 
 /// Assemble a LevelBatch from (src, dst, level_diff) triples whose dst nodes
-/// all live on one level. `level_diff < 0` marks a normal edge (zero PE row).
+/// all live on one level. `level_diff < 0` marks a normal edge; the others
+/// are skip edges, listed in `skips` by their position in the sorted batch.
 LevelBatch build_batch(const std::vector<std::array<int, 3>>& batch_edges,
-                       const std::vector<int>& node_level, const std::vector<int>& node_pos,
-                       int pe_L, bool with_pe) {
+                       const std::vector<int>& node_level, const std::vector<int>& node_pos) {
   LevelBatch batch;
   batch.num_edges = static_cast<int>(batch_edges.size());
   if (batch.num_edges == 0) return batch;
@@ -29,7 +28,6 @@ LevelBatch build_batch(const std::vector<std::array<int, 3>>& batch_edges,
            node_level[static_cast<std::size_t>(batch_edges[static_cast<std::size_t>(b)][0])];
   });
 
-  if (with_pe) batch.pe = nn::Matrix::zeros(batch.num_edges, 2 * pe_L);
   batch.seg.reserve(batch_edges.size());
   for (std::size_t k = 0; k < order.size(); ++k) {
     const auto& e = batch_edges[static_cast<std::size_t>(order[k])];
@@ -39,8 +37,7 @@ LevelBatch build_batch(const std::vector<std::array<int, 3>>& batch_edges,
       batch.groups.push_back({src_level, {}});
     batch.groups.back().pos.push_back(node_pos[static_cast<std::size_t>(src)]);
     batch.seg.push_back(node_pos[static_cast<std::size_t>(dst)]);
-    if (with_pe && diff >= 0)
-      write_positional_encoding(batch.pe, static_cast<int>(k), diff, pe_L);
+    if (diff >= 0) batch.skips.push_back({static_cast<int>(k), diff});
   }
   return batch;
 }
@@ -84,9 +81,9 @@ void CircuitGraph::finalize(int pe_L) {
   fwd_skip.assign(static_cast<std::size_t>(num_levels), {});
   rev.assign(static_cast<std::size_t>(num_levels), {});
   for (std::size_t L = 0; L < static_cast<std::size_t>(num_levels); ++L) {
-    fwd[L] = build_batch(fwd_edges[L], level, node_pos, pe_L, /*with_pe=*/false);
-    fwd_skip[L] = build_batch(fwd_skip_edges[L], level, node_pos, pe_L, /*with_pe=*/true);
-    rev[L] = build_batch(rev_edges[L], level, node_pos, pe_L, /*with_pe=*/false);
+    fwd[L] = build_batch(fwd_edges[L], level, node_pos);
+    fwd_skip[L] = build_batch(fwd_skip_edges[L], level, node_pos);
+    rev[L] = build_batch(rev_edges[L], level, node_pos);
   }
 
   // Per-row update masks for batched graphs: a member whose own batch at a
@@ -311,7 +308,7 @@ CircuitGraph CircuitGraph::from_netlist(const netlist::Netlist& nl,
   }
   cg.labels.assign(labels.begin(), labels.end());
   // Raw netlists get no skip edges (the paper only applies the reconvergence
-  // machinery to AIGs); fwd_skip degenerates to fwd with PE columns.
+  // machinery to AIGs); fwd_skip degenerates to fwd.
   cg.finalize(pe_L);
   return cg;
 }
@@ -532,15 +529,6 @@ bool bit_equal(const CircuitGraph& a, const CircuitGraph& b) {
   if (a.skip_edges.size() != b.skip_edges.size()) return false;
   for (std::size_t i = 0; i < a.skip_edges.size(); ++i)
     if (!skip_eq(a.skip_edges[i], b.skip_edges[i])) return false;
-  // The positional encodings are derived, but they are the quantity the
-  // model actually consumes — compare them explicitly as well.
-  if (a.fwd_skip.size() != b.fwd_skip.size()) return false;
-  for (std::size_t L = 0; L < a.fwd_skip.size(); ++L) {
-    const nn::Matrix& pa = a.fwd_skip[L].pe;
-    const nn::Matrix& pb = b.fwd_skip[L].pe;
-    if (!pa.same_shape(pb)) return false;
-    if (!std::equal(pa.data(), pa.data() + pa.size(), pb.data())) return false;
-  }
   return true;
 }
 

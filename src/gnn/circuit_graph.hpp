@@ -18,6 +18,14 @@
 
 namespace dg::gnn {
 
+/// A skip edge inside a level batch: its index in the batch's edge order
+/// and its level difference D, whose Eq. (7) encoding the attention
+/// aggregator adds to that edge's score.
+struct SkipSlot {
+  int edge = 0;
+  int level_diff = 0;
+};
+
 /// Edges received by the nodes of one level, pre-sorted by source level so a
 /// single row-concat of per-level gathers produces the edge-ordered batch.
 struct LevelBatch {
@@ -27,7 +35,7 @@ struct LevelBatch {
   };
   std::vector<SrcGroup> groups;
   std::vector<int> seg;      ///< per edge: dst position within the level (0..B-1)
-  nn::Matrix pe;             ///< per-edge positional encoding rows; empty if none
+  std::vector<SkipSlot> skips;  ///< fwd_skip only: the skip edges, in edge order
   int num_edges = 0;
 
   /// Batched graphs only (else empty = update every row): per dst row, 1 if
@@ -52,15 +60,17 @@ struct GraphMember {
 
 struct CircuitGraph {
   /// Largest num_types and pe_L deserialize() accepts. The builders produce
-  /// 3 (AIG) or 9 (raw netlist) types; finalize() allocates per type and
-  /// per encoding column, so a stored value must not size those freely.
+  /// 3 (AIG) or 9 (raw netlist) types; finalize() allocates per type, so a
+  /// stored num_types must not size that freely. pe_L sizes nothing here
+  /// (it tags the graph for a model of the same Eq. (7) L); its bound is
+  /// input validation.
   static constexpr int kMaxNumTypes = 64;
   static constexpr int kMaxPeL = 64;
 
   int num_nodes = 0;
   int num_types = 3;
   int num_levels = 0;
-  int pe_L = 8;                             ///< Eq. (7) L used by finalize()
+  int pe_L = 8;                             ///< Eq. (7) L the graph is built for
   std::vector<int> type_id;                 ///< per node, in [0, num_types)
   std::vector<int> level;                   ///< forward logic level per node
   std::vector<std::pair<int, int>> edges;   ///< directed (src, dst)
@@ -84,7 +94,7 @@ struct CircuitGraph {
   std::vector<int> node_pos;     ///< node -> row within its level tensor
 
   // Per-level batches. fwd[L] feeds level L from predecessors (L >= 1);
-  // fwd_skip additionally contains skip edges with gamma(D) attributes;
+  // fwd_skip additionally contains the skip edges, listed in its `skips`;
   // rev[L] feeds level L from successors (processed in decreasing L).
   std::vector<LevelBatch> fwd;
   std::vector<LevelBatch> fwd_skip;
@@ -94,11 +104,12 @@ struct CircuitGraph {
   std::vector<std::vector<int>> nodes_of_type;
 
   /// Compute the derived structures every DAG model reads: the level
-  /// layout, the level batches with their Eq. (7) encodings, the masks of a
-  /// batch and the per-type node lists. Quantities one model alone reads
-  /// live with that model (GCN's undirected edges, the means' edge counts,
-  /// the attention's pe projection). `pe_L` is the L of Eq. (7) (encoding
-  /// width 2L). Must be called after type_id/level/edges/skip_edges are set.
+  /// layout, the level batches with their skip lists, the masks of a batch
+  /// and the per-type node lists. Quantities one model alone reads live
+  /// with that model (GCN's undirected edges, the means' edge counts, the
+  /// attention's Eq. (7) encodings). `pe_L` is stored as the graph's tag
+  /// (see check_compatible). Must be called after
+  /// type_id/level/edges/skip_edges are set.
   void finalize(int pe_L = 8);
 
   /// Build from an explicit AIG gate graph with simulated labels; detects
@@ -167,8 +178,8 @@ struct CircuitGraph {
   /// Append the defining fields (types, levels, edges, skip edges, labels,
   /// pe_L) to `out` in a portable little-endian layout. Derived structures
   /// are not stored; deserialize() rebuilds them via finalize(), which is
-  /// deterministic, so a round trip is bit-exact including the per-edge
-  /// positional-encoding matrices.
+  /// deterministic, so a round trip is bit-exact including every level
+  /// batch.
   void serialize(std::vector<std::uint8_t>& out) const;
 
   /// Parse one graph starting at `offset` (advanced past it on success) and
@@ -179,8 +190,9 @@ struct CircuitGraph {
                           CircuitGraph& g);
 };
 
-/// Bitwise equality of the defining fields plus the derived positional
-/// encodings (the determinism contract of the dataset pipeline).
+/// Bitwise equality of the defining fields (the determinism contract of the
+/// dataset pipeline). Every derived structure, the skip lists included,
+/// follows from them through the deterministic finalize().
 bool bit_equal(const CircuitGraph& a, const CircuitGraph& b);
 
 /// Copy member m's rows [node_offset, node_offset + num_nodes) out of a

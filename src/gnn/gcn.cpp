@@ -33,11 +33,10 @@ class GcnModel final : public Model {
       und_src.insert(und_src.end(), {src, dst});
       und_dst.insert(und_dst.end(), {dst, src});
     }
-    const nn::Matrix no_pe;  // GCN has no skip-edge attributes
     Tensor h = init_full_state(g, cfg_.dim);
     for (std::size_t l = 0; l < aggs_.size(); ++l) {
       const Tensor h_src = nn::gather_rows(h, und_src);
-      const Tensor m = aggs_[l]->forward(h_src, h, und_dst, g.num_nodes, no_pe);
+      const Tensor m = aggs_[l]->forward(h_src, h, und_dst, g.num_nodes, nullptr);
       h = nn::relu(combines_[l].forward(nn::concat_cols(h, m)));
     }
     return {regressor_.forward(h, g), h};

@@ -250,7 +250,7 @@ Tensor DirectedLayer::aggregate(const CircuitGraph& g, int L, const std::vector<
   const LevelBatch& batch = batch_at(g, L);
   const std::size_t lvl = static_cast<std::size_t>(L);
   return agg_->forward(gather_batch_sources(states, batch), queries[lvl], batch.seg,
-                       static_cast<int>(g.nodes_at_level[lvl].size()), batch.pe);
+                       static_cast<int>(g.nodes_at_level[lvl].size()), skips_of(batch));
 }
 
 namespace {
@@ -510,7 +510,8 @@ nn::Matrix DirectedLayer::aggregate_no_grad(const CircuitGraph& g, int L,
   }
   assert(e == batch.num_edges);
   return agg_->forward_no_grad(std::move(h_src), buffers.rows(L), batch.seg,
-                               static_cast<int>(g.nodes_at_level[lvl].size()), batch.pe);
+                               static_cast<int>(g.nodes_at_level[lvl].size()),
+                               skips_of(batch));
 }
 
 void DirectedLayer::run_no_grad(const CircuitGraph& g, SweepBuffers& buffers) const {

@@ -91,10 +91,12 @@ class Model {
 
 /// Throws std::invalid_argument, naming the field and both values, unless
 /// `g` was built for a model configured as `cfg`: num_types sizes the
-/// one-hot input and the regressor heads, pe_L the skip-edge encoding the
-/// attention weights read, so a mismatched graph would be read out of
-/// bounds. Every inference entry point (gnn::execute, serve::Server's
-/// submit/try_submit, IncrementalSession) calls it before any kernel runs.
+/// one-hot input and the regressor heads, so a mismatched graph would be
+/// read out of bounds. pe_L names the Eq. (7) L the graph was built for;
+/// the attention aggregator encodes with its own table, so a mismatch can
+/// no longer overrun it, but graph and model must still agree on it. Every
+/// inference entry point (gnn::execute, serve::Server's submit/try_submit,
+/// IncrementalSession) calls it before any kernel runs.
 void check_compatible(const ModelConfig& cfg, const CircuitGraph& g);
 
 /// Throws std::invalid_argument naming both values when cfg.dim <
@@ -197,8 +199,14 @@ class DirectedLayer {
   /// edges (a level without edges keeps its states).
   void sweep_levels(const CircuitGraph& g, std::vector<int>& out) const;
 
+  /// The skip list the aggregator reads: the batch's on a skip-connected
+  /// layer, null on every other layer.
+  const std::vector<SkipSlot>* skips_of(const LevelBatch& batch) const {
+    return use_skip_ ? &batch.skips : nullptr;
+  }
+
   /// Aggregated messages into level L, taped. The aggregator gets the
-  /// batch's seg and raw encodings and derives what it reads from them.
+  /// batch's seg and skip list and derives what it reads from them.
   nn::Tensor aggregate(const CircuitGraph& g, int L, const std::vector<nn::Tensor>& states,
                        const std::vector<nn::Tensor>& queries) const;
 

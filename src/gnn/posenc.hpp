@@ -8,6 +8,10 @@
 // the normalized distance D' = min(D, kMaxDistance) / kMaxDistance, which
 // keeps the intended behaviour — nearby fanout stems get encodings that
 // differ smoothly with distance — while preserving Eq. (7)'s functional form.
+//
+// The attention aggregator (gnn/aggregators.cpp) is the one reader: it
+// builds gamma(0) .. gamma(kMaxPosencDistance) once per layer and looks each
+// skip edge's row up by its clamped level difference.
 #pragma once
 
 #include "nn/matrix.hpp"

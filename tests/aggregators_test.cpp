@@ -5,6 +5,7 @@
 #include "nn/ops.hpp"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -18,19 +19,19 @@ struct AggFixture {
   int num_edges = 5;
   int num_dst = 2;
   std::vector<int> seg{0, 0, 1, 1, 1};
+  /// Two skip edges, one beyond the Eq. (7) distance clamp.
+  std::vector<SkipSlot> skips{{1, 3}, {4, 70}};
   Tensor h_src, h_query;
-  nn::Matrix pe;
 
   explicit AggFixture(std::uint64_t seed) {
     util::Rng rng(seed);
     h_src = Tensor::leaf(nn::normal(num_edges, d, 0.5F, rng), true);
     h_query = Tensor::leaf(nn::normal(num_dst, d, 0.5F, rng), true);
-    pe = nn::normal(num_edges, 16, 0.5F, rng);
   }
 
-  /// Runs `agg` over the fixture with its raw E x 16 encodings.
+  /// Runs `agg` over the fixture with its skip edges (2L = 16).
   Tensor forward(const Aggregator& agg) const {
-    return agg.forward(h_src, h_query, seg, num_dst, pe);
+    return agg.forward(h_src, h_query, seg, num_dst, &skips);
   }
 };
 
@@ -79,7 +80,7 @@ TEST(Attention, WeightsSumToOnePerDestination) {
   for (int e = 0; e < f.num_edges; ++e)
     for (int c = 0; c < f.d; ++c) same.at(e, c) = static_cast<float>(c) + 1.0F;
   const Tensor h_same = nn::constant(same);
-  const Tensor m = agg->forward(h_same, f.h_query, f.seg, f.num_dst, nn::Matrix());
+  const Tensor m = agg->forward(h_same, f.h_query, f.seg, f.num_dst, nullptr);
   for (int r = 0; r < f.num_dst; ++r)
     for (int c = 0; c < f.d; ++c) EXPECT_NEAR(m.value().at(r, c), c + 1.0F, 1e-5F);
 }
@@ -97,11 +98,31 @@ TEST(Attention, PeChangesScores) {
   util::Rng rng(11);
   auto agg = make_aggregator(AggKind::kAttention, f.d, 16, rng);
   const Tensor with_pe = f.forward(*agg);
-  const Tensor without_pe = agg->forward(f.h_src, f.h_query, f.seg, f.num_dst, nn::Matrix());
+  const Tensor without_pe = agg->forward(f.h_src, f.h_query, f.seg, f.num_dst, nullptr);
   float diff = 0.0F;
   for (std::size_t i = 0; i < with_pe.value().size(); ++i)
     diff += std::abs(with_pe.value().data()[i] - without_pe.value().data()[i]);
   EXPECT_GT(diff, 1e-4F);
+}
+
+// The fused no-grad path is bitwise the taped composition with no skip
+// list, an empty one (the +0.0 term still added on every edge) and the
+// fixture's, whose second edge reads the clamped gamma(kMaxPosencDistance).
+TEST(Attention, NoGradIsBitwiseTheTapedForward) {
+  AggFixture f(16);
+  util::Rng rng(17);
+  auto agg = make_aggregator(AggKind::kAttention, f.d, 16, rng);
+  const std::vector<SkipSlot> none;
+  const std::vector<const std::vector<SkipSlot>*> cases{nullptr, &none, &f.skips};
+  for (const std::vector<SkipSlot>* skips : cases) {
+    const nn::Matrix taped =
+        agg->forward(f.h_src, f.h_query, f.seg, f.num_dst, skips).value();
+    const nn::Matrix fused =
+        agg->forward_no_grad(f.h_src.value(), f.h_query.value().data(), f.seg, f.num_dst, skips);
+    ASSERT_TRUE(fused.same_shape(taped));
+    EXPECT_EQ(std::memcmp(fused.data(), taped.data(), taped.size() * sizeof(float)), 0)
+        << (skips == nullptr ? "null" : skips->empty() ? "empty" : "fixture");
+  }
 }
 
 TEST(ConvSum, MeanNormalization) {

@@ -111,15 +111,19 @@ TEST(CircuitGraph, SegmentsCountIndegree) {
 
 TEST(CircuitGraph, PeRowsOnlyForSkipEdges) {
   const CircuitGraph g = diamond_graph();
+  ASSERT_EQ(g.skip_edges.size(), 1U);
   const auto& batch = g.fwd_skip[2];
-  ASSERT_EQ(batch.pe.rows(), 3);  // 2 normal + 1 skip
-  int nonzero_rows = 0;
-  for (int r = 0; r < batch.pe.rows(); ++r) {
-    float mag = 0.0F;
-    for (int c = 0; c < batch.pe.cols(); ++c) mag += std::abs(batch.pe.at(r, c));
-    nonzero_rows += mag > 1e-6F;
+  ASSERT_EQ(batch.num_edges, 3);  // 2 normal + 1 skip
+  // The skip edge x -> top comes from level 0, so the source-level sort puts
+  // it ahead of the two level-1 fanins.
+  ASSERT_EQ(batch.skips.size(), 1U);
+  EXPECT_EQ(batch.skips[0].edge, 0);
+  EXPECT_EQ(batch.skips[0].level_diff, g.skip_edges[0].level_diff);
+  EXPECT_EQ(batch.skips[0].level_diff, 2);
+  for (std::size_t L = 0; L < g.fwd.size(); ++L) {
+    EXPECT_TRUE(g.fwd[L].skips.empty()) << "fwd " << L;
+    EXPECT_TRUE(g.rev[L].skips.empty()) << "rev " << L;
   }
-  EXPECT_EQ(nonzero_rows, 1);
 }
 
 TEST(CircuitGraph, NodesOfTypePartition) {

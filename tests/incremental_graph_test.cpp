@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 
 namespace dg::gnn {
 namespace {
@@ -57,10 +56,10 @@ void expect_batches_equal(const LevelBatch& a, const LevelBatch& b, const std::s
     EXPECT_EQ(a.groups[i].pos, b.groups[i].pos);
   }
   EXPECT_EQ(a.seg, b.seg);
-  ASSERT_EQ(a.pe.rows(), b.pe.rows());
-  ASSERT_EQ(a.pe.cols(), b.pe.cols());
-  if (a.pe.size() != 0) {
-    EXPECT_EQ(std::memcmp(a.pe.data(), b.pe.data(), a.pe.size() * sizeof(float)), 0);
+  ASSERT_EQ(a.skips.size(), b.skips.size());
+  for (std::size_t i = 0; i < a.skips.size(); ++i) {
+    EXPECT_EQ(a.skips[i].edge, b.skips[i].edge);
+    EXPECT_EQ(a.skips[i].level_diff, b.skips[i].level_diff);
   }
   EXPECT_EQ(a.update_rows, b.update_rows);
 }
