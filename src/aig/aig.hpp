@@ -69,7 +69,6 @@ class Aig {
   const std::vector<Lit>& outputs() const { return outputs_; }
   const std::string& input_name(std::size_t i) const { return input_names_[i]; }
   const std::string& output_name(std::size_t i) const { return output_names_[i]; }
-  void set_output(std::size_t i, Lit l) { outputs_[i] = l; }
 
   // -- Derived structure ----------------------------------------------------
   /// Logic level per variable: const/inputs 0, AND = 1 + max(fanin levels).

@@ -127,8 +127,6 @@ class ShardStream final : public gnn::GraphStream {
   bool next(std::vector<gnn::CircuitGraph>& out) override;
   void reset() override;
 
-  std::size_t num_shards() const { return paths_.size(); }
-
   /// Shards read and decoded from disk so far (skipped shards excluded).
   std::size_t disk_loads() const { return disk_loads_.value(); }
 

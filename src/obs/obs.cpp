@@ -143,21 +143,6 @@ Snapshot snapshot() {
   return snap;
 }
 
-std::string Snapshot::to_text() const {
-  std::ostringstream os;
-  os << "# counters\n";
-  for (const auto& [name, v] : counters) os << name << " " << v << "\n";
-  os << "# gauges\n";
-  for (const auto& [name, v] : gauges) os << name << " " << v << "\n";
-  os << "# histograms (count mean p50 p95 p99)\n";
-  for (const auto& e : histograms) {
-    os << e.name << " count=" << e.hist.count << " mean=" << e.hist.mean()
-       << " p50=" << e.hist.quantile(0.50) << " p95=" << e.hist.quantile(0.95)
-       << " p99=" << e.hist.quantile(0.99) << "\n";
-  }
-  return os.str();
-}
-
 std::string Snapshot::to_json() const {
   std::ostringstream os;
   os << "{\"counters\": {";

@@ -1,7 +1,6 @@
 // Unified observability facade: one call that freezes every registered
 // metric — counters, gauges (including pull-style callbacks and thread-pool
-// lane utilization), histograms — into a Snapshot renderable as aligned text
-// or JSON. A counter or histogram reports its registered value plus what
+// lane utilization), histograms — into a Snapshot renderable as JSON. A counter or histogram reports its registered value plus what
 // every live and destroyed obs::Scope recorded under the same name.
 //
 // snapshot() also derives convenience gauges: for every counter pair
@@ -42,10 +41,6 @@ struct Snapshot {
   double gauge_value(const std::string& name) const;
   /// Histogram by exact name; nullptr when absent.
   const HistogramSnapshot* find_histogram(const std::string& name) const;
-
-  /// Human-readable dump: one metric per line, histograms with
-  /// count/mean/p50/p95/p99.
-  std::string to_text() const;
 
   /// JSON object {"counters": {...}, "gauges": {...}, "histograms":
   /// {name: {count, sum, mean, p50, p95, p99}, ...}}. Keys are sorted, so

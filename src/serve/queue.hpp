@@ -26,7 +26,6 @@
 // overloads).
 #pragma once
 
-#include "serve/policy.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -39,6 +38,8 @@ namespace deepgate::serve {
 
 enum class PushResult { kOk, kFull, kClosed };
 enum class PopResult { kItem, kClosed };
+/// What ended a pop_window take (see there); stats and traces name it.
+enum class CloseReason { kBudget, kMaxGraphs, kEmpty, kShare, kDrain };
 
 /// What bounds one pop_window take.
 struct WindowLimits {

@@ -25,17 +25,18 @@ std::uint64_t ns_between(Clock::time_point from, Clock::time_point to) {
   return d > 0 ? static_cast<std::uint64_t>(d) : 0;
 }
 
-}  // namespace
-
-const char* submit_status_name(SubmitStatus status) {
-  switch (status) {
-    case SubmitStatus::kAccepted: return "accepted";
-    case SubmitStatus::kOverloaded: return "overloaded";
-    case SubmitStatus::kStopped: return "stopped";
-    case SubmitStatus::kInvalid: return "invalid";
+const char* close_reason_name(CloseReason reason) {
+  switch (reason) {
+    case CloseReason::kBudget: return "budget";
+    case CloseReason::kMaxGraphs: return "max_graphs";
+    case CloseReason::kEmpty: return "empty";
+    case CloseReason::kShare: return "share";
+    case CloseReason::kDrain: return "drain";
   }
   return "?";
 }
+
+}  // namespace
 
 Server::Server(const Engine& engine, const ServerOptions& options)
     : engine_(engine),

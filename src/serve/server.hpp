@@ -46,7 +46,6 @@
 #include "gnn/executor.hpp"
 #include "nn/matrix.hpp"
 #include "obs/metrics.hpp"
-#include "serve/policy.hpp"
 #include "serve/queue.hpp"
 #include "util/mutex.hpp"
 
@@ -98,8 +97,6 @@ enum class SubmitStatus {
   kStopped,     ///< server shut down
   kInvalid,     ///< null graph
 };
-
-const char* submit_status_name(SubmitStatus status);
 
 struct ServerOptions {
   std::size_t queue_capacity = 256;  ///< admission queue bound (backpressure point)

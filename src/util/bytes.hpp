@@ -12,8 +12,6 @@
 
 namespace dg::util {
 
-inline void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) { out.push_back(v); }
-
 inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
