@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
+#include <unistd.h>
 
 namespace dg::data {
 namespace {
@@ -154,6 +156,42 @@ TEST(Dataset, StatsCoverTableOneColumns) {
     EXPECT_GE(s.min_level, 3);
     EXPECT_LE(s.max_level, 24);
   }
+}
+
+void expect_table_one_pin(const Dataset& ds, const char* what) {
+  // dataset_stats of tiny_config() (seed 3, 5000 patterns); shard_size 8.
+  const std::vector<FamilyStats> expected = {
+      {"EPFL", 4, 54, 61, 14, 15},
+      {"ITC99", 18, 36, 150, 4, 9},
+      {"IWLS", 4, 41, 217, 6, 16},
+      {"Opencores", 4, 72, 185, 8, 17},
+  };
+  const auto stats = dataset_stats(ds);
+  ASSERT_EQ(stats.size(), expected.size()) << what;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(stats[i].family, expected[i].family) << what;
+    EXPECT_EQ(stats[i].count, expected[i].count) << what << ' ' << expected[i].family;
+    EXPECT_EQ(stats[i].min_nodes, expected[i].min_nodes) << what << ' ' << expected[i].family;
+    EXPECT_EQ(stats[i].max_nodes, expected[i].max_nodes) << what << ' ' << expected[i].family;
+    EXPECT_EQ(stats[i].min_level, expected[i].min_level) << what << ' ' << expected[i].family;
+    EXPECT_EQ(stats[i].max_level, expected[i].max_level) << what << ' ' << expected[i].family;
+  }
+}
+
+TEST(Dataset, TableOneStatsArePinned) {
+  expect_table_one_pin(build_dataset(tiny_config(), BuildOptions{}), "generated");
+
+  // The same rows from a cold cache build and from the shard files it wrote.
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                    ("dg_table1_pin_test_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  BuildOptions opts;
+  opts.cache_dir = dir.string();
+  const Dataset cold = build_dataset(tiny_config(), opts);
+  ASSERT_FALSE(cold.shard_files.empty());
+  expect_table_one_pin(cold, "cold cache");
+  expect_table_one_pin(build_dataset(tiny_config(), opts), "warm cache");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Dataset, PairedDatasetAligned) {
