@@ -21,9 +21,7 @@ bool datasets_bit_equal(const dg::data::Dataset& a, const dg::data::Dataset& b) 
   if (a.graphs.size() != b.graphs.size()) return false;
   for (std::size_t i = 0; i < a.graphs.size(); ++i) {
     if (!dg::gnn::bit_equal(a.graphs[i], b.graphs[i])) return false;
-    if (a.info[i].family != b.info[i].family || a.info[i].nodes != b.info[i].nodes ||
-        a.info[i].levels != b.info[i].levels)
-      return false;
+    if (a.info[i].family != b.info[i].family) return false;
   }
   return true;
 }

@@ -123,8 +123,9 @@ class Engine {
   /// probabilities AND embeddings; an already-merged batch graph runs as a
   /// forward of its own. Bit-exact with per-graph
   /// predict_probabilities/embeddings. Throws std::invalid_argument, before
-  /// any forward runs, on null entries and on graphs whose num_types/pe_L
-  /// differ from the model's; an empty request and zero-node graphs yield
+  /// any forward runs, on null entries and on graphs whose num_types
+  /// differs from the model's (Eq. (7)'s L is the model's alone, so a graph
+  /// serves a model of any L); an empty request and zero-node graphs yield
   /// empty results.
   BatchInference infer_batch(const std::vector<const CircuitGraph*>& batch) const;
 

@@ -83,8 +83,7 @@ std::vector<ShardRecord> generate_shard(const ShardPlan& plan, const DatasetConf
       const aig::GateGraph g = aig::to_gate_graph(cone);
       const auto labels =
           sim::gate_graph_probabilities(g, cfg.sim_patterns, rng.next_u64());
-      out.push_back({gnn::CircuitGraph::from_gate_graph(g, labels, cfg.pe_L),
-                     {family.name, g.size(), g.num_levels - 1}});
+      out.push_back({gnn::CircuitGraph::from_gate_graph(g, labels), {family.name}});
       ++produced;
     }
   }
@@ -111,7 +110,6 @@ std::uint64_t dataset_config_hash(const DatasetConfig& cfg, const BuildOptions& 
     h.i32(f.extract.tries_per_cone);
   }
   h.u64(cfg.sim_patterns);
-  h.i32(cfg.pe_L);
   h.i32(cfg.max_dry_bases);
   h.u64(opts.shard_size);
   return h.digest();
@@ -210,16 +208,19 @@ void Dataset::split(double train_fraction, std::uint64_t seed,
 
 std::vector<FamilyStats> dataset_stats(const Dataset& ds) {
   std::map<std::string, FamilyStats> by_family;
-  for (const auto& info : ds.info) {
-    auto& stats = by_family[info.family];
+  for (std::size_t i = 0; i < ds.info.size(); ++i) {
+    const std::string& family = ds.info[i].family;
+    const auto nodes = static_cast<std::size_t>(ds.graphs[i].num_nodes);
+    const int depth = ds.graphs[i].num_levels - 1;
+    auto& stats = by_family[family];
     if (stats.count == 0) {
-      stats = {info.family, 1, info.nodes, info.nodes, info.levels, info.levels};
+      stats = {family, 1, nodes, nodes, depth, depth};
     } else {
       ++stats.count;
-      stats.min_nodes = std::min(stats.min_nodes, info.nodes);
-      stats.max_nodes = std::max(stats.max_nodes, info.nodes);
-      stats.min_level = std::min(stats.min_level, info.levels);
-      stats.max_level = std::max(stats.max_level, info.levels);
+      stats.min_nodes = std::min(stats.min_nodes, nodes);
+      stats.max_nodes = std::max(stats.max_nodes, nodes);
+      stats.min_level = std::min(stats.min_level, depth);
+      stats.max_level = std::max(stats.max_level, depth);
     }
   }
   std::vector<FamilyStats> out;
@@ -232,7 +233,7 @@ std::vector<FamilyStats> dataset_stats(const Dataset& ds) {
 }
 
 PairedDataset build_paired_dataset(const std::string& family, std::size_t count,
-                                   std::size_t sim_patterns, std::uint64_t seed, int pe_L) {
+                                   std::size_t sim_patterns, std::uint64_t seed) {
   PairedDataset ds;
   util::Rng rng(seed);
   int dry = 0;
@@ -252,7 +253,7 @@ PairedDataset build_paired_dataset(const std::string& family, std::size_t count,
     // technology-mapped netlist takes), simulated labels.
     const netlist::Netlist mapped = netlist::decompose_to_2input(cone);
     const auto raw_labels = sim::netlist_probabilities(mapped, sim_patterns, rng.next_u64());
-    ds.raw.push_back(gnn::CircuitGraph::from_netlist(mapped, raw_labels, pe_L));
+    ds.raw.push_back(gnn::CircuitGraph::from_netlist(mapped, raw_labels));
 
     // Transformed version: AIG of the same function.
     aig::Aig a = synth::optimize(netlist::to_aig(cone));
@@ -263,18 +264,18 @@ PairedDataset build_paired_dataset(const std::string& family, std::size_t count,
     }
     const aig::GateGraph g = aig::to_gate_graph(a);
     const auto aig_labels = sim::gate_graph_probabilities(g, sim_patterns, rng.next_u64());
-    ds.aig.push_back(gnn::CircuitGraph::from_gate_graph(g, aig_labels, pe_L));
+    ds.aig.push_back(gnn::CircuitGraph::from_gate_graph(g, aig_labels));
   }
   return ds;
 }
 
 gnn::CircuitGraph graph_from_aig(const aig::Aig& aig, std::size_t sim_patterns,
-                                 std::uint64_t seed, int pe_L) {
+                                 std::uint64_t seed) {
   aig::Aig prepared = synth::optimize(aig);
   if (prepared.uses_constants()) prepared = synth::drop_constant_outputs(prepared);
   const aig::GateGraph g = aig::to_gate_graph(prepared);
   const auto labels = sim::gate_graph_probabilities(g, sim_patterns, seed);
-  return gnn::CircuitGraph::from_gate_graph(g, labels, pe_L);
+  return gnn::CircuitGraph::from_gate_graph(g, labels);
 }
 
 }  // namespace dg::data

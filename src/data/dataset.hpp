@@ -32,7 +32,6 @@ struct DatasetConfig {
   std::vector<FamilySpec> families;
   std::size_t sim_patterns = 100000;  ///< paper: up to 100k random patterns
   std::uint64_t seed = 1;
-  int pe_L = 8;
   int max_dry_bases = 50;  ///< per-shard limit on consecutive base designs
                            ///< that yield no acceptable cone before the shard
                            ///< gives up (guards impossible envelopes)
@@ -44,7 +43,7 @@ DatasetConfig default_dataset_config(util::BenchScale scale, std::uint64_t seed 
 
 struct Dataset {
   std::vector<gnn::CircuitGraph> graphs;
-  std::vector<GraphInfo> info;  ///< parallel to graphs; see shard_io.hpp
+  std::vector<GraphInfo> info;  ///< parallel to graphs: each graph's family
 
   /// Shard files backing this dataset (empty when the cache is disabled).
   /// In shard order, so ShardStream over them yields `graphs` exactly.
@@ -68,7 +67,7 @@ struct BuildOptions {
 };
 
 /// Key covering every generation knob (families, envelopes, pattern count,
-/// pe_L, shard size, format version) EXCEPT the seed, which is a separate
+/// shard size, format version) EXCEPT the seed, which is a separate
 /// cache-key component. Any config change invalidates cached shards.
 std::uint64_t dataset_config_hash(const DatasetConfig& cfg, const BuildOptions& opts);
 
@@ -76,7 +75,8 @@ std::uint64_t dataset_config_hash(const DatasetConfig& cfg, const BuildOptions& 
 Dataset build_dataset(const DatasetConfig& cfg);
 Dataset build_dataset(const DatasetConfig& cfg, const BuildOptions& opts);
 
-/// Per-family Table I statistics.
+/// Per-family Table I statistics: sub-circuit count and the node and level
+/// ranges, read from the graphs (levels = num_levels - 1, the depth).
 struct FamilyStats {
   std::string family;
   std::size_t count = 0;
@@ -93,12 +93,12 @@ struct PairedDataset {
   std::vector<gnn::CircuitGraph> aig;
 };
 PairedDataset build_paired_dataset(const std::string& family, std::size_t count,
-                                   std::size_t sim_patterns, std::uint64_t seed, int pe_L = 8);
+                                   std::size_t sim_patterns, std::uint64_t seed);
 
 /// Labels + graph for one AIG (Table III designs, deepgate::prepare):
 /// optimize, drop the outputs optimization proved constant (the gate graph
 /// has no constant node), expand to a gate graph, simulate, build the graph.
 gnn::CircuitGraph graph_from_aig(const aig::Aig& aig, std::size_t sim_patterns,
-                                 std::uint64_t seed, int pe_L = 8);
+                                 std::uint64_t seed);
 
 }  // namespace dg::data

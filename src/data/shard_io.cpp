@@ -21,14 +21,12 @@ obs::Counter& bytes_read_counter() {
 
 constexpr char kMagic[4] = {'D', 'G', 'S', 'H'};
 constexpr std::size_t kMagicAndVersion = 8;  // magic + u32 version
-// Smallest record: family length, node count and level count (16 bytes),
-// then an empty graph's header and its edge and skip-edge counts (28 bytes).
-constexpr std::size_t kMinRecordBytes = 16 + 28;
+// Smallest record: the family length (4 bytes), then an empty graph's
+// node and type counts and its edge and skip-edge counts (24 bytes).
+constexpr std::size_t kMinRecordBytes = 4 + 24;
 
 void serialize_record(std::vector<std::uint8_t>& out, const ShardRecord& rec) {
   util::put_str(out, rec.info.family);
-  util::put_u64(out, rec.info.nodes);
-  util::put_i32(out, rec.info.levels);
   rec.graph.serialize(out);
 }
 
@@ -139,8 +137,6 @@ bool ShardReader::next(ShardRecord& out) {
   util::ByteReader r(buf_.data() + offset_, payload_end_ - offset_);
   ShardRecord rec;
   rec.info.family = r.str();
-  rec.info.nodes = static_cast<std::size_t>(r.u64());
-  rec.info.levels = r.i32();
   if (!r.ok()) {
     error_ = ShardError::kCorrupt;
     return false;

@@ -4,7 +4,7 @@
 // File layout (all integers little-endian):
 //   magic "DGSH" | u32 version |
 //   u64 config_hash | u64 seed | u32 shard_index | u32 num_records |
-//   per record: u32 family_len | family bytes | u64 nodes | i32 levels |
+//   per record: u32 family_len | family bytes |
 //               CircuitGraph blob (see CircuitGraph::serialize) |
 //   u64 checksum   (FNV-1a over everything after magic+version)
 //
@@ -27,11 +27,10 @@
 
 namespace dg::data {
 
-/// Per-sample Table I bookkeeping stored alongside each graph.
+/// Per-sample bookkeeping stored alongside each graph: the Table I family
+/// it was drawn from. Node and level counts are read off the graph itself.
 struct GraphInfo {
   std::string family;
-  std::size_t nodes = 0;
-  int levels = 0;
 };
 
 struct ShardRecord {
@@ -58,7 +57,10 @@ enum class ShardError {
 const char* shard_error_name(ShardError e);
 
 /// Current format version written by write_shard.
-inline constexpr std::uint32_t kShardFormatVersion = 1;
+/// v2 dropped the graph's Eq. (7) L tag, each skip edge's stored level
+/// difference and the record's node/level counts; v1 files read as
+/// kBadVersion, so a cache of them misses and regenerates.
+inline constexpr std::uint32_t kShardFormatVersion = 2;
 
 /// Serialize `records` under the given key. Writes to a temporary sibling
 /// file and renames into place, so concurrent producers of the same shard

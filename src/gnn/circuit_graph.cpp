@@ -44,10 +44,9 @@ LevelBatch build_batch(const std::vector<std::array<int, 3>>& batch_edges,
 
 }  // namespace
 
-void CircuitGraph::finalize(int pe_L) {
+void CircuitGraph::finalize(int /*ignored*/) {
   assert(num_nodes == static_cast<int>(type_id.size()));
   assert(num_nodes == static_cast<int>(level.size()));
-  this->pe_L = pe_L;
 
   num_levels = 0;
   for (int l : level) num_levels = std::max(num_levels, l + 1);
@@ -169,7 +168,7 @@ int CircuitGraph::delta_insert_node(int type, const std::vector<int>& fanins, fl
   // list canonical (grouped by ascending dst).
   for (int f : fanins) edges.emplace_back(f, v);
 
-  finalize(pe_L);
+  finalize();
   return v;
 }
 
@@ -198,7 +197,7 @@ void CircuitGraph::delta_delete_node(int v) {
   --num_nodes;
 
   // A fanout-free node feeds no one, so no other node's level can change.
-  finalize(pe_L);
+  finalize();
 }
 
 void CircuitGraph::delta_rewire_node(int v, const std::vector<int>& new_fanins) {
@@ -271,11 +270,11 @@ void CircuitGraph::delta_rewire_node(int v, const std::vector<int>& new_fanins) 
   }
   skip_edges = std::move(kept_skip);
 
-  finalize(pe_L);
+  finalize();
 }
 
 CircuitGraph CircuitGraph::from_gate_graph(const aig::GateGraph& g,
-                                           const std::vector<double>& labels, int pe_L) {
+                                           const std::vector<double>& labels) {
   assert(labels.size() == g.size());
   CircuitGraph cg;
   cg.num_nodes = static_cast<int>(g.size());
@@ -289,12 +288,12 @@ CircuitGraph CircuitGraph::from_gate_graph(const aig::GateGraph& g,
   }
   cg.labels.assign(labels.begin(), labels.end());
   cg.skip_edges = analysis::find_reconvergences(g);
-  cg.finalize(pe_L);
+  cg.finalize();
   return cg;
 }
 
 CircuitGraph CircuitGraph::from_netlist(const netlist::Netlist& nl,
-                                        const std::vector<double>& labels, int pe_L) {
+                                        const std::vector<double>& labels) {
   assert(labels.size() == nl.size());
   CircuitGraph cg;
   cg.num_nodes = static_cast<int>(nl.size());
@@ -309,7 +308,7 @@ CircuitGraph CircuitGraph::from_netlist(const netlist::Netlist& nl,
   cg.labels.assign(labels.begin(), labels.end());
   // Raw netlists get no skip edges (the paper only applies the reconvergence
   // machinery to AIGs); fwd_skip degenerates to fwd.
-  cg.finalize(pe_L);
+  cg.finalize();
   return cg;
 }
 
@@ -331,7 +330,7 @@ CircuitGraph CircuitGraph::merge(const std::vector<const CircuitGraph*>& parts) 
   CircuitGraph out;
   if (parts.empty()) {
     out.num_nodes = 0;
-    out.finalize(out.pe_L);
+    out.finalize();
     return out;
   }
   for (const CircuitGraph* p : parts) {
@@ -340,8 +339,6 @@ CircuitGraph CircuitGraph::merge(const std::vector<const CircuitGraph*>& parts) 
       throw std::invalid_argument("CircuitGraph::merge: parts must not be batches themselves");
     if (p->num_types != parts[0]->num_types)
       throw std::invalid_argument("CircuitGraph::merge: num_types mismatch");
-    if (p->pe_L != parts[0]->pe_L)
-      throw std::invalid_argument("CircuitGraph::merge: pe_L mismatch");
   }
   out.num_types = parts[0]->num_types;
 
@@ -374,7 +371,7 @@ CircuitGraph CircuitGraph::merge(const std::vector<const CircuitGraph*>& parts) 
     offset += p->num_nodes;
   }
   out.num_nodes = static_cast<int>(total_nodes);
-  out.finalize(parts[0]->pe_L);
+  out.finalize();
   return out;
 }
 
@@ -409,7 +406,6 @@ std::vector<std::vector<std::size_t>> plan_node_batches_by_depth(
     const CircuitGraph* ga = graphs[a];
     const CircuitGraph* gb = graphs[b];
     if (ga->num_types != gb->num_types) return ga->num_types < gb->num_types;
-    if (ga->pe_L != gb->pe_L) return ga->pe_L < gb->pe_L;
     if (ga->num_levels != gb->num_levels) return ga->num_levels < gb->num_levels;
     return a < b;
   });
@@ -421,8 +417,7 @@ std::vector<std::vector<std::size_t>> plan_node_batches_by_depth(
     const bool open = !groups.empty() && !groups.back().empty();
     const CircuitGraph* head = open ? graphs[groups.back().front()] : nullptr;
     const bool incompatible =
-        open && (g->num_types != head->num_types || g->pe_L != head->pe_L ||
-                 g->is_batch() || head->is_batch());
+        open && (g->num_types != head->num_types || g->is_batch() || head->is_batch());
     if (!open || incompatible || node_budget == 0 || nodes + n > node_budget ||
         groups.back().size() >= cap) {
       groups.emplace_back();
@@ -440,7 +435,6 @@ void CircuitGraph::serialize(std::vector<std::uint8_t>& out) const {
   using util::put_u64;
   put_i32(out, num_nodes);
   put_i32(out, num_types);
-  put_i32(out, pe_L);
   for (int t : type_id) put_i32(out, t);
   for (int l : level) put_i32(out, l);
   put_u64(out, edges.size());
@@ -452,7 +446,6 @@ void CircuitGraph::serialize(std::vector<std::uint8_t>& out) const {
   for (const auto& e : skip_edges) {
     put_i32(out, e.src);
     put_i32(out, e.dst);
-    put_i32(out, e.level_diff);
   }
   for (float l : labels) put_f32(out, l);
 }
@@ -463,9 +456,7 @@ bool CircuitGraph::deserialize(const std::uint8_t* data, std::size_t size, std::
   CircuitGraph cg;
   cg.num_nodes = r.i32();
   cg.num_types = r.i32();
-  const int pe_L = r.i32();
-  if (!r.ok() || cg.num_nodes < 0 || cg.num_types <= 0 || cg.num_types > kMaxNumTypes ||
-      pe_L <= 0 || pe_L > kMaxPeL)
+  if (!r.ok() || cg.num_nodes < 0 || cg.num_types <= 0 || cg.num_types > kMaxNumTypes)
     return false;
   // Each node costs at least 8 stored bytes; reject counts the buffer cannot
   // possibly hold before any allocation happens.
@@ -483,8 +474,9 @@ bool CircuitGraph::deserialize(const std::uint8_t* data, std::size_t size, std::
   }
 
   // Every edge must point strictly upward in level — the levelized forward
-  // relies on it, and it is what rules out cycles — and a skip edge must
-  // carry exactly its endpoints' level difference.
+  // relies on it, and it is what rules out cycles. A skip edge's
+  // level_diff is not stored: it is its endpoints' level rise, which must
+  // be at least one for the same reason.
   const auto in_range = [&](int v) { return v >= 0 && v < cg.num_nodes; };
   const auto rise = [&](int src, int dst) {
     return cg.level[static_cast<std::size_t>(dst)] - cg.level[static_cast<std::size_t>(src)];
@@ -498,21 +490,20 @@ bool CircuitGraph::deserialize(const std::uint8_t* data, std::size_t size, std::
     if (!r.ok() || !in_range(src) || !in_range(dst) || rise(src, dst) < 1) return false;
   }
   const std::uint64_t num_skip = r.u64();
-  if (!r.ok() || num_skip > r.remaining() / 12) return false;
+  if (!r.ok() || num_skip > r.remaining() / 8) return false;
   cg.skip_edges.resize(static_cast<std::size_t>(num_skip));
   for (auto& e : cg.skip_edges) {
     e.src = r.i32();
     e.dst = r.i32();
-    e.level_diff = r.i32();
-    if (!r.ok() || !in_range(e.src) || !in_range(e.dst) || e.level_diff < 1 ||
-        e.level_diff != rise(e.src, e.dst))
-      return false;
+    if (!r.ok() || !in_range(e.src) || !in_range(e.dst)) return false;
+    e.level_diff = rise(e.src, e.dst);
+    if (e.level_diff < 1) return false;
   }
   cg.labels.resize(n);
   for (auto& l : cg.labels) l = r.f32();
   if (!r.ok()) return false;
 
-  cg.finalize(pe_L);
+  cg.finalize();
   g = std::move(cg);
   offset += r.offset();
   return true;
@@ -522,7 +513,7 @@ bool bit_equal(const CircuitGraph& a, const CircuitGraph& b) {
   const auto skip_eq = [](const analysis::SkipEdge& x, const analysis::SkipEdge& y) {
     return x.src == y.src && x.dst == y.dst && x.level_diff == y.level_diff;
   };
-  if (a.num_nodes != b.num_nodes || a.num_types != b.num_types || a.pe_L != b.pe_L ||
+  if (a.num_nodes != b.num_nodes || a.num_types != b.num_types ||
       a.type_id != b.type_id || a.level != b.level || a.edges != b.edges ||
       a.labels != b.labels)
     return false;

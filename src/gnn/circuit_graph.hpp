@@ -59,18 +59,18 @@ struct GraphMember {
 };
 
 struct CircuitGraph {
-  /// Largest num_types and pe_L deserialize() accepts. The builders produce
-  /// 3 (AIG) or 9 (raw netlist) types; finalize() allocates per type, so a
-  /// stored num_types must not size that freely. pe_L sizes nothing here
-  /// (it tags the graph for a model of the same Eq. (7) L); its bound is
-  /// input validation.
+  /// Largest num_types deserialize() accepts. The builders produce 3 (AIG)
+  /// or 9 (raw netlist) types; finalize() allocates per type, so a stored
+  /// num_types must not size that freely.
   static constexpr int kMaxNumTypes = 64;
-  static constexpr int kMaxPeL = 64;
 
   int num_nodes = 0;
   int num_types = 3;
   int num_levels = 0;
-  int pe_L = 8;                             ///< Eq. (7) L the graph is built for
+  /// Inert: nothing in the library reads it, since Eq. (7)'s L belongs to
+  /// the model (ModelConfig). It stays, with finalize's ignored parameter,
+  /// only because benchmark/deepgate_bench.cpp passes it to finalize().
+  int pe_L = 8;  // benchmark compatibility only; unread
   std::vector<int> type_id;                 ///< per node, in [0, num_types)
   std::vector<int> level;                   ///< forward logic level per node
   std::vector<std::pair<int, int>> edges;   ///< directed (src, dst)
@@ -107,24 +107,22 @@ struct CircuitGraph {
   /// layout, the level batches with their skip lists, the masks of a batch
   /// and the per-type node lists. Quantities one model alone reads live
   /// with that model (GCN's undirected edges, the means' edge counts, the
-  /// attention's Eq. (7) encodings). `pe_L` is stored as the graph's tag
-  /// (see check_compatible). Must be called after
-  /// type_id/level/edges/skip_edges are set.
-  void finalize(int pe_L = 8);
+  /// attention's Eq. (7) encodings and their L). Must be called after
+  /// type_id/level/edges/skip_edges are set. The parameter is ignored
+  /// (see the inert member above).
+  void finalize(int pe_L = 8);  // benchmark compatibility only; ignored
 
   /// Build from an explicit AIG gate graph with simulated labels; detects
   /// reconvergences internally.
-  static CircuitGraph from_gate_graph(const aig::GateGraph& g, const std::vector<double>& labels,
-                                      int pe_L = 8);
+  static CircuitGraph from_gate_graph(const aig::GateGraph& g, const std::vector<double>& labels);
 
   /// Build from a raw netlist (num_types = 9, one-hot over GateType).
-  static CircuitGraph from_netlist(const netlist::Netlist& nl, const std::vector<double>& labels,
-                                   int pe_L = 8);
+  static CircuitGraph from_netlist(const netlist::Netlist& nl, const std::vector<double>& labels);
 
   /// Disjoint-union batching: concatenate `parts` into one levelized
   /// super-graph whose level L holds every part's level-L nodes, so a single
-  /// model forward covers all members. All parts must share num_types and
-  /// pe_L (throws std::invalid_argument otherwise). Within each merged level
+  /// model forward covers all members. All parts must share num_types
+  /// (throws std::invalid_argument otherwise). Within each merged level
   /// the members' nodes stay contiguous and in member order, and each
   /// member's per-destination edge order is preserved, so a forward over the
   /// merged graph is bit-exact with each member running alone (models replay
@@ -175,17 +173,21 @@ struct CircuitGraph {
   /// node-id ranges are contiguous, so each member's rows form one block.
   std::vector<int> member_of_level_rows(int L) const;
 
-  /// Append the defining fields (types, levels, edges, skip edges, labels,
-  /// pe_L) to `out` in a portable little-endian layout. Derived structures
-  /// are not stored; deserialize() rebuilds them via finalize(), which is
-  /// deterministic, so a round trip is bit-exact including every level
-  /// batch.
+  /// Append the defining fields to `out` in a portable little-endian
+  /// layout (all integers i32 unless noted):
+  ///   num_nodes | num_types | type_id[N] | level[N] |
+  ///   u64 E | (src, dst)[E] | u64 S | (src, dst)[S] | f32 labels[N]
+  /// A skip edge's level_diff is not stored: it is the endpoints' level
+  /// rise. Derived structures are not stored either; deserialize() rebuilds
+  /// them via finalize(), which is deterministic, so a round trip is
+  /// bit-exact including every level batch.
   void serialize(std::vector<std::uint8_t>& out) const;
 
   /// Parse one graph starting at `offset` (advanced past it on success) and
   /// finalize it. Returns false — leaving `g` unspecified — on truncation or
-  /// any structural violation (ids out of range, bad levels, label count,
-  /// num_types above kMaxNumTypes, pe_L above kMaxPeL).
+  /// any structural violation (ids out of range, bad levels, an edge or
+  /// skip edge that does not rise by at least one level, num_types above
+  /// kMaxNumTypes).
   static bool deserialize(const std::uint8_t* data, std::size_t size, std::size_t& offset,
                           CircuitGraph& g);
 };
@@ -208,7 +210,7 @@ std::vector<float> member_column(const nn::Matrix& full, const GraphMember& m);
 /// graphs of similar level depth so a merged batch wastes fewer masked tail
 /// levels (a shallow member inside a deep batch sits idle for every level
 /// above its own). Returns groups of indices into `graphs`. Deterministic:
-/// indices are ordered by (num_types, pe_L) compatibility class, then depth,
+/// indices are ordered by num_types (the merge-compatibility class), then depth,
 /// then index, and packed greedily; node_budget == 0 gives singleton groups
 /// and a lone over-budget graph gets a group of its own. Every index appears
 /// in exactly one group.

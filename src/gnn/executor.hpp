@@ -6,7 +6,8 @@
 //      of similar depth, and lanes claim them longest first (most node
 //      rows, then deepest, then plan order),
 //   3. Batch::merge turns each group into what one forward runs on — a solo
-//      graph as itself, a multi-member group as its level-merged super-graph,
+//      graph as itself, a multi-member group (one num_types, the only merge
+//      class: Eq. (7)'s L is the model's) as its level-merged super-graph,
 //   4. Batch::forward runs ONE Model::forward_outputs inside an
 //      nn::ArenaScope, and each member reads its prediction column and
 //      embedding rows back out of the batch.

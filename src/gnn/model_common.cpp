@@ -1,7 +1,6 @@
 #include "gnn/model_common.hpp"
 
 #include "nn/ops.hpp"
-#include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
@@ -23,11 +22,7 @@ std::atomic<std::uint64_t> g_full_forwards{0};
 
 ForwardCounters forward_counters() { return {g_full_forwards.load(std::memory_order_relaxed)}; }
 
-void count_full_forward() {
-  g_full_forwards.fetch_add(1, std::memory_order_relaxed);
-  static obs::Counter& c = obs::counter("gnn.forwards.full");
-  c.add();
-}
+void count_full_forward() { g_full_forwards.fetch_add(1, std::memory_order_relaxed); }
 
 void copy_params(const nn::NamedParams& from, nn::NamedParams& to) {
   if (from.size() != to.size())
@@ -40,14 +35,10 @@ void copy_params(const nn::NamedParams& from, nn::NamedParams& to) {
 }
 
 void check_compatible(const ModelConfig& cfg, const CircuitGraph& g) {
-  const auto require = [](const char* field, int graph_value, int model_value) {
-    if (graph_value != model_value)
-      throw std::invalid_argument(std::string("graph ") + field + " = " +
-                                  std::to_string(graph_value) + " does not match the model's " +
-                                  field + " = " + std::to_string(model_value));
-  };
-  require("num_types", g.num_types, cfg.num_types);
-  require("pe_L", g.pe_L, cfg.pe_L);
+  if (g.num_types != cfg.num_types)
+    throw std::invalid_argument("graph num_types = " + std::to_string(g.num_types) +
+                                " does not match the model's num_types = " +
+                                std::to_string(cfg.num_types));
 }
 
 void require_one_hot_fits(const ModelConfig& cfg) {

@@ -24,7 +24,7 @@ struct ModelConfig {
                            ///< every iteration (DeepGate) vs only via h0
   bool random_h0 = true;   ///< random initial states (DeepGate) vs x-padded
   int num_types = 3;       ///< 3 for AIGs, 9 for raw netlists
-  int pe_L = 8;            ///< Eq. (7) L; encoding width 2L
+  int pe_L = 8;            ///< Eq. (7) L, owned here alone; encoding width 2L
   int mlp_hidden = 32;     ///< regressor hidden width
   std::uint64_t seed = 7;  ///< weight init + h0 stream
 };
@@ -89,13 +89,12 @@ class Model {
   ModelConfig cfg_;
 };
 
-/// Throws std::invalid_argument, naming the field and both values, unless
-/// `g` was built for a model configured as `cfg`: num_types sizes the
-/// one-hot input and the regressor heads, so a mismatched graph would be
-/// read out of bounds. pe_L names the Eq. (7) L the graph was built for;
-/// the attention aggregator encodes with its own table, so a mismatch can
-/// no longer overrun it, but graph and model must still agree on it. Every
-/// inference entry point (gnn::execute, serve::Server's submit/try_submit,
+/// Throws std::invalid_argument, naming both values, unless `g` has the
+/// model's num_types: it sizes the one-hot input and the regressor heads,
+/// so a mismatched graph would be read out of bounds. It is the only
+/// quantity graph and model must agree on; Eq. (7)'s L is the model's alone
+/// (the attention aggregator encodes with its own table). Every inference
+/// entry point (gnn::execute, serve::Server's submit/try_submit,
 /// IncrementalSession) calls it before any kernel runs.
 void check_compatible(const ModelConfig& cfg, const CircuitGraph& g);
 

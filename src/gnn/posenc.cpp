@@ -17,10 +17,4 @@ void write_positional_encoding(nn::Matrix& out, int row, int level_diff, int L) 
   }
 }
 
-nn::Matrix positional_encoding(int level_diff, int L) {
-  nn::Matrix m(1, 2 * L);
-  write_positional_encoding(m, 0, level_diff, L);
-  return m;
-}
-
 }  // namespace dg::gnn

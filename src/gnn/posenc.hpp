@@ -21,9 +21,6 @@ namespace dg::gnn {
 /// Distances are clamped to this before normalization.
 inline constexpr int kMaxPosencDistance = 64;
 
-/// gamma(D) as a 1 x 2L row.
-nn::Matrix positional_encoding(int level_diff, int L);
-
 /// Fill row `row` of `out` (width 2L) with gamma(level_diff).
 void write_positional_encoding(nn::Matrix& out, int row, int level_diff, int L);
 

@@ -117,9 +117,12 @@ TEST(CircuitGraphMerge, StructureIsDisjointUnion) {
 
 TEST(CircuitGraphMerge, RejectsIncompatibleParts) {
   const auto graphs = mixed_graphs();
-  CircuitGraph other = graphs[0];
-  other.finalize(4);  // different pe_L
-  EXPECT_THROW(CircuitGraph::merge({&graphs[0], &other}), std::invalid_argument);
+  // A raw netlist graph has 9 node types; the AIG graphs have 3.
+  util::Rng rng(5);
+  const netlist::Netlist nl = data::gen_itc_like(rng);
+  const CircuitGraph nine_types =
+      CircuitGraph::from_netlist(nl, sim::netlist_probabilities(nl, 2000, 7));
+  EXPECT_THROW(CircuitGraph::merge({&graphs[0], &nine_types}), std::invalid_argument);
   EXPECT_THROW(CircuitGraph::merge({&graphs[0], nullptr}), std::invalid_argument);
   const CircuitGraph merged = CircuitGraph::merge({&graphs[0], &graphs[1]});
   EXPECT_THROW(CircuitGraph::merge({&merged, &graphs[2]}), std::invalid_argument);

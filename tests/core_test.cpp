@@ -34,24 +34,21 @@ Options tiny_options() {
   return opt;
 }
 
-/// A graph the default model (3 types, pe_L = 8) cannot read, and the
-/// fragments the rejection message must contain.
+/// A graph the default model (3 types) cannot read, and the fragments the
+/// rejection message must contain.
 struct IncompatibleGraph {
   CircuitGraph graph;
   std::string graph_value, model_value;
 };
 
-/// An AIG graph re-finalized with pe_L = 16, and a raw netlist graph with
-/// num_types = 9.
+/// A raw netlist graph: num_types = 9. The type count is the one quantity
+/// graph and model must share (Eq. (7)'s L is the model's alone).
 std::vector<IncompatibleGraph> incompatible_graphs() {
   dg::util::Rng rng(5);
   const dg::netlist::Netlist nl = dg::data::gen_itc_like(rng);
-  CircuitGraph wide_pe = deepgate::prepare(nl, 2000, 6);
-  wide_pe.finalize(16);
   CircuitGraph nine_types =
       CircuitGraph::from_netlist(nl, dg::sim::netlist_probabilities(nl, 2000, 7));
-  return {{std::move(wide_pe), "pe_L = 16", "pe_L = 8"},
-          {std::move(nine_types), "num_types = 9", "num_types = 3"}};
+  return {{std::move(nine_types), "num_types = 9", "num_types = 3"}};
 }
 
 /// `fn` must throw std::invalid_argument naming the field and both values.

@@ -31,8 +31,6 @@ void expect_datasets_bit_equal(const Dataset& a, const Dataset& b, const char* w
   for (std::size_t i = 0; i < a.graphs.size(); ++i) {
     EXPECT_TRUE(gnn::bit_equal(a.graphs[i], b.graphs[i])) << what << ": graph " << i;
     EXPECT_EQ(a.info[i].family, b.info[i].family) << what << ": info " << i;
-    EXPECT_EQ(a.info[i].nodes, b.info[i].nodes) << what << ": info " << i;
-    EXPECT_EQ(a.info[i].levels, b.info[i].levels) << what << ": info " << i;
   }
 }
 

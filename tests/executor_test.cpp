@@ -5,8 +5,10 @@
 #include "core/deepgate.hpp"
 #include "data/dataset.hpp"
 #include "data/generators_large.hpp"
+#include "data/generators_small.hpp"
 #include "gnn/models.hpp"
 #include "nn/arena.hpp"
+#include "sim/probability.hpp"
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -65,7 +67,7 @@ std::vector<CircuitGraph> sized_graphs() {
     wide.type_id.assign(n, 0);
     wide.level.assign(n, 0);
     wide.labels.assign(n, 0.5F);
-    wide.finalize(graphs[3].pe_L);
+    wide.finalize();
     graphs.push_back(std::move(wide));
   }
   return graphs;
@@ -160,7 +162,7 @@ TEST(ExecuteEquivalence, BitwiseEqualToPerGraphAtAnyThreadsAndBudget) {
   auto graphs = sized_graphs();
   CircuitGraph empty;
   empty.num_types = graphs[0].num_types;
-  empty.finalize(graphs[0].pe_L);
+  empty.finalize();
   graphs.insert(graphs.begin() + 2, empty);
   graphs.insert(graphs.begin() + 4, CircuitGraph::merge({&graphs[0], &graphs[1]}));
   const auto ptrs = pointers(graphs);
@@ -199,9 +201,12 @@ TEST(ExecuteEquivalence, BitwiseEqualToPerGraphAtAnyThreadsAndBudget) {
     }
   }
 
-  // A graph whose pe_L the model cannot run is rejected before any forward.
-  CircuitGraph other = graphs[0];
-  other.finalize(4);
+  // A graph of another type count (a 9-type raw netlist graph) is rejected
+  // before any forward.
+  util::Rng rng(5);
+  const netlist::Netlist nl = data::gen_itc_like(rng);
+  const CircuitGraph other =
+      CircuitGraph::from_netlist(nl, sim::netlist_probabilities(nl, 2000, 7));
   std::vector<const CircuitGraph*> bad = ptrs;
   bad.insert(bad.begin() + 3, &other);
   int sink_calls = 0;

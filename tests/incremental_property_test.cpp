@@ -69,7 +69,7 @@ CircuitGraph rebuild(const CircuitGraph& g) {
   fresh.edges = g.edges;
   fresh.skip_edges = g.skip_edges;
   fresh.labels = g.labels;
-  fresh.finalize(g.pe_L);
+  fresh.finalize();
   return fresh;
 }
 

@@ -6,14 +6,15 @@
 namespace dg::gnn {
 namespace {
 
-TEST(Posenc, ShapeIs2L) {
-  const nn::Matrix m = positional_encoding(3, 8);
-  EXPECT_EQ(m.rows(), 1);
-  EXPECT_EQ(m.cols(), 16);
+/// gamma(D) as a 1 x 2L row, written the way the attention table is.
+nn::Matrix gamma(int level_diff, int L) {
+  nn::Matrix m(1, 2 * L);
+  write_positional_encoding(m, 0, level_diff, L);
+  return m;
 }
 
 TEST(Posenc, ZeroDistanceIsSinZeroCosOne) {
-  const nn::Matrix m = positional_encoding(0, 4);
+  const nn::Matrix m = gamma(0, 4);
   for (int l = 0; l < 4; ++l) {
     EXPECT_NEAR(m.at(0, 2 * l), 0.0F, 1e-6F);      // sin
     EXPECT_NEAR(m.at(0, 2 * l + 1), 1.0F, 1e-6F);  // cos
@@ -22,7 +23,7 @@ TEST(Posenc, ZeroDistanceIsSinZeroCosOne) {
 
 TEST(Posenc, ValuesBounded) {
   for (int d = 0; d < 100; d += 7) {
-    const nn::Matrix m = positional_encoding(d, 8);
+    const nn::Matrix m = gamma(d, 8);
     for (int c = 0; c < m.cols(); ++c) {
       EXPECT_GE(m.at(0, c), -1.0F);
       EXPECT_LE(m.at(0, c), 1.0F);
@@ -33,16 +34,16 @@ TEST(Posenc, ValuesBounded) {
 TEST(Posenc, DistinctDistancesDistinctCodes) {
   // The normalization keeps nearby integer distances distinguishable — the
   // degenerate raw-integer form of Eq. (7) would make these identical.
-  const nn::Matrix a = positional_encoding(2, 8);
-  const nn::Matrix b = positional_encoding(4, 8);
+  const nn::Matrix a = gamma(2, 8);
+  const nn::Matrix b = gamma(4, 8);
   float diff = 0.0F;
   for (int c = 0; c < a.cols(); ++c) diff += std::abs(a.at(0, c) - b.at(0, c));
   EXPECT_GT(diff, 0.1F);
 }
 
 TEST(Posenc, ClampsBeyondMaxDistance) {
-  const nn::Matrix a = positional_encoding(kMaxPosencDistance, 8);
-  const nn::Matrix b = positional_encoding(kMaxPosencDistance + 50, 8);
+  const nn::Matrix a = gamma(kMaxPosencDistance, 8);
+  const nn::Matrix b = gamma(kMaxPosencDistance + 50, 8);
   for (int c = 0; c < a.cols(); ++c) EXPECT_FLOAT_EQ(a.at(0, c), b.at(0, c));
 }
 
@@ -50,7 +51,7 @@ TEST(Posenc, MatchesEquationForm) {
   // gamma(D) = (sin(2^0 pi d'), cos(2^0 pi d'), sin(2^1 pi d'), ...)
   const int D = 16, L = 8;
   const double dprime = static_cast<double>(D) / kMaxPosencDistance;
-  const nn::Matrix m = positional_encoding(D, L);
+  const nn::Matrix m = gamma(D, L);
   double freq = 1.0;
   for (int l = 0; l < L; ++l) {
     EXPECT_NEAR(m.at(0, 2 * l), std::sin(freq * M_PI * dprime), 1e-5);
@@ -59,13 +60,15 @@ TEST(Posenc, MatchesEquationForm) {
   }
 }
 
-TEST(Posenc, WriteIntoRow) {
+TEST(Posenc, WritesOnlyItsRow) {
   nn::Matrix m(3, 16);
+  m.fill(7.0F);
   write_positional_encoding(m, 1, 5, 8);
-  const nn::Matrix expected = positional_encoding(5, 8);
+  const nn::Matrix expected = gamma(5, 8);
   for (int c = 0; c < 16; ++c) {
     EXPECT_FLOAT_EQ(m.at(1, c), expected.at(0, c));
-    EXPECT_FLOAT_EQ(m.at(0, c), 0.0F);  // other rows untouched
+    EXPECT_FLOAT_EQ(m.at(0, c), 7.0F);  // other rows untouched
+    EXPECT_FLOAT_EQ(m.at(2, c), 7.0F);
   }
 }
 

@@ -8,6 +8,7 @@
 #include "serve/server.hpp"
 
 #include "core/deepgate.hpp"
+#include "core/incremental_session.hpp"
 #include "data/generators_large.hpp"
 #include "data/generators_small.hpp"
 #include "nn/arena.hpp"
@@ -20,6 +21,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <cstdlib>
 #include <future>
 #include <initializer_list>
@@ -501,31 +503,65 @@ TEST(ServeLoop, InvalidAndDegenerateRequests) {
   EXPECT_TRUE(r.probabilities.empty());
   EXPECT_EQ(r.embedding.rows(), 0);
 
-  // Graphs built for another model (pe_L = 16; a 9-type raw netlist graph)
-  // are refused at admission, naming the field, while a valid request held
-  // in the queue beside them is still served.
+  // A graph built for another model (a 9-type raw netlist graph) is refused
+  // at admission, naming the field, while a valid request held in the queue
+  // beside it is still served.
   util::Rng rng(5);
   const netlist::Netlist nl = data::gen_itc_like(rng);
-  CircuitGraph wide_pe = deepgate::prepare(nl, 2000, 6);
-  wide_pe.finalize(16);
   const CircuitGraph nine_types =
       CircuitGraph::from_netlist(nl, sim::netlist_probabilities(nl, 2000, 7));
   const CircuitGraph good = deepgate::prepare(data::gen_squarer(4), 2000, 8);
   server->pause();
   auto fg = server->submit({&good});
-  const std::pair<const CircuitGraph*, const char*> rejected[] = {
-      {&wide_pe, "pe_L = 16"}, {&nine_types, "num_types = 9"}};
-  for (const auto& [bad, field] : rejected) {
-    try {
-      server->submit({bad});
-      ADD_FAILURE() << "submit accepted " << field;
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
-    }
-    EXPECT_THROW(server->try_submit({bad}, f), std::invalid_argument);
+  try {
+    server->submit({&nine_types});
+    ADD_FAILURE() << "submit accepted num_types = 9";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("num_types = 9"), std::string::npos) << e.what();
   }
+  EXPECT_THROW(server->try_submit({&nine_types}, f), std::invalid_argument);
   server->resume();
   EXPECT_EQ(fg.get().probabilities, engine.predict_probabilities(good));
+}
+
+// Eq. (7)'s L belongs to the model alone: one prepared AIG graph with skip
+// edges is accepted by DeepGate engines of L = 4 and L = 8 at every entry
+// point, and each engine's entry points return the same bits.
+TEST(ServeLoop, OneGraphServesModelsOfAnyL) {
+  const CircuitGraph g = mixed_graphs()[2];
+  ASSERT_FALSE(g.skip_edges.empty());
+  const auto same_bits = [](const nn::Matrix& a, const nn::Matrix& b) {
+    return a.same_shape(b) &&
+           (a.size() == 0 || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+  };
+  std::vector<std::vector<float>> by_L;
+  for (const int L : {4, 8}) {
+    SCOPED_TRACE("pe_L = " + std::to_string(L));
+    deepgate::Options options;
+    options.model = tiny_config();
+    options.model.pe_L = L;
+    const deepgate::Engine engine(options);
+    ASSERT_EQ(engine.model().config().pe_L, L);
+    const std::vector<float> prob = engine.predict_probabilities(g);
+    const nn::Matrix emb = engine.embeddings(g);
+
+    const auto batch = engine.infer_batch({&g});
+    EXPECT_EQ(batch.probabilities[0], prob);
+    EXPECT_TRUE(same_bits(batch.embeddings[0], emb));
+
+    auto server = deepgate::serve::start(engine, ServerOptions{});
+    const Response r = server->submit({&g, /*want_embedding=*/true}).get();
+    EXPECT_EQ(r.probabilities, prob);
+    EXPECT_TRUE(same_bits(r.embedding, emb));
+    server->shutdown(/*drain=*/true);
+
+    deepgate::IncrementalSession session(engine, g);
+    EXPECT_EQ(engine.predict_incremental(session), prob);
+    EXPECT_TRUE(same_bits(engine.embeddings_incremental(session), emb));
+    by_L.push_back(prob);
+  }
+  // The two engines really differ: L sizes the attention's w3.
+  EXPECT_NE(by_L[0], by_L[1]);
 }
 
 // -- Shutdown ------------------------------------------------------------------
@@ -1039,14 +1075,16 @@ TEST(PlanNodeBatchesByDepth, GroupsSimilarDepthsDeterministically) {
   }
   for (const int s : seen) EXPECT_EQ(s, 1);
 
-  // Mixed compatibility classes never share a group.
-  CircuitGraph other = graphs[0];
-  other.finalize(4);  // different pe_L
+  // Mixed compatibility classes (type counts) never share a group.
+  util::Rng rng(5);
+  const netlist::Netlist nl = data::gen_itc_like(rng);
+  const CircuitGraph other =
+      CircuitGraph::from_netlist(nl, sim::netlist_probabilities(nl, 2000, 7));
   std::vector<const CircuitGraph*> mixed = ptrs;
-  mixed.push_back(&other);
+  mixed.insert(mixed.begin() + 1, &other);
   for (const auto& group : gnn::plan_node_batches_by_depth(mixed, 1u << 30, 64))
     for (const std::size_t i : group)
-      EXPECT_EQ(mixed[i]->pe_L, mixed[group[0]]->pe_L);
+      EXPECT_EQ(mixed[i]->num_types, mixed[group[0]]->num_types);
 }
 
 // -- Engine degenerate-request handling ----------------------------------------

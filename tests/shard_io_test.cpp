@@ -38,8 +38,8 @@ void write_file(const fs::path& path, const std::vector<std::uint8_t>& bytes) {
 }
 
 /// Hand-built graph with every serialized feature populated: three node
-/// types, a skip edge (so the positional-encoding matrices are non-zero),
-/// and non-trivial labels. Field values are frozen — the golden file guards
+/// types, a skip edge (stored by its endpoints; deserialize recomputes its
+/// level difference), and non-trivial labels. Field values are frozen — the golden file guards
 /// the byte format against accidental changes.
 gnn::CircuitGraph golden_graph_a() {
   gnn::CircuitGraph g;
@@ -50,11 +50,11 @@ gnn::CircuitGraph golden_graph_a() {
   g.edges = {{0, 2}, {1, 2}, {2, 3}, {0, 4}, {3, 4}};
   g.skip_edges = {{0, 4, 3}};
   g.labels = {0.5F, 0.5F, 0.25F, 0.75F, 0.375F};
-  g.finalize(4);
+  g.finalize();
   return g;
 }
 
-/// Second record with a different type count and pe_L, exercising per-record
+/// Second record with a different type count, exercising per-record
 /// parameter variation within one shard.
 gnn::CircuitGraph golden_graph_b() {
   gnn::CircuitGraph g;
@@ -64,14 +64,14 @@ gnn::CircuitGraph golden_graph_b() {
   g.level = {0, 0, 1, 2};
   g.edges = {{0, 2}, {1, 2}, {2, 3}};
   g.labels = {0.5F, 0.5F, 0.125F, 0.875F};
-  g.finalize(8);
+  g.finalize();
   return g;
 }
 
 std::vector<ShardRecord> golden_records() {
   std::vector<ShardRecord> records;
-  records.push_back({golden_graph_a(), {"EPFL", 5, 3}});
-  records.push_back({golden_graph_b(), {"ITC99", 4, 2}});
+  records.push_back({golden_graph_a(), {"EPFL"}});
+  records.push_back({golden_graph_b(), {"ITC99"}});
   return records;
 }
 
@@ -85,8 +85,6 @@ void expect_records_equal(const std::vector<ShardRecord>& a,
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_TRUE(gnn::bit_equal(a[i].graph, b[i].graph)) << "record " << i;
     EXPECT_EQ(a[i].info.family, b[i].info.family);
-    EXPECT_EQ(a[i].info.nodes, b[i].info.nodes);
-    EXPECT_EQ(a[i].info.levels, b[i].info.levels);
   }
 }
 
@@ -105,13 +103,12 @@ TEST(ShardIo, RoundTripIsBitExact) {
   EXPECT_EQ(header.num_records, 2U);
   expect_records_equal(records, loaded);
 
-  // Bit-exactness of the derived structures specifically: pe_L survives, the
-  // skip-edge positional encodings are byte-identical, reconvergence flags
-  // (skip edges) intact.
-  EXPECT_EQ(loaded[0].graph.pe_L, 4);
-  EXPECT_EQ(loaded[1].graph.pe_L, 8);
+  // The skip edge survives, its unstored level difference recomputed from
+  // the endpoints' levels, and so does its slot in the skip batch.
   ASSERT_EQ(loaded[0].graph.skip_edges.size(), 1U);
   EXPECT_EQ(loaded[0].graph.skip_edges[0].level_diff, 3);
+  ASSERT_EQ(loaded[0].graph.fwd_skip[3].skips.size(), 1U);
+  EXPECT_EQ(loaded[0].graph.fwd_skip[3].skips[0].level_diff, 3);
   fs::remove_all(dir);
 }
 
@@ -127,11 +124,11 @@ TEST(ShardIo, RoundTripRealCircuit) {
   a.add_output(a.add_and(g1, g2));
   const aig::GateGraph gg = aig::to_gate_graph(a);
   const auto labels = sim::gate_graph_probabilities(gg, 4096, 11);
-  const gnn::CircuitGraph cg = gnn::CircuitGraph::from_gate_graph(gg, labels, 6);
+  const gnn::CircuitGraph cg = gnn::CircuitGraph::from_gate_graph(gg, labels);
 
   const fs::path dir = temp_dir();
   const std::string path = (dir / "real.dgsh").string();
-  ASSERT_TRUE(write_shard(path, 1, 2, 0, {{cg, {"EPFL", gg.size(), gg.num_levels - 1}}}));
+  ASSERT_TRUE(write_shard(path, 1, 2, 0, {{cg, {"EPFL"}}}));
   ShardHeader header;
   std::vector<ShardRecord> loaded;
   ASSERT_EQ(ShardReader::read_all(path, header, loaded), ShardError::kNone);
@@ -288,12 +285,16 @@ TEST(ShardIo, CacheRejectsKeyMismatch) {
 
 // -- Golden file: guards the format across code changes ----------------------
 //
-// tests/data/golden_shard_v1.dgsh was written by this very writer at format
-// version 1 and is checked into the repo. If either the byte layout or the
-// checksum recipe changes, these tests fail — bump kShardFormatVersion and
-// regenerate (run this binary with DG_REGEN_GOLDEN=1) only on purpose.
+// tests/data/golden_shard_v<N>.dgsh was written by this very writer at
+// format version N (kShardFormatVersion) and is checked into the repo. If
+// either the byte layout or the checksum recipe changes, these tests fail —
+// bump kShardFormatVersion and regenerate (run this binary with
+// DG_REGEN_GOLDEN=1, which writes the new version's file) only on purpose.
+// Older versions' files stay as fixtures that must read as kBadVersion.
 
-std::string golden_path() { return std::string(DG_TEST_DATA_DIR) + "/golden_shard_v1.dgsh"; }
+std::string golden_path(std::uint32_t version = kShardFormatVersion) {
+  return std::string(DG_TEST_DATA_DIR) + "/golden_shard_v" + std::to_string(version) + ".dgsh";
+}
 
 TEST(ShardIoGolden, GoldenFileParsesToKnownContent) {
   if (std::getenv("DG_REGEN_GOLDEN") != nullptr) {
@@ -311,6 +312,31 @@ TEST(ShardIoGolden, GoldenFileParsesToKnownContent) {
   expect_records_equal(golden_records(), loaded);
 }
 
+TEST(ShardIoGolden, V1FileIsRejectedAsBadVersion) {
+  ShardReader reader;
+  EXPECT_EQ(reader.open(golden_path(1)), ShardError::kBadVersion);
+  ShardHeader header;
+  std::vector<ShardRecord> loaded;
+  EXPECT_EQ(ShardReader::read_all(golden_path(1), header, loaded), ShardError::kBadVersion);
+  EXPECT_TRUE(loaded.empty());
+}
+
+TEST(ShardCache, V1FileAtShardPathIsAMissAndIsRewritten) {
+  const fs::path dir = temp_dir();
+  const ShardCache cache(dir.string(), kGoldenHash, kGoldenSeed);
+  fs::copy_file(golden_path(1), cache.shard_path(kGoldenIndex));
+  std::vector<ShardRecord> out;
+  EXPECT_FALSE(cache.load(kGoldenIndex, out));
+  EXPECT_TRUE(out.empty());
+
+  // The build regenerates the shard and stores it over the old file.
+  ASSERT_TRUE(cache.store(kGoldenIndex, golden_records()));
+  EXPECT_EQ(read_file(cache.shard_path(kGoldenIndex)), read_file(golden_path()));
+  ASSERT_TRUE(cache.load(kGoldenIndex, out));
+  expect_records_equal(golden_records(), out);
+  fs::remove_all(dir);
+}
+
 // -- ShardStream --------------------------------------------------------------
 
 /// Three distinct single-record shards; returns their paths.
@@ -319,9 +345,9 @@ std::vector<std::string> make_shard_trio(const fs::path& dir) {
   for (std::uint32_t i = 0; i < 3; ++i) {
     gnn::CircuitGraph g = golden_graph_a();
     g.labels[0] = 0.125F * static_cast<float>(i + 1);  // tell shards apart
-    g.finalize(g.pe_L);
+    g.finalize();
     const fs::path path = dir / ("stream_shard_" + std::to_string(i) + ".dgsh");
-    EXPECT_TRUE(write_shard(path.string(), 9, 9, i, {{g, {"EPFL", 5, 3}}}));
+    EXPECT_TRUE(write_shard(path.string(), 9, 9, i, {{g, {"EPFL"}}}));
     paths.push_back(path.string());
   }
   return paths;
@@ -373,7 +399,8 @@ TEST(ShardIoGolden, WriterReproducesGoldenBytes) {
   const auto expected = read_file(golden_path());
   const auto actual = read_file(path);
   ASSERT_FALSE(expected.empty());
-  EXPECT_EQ(actual, expected) << "writer output drifted from the v1 golden bytes";
+  EXPECT_EQ(actual, expected) << "writer output drifted from the golden bytes of "
+                              << golden_path();
   fs::remove_all(dir);
 }
 
