@@ -56,10 +56,8 @@ enum class ShardError {
 
 const char* shard_error_name(ShardError e);
 
-/// Current format version written by write_shard.
-/// v2 dropped the graph's Eq. (7) L tag, each skip edge's stored level
-/// difference and the record's node/level counts; v1 files read as
-/// kBadVersion, so a cache of them misses and regenerates.
+/// Current format version written by write_shard. A file of any other
+/// version reads as kBadVersion, so the cache misses and regenerates it.
 inline constexpr std::uint32_t kShardFormatVersion = 2;
 
 /// Serialize `records` under the given key. Writes to a temporary sibling

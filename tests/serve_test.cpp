@@ -74,6 +74,14 @@ std::vector<CircuitGraph> mixed_graphs() {
   return graphs;
 }
 
+/// A raw netlist graph: 9 node types, which no 3-type model accepts and no
+/// AIG graph merges with.
+CircuitGraph nine_type_graph() {
+  util::Rng rng(5);
+  const netlist::Netlist nl = data::gen_itc_like(rng);
+  return CircuitGraph::from_netlist(nl, sim::netlist_probabilities(nl, 2000, 7));
+}
+
 std::vector<ModelSpec> table2_specs() {
   return {
       {ModelFamily::kGcn, AggKind::kConvSum, false},
@@ -506,10 +514,7 @@ TEST(ServeLoop, InvalidAndDegenerateRequests) {
   // A graph built for another model (a 9-type raw netlist graph) is refused
   // at admission, naming the field, while a valid request held in the queue
   // beside it is still served.
-  util::Rng rng(5);
-  const netlist::Netlist nl = data::gen_itc_like(rng);
-  const CircuitGraph nine_types =
-      CircuitGraph::from_netlist(nl, sim::netlist_probabilities(nl, 2000, 7));
+  const CircuitGraph nine_types = nine_type_graph();
   const CircuitGraph good = deepgate::prepare(data::gen_squarer(4), 2000, 8);
   server->pause();
   auto fg = server->submit({&good});
@@ -1076,10 +1081,7 @@ TEST(PlanNodeBatchesByDepth, GroupsSimilarDepthsDeterministically) {
   for (const int s : seen) EXPECT_EQ(s, 1);
 
   // Mixed compatibility classes (type counts) never share a group.
-  util::Rng rng(5);
-  const netlist::Netlist nl = data::gen_itc_like(rng);
-  const CircuitGraph other =
-      CircuitGraph::from_netlist(nl, sim::netlist_probabilities(nl, 2000, 7));
+  const CircuitGraph other = nine_type_graph();
   std::vector<const CircuitGraph*> mixed = ptrs;
   mixed.insert(mixed.begin() + 1, &other);
   for (const auto& group : gnn::plan_node_batches_by_depth(mixed, 1u << 30, 64))
